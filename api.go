@@ -489,12 +489,11 @@ func UniformRandomSchedule(n, maxRound int, seed uint64) []int {
 
 // NewTDynamicChecker verifies T-dynamic solutions round by round. Inside
 // an engine OnRound observer, feed it with Feed(info.Delta()): the
-// checker then maintains violation state purely from the engine's
-// round-delta plane — no graph materialization, no O(|E_r|) edge scan
-// and no O(n) output scan, so a verified round costs O(changes).
-// ObserveChanged (graph-fed window) and Observe (additionally self-diffs
-// the outputs) remain as fallbacks for topologies or outputs produced
-// outside the engine.
+// checker maintains violation state purely from the engine's round-delta
+// plane — no graph materialization, no O(|E_r|) edge scan and no O(n)
+// output scan, so a verified round costs O(changes). Topologies or
+// outputs produced outside the engine are fed the same way, as a
+// RoundDelta of sorted edge diffs and changed nodes.
 func NewTDynamicChecker(p Problem, t, n int) *TDynamicChecker {
 	return verify.NewTDynamic(p, t, n)
 }

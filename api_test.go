@@ -15,7 +15,7 @@ func TestQuickstartMIS(t *testing.T) {
 	check := NewTDynamicChecker(MISProblem(), algo.T1, n)
 	invalid := 0
 	eng.OnRound(func(info *RoundInfo) {
-		if rep := check.Observe(info.Graph(), info.Wake, info.Outputs); !rep.Valid() {
+		if rep := check.Feed(info.Delta()); !rep.Valid() {
 			invalid++
 		}
 	})
@@ -33,7 +33,7 @@ func TestQuickstartColoring(t *testing.T) {
 	check := NewTDynamicChecker(ColoringProblem(), algo.T1, n)
 	invalid := 0
 	eng.OnRound(func(info *RoundInfo) {
-		if rep := check.Observe(info.Graph(), info.Wake, info.Outputs); !rep.Valid() {
+		if rep := check.Feed(info.Delta()); !rep.Valid() {
 			invalid++
 		}
 	})
@@ -98,7 +98,7 @@ func TestFacadeWorkloads(t *testing.T) {
 
 func TestFacadeWindows(t *testing.T) {
 	w := NewSlidingWindow(3, 8)
-	w.Observe(Cycle(8), AllNodes(8))
+	w.ObserveEdgeDelta(Cycle(8).EdgeKeys(), nil, AllNodes(8))
 	if w.Round() != 1 {
 		t.Fatal("window observe failed")
 	}

@@ -29,6 +29,7 @@ import (
 	"dynlocal/internal/problems"
 	"dynlocal/internal/stats"
 	"dynlocal/internal/verify"
+	"dynlocal/internal/verify/verifytest"
 )
 
 func benchParams(i int) experiments.Params {
@@ -229,11 +230,19 @@ func BenchmarkAblationWindowIncremental(b *testing.B) {
 	for i := range graphs {
 		graphs[i] = graph.GNP(n, 6.0/n, s)
 	}
+	// adds[i], removes[i] lead from graphs[i-1] (cyclically) to graphs[i].
+	adds := make([][]graph.EdgeKey, len(graphs))
+	removes := make([][]graph.EdgeKey, len(graphs))
+	for i, g := range graphs {
+		prev := graphs[(i+len(graphs)-1)%len(graphs)]
+		adds[i], removes[i] = graph.DiffSortedKeys(prev.EdgeKeys(), g.EdgeKeys(), nil, nil)
+	}
 	b.Run("incremental", func(b *testing.B) {
 		w := dyngraph.NewWindow(T, n)
-		w.Observe(graphs[0], adversary.AllNodes(n))
+		w.ObserveEdgeDelta(graphs[0].EdgeKeys(), nil, adversary.AllNodes(n))
 		for i := 0; i < b.N; i++ {
-			w.Observe(graphs[i%len(graphs)], nil)
+			k := (i + 1) % len(graphs)
+			w.ObserveEdgeDelta(adds[k], removes[k], nil)
 			_ = w.IntersectionGraph()
 			_ = w.UnionGraph()
 		}
@@ -437,16 +446,13 @@ func BenchmarkCombinedMISRound(b *testing.B) {
 }
 
 // BenchmarkTDynamicChecker measures the verification overhead per round at
-// N=4096 under steady churn, in four modes: the self-diffing incremental
-// checker (O(n) output scan per round), the changed-feed checker driven by
-// a precomputed round-delta list as the engine supplies via
-// RoundInfo.Changed (graph-fed window, no output scan), the delta-feed
-// checker driven by the full round-delta plane — topology diff plus
-// changed list, no graph at all (ObserveDeltas, O(changes) per round) —
-// and the materializing oracle (per-round G^∩T/G^∪T CSR rebuild + full
-// CheckFull rescans). incremental-vs-oracle is the headline of the PR 2
-// incremental pipeline; delta-feed-vs-changed-feed isolates the O(|E_r|)
-// window merge the delta-native topology plane removed.
+// N=4096 under steady churn, in two modes: the delta-fed checker driven by
+// the full round-delta plane as the engine supplies it via RoundInfo.Delta
+// — topology diff plus changed list, no graph at all (Feed, O(changes)
+// per round) — and the materializing oracle of verifytest (per-round
+// G^∩T/G^∪T rebuild from the window's edge lists + full CheckFull
+// rescans). delta-feed-vs-oracle is the headline of the incremental
+// verification pipeline.
 func BenchmarkTDynamicChecker(b *testing.B) {
 	const n = 4096
 	const T = 16
@@ -549,87 +555,44 @@ func BenchmarkTDynamicChecker(b *testing.B) {
 			graphs[prev].EdgeKeys(), graphs[order[k]].EdgeKeys(), nil, nil)
 	}
 	wake := AllNodes(n)
-	for _, mode := range []struct {
-		name  string
-		mk    func() *verify.TDynamic
-		first func(chk *verify.TDynamic)
-		obs   func(chk *verify.TDynamic, k int)
-	}{
-		{
-			// Self-diffing path: the checker finds the output changes with
-			// its own O(n) scan.
-			name: "incremental",
-			mk:   func() *verify.TDynamic { return verify.NewTDynamic(problems.Coloring(), T, n) },
-			first: func(chk *verify.TDynamic) {
-				chk.Observe(graphs[0], wake, outs[0])
-			},
-			obs: func(chk *verify.TDynamic, k int) {
-				chk.Observe(graphs[order[k]], nil, outs[order[k]])
-			},
-		},
-		{
-			// Round-delta plane: the caller supplies the changed-node list
-			// (as the engine does via RoundInfo.Changed) — no scan at all.
-			name: "changed-feed",
-			mk:   func() *verify.TDynamic { return verify.NewTDynamic(problems.Coloring(), T, n) },
-			first: func(chk *verify.TDynamic) {
-				chk.ObserveChanged(graphs[0], wake, outs[0], firstChanged)
-			},
-			obs: func(chk *verify.TDynamic, k int) {
-				chk.ObserveChanged(graphs[order[k]], nil, outs[order[k]], changedInto[k])
-			},
-		},
-		{
-			// Full round-delta plane: topology and output diffs both
-			// caller-supplied (as the engine does via RoundInfo) — no
-			// graph, no edge merge, no output scan.
-			name: "delta-feed",
-			mk:   func() *verify.TDynamic { return verify.NewTDynamic(problems.Coloring(), T, n) },
-			first: func(chk *verify.TDynamic) {
-				chk.ObserveDeltas(graphs[0].EdgeKeys(), nil, wake, outs[0], firstChanged)
-			},
-			obs: func(chk *verify.TDynamic, k int) {
-				chk.ObserveDeltas(addsInto[k], removesInto[k], nil, outs[order[k]], changedInto[k])
-			},
-		},
-		{
-			name: "oracle",
-			mk:   func() *verify.TDynamic { return verify.NewTDynamicOracle(problems.Coloring(), T, n) },
-			first: func(chk *verify.TDynamic) {
-				chk.Observe(graphs[0], wake, outs[0])
-			},
-			obs: func(chk *verify.TDynamic, k int) {
-				chk.Observe(graphs[order[k]], nil, outs[order[k]])
-			},
-		},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			chk := mode.mk()
-			mode.first(chk)
-			for k := 1; k < len(order); k++ { // fill the window before timing
-				mode.obs(chk, k)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mode.obs(chk, i%len(order))
-			}
-		})
-	}
+	b.Run("delta-feed", func(b *testing.B) {
+		chk := verify.NewTDynamic(problems.Coloring(), T, n)
+		round := func(k int) {
+			chk.Feed(engine.RoundDelta{
+				EdgeAdds: addsInto[k], EdgeRemoves: removesInto[k],
+				Outputs: outs[order[k]], Changed: changedInto[k],
+			})
+		}
+		chk.Feed(engine.RoundDelta{EdgeAdds: graphs[0].EdgeKeys(), Wake: wake, Outputs: outs[0], Changed: firstChanged})
+		for k := 1; k < len(order); k++ { // fill the window before timing
+			round(k)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round(i % len(order))
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		orc := verifytest.NewOracle(problems.Coloring(), T, n)
+		round := func(k int) { orc.Observe(graphs[order[k]], nil, outs[order[k]]) }
+		orc.Observe(graphs[0], wake, outs[0])
+		for k := 1; k < len(order); k++ { // fill the window before timing
+			round(k)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round(i % len(order))
+		}
+	})
 }
 
-// BenchmarkTopologyDelta is the scan-vs-delta matrix of the topology
-// plane (recorded as BENCH_<date>-topo.json via `BENCH=BenchmarkTopologyDelta
+// BenchmarkTopologyDelta measures the delta feed of the topology plane
+// (recorded as BENCH_<date>-topo.json via `BENCH=BenchmarkTopologyDelta
 // LABEL=-topo scripts/bench.sh`): N ∈ {4096, 65536} × churn ∈ {low, high}
-// toggled edges per round, feeding the same schedule into a T-dynamic
-// sliding window two ways. "scan" is the pre-delta pipeline's per-round
-// topology cost — materialize the round's CSR graph from its edge list,
-// then let the window recover the diff by merging consecutive edge lists
-// (Window.Observe) — while "delta" hands the window the sorted diff
-// directly (Window.ObserveEdgeDelta), the feed the engine's
-// RoundInfo.EdgeAdds/EdgeRemoves supplies. The delta feed's cost scales
-// with churn volume only, so the gap widens with n at fixed churn: the
-// headline cell is N=65536/low, where per-round work drops from one
-// ~260k-edge build+merge to ~64 map updates.
+// toggled edges per round, handing a T-dynamic sliding window each round's
+// sorted diff (Window.ObserveEdgeDelta), the feed the engine's
+// RoundInfo.EdgeAdds/EdgeRemoves supplies. The cost scales with churn
+// volume only, so at fixed churn it stays flat as n grows.
 func BenchmarkTopologyDelta(b *testing.B) {
 	const T = 16
 	const cycle = 8
@@ -641,10 +604,9 @@ func BenchmarkTopologyDelta(b *testing.B) {
 			{"low", 32},
 			{"high", n / 16},
 		} {
-			// Pre-generate a ping-pong schedule of consistent rounds:
-			// edge-list snapshots for the scan feed, sorted diffs for the
-			// delta feed. The ping-pong makes every transition — including
-			// the wrap — exactly one churn-rate delta.
+			// Pre-generate a ping-pong schedule of consistent rounds as
+			// sorted diffs. The ping-pong makes every transition —
+			// including the wrap — exactly one churn-rate delta.
 			s := prf.NewStream(uint64(n+churn.rate), 0, 0, prf.PurposeWorkload)
 			present := make(map[graph.EdgeKey]bool)
 			base := GNP(n, 8.0/float64(n), uint64(n))
@@ -659,10 +621,7 @@ func BenchmarkTopologyDelta(b *testing.B) {
 				slices.Sort(keys)
 				return keys
 			}
-			type round struct {
-				keys          []graph.EdgeKey
-				adds, removes []graph.EdgeKey
-			}
+			type round struct{ adds, removes []graph.EdgeKey }
 			// Forward transitions s0→s1→…→s_c, then the exact reverses
 			// back down to s0, so position i%len always continues from
 			// position (i-1)%len — including across the wrap.
@@ -685,33 +644,13 @@ func BenchmarkTopologyDelta(b *testing.B) {
 				}
 				keys := snapshot()
 				adds, removes := graph.DiffSortedKeys(prevKeys, keys, nil, nil)
-				rounds = append(rounds, round{keys: keys, adds: adds, removes: removes})
+				rounds = append(rounds, round{adds, removes})
 				prevKeys = keys
 			}
 			for i := cycle - 1; i >= 0; i-- {
-				keys := startKeys
-				if i > 0 {
-					keys = rounds[i-1].keys
-				}
-				rounds = append(rounds, round{
-					keys:    keys,
-					adds:    rounds[i].removes,
-					removes: rounds[i].adds,
-				})
+				rounds = append(rounds, round{adds: rounds[i].removes, removes: rounds[i].adds})
 			}
 			all := adversary.AllNodes(n)
-			b.Run(fmt.Sprintf("N=%d/churn=%s/scan", n, churn.name), func(b *testing.B) {
-				w := dyngraph.NewWindow(T, n)
-				w.Observe(graph.FromSortedEdges(n, startKeys), all)
-				for k := 0; k < len(rounds); k++ { // fill the window before timing
-					w.Observe(graph.FromSortedEdges(n, rounds[k].keys), nil)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r := &rounds[i%len(rounds)]
-					w.Observe(graph.FromSortedEdges(n, r.keys), nil)
-				}
-			})
 			b.Run(fmt.Sprintf("N=%d/churn=%s/delta", n, churn.name), func(b *testing.B) {
 				w := dyngraph.NewWindow(T, n)
 				w.ObserveEdgeDelta(startKeys, nil, all)

@@ -305,60 +305,38 @@ func (a Alternator) Step(v View) Step {
 	return st
 }
 
-// Scripted replays a recorded trace. Traces that expose their deltas
-// (dyngraph.Trace via DeltaSource) are replayed delta-natively — no graph
-// is ever materialized, each round is its recorded edge diff — and after
-// the trace is exhausted the final topology persists as empty diffs.
-// Plain TraceSources fall back to materialized steps.
+// Scripted replays a recorded trace delta-natively: no graph is ever
+// materialized, each round is its recorded edge diff, and after the trace
+// is exhausted the final topology persists as empty diffs.
 type Scripted struct {
 	steps []Step
 }
 
-// TraceSource is the replay surface of dyngraph.Trace, declared locally to
-// keep the package dependency-light.
-type TraceSource interface {
-	Replay(fn func(round int, g *graph.Graph, wake []graph.NodeID))
-}
-
-// DeltaSource is the delta-native replay surface of dyngraph.Trace.
-// Sources that implement it are scripted as edge diffs.
+// DeltaSource is the delta-native replay surface of dyngraph.Trace,
+// declared locally to keep the package dependency-light.
 type DeltaSource interface {
 	ReplayDeltas(fn func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID))
 }
 
-// NewScripted materializes a trace into an adversary, preferring the
-// delta-native replay surface when the source offers one.
-func NewScripted(tr TraceSource) *Scripted {
+// NewScripted copies a trace's recorded edge diffs into an adversary.
+func NewScripted(tr DeltaSource) *Scripted {
 	s := &Scripted{}
-	if ds, ok := tr.(DeltaSource); ok {
-		ds.ReplayDeltas(func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
-			s.steps = append(s.steps, Step{
-				Wake:        append([]graph.NodeID(nil), wake...),
-				EdgeAdds:    append([]graph.EdgeKey(nil), adds...),
-				EdgeRemoves: append([]graph.EdgeKey(nil), removes...),
-			})
+	tr.ReplayDeltas(func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+		s.steps = append(s.steps, Step{
+			Wake:        append([]graph.NodeID(nil), wake...),
+			EdgeAdds:    append([]graph.EdgeKey(nil), adds...),
+			EdgeRemoves: append([]graph.EdgeKey(nil), removes...),
 		})
-		return s
-	}
-	tr.Replay(func(round int, g *graph.Graph, wake []graph.NodeID) {
-		s.steps = append(s.steps, Step{G: g, Wake: append([]graph.NodeID(nil), wake...)})
 	})
 	return s
 }
 
 // Step implements Adversary.
 func (s *Scripted) Step(v View) Step {
-	r := v.Round()
-	if r <= len(s.steps) {
+	if r := v.Round(); r <= len(s.steps) {
 		return s.steps[r-1]
 	}
-	if len(s.steps) == 0 || s.steps[0].G == nil {
-		// Delta-native script (or empty trace): an empty diff keeps the
-		// final topology playing.
-		return Step{}
-	}
-	last := s.steps[len(s.steps)-1]
-	return Step{G: last.G}
+	return Step{}
 }
 
 // DeltaStreamSource is the streaming replay surface of

@@ -6,6 +6,7 @@ import (
 
 	"dynlocal/internal/adversary"
 	"dynlocal/internal/core"
+	"dynlocal/internal/dyngraph"
 	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
@@ -390,7 +391,7 @@ func TestColoringConcatTDynamicEveryRound(t *testing.T) {
 	chk := verify.NewTDynamic(problems.Coloring(), combined.T1, n)
 	invalid := 0
 	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, info.Outputs)
+		rep := chk.Feed(info.Delta())
 		if !rep.Valid() {
 			invalid++
 		}
@@ -439,16 +440,18 @@ func TestColoringConcatLocallyStatic(t *testing.T) {
 
 // --- helpers ------------------------------------------------------------
 
-func scriptedSeq(gs ...*graph.Graph) traceLike { return traceLike{gs} }
-
-type traceLike struct{ gs []*graph.Graph }
-
-func (t traceLike) Replay(fn func(int, *graph.Graph, []graph.NodeID)) {
-	for i, g := range t.gs {
+// scriptedSeq records a graph sequence as a trace in which every node
+// wakes in round 1.
+func scriptedSeq(gs ...*graph.Graph) *dyngraph.Trace {
+	tr := dyngraph.NewTrace(gs[0].N())
+	var prev *graph.Graph
+	for i, g := range gs {
 		var wake []graph.NodeID
 		if i == 0 {
 			wake = adversary.AllNodes(g.N())
 		}
-		fn(i+1, g, wake)
+		tr.Append(prev, g, wake)
+		prev = g
 	}
+	return tr
 }

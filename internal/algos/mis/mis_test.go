@@ -5,11 +5,13 @@ import (
 
 	"dynlocal/internal/adversary"
 	"dynlocal/internal/core"
+	"dynlocal/internal/dyngraph"
 	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
 	"dynlocal/internal/verify"
+	"dynlocal/internal/verify/verifytest"
 )
 
 func workload(seed uint64) *prf.Stream {
@@ -389,7 +391,7 @@ func TestMISConcatTDynamicEveryRound(t *testing.T) {
 	invalid := 0
 	var firstBad string
 	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, info.Outputs)
+		rep := chk.Feed(info.Delta())
 		if !rep.Valid() {
 			invalid++
 			if firstBad == "" {
@@ -496,7 +498,7 @@ func TestChainedMISTDynamicEveryRound(t *testing.T) {
 	invalid := 0
 	var first string
 	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, info.Outputs)
+		rep := chk.Feed(info.Delta())
 		if !rep.Valid() {
 			invalid++
 			if first == "" {
@@ -571,9 +573,10 @@ func TestChainedMISMidPipelineFreshness(t *testing.T) {
 	// Workers: 1 so the probe needs no synchronization.
 	e := engine.New(engine.Config{N: n, Seed: 79, Workers: 1}, adv, chained)
 	chk := verify.NewTDynamic(problems.MIS(), midW, n)
+	var feed verifytest.GraphFeed // midOut is not an engine output: diff it
 	invalid, counted := 0, 0
 	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, midOut)
+		rep := chk.Feed(feed.Next(info.Graph(), info.Wake, midOut))
 		if info.Round > 2*chained.T1 {
 			counted++
 			if !rep.Valid() {
@@ -657,16 +660,18 @@ func singleFrom(f *SMisFactory) engine.Algorithm {
 	}}
 }
 
-func seq(gs ...*graph.Graph) traceLike { return traceLike{gs} }
-
-type traceLike struct{ gs []*graph.Graph }
-
-func (t traceLike) Replay(fn func(int, *graph.Graph, []graph.NodeID)) {
-	for i, g := range t.gs {
+// seq records a graph sequence as a trace in which every node wakes in
+// round 1.
+func seq(gs ...*graph.Graph) *dyngraph.Trace {
+	tr := dyngraph.NewTrace(gs[0].N())
+	var prev *graph.Graph
+	for i, g := range gs {
 		var wake []graph.NodeID
 		if i == 0 {
 			wake = adversary.AllNodes(g.N())
 		}
-		fn(i+1, g, wake)
+		tr.Append(prev, g, wake)
+		prev = g
 	}
+	return tr
 }

@@ -85,7 +85,7 @@ func TestRestartMISIsTDynamicButUnstable(t *testing.T) {
 	stab := verify.NewStability(n, 2, restart.StabilityWait())
 	invalid := 0
 	e.OnRound(func(info *engine.RoundInfo) {
-		if rep := chk.Observe(info.Graph(), info.Wake, info.Outputs); !rep.Valid() {
+		if rep := chk.Feed(info.Delta()); !rep.Valid() {
 			invalid++
 		}
 		stab.Observe(info.Graph(), info.Wake, info.Outputs)

@@ -20,18 +20,28 @@ const (
 	tagWindowDelta uint64 = 0x82
 )
 
+// feedMode returns the feed-mode field both window records carry for a
+// window at round r: 2 (the delta feed) once it has observed a round, 0
+// before. The value 1 marked the retired graph-fed scan feed; readers
+// refuse it, along with any value that disagrees with the record's round.
+func feedMode(r int) int {
+	if r > 0 {
+		return 2
+	}
+	return 0
+}
+
 // SaveState implements ckpt.Stater. The spans map is written with sorted
 // keys so identical runs produce byte-identical checkpoints; the ring
-// slots, wake buckets and scan-feed edge list are written verbatim —
-// slot order is observable (it is the emission order of expiry/arrival
-// deltas), so preserving it exactly is what keeps resumed Delta output
-// bit-identical.
+// slots and wake buckets are written verbatim — slot order is observable
+// (it is the emission order of expiry/arrival deltas), so preserving it
+// exactly is what keeps resumed Delta output bit-identical.
 func (w *Window) SaveState(cw *ckpt.Writer) {
 	cw.Section(tagWindow)
 	cw.Int(w.t)
 	cw.Int(w.n)
 	cw.Int(w.round)
-	cw.Int(w.mode)
+	cw.Int(feedMode(w.round))
 
 	keys := make([]graph.EdgeKey, 0, len(w.spans))
 	for k := range w.spans {
@@ -79,13 +89,6 @@ func (w *Window) SaveState(cw *ckpt.Writer) {
 			cw.Varint(int64(v))
 		}
 	}
-
-	if w.mode == feedGraph {
-		cw.Int(len(w.prevEdges))
-		for _, k := range w.prevEdges {
-			cw.Uvarint(uint64(k))
-		}
-	}
 }
 
 // LoadState implements ckpt.Stater.
@@ -109,14 +112,13 @@ func (w *Window) LoadState(cr *ckpt.Reader) {
 		cr.Fail(fmt.Errorf("dyngraph: checkpoint universe %d, window has %d", n, w.n))
 	case round < 0:
 		cr.Fail(fmt.Errorf("dyngraph: checkpoint has negative round %d", round))
-	case mode != feedUnset && mode != feedGraph && mode != feedDelta:
-		cr.Fail(fmt.Errorf("dyngraph: checkpoint has unknown feed mode %d", mode))
+	case mode != feedMode(round):
+		cr.Fail(fmt.Errorf("dyngraph: checkpoint has feed mode %d at round %d (only the delta feed is supported)", mode, round))
 	}
 	if cr.Err() != nil {
 		return
 	}
 	w.round = round
-	w.mode = mode
 
 	edgeCap := n * (n - 1) / 2
 	nSpans := cr.Count(edgeCap)
@@ -182,17 +184,6 @@ func (w *Window) LoadState(cr *ckpt.Reader) {
 		}
 		w.byWake[r] = bucket
 	}
-
-	if mode == feedGraph {
-		nPrev := cr.Count(edgeCap)
-		if cr.Err() != nil {
-			return
-		}
-		w.prevEdges = make([]graph.EdgeKey, nPrev)
-		for i := range w.prevEdges {
-			w.prevEdges[i] = graph.EdgeKey(cr.Uvarint())
-		}
-	}
 }
 
 // NoteCheckpoint records that a checkpoint record capturing the window's
@@ -219,11 +210,8 @@ func (w *Window) NoteCheckpoint() {
 
 // SaveDelta writes the window's state difference against the last record
 // passed to NoteCheckpoint: only the spans, wake entries, ring slots and
-// wake buckets that moved. The scan feed's previous-round edge list is
-// the one O(|E_r|) exception — it turns over completely every round, so
-// it is written whole; delta-fed windows (the engine-driven path) do not
-// carry it at all. Tracking is not reset — the caller notes the record
-// once it is durably persisted.
+// wake buckets that moved. Tracking is not reset — the caller notes the
+// record once it is durably persisted.
 func (w *Window) SaveDelta(cw *ckpt.Writer) {
 	cw.Section(tagWindowDelta)
 	if !w.track {
@@ -231,7 +219,7 @@ func (w *Window) SaveDelta(cw *ckpt.Writer) {
 		return
 	}
 	cw.Int(w.round)
-	cw.Int(w.mode)
+	cw.Int(feedMode(w.round))
 
 	keys := make([]graph.EdgeKey, 0, len(w.dirtySpans))
 	for k := range w.dirtySpans {
@@ -278,20 +266,13 @@ func (w *Window) SaveDelta(cw *ckpt.Writer) {
 			}
 		}
 	}
-
-	if w.mode == feedGraph {
-		cw.Int(len(w.prevEdges))
-		for _, k := range w.prevEdges {
-			cw.Uvarint(uint64(k))
-		}
-	}
 }
 
 // LoadDelta applies one delta record to a window positioned at the
 // record's parent state. Chain linkage (sequence, parent fingerprint) is
 // validated by the enclosing record's header at the engine layer; here
 // the per-field invariants are checked — rounds move forward, the feed
-// mode never flips, and every id, key and slot index stays in range.
+// mode matches the round, and every id, key and slot index stays in range.
 // The window must have a noted base (LoadState + NoteCheckpoint).
 func (w *Window) LoadDelta(cr *ckpt.Reader) {
 	cr.Section(tagWindowDelta)
@@ -307,12 +288,8 @@ func (w *Window) LoadDelta(cr *ckpt.Reader) {
 	switch {
 	case round < w.round:
 		cr.Fail(fmt.Errorf("dyngraph: delta round %d precedes window round %d", round, w.round))
-	case mode != feedUnset && mode != feedGraph && mode != feedDelta:
-		cr.Fail(fmt.Errorf("dyngraph: delta has unknown feed mode %d", mode))
-	case w.mode != feedUnset && mode != w.mode:
-		cr.Fail(fmt.Errorf("dyngraph: delta feed mode %d, window is pinned to %d", mode, w.mode))
-	case w.mode == feedUnset && mode != feedUnset && w.round != 0:
-		cr.Fail(fmt.Errorf("dyngraph: delta sets feed mode %d on an unfed window at round %d", mode, w.round))
+	case mode != feedMode(round):
+		cr.Fail(fmt.Errorf("dyngraph: delta has feed mode %d at round %d (only the delta feed is supported)", mode, round))
 	}
 	if cr.Err() != nil {
 		return
@@ -415,23 +392,7 @@ func (w *Window) LoadDelta(cr *ckpt.Reader) {
 		w.byWake[r] = bucket
 	}
 
-	if mode == feedGraph {
-		nPrev := cr.Count(edgeCap)
-		if cr.Err() != nil {
-			return
-		}
-		prev := w.prevEdges[:0]
-		for i := 0; i < nPrev; i++ {
-			prev = append(prev, graph.EdgeKey(cr.Uvarint()))
-		}
-		if cr.Err() != nil {
-			return
-		}
-		w.prevEdges = prev
-	}
-
 	w.round = round
-	w.mode = mode
 }
 
 // saveRingDelta writes only the dirty slots of a ring, by index.

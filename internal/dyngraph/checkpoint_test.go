@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/ckpt"
@@ -48,8 +49,9 @@ func wakeList(n, round int) []graph.NodeID {
 // TestWindowCheckpointRoundTrip drives a window to round k, serializes
 // it, restores into a fresh window and requires every subsequent Delta,
 // membership query and materialized graph to match the uninterrupted
-// window — for both feed styles and window sizes including the T=1
-// boundary.
+// window — for window sizes including the T=1 boundary, fed either the
+// schedule's diffs directly ("delta") or its full round graphs diffed by
+// graphFed ("scan").
 func TestWindowCheckpointRoundTrip(t *testing.T) {
 	const n = 32
 	const rounds = 20
@@ -57,7 +59,7 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 		for _, T := range []int{1, 4, 7} {
 			for _, k := range []int{0, 1, 5, T, rounds - 1} {
 				t.Run(fmt.Sprintf("%s/t=%d/k=%d", mode, T, k), func(t *testing.T) {
-					ref := NewWindow(T, n)
+					ref := newGraphFed(T, n)
 					sched := newDeltaSchedule(n)
 					var ckBytes []byte
 					snapshot := func() []byte {
@@ -83,7 +85,7 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 						if mode == "delta" {
 							d = ref.ObserveEdgeDelta(adds, removes, wakeList(n, r))
 						} else {
-							d = ref.ObserveDelta(g, wakeList(n, r))
+							d = ref.Observe(g, wakeList(n, r))
 						}
 						if r > k {
 							tailRef = append(tailRef, roundData{copyDelta(d), ref.Stats()})
@@ -93,7 +95,7 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 						}
 					}
 
-					res := NewWindow(T, n)
+					res := newGraphFed(T, n)
 					r := ckpt.NewReader(bytes.NewReader(ckBytes))
 					res.LoadState(r)
 					if err := r.Close(); err != nil {
@@ -106,13 +108,15 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 					for r := 1; r <= rounds; r++ {
 						adds, removes, g := sched2.round(randomToggles(sched2, 7, r))
 						if r <= k {
-							continue // schedule replay only; window starts at k
+							// Schedule replay only; the window starts at k.
+							res.prev = append(res.prev[:0], g.EdgeKeys()...)
+							continue
 						}
 						var d *Delta
 						if mode == "delta" {
 							d = res.ObserveEdgeDelta(adds, removes, wakeList(n, r))
 						} else {
-							d = res.ObserveDelta(g, wakeList(n, r))
+							d = res.Observe(g, wakeList(n, r))
 						}
 						got := roundData{copyDelta(d), res.Stats()}
 						want := tailRef[r-k-1]
@@ -193,5 +197,43 @@ func TestWindowLoadStateRejects(t *testing.T) {
 		if err := load(NewWindow(3, n), ck[:cut]); err == nil {
 			t.Fatalf("restore of %d-byte prefix succeeded", cut)
 		}
+	}
+
+	// Records of the retired graph-fed scan feed carry feed mode 1 and
+	// must be refused, in full and in delta records alike.
+	var scanBuf bytes.Buffer
+	cw = ckpt.NewWriter(&scanBuf)
+	cw.Section(tagWindow)
+	for _, v := range []int{3, n, 1, 1, 0, 0} { // t, n, round, mode, spans, wakes
+		cw.Int(v)
+	}
+	saveRing(cw, make([][]graph.EdgeKey, 3))
+	saveRing(cw, make([][]graph.EdgeKey, 3))
+	cw.Int(0) // wake buckets
+	cw.Int(0) // scan feed's previous-round edge list
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := load(NewWindow(3, n), scanBuf.Bytes()); err == nil || !strings.Contains(err.Error(), "feed mode") {
+		t.Fatalf("restore of a scan-feed record: err = %v, want a feed-mode error", err)
+	}
+	base := NewWindow(3, n)
+	if err := load(base, ck); err != nil {
+		t.Fatal(err)
+	}
+	base.NoteCheckpoint()
+	scanBuf.Reset()
+	cw = ckpt.NewWriter(&scanBuf)
+	cw.Section(tagWindowDelta)
+	for _, v := range []int{6, 1, 0, 0, 0, 0, 0, 0} { // round, mode, spans, wakes, rings, buckets, edge list
+		cw.Int(v)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := ckpt.NewReader(bytes.NewReader(scanBuf.Bytes()))
+	base.LoadDelta(r)
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "feed mode") {
+		t.Fatalf("scan-feed delta record: err = %v, want a feed-mode error", err)
 	}
 }

@@ -9,13 +9,12 @@ import (
 	"dynlocal/internal/graph"
 )
 
-// The delta feed (ObserveEdgeDelta) must be bit-identical to the scan feed
-// (Observe over full graphs), which in turn is pinned against the direct
-// Definition 2.1 computation by the tests in window_test.go. These tests
-// drive both feeds over identical schedules — including staggered
+// The delta feed (ObserveEdgeDelta) must agree with the direct
+// Definition 2.1 computation (defRef below). These tests drive the window
+// and the reference over identical schedules — including staggered
 // wake-ups, T boundary rounds and edges flapping on the expiry boundary —
-// and compare every emitted Delta, the membership queries, the
-// materialized graphs and the stats.
+// and compare every emitted Delta, the materialized graphs, the core set
+// and the stats.
 
 // deltaSchedule maintains a mutable edge set over awake nodes and yields
 // consistent (adds, removes, graph) rounds.
@@ -79,20 +78,70 @@ func copyDelta(d *Delta) Delta {
 	}
 }
 
-func diffWindows(t *testing.T, round int, scan, delta *Window) {
+// defRef recomputes the window from first principles every round: G^∩T
+// and G^∪T with directWindows over the full graph history, V^∩T from the
+// wake history, and the expected Delta as the set differences between
+// consecutive rounds.
+type defRef struct {
+	t            int
+	history      []*graph.Graph
+	wake         []int // wake[v] = round v woke up, 0 if still asleep
+	inter, union *graph.Graph
+	core         []graph.NodeID
+}
+
+func newDefRef(t, n int) *defRef {
+	return &defRef{t: t, wake: make([]int, n), inter: graph.Empty(n), union: graph.Empty(n)}
+}
+
+// observe appends the next round's graph and wake set and returns the
+// Delta the window must emit.
+func (ref *defRef) observe(g *graph.Graph, wake []graph.NodeID) Delta {
+	ref.history = append(ref.history, g)
+	r := len(ref.history)
+	for _, v := range wake {
+		if ref.wake[v] == 0 {
+			ref.wake[v] = r
+		}
+	}
+	inter, union := directWindows(ref.history, ref.t)
+	var core, entered []graph.NodeID
+	if r0 := r - ref.t + 1; r0 >= 1 {
+		for v, w := range ref.wake {
+			if w != 0 && w <= r0 {
+				core = append(core, graph.NodeID(v))
+				if w == r0 {
+					entered = append(entered, graph.NodeID(v))
+				}
+			}
+		}
+	}
+	d := Delta{Round: r, CoreEntered: entered}
+	d.InterAdded, d.InterRemoved = graph.DiffSortedKeys(ref.inter.EdgeKeys(), inter.EdgeKeys(), nil, nil)
+	d.UnionAdded, d.UnionRemoved = graph.DiffSortedKeys(ref.union.EdgeKeys(), union.EdgeKeys(), nil, nil)
+	ref.inter, ref.union, ref.core = inter, union, core
+	return d
+}
+
+// check compares the window's emitted delta and state with the reference.
+func (ref *defRef) check(t *testing.T, want Delta, got *Delta, w *Window) {
 	t.Helper()
-	if !scan.IntersectionGraph().Equal(delta.IntersectionGraph()) {
+	round := want.Round
+	if d := copyDelta(got); !reflect.DeepEqual(want, d) {
+		t.Fatalf("round %d: deltas diverge\nwant %+v\ngot  %+v", round, want, d)
+	}
+	if !ref.inter.Equal(w.IntersectionGraph()) {
 		t.Fatalf("round %d: intersection graphs diverge", round)
 	}
-	if !scan.UnionGraph().Equal(delta.UnionGraph()) {
+	if !ref.union.Equal(w.UnionGraph()) {
 		t.Fatalf("round %d: union graphs diverge", round)
 	}
-	if scan.Stats() != delta.Stats() {
-		t.Fatalf("round %d: stats diverge: %+v vs %+v", round, scan.Stats(), delta.Stats())
+	st := Stats{Round: round, CoreNodes: len(ref.core), IntersectionEdges: ref.inter.M(), UnionEdges: ref.union.M()}
+	if st != w.Stats() {
+		t.Fatalf("round %d: stats diverge: %+v vs %+v", round, st, w.Stats())
 	}
-	sc, dc := scan.CoreNodes(), delta.CoreNodes()
-	if !reflect.DeepEqual(sc, dc) {
-		t.Fatalf("round %d: core %v vs %v", round, sc, dc)
+	if wc := w.CoreNodes(); !reflect.DeepEqual(ref.core, wc) {
+		t.Fatalf("round %d: core %v vs %v", round, ref.core, wc)
 	}
 }
 
@@ -105,7 +154,7 @@ func TestWindowDeltaFeedMatchesScanFeed(t *testing.T) {
 			const n = 20
 			s := wstream(uint64(40 + T))
 			sched := newDeltaSchedule(n)
-			scan := NewWindow(T, n)
+			ref := newDefRef(T, n)
 			delta := NewWindow(T, n)
 			for round := 1; round <= 6*T+12; round++ {
 				// Wake four nodes per round until all are awake — core
@@ -127,12 +176,8 @@ func TestWindowDeltaFeedMatchesScanFeed(t *testing.T) {
 					}
 				}
 				adds, removes, g := sched.round(toggles)
-				ds := copyDelta(scan.ObserveDelta(g, wake))
-				dd := copyDelta(delta.ObserveEdgeDelta(adds, removes, wake))
-				if !reflect.DeepEqual(ds, dd) {
-					t.Fatalf("round %d: deltas diverge\nscan  %+v\ndelta %+v", round, ds, dd)
-				}
-				diffWindows(t, round, scan, delta)
+				want := ref.observe(g, wake)
+				ref.check(t, want, delta.ObserveEdgeDelta(adds, removes, wake), delta)
 			}
 		})
 	}
@@ -153,7 +198,7 @@ func TestWindowDeltaFeedExpiryBoundary(t *testing.T) {
 	}
 	// Pattern: on, off, on, off, off, off (expire), on, on, on (inter).
 	pattern := []bool{true, false, true, false, false, false, true, true, true, true}
-	scan := NewWindow(T, n)
+	ref := newDefRef(T, n)
 	delta := NewWindow(T, n)
 	prevOn := false
 	for i, on := range pattern {
@@ -172,25 +217,9 @@ func TestWindowDeltaFeedExpiryBoundary(t *testing.T) {
 			adds, removes = addsOf(on)
 		}
 		prevOn = on
-		ds := copyDelta(scan.ObserveDelta(g, wake))
-		dd := copyDelta(delta.ObserveEdgeDelta(adds, removes, wake))
-		if !reflect.DeepEqual(ds, dd) {
-			t.Fatalf("step %d: deltas diverge\nscan  %+v\ndelta %+v", i+1, ds, dd)
-		}
-		diffWindows(t, i+1, scan, delta)
+		want := ref.observe(g, wake)
+		ref.check(t, want, delta.ObserveEdgeDelta(adds, removes, wake), delta)
 	}
-}
-
-// TestWindowFeedModeMixingPanics pins the one-feed-per-window contract.
-func TestWindowFeedModeMixingPanics(t *testing.T) {
-	w := NewWindow(2, 4)
-	w.Observe(graph.Empty(4), []graph.NodeID{0, 1, 2, 3})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when mixing feeds")
-		}
-	}()
-	w.ObserveEdgeDelta(nil, nil, nil)
 }
 
 // TestWindowDeltaFeedValidation pins the delta feed's input checks.
@@ -233,9 +262,9 @@ func TestWindowDeltaFeedValidation(t *testing.T) {
 }
 
 // FuzzWindowDeltaFeed interprets fuzz bytes as a toggle/wake schedule over
-// a small universe and requires the delta feed to agree with the scan feed
-// on every emitted Delta and on the materialized windows, for fuzzer-chosen
-// window sizes.
+// a small universe and requires the delta feed to agree with the
+// Definition 2.1 reference on every emitted Delta and on the materialized
+// windows, for fuzzer-chosen window sizes.
 func FuzzWindowDeltaFeed(f *testing.F) {
 	f.Add(uint8(3), []byte{0x01, 0x12, 0x23, 0x05, 0x12, 0xff, 0x30})
 	f.Add(uint8(1), []byte{0x10, 0x10, 0x10})
@@ -244,7 +273,7 @@ func FuzzWindowDeltaFeed(f *testing.F) {
 		const n = 8
 		T := int(tRaw%8) + 1
 		sched := newDeltaSchedule(n)
-		scan := NewWindow(T, n)
+		ref := newDefRef(T, n)
 		delta := NewWindow(T, n)
 		pos := 0
 		for round := 1; round <= 24 && pos < len(data); round++ {
@@ -266,15 +295,8 @@ func FuzzWindowDeltaFeed(f *testing.F) {
 				toggles = append(toggles, graph.MakeEdgeKey(u, v))
 			}
 			adds, removes, g := sched.round(toggles)
-			ds := copyDelta(scan.ObserveDelta(g, wake))
-			dd := copyDelta(delta.ObserveEdgeDelta(adds, removes, wake))
-			if !reflect.DeepEqual(ds, dd) {
-				t.Fatalf("round %d: deltas diverge\nscan  %+v\ndelta %+v", round, ds, dd)
-			}
-			if !scan.IntersectionGraph().Equal(delta.IntersectionGraph()) ||
-				!scan.UnionGraph().Equal(delta.UnionGraph()) {
-				t.Fatalf("round %d: materialized windows diverge", round)
-			}
+			want := ref.observe(g, wake)
+			ref.check(t, want, delta.ObserveEdgeDelta(adds, removes, wake), delta)
 		}
 	})
 }

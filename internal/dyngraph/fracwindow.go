@@ -42,7 +42,7 @@ func (w *FracWindow) T() int { return w.t }
 func (w *FracWindow) Round() int { return w.round }
 
 // Observe advances the window with the round graph g and newly awake nodes.
-// As for Window.Observe, edges incident to nodes that have never been woken
+// As for Window.ObserveEdgeDelta, edges incident to nodes that have never been woken
 // are rejected with a panic: the model only allows edges between awake
 // nodes.
 func (w *FracWindow) Observe(g *graph.Graph, wakeNow []graph.NodeID) {

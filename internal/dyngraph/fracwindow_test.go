@@ -69,7 +69,7 @@ func TestFracWindowDeltaOneEqualsIntersection(t *testing.T) {
 		const T = 4
 		s := wstream(uint64(seed))
 		fw := NewFracWindow(T, n)
-		w := NewWindow(T, n)
+		w := newGraphFed(T, n)
 		for round := 1; round <= 12; round++ {
 			g := graph.GNP(n, 0.25, s)
 			var wake []graph.NodeID
@@ -95,7 +95,7 @@ func TestFracWindowSmallDeltaEqualsUnion(t *testing.T) {
 	const T = 6
 	s := wstream(123)
 	fw := NewFracWindow(T, n)
-	w := NewWindow(T, n)
+	w := newGraphFed(T, n)
 	for round := 1; round <= 15; round++ {
 		g := graph.GNP(n, 0.2, s)
 		var wake []graph.NodeID

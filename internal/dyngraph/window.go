@@ -10,25 +10,13 @@
 // per-round edge add/remove events, via streak bookkeeping and two ring
 // buffers (scheduled intersection arrivals and union expiries), so the cost
 // of a round is O(|adds| + |removes|) — it scales with how much the
-// topology changed, not with how large the round graph is. Two feeds drive
-// the same core:
-//
-//   - ObserveEdgeDelta(adds, removes, wakeNow) consumes a sorted topology
-//     diff directly — the feed used when the adversary/engine pipeline is
-//     delta-native (engine.RoundInfo.EdgeAdds/EdgeRemoves) — and does no
-//     per-round work proportional to |E_r| at all.
-//   - Observe/ObserveDelta(g, wakeNow) accept a full round graph and
-//     recover the diff with one linear merge over the sorted edge-key
-//     views (graph.EdgeKeys) of consecutive rounds, O(|E_r| + |E_{r-1}|).
-//     This scan feed is the oracle path the delta feed is property-tested
-//     against.
-//
-// A window must stay on one feed style for its lifetime (mixing panics):
-// the scan feed keeps the previous round's edge list for diffing, which
-// the delta feed deliberately does not maintain.
+// topology changed, not with how large the round graph is. The one feed,
+// ObserveEdgeDelta(adds, removes, wakeNow), consumes a sorted topology diff
+// directly (engine.RoundInfo.EdgeAdds/EdgeRemoves) and does no per-round
+// work proportional to |E_r| at all.
 //
 // Besides answering membership queries and materializing the window
-// graphs, both feeds report the round-over-round set differences of E^∩T,
+// graphs, the feed reports the round-over-round set differences of E^∩T,
 // E^∪T and V^∩T as a Delta. Downstream checkers (internal/verify) consume
 // the deltas to maintain violation state in O(changes·Δ) instead of
 // rebuilding and rescanning the window graphs, which is the difference
@@ -37,17 +25,16 @@
 // Deterministic Algorithms for Highly-Dynamic Networks").
 //
 // Delta slices are sorted (ascending edge keys / node ids) and are
-// internal buffers reused on the next Observe: observers may iterate
-// them during the round but must copy anything they retain — the same
-// pooling contract the engine uses for RoundInfo (internal/engine).
+// internal buffers reused on the next ObserveEdgeDelta: observers may
+// iterate them during the round but must copy anything they retain — the
+// same pooling contract the engine uses for RoundInfo (internal/engine).
 // Windows observe the same per-round topology the engine plays, so a
 // checker can drive one window alongside the engine and pair these edge
 // deltas with the engine's changed-output feed; internal/verify does
 // exactly that, pushing both into the violation trackers of
 // internal/problems. The equivalence of both the materialized graphs and
 // the emitted deltas with the direct Definition 2.1 computation is
-// property-tested against graph.IntersectAll/UnionAll, and the delta feed
-// against the scan feed.
+// property-tested against graph.IntersectAll/UnionAll.
 package dyngraph
 
 import (
@@ -70,9 +57,9 @@ type edgeSpan struct {
 }
 
 // Delta lists the round-over-round changes of the windowed sets after one
-// Observe call. All slices are sorted ascending and alias buffers owned by
-// the Window: they are valid until the next Observe and must be copied to
-// be retained.
+// ObserveEdgeDelta call. All slices are sorted ascending and alias buffers
+// owned by the Window: they are valid until the next ObserveEdgeDelta and
+// must be copied to be retained.
 //
 // CoreLeft is always empty in the paper's model — wake-ups are monotone
 // (V_{r-1} ⊆ V_r) and the window start only advances, so V^∩T never loses
@@ -92,13 +79,6 @@ type Delta struct {
 	UnionAdded, UnionRemoved []graph.EdgeKey
 }
 
-// Feed styles a Window can be driven by; fixed at the first observation.
-const (
-	feedUnset = iota
-	feedGraph // Observe/ObserveDelta: full graphs, diff recovered by merge
-	feedDelta // ObserveEdgeDelta: caller-supplied sorted diffs
-)
-
 // Window incrementally maintains G^∩T_r and G^∪T_r over an observed round
 // sequence. Rounds are 1-based: the first observation is round 1 and
 // round 0 is the empty graph G_0 = (∅, ∅) of the model.
@@ -110,7 +90,6 @@ type Window struct {
 	t       int
 	n       int
 	round   int
-	mode    int
 	spans   map[graph.EdgeKey]edgeSpan
 	wake    []int           // wake[v] = round v woke up, 0 if still asleep
 	scratch []graph.EdgeKey // reused by graph materialization
@@ -128,13 +107,6 @@ type Window struct {
 	pending [][]graph.EdgeKey
 	byWake  map[int][]graph.NodeID
 	delta   Delta
-
-	// Scan-feed state: the previous round's sorted edge list and the
-	// diff scratch buffers. Maintained only under feedGraph.
-	prevEdges []graph.EdgeKey
-	curEdges  []graph.EdgeKey
-	addBuf    []graph.EdgeKey
-	remBuf    []graph.EdgeKey
 
 	// Delta-checkpoint tracking (see checkpoint.go), enabled by the first
 	// NoteCheckpoint call: which spans, wake entries, ring slots and wake
@@ -171,11 +143,11 @@ func (w *Window) T() int { return w.t }
 // N returns the node-universe size.
 func (w *Window) N() int { return w.n }
 
-// Round returns the last observed round (0 before the first Observe).
+// Round returns the last observed round (0 before the first observation).
 func (w *Window) Round() int { return w.round }
 
 // windowStart returns r0 = max(0, r-T+1) as in Definition 2.1 (the paper's
-// round 0 carries the empty graph G_0 = (∅, ∅); our Observe calls are rounds
+// round 0 carries the empty graph G_0 = (∅, ∅); our observations are rounds
 // 1, 2, …). When r0 == 0 the window still contains the empty round 0, so
 // the intersection graph and the core node set are empty until round T,
 // exactly as in the proof of Theorem 1.1 ("If r < T1−1, the graphs G^∩T1_r
@@ -188,71 +160,21 @@ func (w *Window) windowStart() int {
 	return r0
 }
 
-// setMode pins the feed style on first use; mixing feeds panics because
-// the scan feed's previous-round edge list is not maintained by the delta
-// feed (keeping it current would re-introduce the O(|E_r|) merge the delta
-// feed exists to avoid).
-func (w *Window) setMode(mode int) {
-	if w.mode == feedUnset {
-		w.mode = mode
-		return
-	}
-	if w.mode != mode {
-		panic("dyngraph: a Window must be fed either graphs (Observe) or diffs (ObserveEdgeDelta), not both")
-	}
-}
-
-// Observe advances the window to the next round with communication graph g
-// and the given newly awake nodes. Edges of g incident to nodes that have
-// never been woken are rejected with a panic: the model only allows edges
-// between awake nodes.
-func (w *Window) Observe(g *graph.Graph, wakeNow []graph.NodeID) {
-	w.ObserveDelta(g, wakeNow)
-}
-
-// ObserveDelta advances the window exactly as Observe and additionally
-// reports the membership changes of E^∩T, E^∪T and V^∩T relative to the
-// previous round. The returned Delta aliases buffers reused by the next
-// Observe call; copy anything retained beyond the round.
-//
-// This is the scan feed: the round's topology diff is recovered with one
-// linear merge over the sorted edge lists of consecutive rounds. Callers
-// that already hold the diff — anything driven by the engine's
-// RoundInfo.EdgeAdds/EdgeRemoves — should use ObserveEdgeDelta, which
-// does O(changes) work instead.
-func (w *Window) ObserveDelta(g *graph.Graph, wakeNow []graph.NodeID) *Delta {
-	if g.N() != w.n {
-		panic("dyngraph: graph node space does not match window")
-	}
-	w.setMode(feedGraph)
-	cur := append(w.curEdges[:0], g.EdgeKeys()...)
-	adds, removes := graph.DiffSortedKeys(w.prevEdges, cur, w.addBuf[:0], w.remBuf[:0])
-	w.addBuf, w.remBuf = adds, removes
-	d := w.advance(adds, removes, wakeNow, false)
-	w.prevEdges, w.curEdges = cur, w.prevEdges
-	return d
-}
-
-// ObserveEdgeDelta advances the window by a sorted topology diff instead
-// of a full graph: adds and removes must be strictly ascending edge-key
-// lists describing exactly the edges entering and leaving the round graph
-// relative to the previous round (for the first observation, adds is the
-// entire round-1 edge set). This is the delta feed of the topology plane:
-// per-round cost is O(|adds| + |removes| + |wakeNow|) — independent of
-// |E_r| — and the emitted Delta is bit-identical to what the scan feed
-// produces for the same round sequence. Added edges must only touch awake
-// nodes (after wakeNow is applied); violations panic as in Observe.
+// ObserveEdgeDelta advances the window to the next round by a sorted
+// topology diff and reports the membership changes of E^∩T, E^∪T and V^∩T
+// relative to the previous round. adds and removes must be strictly
+// ascending edge-key lists describing exactly the edges entering and
+// leaving the round graph relative to the previous round (for the first
+// observation, adds is the entire round-1 edge set); wakeNow lists the
+// newly awake nodes. Per-round cost is O(|adds| + |removes| + |wakeNow|),
+// independent of |E_r|. Added edges must only touch awake nodes (after
+// wakeNow is applied) — the model only allows edges between awake nodes —
+// and unsorted, out-of-range, duplicate-add or absent-remove diffs panic.
+// The returned Delta aliases buffers reused by the next call; copy
+// anything retained beyond the round.
 //
 //dynlint:sorted adds removes
 func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph.NodeID) *Delta {
-	w.setMode(feedDelta)
-	return w.advance(adds, removes, wakeNow, true)
-}
-
-// advance is the shared delta core. checkSorted additionally validates
-// the ordering of caller-supplied diffs (the scan feed's merge emits
-// sorted lists by construction).
-func (w *Window) advance(adds, removes []graph.EdgeKey, wakeNow []graph.NodeID, checkSorted bool) *Delta {
 	w.round++
 	r := w.round
 	d := &w.delta
@@ -281,7 +203,7 @@ func (w *Window) advance(adds, removes []graph.EdgeKey, wakeNow []graph.NodeID, 
 	// from G_{r-1} are never touched — that is the whole point.
 	pend := w.pending[(r+w.t-1)%w.t]
 	for i, k := range adds {
-		if checkSorted && i > 0 && adds[i-1] >= k {
+		if i > 0 && adds[i-1] >= k {
 			panicUnsorted("adds")
 		}
 		u, v := k.Nodes()
@@ -316,7 +238,7 @@ func (w *Window) advance(adds, removes []graph.EdgeKey, wakeNow []graph.NodeID, 
 	// r-1+t.
 	push := w.expiry[(r-1)%w.t]
 	for i, k := range removes {
-		if checkSorted && i > 0 && removes[i-1] >= k {
+		if i > 0 && removes[i-1] >= k {
 			panicUnsorted("removes")
 		}
 		sp, ok := w.spans[k]

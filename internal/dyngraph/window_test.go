@@ -20,6 +20,24 @@ func allNodes(n int) []graph.NodeID {
 	return out
 }
 
+// graphFed drives a Window with full round graphs: each Observe diffs
+// the graph's edge list against the previous round's with
+// graph.DiffSortedKeys and hands the diff to ObserveEdgeDelta. The
+// embedded Window serves every query.
+type graphFed struct {
+	*Window
+	prev []graph.EdgeKey
+}
+
+func newGraphFed(t, n int) *graphFed { return &graphFed{Window: NewWindow(t, n)} }
+
+// Observe advances the window to the next round with graph g.
+func (f *graphFed) Observe(g *graph.Graph, wake []graph.NodeID) *Delta {
+	adds, removes := graph.DiffSortedKeys(f.prev, g.EdgeKeys(), nil, nil)
+	f.prev = append(f.prev[:0], g.EdgeKeys()...)
+	return f.ObserveEdgeDelta(adds, removes, wake)
+}
+
 // directWindows computes G^∩T and G^∪T from first principles
 // (Definition 2.1) given the full history of graphs (1-based rounds).
 // Round 0 is the empty graph G_0 = (∅, ∅), so for r < T the intersection
@@ -41,7 +59,7 @@ func TestWindowMatchesDefinitionDirectly(t *testing.T) {
 	const n = 24
 	const T = 4
 	s := wstream(100)
-	w := NewWindow(T, n)
+	w := newGraphFed(T, n)
 	var history []*graph.Graph
 	for round := 1; round <= 20; round++ {
 		g := graph.GNP(n, 0.12, s)
@@ -68,7 +86,7 @@ func TestWindowMatchesDefinitionProperty(t *testing.T) {
 		T := int(tRaw%7) + 1
 		n := int(nRaw%12) + 4
 		s := wstream(uint64(seed))
-		w := NewWindow(T, n)
+		w := newGraphFed(T, n)
 		var history []*graph.Graph
 		for round := 1; round <= 2*T+3; round++ {
 			g := graph.GNP(n, 0.3, s)
@@ -91,7 +109,7 @@ func TestWindowMatchesDefinitionProperty(t *testing.T) {
 }
 
 func TestWindowMembershipQueries(t *testing.T) {
-	w := NewWindow(3, 4)
+	w := newGraphFed(3, 4)
 	e := func(u, v graph.NodeID) *graph.Graph {
 		return graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(u, v)})
 	}
@@ -124,7 +142,7 @@ func TestWindowMembershipQueries(t *testing.T) {
 }
 
 func TestWindowStreakBrokenByAbsence(t *testing.T) {
-	w := NewWindow(3, 3)
+	w := newGraphFed(3, 3)
 	edge := graph.FromEdges(3, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)})
 	empty := graph.Empty(3)
 	w.Observe(edge, allNodes(3))
@@ -147,7 +165,7 @@ func TestWindowStreakBrokenByAbsence(t *testing.T) {
 
 func TestWindowWakeTracking(t *testing.T) {
 	const T = 3
-	w := NewWindow(T, 5)
+	w := newGraphFed(T, 5)
 	empty := graph.Empty(5)
 	w.Observe(empty, []graph.NodeID{0, 1}) // round 1
 	w.Observe(empty, []graph.NodeID{2})    // round 2
@@ -170,7 +188,7 @@ func TestWindowWakeTracking(t *testing.T) {
 }
 
 func TestWindowRejectsSleepingEdges(t *testing.T) {
-	w := NewWindow(2, 3)
+	w := newGraphFed(2, 3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for edge touching sleeping node")
@@ -185,7 +203,7 @@ func TestWindowPurgeKeepsSemantics(t *testing.T) {
 	const n = 16
 	const T = 3
 	s := wstream(5)
-	w := NewWindow(T, n)
+	w := newGraphFed(T, n)
 	var history []*graph.Graph
 	for round := 1; round <= 40; round++ {
 		g := graph.GNP(n, 0.1, s)
@@ -209,7 +227,7 @@ func TestWindowPurgeKeepsSemantics(t *testing.T) {
 }
 
 func TestWindowStats(t *testing.T) {
-	w := NewWindow(2, 4)
+	w := newGraphFed(2, 4)
 	g := graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(0, 1), graph.MakeEdgeKey(2, 3)})
 	w.Observe(g, allNodes(4))
 	w.Observe(graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}), nil)
@@ -284,7 +302,7 @@ func (m *deltaMirror) apply(t *testing.T, d *Delta) {
 	}
 }
 
-func (m *deltaMirror) check(t *testing.T, w *Window) {
+func (m *deltaMirror) check(t *testing.T, w *graphFed) {
 	t.Helper()
 	inter, union := w.IntersectionGraph(), w.UnionGraph()
 	if inter.M() != len(m.inter) || union.M() != len(m.union) {
@@ -314,14 +332,14 @@ func (m *deltaMirror) check(t *testing.T, w *Window) {
 	}
 }
 
-// TestWindowDeltasReconstructSets drives ObserveDelta over a churn-style
+// TestWindowDeltasReconstructSets drives the window over a churn-style
 // schedule with staggered wake-ups and checks that folding the emitted
 // events reproduces the materialized window sets every round.
 func TestWindowDeltasReconstructSets(t *testing.T) {
 	for _, T := range []int{1, 2, 3, 5, 8} {
 		const n = 24
 		s := wstream(uint64(200 + T))
-		w := NewWindow(T, n)
+		w := newGraphFed(T, n)
 		m := newDeltaMirror()
 		awake := make([]bool, n)
 		for round := 1; round <= 4*T+10; round++ {
@@ -343,7 +361,7 @@ func TestWindowDeltasReconstructSets(t *testing.T) {
 					}
 				}
 			}
-			d := w.ObserveDelta(graph.FromSortedEdges(n, keys), wake)
+			d := w.Observe(graph.FromSortedEdges(n, keys), wake)
 			if d.Round != round {
 				t.Fatalf("delta round = %d, want %d", d.Round, round)
 			}
@@ -359,7 +377,7 @@ func TestWindowDeltaSlicesSorted(t *testing.T) {
 	const n = 20
 	const T = 4
 	s := wstream(99)
-	w := NewWindow(T, n)
+	w := newGraphFed(T, n)
 	sortedKeys := func(ks []graph.EdgeKey) bool {
 		for i := 1; i < len(ks); i++ {
 			if ks[i-1] >= ks[i] {
@@ -373,7 +391,7 @@ func TestWindowDeltaSlicesSorted(t *testing.T) {
 		if round == 1 {
 			wake = allNodes(n)
 		}
-		d := w.ObserveDelta(graph.GNP(n, 0.25, s), wake)
+		d := w.Observe(graph.GNP(n, 0.25, s), wake)
 		for name, ks := range map[string][]graph.EdgeKey{
 			"InterAdded": d.InterAdded, "InterRemoved": d.InterRemoved,
 			"UnionAdded": d.UnionAdded, "UnionRemoved": d.UnionRemoved,
@@ -390,6 +408,8 @@ func TestWindowDeltaSlicesSorted(t *testing.T) {
 	}
 }
 
+// BenchmarkWindowObserve times one ObserveEdgeDelta per op over a
+// precomputed cycle of GNP round diffs.
 func BenchmarkWindowObserve(b *testing.B) {
 	const n = 2048
 	s := wstream(1)
@@ -397,18 +417,26 @@ func BenchmarkWindowObserve(b *testing.B) {
 	for i := range graphs {
 		graphs[i] = graph.GNP(n, 4.0/n, s)
 	}
+	// adds[i], removes[i] lead from graphs[i-1] (cyclically) to graphs[i].
+	adds := make([][]graph.EdgeKey, len(graphs))
+	removes := make([][]graph.EdgeKey, len(graphs))
+	for i, g := range graphs {
+		prev := graphs[(i+len(graphs)-1)%len(graphs)]
+		adds[i], removes[i] = graph.DiffSortedKeys(prev.EdgeKeys(), g.EdgeKeys(), nil, nil)
+	}
 	w := NewWindow(12, n)
-	w.Observe(graphs[0], allNodes(n))
+	w.ObserveEdgeDelta(graphs[0].EdgeKeys(), nil, allNodes(n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Observe(graphs[i%len(graphs)], nil)
+		k := (i + 1) % len(graphs)
+		w.ObserveEdgeDelta(adds[k], removes[k], nil)
 	}
 }
 
 func BenchmarkWindowMaterialize(b *testing.B) {
 	const n = 2048
 	s := wstream(2)
-	w := NewWindow(12, n)
+	w := newGraphFed(12, n)
 	for round := 0; round < 24; round++ {
 		var wake []graph.NodeID
 		if round == 0 {

@@ -68,7 +68,7 @@ func E02ConflictResolution(p Params) ConflictResolutionResult {
 	window := dyngraph.NewWindow(combined.T1, n)
 	var durations []float64
 	e.OnRound(func(info *engine.RoundInfo) {
-		window.Observe(info.Graph(), info.Wake)
+		window.ObserveEdgeDelta(info.EdgeAdds, info.EdgeRemoves, info.Wake)
 		// Track resolution of injected conflicts.
 		for _, in := range inj.Injections {
 			if _, done := resolved[in.Edge]; done {

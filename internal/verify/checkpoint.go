@@ -28,16 +28,13 @@ const (
 // SaveState implements ckpt.Stater.
 func (c *TDynamic) SaveState(w *ckpt.Writer) {
 	w.Section(tagTDynamic)
-	w.Bool(c.oracle)
+	w.Bool(false)
 	c.window.SaveState(w)
 	w.Int(c.rounds)
 	w.Int(c.invalidRounds)
 	w.Int(c.totalPacking)
 	w.Int(c.totalCover)
 	w.Int(c.totalBotCore)
-	if c.oracle {
-		return
-	}
 	w.Int(c.coreCount)
 	w.Int(c.botCore)
 	for _, val := range c.prevOut {
@@ -46,20 +43,15 @@ func (c *TDynamic) SaveState(w *ckpt.Writer) {
 }
 
 // LoadState implements ckpt.Stater. It must run on a freshly constructed
-// checker of the same kind (NewTDynamic or NewTDynamicOracle) with the
-// same problem pair, window size and universe.
+// NewTDynamic checker with the same problem pair, window size and
+// universe.
 func (c *TDynamic) LoadState(r *ckpt.Reader) {
 	r.Section(tagTDynamic)
 	if c.rounds != 0 || c.window.Round() != 0 {
 		r.Fail(fmt.Errorf("verify: LoadState requires a fresh checker, this one has observed %d rounds", c.window.Round()))
 		return
 	}
-	oracle := r.Bool()
-	if r.Err() != nil {
-		return
-	}
-	if oracle != c.oracle {
-		r.Fail(fmt.Errorf("verify: checkpoint oracle=%v, checker oracle=%v", oracle, c.oracle))
+	if !readOracleFlag(r) {
 		return
 	}
 	c.window.LoadState(r)
@@ -73,9 +65,6 @@ func (c *TDynamic) LoadState(r *ckpt.Reader) {
 	}
 	if c.rounds != c.window.Round() {
 		r.Fail(fmt.Errorf("verify: checkpoint has %d checked rounds but window round %d", c.rounds, c.window.Round()))
-		return
-	}
-	if c.oracle {
 		return
 	}
 	c.coreCount = r.Int()
@@ -132,9 +121,7 @@ func (c *TDynamic) NoteCheckpoint() {
 	c.window.NoteCheckpoint()
 	if !c.track {
 		c.track = true
-		if !c.oracle {
-			c.outDirty = make([]bool, len(c.prevOut))
-		}
+		c.outDirty = make([]bool, len(c.prevOut))
 		return
 	}
 	for _, v := range c.outDirtyList {
@@ -154,16 +141,13 @@ func (c *TDynamic) SaveDelta(w *ckpt.Writer) {
 		w.Fail(fmt.Errorf("verify: SaveDelta without a noted base checkpoint"))
 		return
 	}
-	w.Bool(c.oracle)
+	w.Bool(false)
 	c.window.SaveDelta(w)
 	w.Int(c.rounds)
 	w.Int(c.invalidRounds)
 	w.Int(c.totalPacking)
 	w.Int(c.totalCover)
 	w.Int(c.totalBotCore)
-	if c.oracle {
-		return
-	}
 	w.Int(c.coreCount)
 	w.Int(c.botCore)
 	sort.Slice(c.outDirtyList, func(i, j int) bool { return c.outDirtyList[i] < c.outDirtyList[j] })
@@ -184,12 +168,7 @@ func (c *TDynamic) LoadDelta(r *ckpt.Reader) {
 		r.Fail(fmt.Errorf("verify: LoadDelta without a restored base checkpoint"))
 		return
 	}
-	oracle := r.Bool()
-	if r.Err() != nil {
-		return
-	}
-	if oracle != c.oracle {
-		r.Fail(fmt.Errorf("verify: delta oracle=%v, checker oracle=%v", oracle, c.oracle))
+	if !readOracleFlag(r) {
 		return
 	}
 	c.window.LoadDelta(r)
@@ -210,9 +189,6 @@ func (c *TDynamic) LoadDelta(r *ckpt.Reader) {
 	c.totalPacking = totalPacking
 	c.totalCover = totalCover
 	c.totalBotCore = totalBotCore
-	if c.oracle {
-		return
-	}
 	c.coreCount = r.Int()
 	c.botCore = r.Int()
 	n := r.Count(len(c.prevOut))
@@ -242,13 +218,26 @@ func (c *TDynamic) LoadDelta(r *ckpt.Reader) {
 // the last record has been applied; the restored checker then both
 // verifies further rounds and keeps appending deltas to the same chain.
 func (c *TDynamic) FinishChain() error {
-	if c.oracle {
-		return nil
-	}
 	n := c.window.N()
 	c.pt = c.pc.P.NewTracker(n)
 	c.ct = c.pc.C.NewTracker(n)
 	return c.rebuildTrackers()
+}
+
+// readOracleFlag reads the oracle flag both checker records open with and
+// reports whether reading may go on. Writers always write false; true
+// marked records of the retired materializing checker, which carried no
+// output snapshot, and fails the reader like a torn stream does.
+func readOracleFlag(r *ckpt.Reader) bool {
+	oracle := r.Bool()
+	if r.Err() != nil {
+		return false
+	}
+	if oracle {
+		r.Fail(fmt.Errorf("verify: checkpoint of the retired oracle checker"))
+		return false
+	}
+	return true
 }
 
 var _ ckpt.Stater = (*TDynamic)(nil)

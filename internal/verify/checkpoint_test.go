@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -96,70 +97,9 @@ func TestTDynamicCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTDynamicOracleCheckpointRoundTrip covers the oracle checker, whose
-// checkpoint carries only window and tallies.
-func TestTDynamicOracleCheckpointRoundTrip(t *testing.T) {
-	const n = 96
-	const rounds = 24
-	const k = 9
-	mkAdv := func() adversary.Adversary {
-		base := graph.GNP(n, 5.0/float64(n), prf.NewStream(13, 0, 0, prf.PurposeWorkload))
-		return &adversary.Churn{Base: base, Add: 4, Del: 4, Seed: 3}
-	}
-	algo := mis.NewMIS(n)
-	cfg := engine.Config{N: n, Seed: 9, Workers: 1}
-	e := engine.New(cfg, mkAdv(), algo)
-	chk := NewTDynamicOracle(problems.MIS(), algo.T1, n)
-	var refReports []TDynamicReport
-	var ck []byte
-	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, info.Outputs)
-		if info.Round > k {
-			refReports = append(refReports, deepCopyReport(rep))
-		}
-	})
-	for r := 1; r <= rounds; r++ {
-		e.Step()
-		if r == k {
-			var buf bytes.Buffer
-			w := ckpt.NewWriter(&buf)
-			e.CheckpointTo(w)
-			chk.SaveState(w)
-			if err := w.Close(); err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-			ck = buf.Bytes()
-		}
-	}
-
-	algo2 := mis.NewMIS(n)
-	e2 := engine.New(cfg, mkAdv(), algo2)
-	chk2 := NewTDynamicOracle(problems.MIS(), algo2.T1, n)
-	r := ckpt.NewReader(bytes.NewReader(ck))
-	e2.RestoreFrom(r)
-	chk2.LoadState(r)
-	if err := r.Err(); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("restore close: %v", err)
-	}
-	i := 0
-	e2.OnRound(func(info *engine.RoundInfo) {
-		rep := deepCopyReport(chk2.Observe(info.Graph(), info.Wake, info.Outputs))
-		if !reflect.DeepEqual(refReports[i], rep) {
-			t.Fatalf("round %d: reports diverge\nref %+v\nres %+v", info.Round, refReports[i], rep)
-		}
-		i++
-	})
-	for e2.Round() < rounds {
-		e2.Step()
-	}
-	assertTotalsEqual(t, chk, chk2)
-}
-
-// TestTDynamicLoadStateRejects pins checker restore validation: kind and
-// geometry mismatches and torn streams error out.
+// TestTDynamicLoadStateRejects pins checker restore validation: records
+// of the retired oracle checker, geometry mismatches and torn streams
+// error out.
 func TestTDynamicLoadStateRejects(t *testing.T) {
 	const n = 48
 	algo := mis.NewMIS(n)
@@ -186,8 +126,21 @@ func TestTDynamicLoadStateRejects(t *testing.T) {
 		}
 		return r.Close()
 	}
-	if err := load(NewTDynamicOracle(problems.MIS(), algo.T1, n), ck); err == nil {
-		t.Fatal("restore of incremental checkpoint into oracle checker succeeded")
+	// The retired oracle checker wrote oracle=true, its window and the
+	// tallies, and no output snapshot.
+	var orcBuf bytes.Buffer
+	w = ckpt.NewWriter(&orcBuf)
+	w.Section(tagTDynamic)
+	w.Bool(true)
+	chk.window.SaveState(w)
+	for _, v := range []int{chk.rounds, chk.invalidRounds, chk.totalPacking, chk.totalCover, chk.totalBotCore} {
+		w.Int(v)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := load(NewTDynamic(problems.MIS(), algo.T1, n), orcBuf.Bytes()); err == nil || !strings.Contains(err.Error(), "oracle") {
+		t.Fatalf("restore of an oracle checkpoint: err = %v, want an oracle error", err)
 	}
 	if err := load(NewTDynamic(problems.MIS(), algo.T1+1, n), ck); err == nil {
 		t.Fatal("restore into different window size succeeded")

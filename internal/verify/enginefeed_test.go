@@ -1,4 +1,4 @@
-package verify
+package verify_test
 
 import (
 	"reflect"
@@ -11,21 +11,23 @@ import (
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
+	"dynlocal/internal/verify"
+	"dynlocal/internal/verify/verifytest"
 )
 
 // TestTDynamicEngineChangedFeedMatchesOracle closes the round-delta plane
 // end to end: a real engine run (combined algorithms, real wake-ups and
-// pooled buffers) feeds RoundInfo.Changed into the incremental checker
-// and the full RoundInfo delta plane — EdgeAdds/EdgeRemoves + Changed —
-// into the graph-free delta checker, while the materializing oracle
-// re-derives everything from the full output snapshot; the per-round
-// TDynamicReports must be bit-identical three ways. Unlike
-// TestTDynamicIncrementalMatchesOracle this exercises the engine's own
-// diffs (per-worker fold, snapshot-ring baseline, wake-round ⊥ handling,
-// patched/synthesized topology deltas over pooled graphs) rather than
-// test-maintained ones. n is above the engine's serial threshold (512)
-// and Workers is 4, so the sharded phase path and the per-worker
-// changed-shard fold really run — and are raced in CI's -race job.
+// pooled buffers) feeds its full RoundInfo delta plane — EdgeAdds/
+// EdgeRemoves + Changed — into the graph-free checker, while the
+// materializing oracle re-derives everything from the round graphs and
+// the full output snapshot; the per-round TDynamicReports must be
+// bit-identical. Unlike TestTDynamicIncrementalMatchesOracle this
+// exercises the engine's own diffs (per-worker fold, snapshot-ring
+// baseline, wake-round ⊥ handling, patched/synthesized topology deltas
+// over pooled graphs) rather than test-maintained ones. n is above the
+// engine's serial threshold (512) and Workers is 4, so the sharded phase
+// path and the per-worker changed-shard fold really run — and are raced
+// in CI's -race job.
 func TestTDynamicEngineChangedFeedMatchesOracle(t *testing.T) {
 	const n = 640
 	mkBase := func(seed uint64) *graph.Graph {
@@ -77,17 +79,11 @@ func TestTDynamicEngineChangedFeedMatchesOracle(t *testing.T) {
 				seed := uint64(23 + 7*si + ai)
 				algo, T1 := ac.mk()
 				e := engine.New(engine.Config{N: n, Seed: seed + 99, Workers: 4}, sc.mk(seed), algo)
-				inc := NewTDynamic(ac.pc, T1, n)
-				dlt := NewTDynamic(ac.pc, T1, n)
-				orc := NewTDynamicOracle(ac.pc, T1, n)
+				dlt := verify.NewTDynamic(ac.pc, T1, n)
+				orc := verifytest.NewOracle(ac.pc, T1, n)
 				e.OnRound(func(info *engine.RoundInfo) {
-					repInc := inc.ObserveChanged(info.Graph(), info.Wake, info.Outputs, info.Changed)
 					repDlt := dlt.Feed(info.Delta())
 					repOrc := orc.Observe(info.Graph(), info.Wake, info.Outputs)
-					if !reflect.DeepEqual(repInc, repOrc) {
-						t.Fatalf("round %d: reports diverge\nengine-feed %+v\noracle      %+v",
-							info.Round, repInc, repOrc)
-					}
 					if !reflect.DeepEqual(repDlt, repOrc) {
 						t.Fatalf("round %d: reports diverge\ndelta-feed %+v\noracle     %+v",
 							info.Round, repDlt, repOrc)

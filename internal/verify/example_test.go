@@ -3,6 +3,7 @@ package verify_test
 import (
 	"fmt"
 
+	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/problems"
 	"dynlocal/internal/verify"
@@ -18,26 +19,40 @@ import (
 func ExampleNewTDynamic() {
 	const n = 4
 	const T = 3
-	base := graph.Path(n) // 0-1-2-3
-	conflict := graph.Union(base, graph.FromEdges(n, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}))
 	out := []problems.Value{1, 2, 1, 2} // proper on the path, 0 and 2 share color 1
-	wake := []graph.NodeID{0, 1, 2, 3}
+	conflict := []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}
 
 	check := verify.NewTDynamic(problems.Coloring(), T, n)
-	rounds := []*graph.Graph{base, base, base, conflict, base, base}
-	for i, g := range rounds {
-		var w []graph.NodeID
-		if i == 0 {
-			w = wake // everyone wakes in round 1
+	// Each round is fed as its delta: the sorted edge diff against the
+	// previous round, the newly awake nodes and the nodes whose output
+	// changed. In round 1 everyone wakes, the path 0-1-2-3 appears and
+	// every node outputs its color; no output changes after that.
+	round := func(r int, adds, removes []graph.EdgeKey) verify.TDynamicReport {
+		d := engine.RoundDelta{Round: r, EdgeAdds: adds, EdgeRemoves: removes, Outputs: out}
+		if r == 1 {
+			d.Wake = []graph.NodeID{0, 1, 2, 3}
+			d.Changed = d.Wake
 		}
-		rep := check.Observe(g, w, out)
+		return check.Feed(d)
+	}
+	for r := 1; r <= 6; r++ {
+		var adds, removes []graph.EdgeKey
+		switch r {
+		case 1:
+			adds = graph.Path(n).EdgeKeys()
+		case 4:
+			adds = conflict // present in round 4 only
+		case 5:
+			removes = conflict
+		}
+		rep := round(r, adds, removes)
 		fmt.Printf("round %d: core=%d valid=%v\n", rep.Round, rep.CoreNodes, rep.Valid())
 	}
 
 	// Keep the conflict edge for T consecutive rounds: it enters G^∩T.
-	var rep verify.TDynamicReport
-	for i := 0; i < T; i++ {
-		rep = check.Observe(conflict, nil, out)
+	rep := round(7, conflict, nil)
+	for r := 8; r < 7+T; r++ {
+		rep = round(r, nil, nil)
 	}
 	fmt.Printf("after %d conflict rounds: valid=%v packing violations=%d\n",
 		T, rep.Valid(), len(rep.PackingViolations))

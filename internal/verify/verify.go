@@ -10,21 +10,16 @@
 //     Theorem 1.1(2)): whenever the α-ball of a node has been static for
 //     `Wait` rounds, its output must not change.
 //
-// TDynamic is delta-driven end to end. Its primary feed, Feed, consumes
-// the engine's consolidated round-delta view (engine.RoundDelta, from
-// RoundInfo.Delta) whole: the sorted topology diff goes into a delta-fed
-// sliding window (dyngraph.Window.ObserveEdgeDelta) and the changed-node
-// feed into the problems.Tracker violation maintainers, so a verified
-// round costs O((diff+changes)·Δ) — nothing scales with n or |E_r|, no
-// CSR graph is ever materialized and no edge or output scan runs.
-// ObserveDeltas is the same path with the delta unpacked positionally
-// (deprecated), ObserveChanged is the graph-fed variant (the window
-// recovers the diff with one O(|E_r|) merge) and Observe additionally
-// self-computes the output diff with an O(n) scan — the fallbacks for
-// callers without one or both feeds. NewTDynamicOracle retains the
-// materializing CheckFull path; all feeds are property-tested —
-// including against a real engine run — to produce bit-identical
-// TDynamicReports, and the oracle doubles as the benchmark baseline.
+// TDynamic is delta-driven end to end. Its one round method, Feed,
+// consumes the engine's consolidated round-delta view (engine.RoundDelta,
+// from RoundInfo.Delta) whole: the sorted topology diff goes into a
+// delta-fed sliding window (dyngraph.Window.ObserveEdgeDelta) and the
+// changed-node feed into the problems.Tracker violation maintainers, so a
+// verified round costs O((diff+changes)·Δ) — nothing scales with n or
+// |E_r|, no CSR graph is ever materialized and no edge or output scan
+// runs. The materializing reference checker it is property-tested against
+// — including on a real engine run — lives in test support
+// (internal/verify/verifytest).
 //
 // Input-buffer rules follow the producers' pooling contracts: every
 // slice argument (graph, diff, wake, outputs, changed) is only read
@@ -63,7 +58,6 @@ func (r TDynamicReport) Valid() bool {
 type TDynamic struct {
 	pc     problems.PC
 	window *dyngraph.Window
-	oracle bool
 
 	// Incremental state: trackers mirror the packing condition on G^∩T
 	// and the covering condition on G^∪T; prevOut is last round's output
@@ -72,7 +66,6 @@ type TDynamic struct {
 	pt        problems.Tracker
 	ct        problems.Tracker
 	prevOut   []problems.Value
-	diff      []graph.NodeID // scratch for Observe's self-computed diff
 	coreCount int
 	botCore   int
 
@@ -92,7 +85,7 @@ type TDynamic struct {
 
 // NewTDynamic creates an incremental checker with window size t over n
 // nodes. Violation state is maintained from window deltas and output
-// diffs; reports are bit-identical to NewTDynamicOracle's.
+// diffs.
 func NewTDynamic(pc problems.PC, t, n int) *TDynamic {
 	return &TDynamic{
 		pc:      pc,
@@ -103,82 +96,22 @@ func NewTDynamic(pc problems.PC, t, n int) *TDynamic {
 	}
 }
 
-// NewTDynamicOracle creates the materializing reference checker: every
-// round it rebuilds G^∩T/G^∪T and re-runs the full CheckFull scans. It is
-// the oracle the incremental checker is property-tested against and the
-// baseline of the verification benchmark.
-func NewTDynamicOracle(pc problems.PC, t, n int) *TDynamic {
-	return &TDynamic{pc: pc, window: dyngraph.NewWindow(t, n), oracle: true}
-}
-
 // Window exposes the underlying sliding window (shared, read-only use).
 func (c *TDynamic) Window() *dyngraph.Window { return c.window }
 
-// Observe ingests round r's graph, wake set and output snapshot and
-// checks the T-dynamic condition. out must cover the full node universe.
-//
-// Observe computes the round-over-round output diff itself with an O(n)
-// scan; callers driven by the engine should use Feed instead, which
-// needs neither a scan nor a graph.
-func (c *TDynamic) Observe(g *graph.Graph, wake []graph.NodeID, out []problems.Value) TDynamicReport {
-	if c.oracle {
-		return c.observeOracle(g, wake, out)
-	}
-	diff := c.diff[:0]
-	for i := range c.prevOut {
-		if out[i] != c.prevOut[i] {
-			diff = append(diff, graph.NodeID(i))
-		}
-	}
-	c.diff = diff
-	return c.ObserveChanged(g, wake, out, diff)
-}
-
-// ObserveChanged is Observe with the output diff supplied by the caller:
-// changed must cover every node whose entry in out differs from the out of
-// the previous Observe/ObserveChanged call (all non-⊥ nodes on the first
-// call) — exactly the contract of the engine's RoundInfo.Changed feed when
-// the checker observes every round from round 1. Entries whose output is
-// in fact unchanged, and duplicates, are tolerated and skipped. The round
-// then costs one O(|E_r|) window update plus O((deltas+|changed|)·Δ)
-// tracker work — no O(n) output scan.
-func (c *TDynamic) ObserveChanged(g *graph.Graph, wake []graph.NodeID, out []problems.Value, changed []graph.NodeID) TDynamicReport {
-	if c.oracle {
-		return c.observeOracle(g, wake, out)
-	}
-	return c.applyRound(c.window.ObserveDelta(g, wake), out, changed)
-}
-
-// Feed is the fully delta-fed checking path and the one engine-driven
-// callers should use: it ingests one round's consolidated delta view —
-// exactly engine.RoundInfo.Delta() — whose topology arrives as the
-// sorted edge diff against the previous round and whose output diff is
-// the changed-node list, under the same tolerance as ObserveChanged. No
-// graph is needed — the sliding window is maintained from the diff alone
-// (dyngraph.Window.ObserveEdgeDelta) — so the round costs
-// O((|adds|+|removes|+|changed|)·Δ), independent of n and |E_r|. The
-// delta's slices are only read during the call, so the engine's pooled
-// buffers pass straight through. A checker must stay on one topology
-// feed for its lifetime: mixing Feed with Observe/ObserveChanged panics
-// (the window's scan feed state is not maintained by the delta feed).
-// Not available on the oracle checker, which needs full graphs.
+// Feed ingests one round's consolidated delta view — exactly
+// engine.RoundInfo.Delta() — and checks the T-dynamic condition. Its
+// topology arrives as the sorted edge diff against the previous round,
+// and Changed must cover every node whose entry in Outputs differs from
+// the previous round's (all non-⊥ nodes on the first call) — exactly the
+// contract of the engine's RoundInfo.Changed feed when the checker
+// observes every round from round 1. Changed entries whose output is in
+// fact unchanged, and duplicates, are tolerated and skipped. No graph is
+// needed, so the round costs O((|adds|+|removes|+|changed|)·Δ),
+// independent of n and |E_r|. The delta's slices are only read during the
+// call, so the engine's pooled buffers pass straight through.
 func (c *TDynamic) Feed(d engine.RoundDelta) TDynamicReport {
-	if c.oracle {
-		panic("verify: Feed on the materializing oracle checker — use Observe")
-	}
 	return c.applyRound(c.window.ObserveEdgeDelta(d.EdgeAdds, d.EdgeRemoves, d.Wake), d.Outputs, d.Changed)
-}
-
-// ObserveDeltas is Feed with the round delta unpacked into positional
-// arguments.
-//
-// Deprecated: use Feed with engine.RoundInfo.Delta(), which carries the
-// same five fields as one value.
-func (c *TDynamic) ObserveDeltas(adds, removes []graph.EdgeKey, wake []graph.NodeID, out []problems.Value, changed []graph.NodeID) TDynamicReport {
-	return c.Feed(engine.RoundDelta{
-		EdgeAdds: adds, EdgeRemoves: removes,
-		Wake: wake, Outputs: out, Changed: changed,
-	})
 }
 
 // applyRound folds one round's window delta and output diff into the
@@ -240,32 +173,6 @@ func (c *TDynamic) applyRound(d *dyngraph.Delta, out []problems.Value, changed [
 	return rep
 }
 
-// observeOracle is the pre-incremental checking path: materialize both
-// window graphs and rescan them with CheckFull.
-func (c *TDynamic) observeOracle(g *graph.Graph, wake []graph.NodeID, out []problems.Value) TDynamicReport {
-	c.window.Observe(g, wake)
-	rep := TDynamicReport{Round: c.window.Round()}
-	core := c.window.CoreNodes()
-	rep.CoreNodes = len(core)
-	for _, v := range core {
-		if out[v] == problems.Bot {
-			rep.BotCore++
-		}
-	}
-	if len(core) > 0 {
-		inter := c.window.IntersectionGraph()
-		union := c.window.UnionGraph()
-		rep.PackingViolations = c.pc.P.CheckFull(inter, out, core)
-		rep.CoverViolations = c.pc.C.CheckFull(union, out, core)
-		// CheckFull re-reports ⊥ nodes; keep only genuine property
-		// violations here, ⊥ is accounted by BotCore.
-		rep.PackingViolations = dropBotReports(rep.PackingViolations, out)
-		rep.CoverViolations = dropBotReports(rep.CoverViolations, out)
-	}
-	c.tally(&rep)
-	return rep
-}
-
 func (c *TDynamic) tally(rep *TDynamicReport) {
 	c.rounds++
 	if !rep.Valid() {
@@ -274,16 +181,6 @@ func (c *TDynamic) tally(rep *TDynamicReport) {
 	c.totalPacking += len(rep.PackingViolations)
 	c.totalCover += len(rep.CoverViolations)
 	c.totalBotCore += rep.BotCore
-}
-
-func dropBotReports(vs []problems.Violation, out []problems.Value) []problems.Violation {
-	var kept []problems.Violation
-	for _, v := range vs {
-		if out[v.Node] != problems.Bot {
-			kept = append(kept, v)
-		}
-	}
-	return kept
 }
 
 // Totals reports aggregate counts over all observed rounds.

@@ -1,4 +1,4 @@
-package verify
+package verify_test
 
 import (
 	"reflect"
@@ -9,6 +9,8 @@ import (
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
+	"dynlocal/internal/verify"
+	"dynlocal/internal/verify/verifytest"
 )
 
 func allNodes(n int) []graph.NodeID {
@@ -19,12 +21,28 @@ func allNodes(n int) []graph.NodeID {
 	return out
 }
 
+// graphChecker feeds hand-built round graphs and output snapshots into a
+// TDynamic checker through a verifytest.GraphFeed.
+type graphChecker struct {
+	*verify.TDynamic
+	feed verifytest.GraphFeed
+}
+
+func newGraphChecker(pc problems.PC, t, n int) *graphChecker {
+	return &graphChecker{TDynamic: verify.NewTDynamic(pc, t, n)}
+}
+
+// Observe checks one hand-built round.
+func (c *graphChecker) Observe(g *graph.Graph, wake []graph.NodeID, out []problems.Value) verify.TDynamicReport {
+	return c.Feed(c.feed.Next(g, wake, out))
+}
+
 func TestTDynamicAcceptsValidColoring(t *testing.T) {
 	// Static P4 with a fixed proper coloring: valid every round.
 	const T = 3
 	g := graph.Path(4)
 	out := []problems.Value{1, 2, 1, 2}
-	c := NewTDynamic(problems.Coloring(), T, 4)
+	c := newGraphChecker(problems.Coloring(), T, 4)
 	for r := 1; r <= 8; r++ {
 		var wake []graph.NodeID
 		if r == 1 {
@@ -55,7 +73,7 @@ func TestTDynamicPackingOnIntersectionOnly(t *testing.T) {
 	base := graph.Path(4)
 	conflictG := graph.Union(base, graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}))
 	out := []problems.Value{1, 2, 1, 2} // 0 and 2 share color 1
-	c := NewTDynamic(problems.Coloring(), T, 4)
+	c := newGraphChecker(problems.Coloring(), T, 4)
 	seq := []*graph.Graph{base, base, base, conflictG, base, base}
 	for r, g := range seq {
 		var wake []graph.NodeID
@@ -68,7 +86,7 @@ func TestTDynamicPackingOnIntersectionOnly(t *testing.T) {
 		}
 	}
 	// Now keep the conflict edge for T rounds: packing must fire.
-	var lastRep TDynamicReport
+	var lastRep verify.TDynamicReport
 	for i := 0; i < T; i++ {
 		lastRep = c.Observe(conflictG, nil, out)
 	}
@@ -88,7 +106,7 @@ func TestTDynamicCoveringOnUnion(t *testing.T) {
 	withEdge := graph.FromEdges(2, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)})
 	empty := graph.Empty(2)
 	out := []problems.Value{2, 1}
-	c := NewTDynamic(problems.Coloring(), T, 2)
+	c := newGraphChecker(problems.Coloring(), T, 2)
 	c.Observe(withEdge, allNodes(2), out)
 	c.Observe(withEdge, nil, out)
 	c.Observe(withEdge, nil, out)
@@ -107,7 +125,7 @@ func TestTDynamicBotCoreCounted(t *testing.T) {
 	const T = 2
 	g := graph.Empty(3)
 	out := []problems.Value{problems.Bot, 1, 1}
-	c := NewTDynamic(problems.Coloring(), T, 3)
+	c := newGraphChecker(problems.Coloring(), T, 3)
 	c.Observe(g, allNodes(3), out)
 	rep := c.Observe(g, nil, out)
 	if rep.BotCore != 1 || rep.Valid() {
@@ -123,14 +141,14 @@ func TestTDynamicMIS(t *testing.T) {
 	const T = 2
 	g := graph.Cycle(4)
 	good := []problems.Value{problems.InMIS, problems.Dominated, problems.InMIS, problems.Dominated}
-	c := NewTDynamic(problems.MIS(), T, 4)
+	c := newGraphChecker(problems.MIS(), T, 4)
 	c.Observe(g, allNodes(4), good)
 	rep := c.Observe(g, nil, good)
 	if !rep.Valid() {
 		t.Fatalf("valid MIS flagged: %+v", rep)
 	}
 	bad := []problems.Value{problems.InMIS, problems.InMIS, problems.Dominated, problems.Dominated}
-	c2 := NewTDynamic(problems.MIS(), T, 4)
+	c2 := newGraphChecker(problems.MIS(), T, 4)
 	c2.Observe(g, allNodes(4), bad)
 	rep = c2.Observe(g, nil, bad)
 	if len(rep.PackingViolations) == 0 {
@@ -155,15 +173,29 @@ func (v *advView) PrevGraph() *graph.Graph          { return v.prev }
 func (v *advView) Awake(id graph.NodeID) bool       { return v.awake[id] }
 func (v *advView) DelayedOutputs() []problems.Value { return nil }
 
+// tally aggregates reports the way TDynamic.Totals does.
+type tally struct{ rounds, invalid, packing, cover, botCore int }
+
+func (t *tally) add(rep verify.TDynamicReport) {
+	t.rounds++
+	if !rep.Valid() {
+		t.invalid++
+	}
+	t.packing += len(rep.PackingViolations)
+	t.cover += len(rep.CoverViolations)
+	t.botCore += rep.BotCore
+}
+
 // TestTDynamicIncrementalMatchesOracle drives the incremental checker
-// (both the self-diffing Observe path and the caller-supplied-diff
-// ObserveChanged path) and the materializing oracle through identical
+// and the materializing oracle (verifytest.Oracle) through identical
 // adversarial schedules with violation-heavy random outputs (⊥ flips,
 // invalid values, conflicts) and asserts the per-round TDynamicReports
-// are bit-identical, including violation order and reason strings. The
-// changed list handed to ObserveChanged is the raw mutation log —
-// duplicates and no-op rewrites included — pinning the documented
-// tolerance for over-approximate feeds.
+// are bit-identical, including violation order and reason strings. Two
+// incremental checkers run: one is fed the resolver's edge diff with the
+// raw mutation log as its changed list — duplicates and no-op rewrites
+// included — pinning the documented tolerance for over-approximate feeds;
+// the other is fed exact deltas derived from the round graphs and output
+// snapshots by verifytest.GraphFeed.
 func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 	const n = 64
 	const T = 5
@@ -211,11 +243,10 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 				seed := uint64(17 + ci)
 				adv := sc.mk(seed)
 				res := adversary.NewResolver(n)
-				inc := NewTDynamic(pcase.pc, T, n)
-				fed := NewTDynamic(pcase.pc, T, n)
-				dlt := NewTDynamic(pcase.pc, T, n)
-				fdr := NewTDynamic(pcase.pc, T, n)
-				orc := NewTDynamicOracle(pcase.pc, T, n)
+				fdr := verify.NewTDynamic(pcase.pc, T, n)
+				gfd := newGraphChecker(pcase.pc, T, n)
+				orc := verifytest.NewOracle(pcase.pc, T, n)
+				var want tally // the oracle's reports, tallied
 				view := &advView{n: n, prev: graph.Empty(n), awake: make([]bool, n)}
 				out := make([]problems.Value, n)
 				outStream := prf.NewStream(seed+99, 0, 0, prf.PurposeWorkload)
@@ -237,52 +268,29 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 							changed = append(changed, graph.NodeID(v))
 						}
 					}
-					repInc := inc.Observe(g, st.Wake, out)
-					repFed := fed.ObserveChanged(g, st.Wake, out, changed)
-					repDlt := dlt.ObserveDeltas(adds, removes, st.Wake, out, changed)
 					repFdr := fdr.Feed(engine.RoundDelta{
 						Round: r, EdgeAdds: adds, EdgeRemoves: removes,
 						Wake: st.Wake, Outputs: out, Changed: changed,
 					})
-					repOrc := orc.Observe(g.Clone(), st.Wake, out)
-					if !reflect.DeepEqual(repInc, repOrc) {
-						t.Fatalf("round %d: reports diverge\nincremental %+v\noracle      %+v",
-							r, repInc, repOrc)
-					}
-					if !reflect.DeepEqual(repFed, repOrc) {
-						t.Fatalf("round %d: reports diverge\nchanged-feed %+v\noracle       %+v",
-							r, repFed, repOrc)
-					}
-					if !reflect.DeepEqual(repDlt, repOrc) {
-						t.Fatalf("round %d: reports diverge\ndelta-feed %+v\noracle     %+v",
-							r, repDlt, repOrc)
-					}
+					repGfd := gfd.Observe(g, st.Wake, out)
+					repOrc := orc.Observe(g, st.Wake, out)
+					want.add(repOrc)
 					if !reflect.DeepEqual(repFdr, repOrc) {
 						t.Fatalf("round %d: reports diverge\nFeed   %+v\noracle %+v",
 							r, repFdr, repOrc)
 					}
+					if !reflect.DeepEqual(repGfd, repOrc) {
+						t.Fatalf("round %d: reports diverge\ngraph-feed %+v\noracle     %+v",
+							r, repGfd, repOrc)
+					}
 					view.prev = g
 				}
-				ri, ii, pi, ci2, bi := inc.Totals()
-				rf, ifd, pf, cf, bf := fed.Totals()
-				rd, id, pd, cd, bd := dlt.Totals()
-				ro, io, po, co, bo := orc.Totals()
-				if ri != ro || ii != io || pi != po || ci2 != co || bi != bo {
-					t.Fatalf("totals diverge: incremental (%d %d %d %d %d) oracle (%d %d %d %d %d)",
-						ri, ii, pi, ci2, bi, ro, io, po, co, bo)
-				}
-				if rf != ro || ifd != io || pf != po || cf != co || bf != bo {
-					t.Fatalf("totals diverge: changed-feed (%d %d %d %d %d) oracle (%d %d %d %d %d)",
-						rf, ifd, pf, cf, bf, ro, io, po, co, bo)
-				}
-				if rd != ro || id != io || pd != po || cd != co || bd != bo {
-					t.Fatalf("totals diverge: delta-feed (%d %d %d %d %d) oracle (%d %d %d %d %d)",
-						rd, id, pd, cd, bd, ro, io, po, co, bo)
-				}
-				rr, ir, pr, cr, br := fdr.Totals()
-				if rr != ro || ir != io || pr != po || cr != co || br != bo {
-					t.Fatalf("totals diverge: Feed (%d %d %d %d %d) oracle (%d %d %d %d %d)",
-						rr, ir, pr, cr, br, ro, io, po, co, bo)
+				for _, c := range []*verify.TDynamic{fdr, gfd.TDynamic} {
+					var got tally
+					got.rounds, got.invalid, got.packing, got.cover, got.botCore = c.Totals()
+					if got != want {
+						t.Fatalf("totals diverge: checker %+v oracle %+v", got, want)
+					}
 				}
 			})
 		}
@@ -291,7 +299,7 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 
 func TestPartialChecker(t *testing.T) {
 	g := graph.Path(3)
-	c := NewPartial(problems.Coloring())
+	c := verify.NewPartial(problems.Coloring())
 	rep := c.Observe(g, []problems.Value{1, problems.Bot, 1})
 	if !rep.Valid() {
 		t.Fatalf("valid partial flagged: %+v", rep)
@@ -314,7 +322,7 @@ func TestStabilityViolationDetected(t *testing.T) {
 	// Static graph throughout; a node changing output after Wait rounds
 	// must be flagged.
 	g := graph.Path(3)
-	s := NewStability(3, 2, 2)
+	s := verify.NewStability(3, 2, 2)
 	out := []problems.Value{1, 2, 1}
 	s.Observe(g, allNodes(3), out) // round 1: streak starts
 	s.Observe(g, nil, out)         // round 2
@@ -331,7 +339,7 @@ func TestStabilityViolationDetected(t *testing.T) {
 
 func TestStabilityChangeAllowedAtBoundary(t *testing.T) {
 	g := graph.Path(3)
-	s := NewStability(3, 2, 2)
+	s := verify.NewStability(3, 2, 2)
 	out := []problems.Value{1, 2, 1}
 	s.Observe(g, allNodes(3), out)
 	s.Observe(g, nil, out)
@@ -345,7 +353,7 @@ func TestStabilityChangeAllowedAtBoundary(t *testing.T) {
 func TestStabilityStreakResetByTopologyChange(t *testing.T) {
 	a := graph.Path(3)
 	b := graph.Cycle(3) // changes every node's 1-ball
-	s := NewStability(3, 1, 1)
+	s := verify.NewStability(3, 1, 1)
 	out := []problems.Value{1, 2, 3}
 	s.Observe(a, allNodes(3), out) // round 1
 	s.Observe(a, nil, out)         // round 2
@@ -368,7 +376,7 @@ func TestStabilityOutsideBallChangeDoesNotReset(t *testing.T) {
 	mod := graph.FromEdges(4, []graph.EdgeKey{
 		graph.MakeEdgeKey(0, 1), graph.MakeEdgeKey(1, 2),
 	}) // remove {2,3}: outside 1-ball of node 0
-	s := NewStability(4, 1, 1)
+	s := verify.NewStability(4, 1, 1)
 	out := []problems.Value{1, 2, 1, 2}
 	s.Observe(base, allNodes(4), out) // round 1
 	s.Observe(mod, nil, out)          // round 2: node 0's 1-ball unchanged
@@ -382,7 +390,7 @@ func TestStabilityOutsideBallChangeDoesNotReset(t *testing.T) {
 
 func TestStabilityWakeStartsStreak(t *testing.T) {
 	g := graph.Empty(2)
-	s := NewStability(2, 1, 3)
+	s := verify.NewStability(2, 1, 3)
 	out := []problems.Value{problems.Bot, problems.Bot}
 	s.Observe(g, []graph.NodeID{0}, out) // round 1: only node 0 awake
 	s.Observe(g, nil, out)
@@ -404,7 +412,7 @@ func TestStabilityWakeStartsStreak(t *testing.T) {
 func TestConflictEdges(t *testing.T) {
 	g := graph.Path(4)
 	out := []problems.Value{1, 1, problems.Bot, problems.Bot}
-	ce := ConflictEdges(g, out)
+	ce := verify.ConflictEdges(g, out)
 	if len(ce) != 1 {
 		t.Fatalf("conflict edges = %v", ce)
 	}
@@ -412,7 +420,7 @@ func TestConflictEdges(t *testing.T) {
 	if u != 0 || v != 1 {
 		t.Fatalf("conflict edge = {%d,%d}", u, v)
 	}
-	if len(ConflictEdges(g, []problems.Value{1, 2, 1, 2})) != 0 {
+	if len(verify.ConflictEdges(g, []problems.Value{1, 2, 1, 2})) != 0 {
 		t.Fatal("proper coloring reported conflicts")
 	}
 }

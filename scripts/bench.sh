@@ -9,7 +9,7 @@
 #   LABEL=-pre scripts/bench.sh      # suffix the output file name
 #   BENCHTIME=1x scripts/bench.sh    # single iteration (smoke run)
 #
-# The full suite includes BenchmarkTDynamicChecker (incremental vs oracle
+# The full suite includes BenchmarkTDynamicChecker (delta-feed vs oracle
 # verification at N=4096), so the perf trajectory tracks checker cost;
 # BENCH_<date>-verify.json holds its dedicated baseline.
 set -euo pipefail
