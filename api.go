@@ -1,8 +1,6 @@
 package dynlocal
 
 import (
-	"bytes"
-	"fmt"
 	"io"
 
 	"dynlocal/internal/adversary"
@@ -287,48 +285,6 @@ func NewTraceStreamDecoder(r io.Reader) (*TraceStreamDecoder, error) {
 	return dyngraph.NewStreamDecoder(r)
 }
 
-// WriteCheckpoint serializes the full deterministic run state — the
-// engine and, when non-nil, the T-dynamic checker — to w as one composed
-// checkpoint stream (see docs/checkpointing.md). It must be called at a
-// round barrier, i.e. between Step calls, never from inside an OnRound
-// observer. The stream is framed and CRC-protected; a torn or corrupted
-// checkpoint never restores. Callers writing to a file should write a
-// temporary file and rename it into place after a successful return, the
-// pattern `dynsim -checkpoint` uses.
-func WriteCheckpoint(w io.Writer, e *Engine, c *TDynamicChecker) error {
-	cw := ckpt.NewWriter(w)
-	e.CheckpointTo(cw)
-	if c != nil {
-		c.SaveState(cw)
-	}
-	return cw.Close()
-}
-
-// ReadCheckpoint restores a checkpoint written by WriteCheckpoint into a
-// freshly constructed engine (and checker, when one was saved — pass nil
-// to match a nil at write time). The engine, algorithm, adversary and
-// checker must be rebuilt with the same constructors and configuration
-// as the checkpointed run; the header rejects any mismatch. After a
-// successful return the engine continues from the checkpointed round,
-// bit-identical to the uninterrupted run under any worker count.
-func ReadCheckpoint(r io.Reader, e *Engine, c *TDynamicChecker) error {
-	cr := ckpt.NewReader(r)
-	e.RestoreFrom(cr)
-	if c != nil {
-		c.LoadState(cr)
-	}
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	return cr.Close()
-}
-
-// ChainMagic is the leading bytes of a checkpoint chain container
-// written by WriteCheckpointChain. A plain WriteCheckpoint stream starts
-// with the varint-framed "DLCK1" header instead, so readers can sniff
-// which format a file holds from its first byte.
-const ChainMagic = ckpt.ChainMagic
-
 // RestoreArena is a reusable allocation pool for checkpoint restores:
 // node states, pipeline slots and snapshot buffers are carved from its
 // chunks instead of the heap, so a restore-heavy loop (fault-tolerant
@@ -341,50 +297,21 @@ type RestoreArena = ckpt.RestoreArena
 // NewRestoreArena creates an empty restore arena.
 func NewRestoreArena() *RestoreArena { return ckpt.NewRestoreArena() }
 
-// ReadCheckpointArena is ReadCheckpoint with the restore's allocations
-// carved from a (optionally nil) reusable arena. See RestoreArena for
-// the ownership rule.
-func ReadCheckpointArena(r io.Reader, e *Engine, c *TDynamicChecker, a *RestoreArena) error {
-	cr := ckpt.NewReader(r)
-	cr.SetArena(a)
-	e.RestoreFrom(cr)
-	if c != nil {
-		c.LoadState(cr)
-	}
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	return cr.Close()
-}
-
-// WriteCheckpointChain starts an incremental checkpoint chain on w: the
-// chain magic followed by one full base record capturing the engine and,
-// when non-nil, the checker — the same composed state WriteCheckpoint
-// serializes, framed as a chain record. The record is noted as the chain
-// head, so subsequent AppendCheckpointDelta calls diff against it. Like
-// WriteCheckpoint it must run at a round barrier. The same c (nil or
-// not) must be passed to every call on one chain.
+// WriteCheckpointChain starts a checkpoint chain on w: the chain magic
+// followed by one base record capturing the full deterministic run state
+// — the engine and, when non-nil, the T-dynamic checker (see
+// docs/checkpointing.md). A base lists what differs from a freshly
+// constructed run, so a plain checkpoint is this one-record chain. The
+// record is noted as the chain head, so subsequent AppendCheckpointDelta
+// calls diff against it. It must be called at a round barrier, i.e.
+// between Step calls, never from inside an OnRound observer. Records are
+// framed and CRC-protected; a torn or corrupted chain never restores.
+// Callers writing to a file should write a temporary file and rename it
+// into place after a successful return, the pattern `dynsim -checkpoint`
+// uses. The same c (nil or not) must be passed to every call on one
+// chain.
 func WriteCheckpointChain(w io.Writer, e *Engine, c *TDynamicChecker) error {
-	if err := ckpt.WriteChainMagic(w); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	e.CheckpointTo(cw)
-	if c != nil {
-		c.SaveState(cw)
-	}
-	if err := cw.Close(); err != nil {
-		return err
-	}
-	if err := ckpt.AppendChainRecord(w, buf.Bytes()); err != nil {
-		return err
-	}
-	e.NoteCheckpointBase(cw.Sum32())
-	if c != nil {
-		c.NoteCheckpoint()
-	}
-	return nil
+	return e.WriteRecord(w, true, chainPart(c))
 }
 
 // AppendCheckpointDelta appends one delta record to a chain started with
@@ -396,79 +323,31 @@ func WriteCheckpointChain(w io.Writer, e *Engine, c *TDynamicChecker) error {
 // next append diffs against the last record that actually persisted —
 // exactly what a crashed-then-resumed appender needs.
 func AppendCheckpointDelta(w io.Writer, e *Engine, c *TDynamicChecker) error {
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
-	e.CheckpointDeltaTo(cw)
-	if c != nil {
-		c.SaveDelta(cw)
-	}
-	if err := cw.Close(); err != nil {
-		return err
-	}
-	if err := ckpt.AppendChainRecord(w, buf.Bytes()); err != nil {
-		return err
-	}
-	e.NoteCheckpoint(cw.Sum32())
-	if c != nil {
-		c.NoteCheckpoint()
-	}
-	return nil
+	return e.WriteRecord(w, false, chainPart(c))
 }
 
 // ReadCheckpointChain restores a chain written by WriteCheckpointChain +
 // AppendCheckpointDelta into a freshly constructed engine and checker
 // (nil to match a nil at write time), optionally carving allocations
-// from a reusable arena. Every record is CRC-verified in memory and its
-// parent linkage validated before it applies, so a torn tail, a
-// reordered record or a delta over the wrong base fails cleanly. After a
-// successful return the run both continues bit-identically from the last
-// record's round and keeps appending deltas to the same chain.
+// from a reusable arena. The engine, algorithm, adversary and checker
+// must be rebuilt with the same constructors and configuration as the
+// checkpointed run; the base record rejects any mismatch. Every record
+// is CRC-verified in memory and its parent linkage validated before it
+// applies, so a torn tail, a reordered record or a delta over the wrong
+// base fails cleanly. After a successful return the run continues
+// bit-identically from the last record's round, under any worker count,
+// and keeps appending deltas to the same chain.
 func ReadCheckpointChain(r io.Reader, e *Engine, c *TDynamicChecker, a *RestoreArena) error {
-	cr := ckpt.NewChainReader(r)
-	first := true
-	for {
-		rec, err := cr.Next()
-		if err == io.EOF {
-			if first {
-				return fmt.Errorf("dynlocal: empty checkpoint chain")
-			}
-			if c != nil {
-				return c.FinishChain()
-			}
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		rr := ckpt.NewReader(bytes.NewReader(rec))
-		rr.SetArena(a)
-		if first {
-			e.RestoreFrom(rr)
-			if c != nil {
-				c.LoadState(rr)
-			}
-		} else {
-			e.RestoreDeltaFrom(rr)
-			if c != nil {
-				c.LoadDelta(rr)
-			}
-		}
-		if err := rr.Err(); err != nil {
-			return err
-		}
-		if err := rr.Close(); err != nil {
-			return err
-		}
-		if first {
-			e.NoteCheckpointBase(rr.Sum32())
-		} else {
-			e.NoteCheckpoint(rr.Sum32())
-		}
-		if c != nil {
-			c.NoteCheckpoint()
-		}
-		first = false
+	return e.ReadChain(r, a, chainPart(c))
+}
+
+// chainPart adapts an optional checker to the engine's record helper: a
+// nil checker must stay a nil interface.
+func chainPart(c *TDynamicChecker) engine.ChainPart {
+	if c == nil {
+		return nil
 	}
+	return c
 }
 
 // RecoverTrace salvages a torn trace recording — a crash mid-write

@@ -846,20 +846,22 @@ func BenchmarkTraceReplay(b *testing.B) {
 }
 
 // BenchmarkCheckpoint measures the cost of the checkpoint/resume plane
-// as the universe grows: snapshotting a mid-run engine+checker pair to a
-// byte stream, restoring a fresh pair from it (heap and arena-pooled),
-// writing one incremental delta record, and replaying a base+delta
-// chain. Full snapshot and restore scale with live state (nodes, window
-// edges, adversary footprint); the delta modes scale with the activity
-// between records — hence the two churn levels — and bytes/op sizes the
-// serialized form itself.
+// as the universe grows: snapshotting a mid-run engine+checker pair as a
+// one-record chain (the base record), restoring a fresh pair from it
+// (heap and arena-pooled), writing one incremental delta record, and
+// replaying a base+delta chain. Base snapshot and restore scale with
+// live state (nodes, window edges, adversary footprint); the delta modes
+// scale with the activity between records — hence the two churn levels —
+// and bytes/op sizes the serialized form itself. Sub-benchmark names
+// predate the single record format and are kept so older BENCH files
+// stay comparable.
 func BenchmarkCheckpoint(b *testing.B) {
 	const rounds = 32
 	// interval is the rounds between chain records: each delta covers
 	// interval rounds of churn and algorithm reaction.
 	const interval = 4
 
-	// Full-state modes: the combined MIS pipeline mid-run, the heaviest
+	// Base-record modes: the combined MIS pipeline mid-run, the heaviest
 	// state the plane serializes (snapshot ring, window, beacon levels).
 	// These keep the historical names and configuration so runs compare
 	// across recorded baselines.
@@ -875,7 +877,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		e.OnRound(func(info *engine.RoundInfo) { chk.Feed(info.Delta()) })
 		e.Run(rounds)
 		var ck bytes.Buffer
-		if err := WriteCheckpoint(&ck, e, chk); err != nil {
+		if err := WriteCheckpointChain(&ck, e, chk); err != nil {
 			b.Fatal(err)
 		}
 
@@ -885,7 +887,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var buf bytes.Buffer
 				buf.Grow(ck.Len())
-				if err := WriteCheckpoint(&buf, e, chk); err != nil {
+				if err := WriteCheckpointChain(&buf, e, chk); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -897,7 +899,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 				algo2 := mis.NewMIS(n)
 				e2 := engine.New(cfg, mkAdv(), algo2)
 				chk2 := verify.NewTDynamic(problems.MIS(), algo2.T1, n)
-				if err := ReadCheckpoint(bytes.NewReader(ck.Bytes()), e2, chk2); err != nil {
+				if err := ReadCheckpointChain(bytes.NewReader(ck.Bytes()), e2, chk2, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -913,7 +915,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 				algo2 := mis.NewMIS(n)
 				e2 := engine.New(cfg, mkAdv(), algo2)
 				chk2 := verify.NewTDynamic(problems.MIS(), algo2.T1, n)
-				if err := ReadCheckpointArena(bytes.NewReader(ck.Bytes()), e2, chk2, arena); err != nil {
+				if err := ReadCheckpointChain(bytes.NewReader(ck.Bytes()), e2, chk2, arena); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -944,10 +946,10 @@ func BenchmarkCheckpoint(b *testing.B) {
 			e.OnRound(func(info *engine.RoundInfo) { chk.Feed(info.Delta()) })
 			e.Run(2*t1 + 16)
 			if cl.add == 16 {
-				// The delta acceptance ratio compares against a full
-				// snapshot of the same engine, not the combined one.
+				// The delta acceptance ratio compares against a base
+				// record of the same engine, not the combined one.
 				var full bytes.Buffer
-				if err := WriteCheckpoint(&full, e, chk); err != nil {
+				if err := WriteCheckpointChain(&full, e, chk); err != nil {
 					b.Fatal(err)
 				}
 				b.Run(fmt.Sprintf("snapshot-dmis/N=%d", n), func(b *testing.B) {
@@ -956,7 +958,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						var buf bytes.Buffer
 						buf.Grow(full.Len())
-						if err := WriteCheckpoint(&buf, e, chk); err != nil {
+						if err := WriteCheckpointChain(&buf, e, chk); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -1019,8 +1021,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 // benchmark can write the same delta repeatedly against a live run.
 func appendDeltaRecord(buf *bytes.Buffer, e *engine.Engine, chk *verify.TDynamic) error {
 	w := ckpt.NewWriter(buf)
-	e.CheckpointDeltaTo(w)
-	chk.SaveDelta(w)
+	e.CheckpointTo(w, false)
+	chk.SaveDelta(w, false)
 	return w.Close()
 }
 

@@ -2,12 +2,18 @@ package dynlocal
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
+
+	"dynlocal/internal/adversary"
+	"dynlocal/internal/ckpt"
+	"dynlocal/internal/engine"
+	"dynlocal/internal/prf"
 )
 
 var updateChainGolden = flag.Bool("update", false, "rewrite the golden chain fixture under testdata/")
@@ -46,7 +52,7 @@ func checkerTotals(c *TDynamicChecker) [5]int {
 // chainBase and appending a delta every chainStride rounds. It returns
 // the per-round reports, the final checker totals, the chain prefix
 // after each record, and the round each record was taken at.
-func buildComposedChain(t *testing.T) (refReports []TDynamicReport, refTotals [5]int, prefixes [][]byte, recRounds []int) {
+func buildComposedChain(t testing.TB) (refReports []TDynamicReport, refTotals [5]int, prefixes [][]byte, recRounds []int) {
 	t.Helper()
 	eng, chk, reports := newComposedRun(1)
 	var chain bytes.Buffer
@@ -123,8 +129,9 @@ func TestComposedChainResumeEveryPrefix(t *testing.T) {
 	}
 }
 
-// TestReadCheckpointArenaEquivalence pins the bare-stream arena path:
-// ReadCheckpointArena must behave exactly like ReadCheckpoint, and one
+// TestReadCheckpointArenaEquivalence pins the one-record chain arena
+// path: a base written mid-run and restored through ReadCheckpointChain
+// with an arena must resume exactly like the uninterrupted run, and one
 // arena must be reusable across sequential restores via Reset.
 func TestReadCheckpointArenaEquivalence(t *testing.T) {
 	const ckAt = 10
@@ -133,7 +140,7 @@ func TestReadCheckpointArenaEquivalence(t *testing.T) {
 	for r := 1; r <= chainRounds; r++ {
 		eng.Step()
 		if r == ckAt {
-			if err := WriteCheckpoint(&ck, eng, chk); err != nil {
+			if err := WriteCheckpointChain(&ck, eng, chk); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
 		}
@@ -144,7 +151,7 @@ func TestReadCheckpointArenaEquivalence(t *testing.T) {
 	for attempt := 0; attempt < 2; attempt++ {
 		arena.Reset()
 		eng2, chk2, rep2 := newComposedRun(4)
-		if err := ReadCheckpointArena(bytes.NewReader(ck.Bytes()), eng2, chk2, arena); err != nil {
+		if err := ReadCheckpointChain(bytes.NewReader(ck.Bytes()), eng2, chk2, arena); err != nil {
 			t.Fatalf("attempt %d: arena restore: %v", attempt, err)
 		}
 		if eng2.Round() != ckAt {
@@ -162,18 +169,63 @@ func TestReadCheckpointArenaEquivalence(t *testing.T) {
 	}
 }
 
+// baseRecord serializes the engine+checker base record — the payload
+// WriteCheckpointChain frames — without noting it, so the run's chain
+// is left undisturbed.
+func baseRecord(t testing.TB, eng *Engine, chk *TDynamicChecker) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	eng.CheckpointTo(w, true)
+	chk.SaveDelta(w, true)
+	if err := w.Close(); err != nil {
+		t.Fatalf("base record: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestComposedChainCanonicalBase requires every chain prefix to restore
+// to exactly the state the uninterrupted run had at that round: a base
+// rewritten from the restored pair equals, byte for byte, the base the
+// uninterrupted run writes at the prefix's last round.
+func TestComposedChainCanonicalBase(t *testing.T) {
+	eng, chk, _ := newComposedRun(1)
+	var chain bytes.Buffer
+	var prefixes, bases [][]byte
+	for r := 1; r <= chainRounds; r++ {
+		eng.Step()
+		if r < chainBase || (r-chainBase)%chainStride != 0 {
+			continue
+		}
+		bases = append(bases, baseRecord(t, eng, chk))
+		if err := eng.WriteRecord(&chain, r == chainBase, chk); err != nil {
+			t.Fatalf("record at round %d: %v", r, err)
+		}
+		prefixes = append(prefixes, slices.Clone(chain.Bytes()))
+	}
+	for i, prefix := range prefixes {
+		eng2, chk2, _ := newComposedRun(1)
+		if err := ReadCheckpointChain(bytes.NewReader(prefix), eng2, chk2, nil); err != nil {
+			t.Fatalf("prefix %d: restore: %v", i, err)
+		}
+		if got := baseRecord(t, eng2, chk2); !bytes.Equal(got, bases[i]) {
+			t.Fatalf("prefix %d: rewritten base (%d bytes) differs from the uninterrupted run's (%d bytes)", i, len(got), len(bases[i]))
+		}
+	}
+}
+
 // TestComposedChainGolden pins the chain container bytes: the scenario
 // is fully deterministic, so the complete chain must match the checked-in
 // fixture bit for bit. Regenerate with
 //
 //	go test -run TestComposedChainGolden -update
 //
-// after an intentional format change, and call out the change in
-// docs/checkpointing.md.
+// after an intentional format change, keep the previous fixture as a
+// refusal fixture, and call out the change in docs/checkpointing.md.
 func TestComposedChainGolden(t *testing.T) {
 	_, _, prefixes, recRounds := buildComposedChain(t)
 	got := prefixes[len(prefixes)-1]
-	path := filepath.Join("testdata", "chain_v1_mis_n128.golden")
+	path := filepath.Join("testdata", "chain_v2_mis_n128.golden")
 	if *updateChainGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -198,4 +250,92 @@ func TestComposedChainGolden(t *testing.T) {
 	if last := recRounds[len(recRounds)-1]; eng.Round() != last {
 		t.Fatalf("golden chain restored at round %d, want %d", eng.Round(), last)
 	}
+}
+
+// TestRetiredChainGoldenRefused pins the refusal of the retired record
+// format: the fixture the previous format wrote for the same scenario
+// must fail with engine.ErrRetiredFormat, never restore or panic.
+func TestRetiredChainGoldenRefused(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "chain_v1_mis_n128.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, chk, _ := newComposedRun(1)
+	if err := ReadCheckpointChain(bytes.NewReader(old), eng, chk, nil); !errors.Is(err, engine.ErrRetiredFormat) {
+		t.Fatalf("restore of a retired-format chain: err = %v, want ErrRetiredFormat", err)
+	}
+}
+
+// TestAdaptiveAdversariesRefuseCheckpoints requires the adaptive
+// adversaries, whose hidden state a resume cannot carry, to fail the
+// checkpoint writer with adversary.ErrNotCheckpointable and leave the
+// run's chain untouched.
+func TestAdaptiveAdversariesRefuseCheckpoints(t *testing.T) {
+	const n = 64
+	g := GNP(n, 6.0/float64(n), 3)
+	for name, mk := range map[string]func() (Adversary, Algorithm){
+		"conflict-injector": func() (Adversary, Algorithm) {
+			return &ConflictInjector{Inner: NewChurn(g, 2, 2, 4), Rate: 2, Seed: 5}, NewMIS(n)
+		},
+		"clairvoyant": func() (Adversary, Algorithm) {
+			return &ClairvoyantAdversary{Base: g, Seed: 7, Purpose: prf.PurposeLubyAlpha}, NewDMis(n)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			adv, algo := mk()
+			eng := NewEngine(EngineConfig{N: n, Seed: 7, Workers: 1}, adv, algo)
+			chk := NewTDynamicChecker(MISProblem(), 8, n)
+			eng.OnRound(func(info *RoundInfo) { chk.Feed(info.Delta()) })
+			eng.Run(3)
+			var buf bytes.Buffer
+			if err := WriteCheckpointChain(&buf, eng, chk); !errors.Is(err, adversary.ErrNotCheckpointable) {
+				t.Fatalf("WriteCheckpointChain: err = %v, want ErrNotCheckpointable", err)
+			}
+			if buf.Len() != 0 || eng.ChainSeq() != 0 {
+				t.Fatalf("refused checkpoint wrote %d bytes, chain at record %d", buf.Len(), eng.ChainSeq())
+			}
+		})
+	}
+}
+
+// FuzzReadCheckpointChain feeds arbitrary bytes to the composed run's
+// chain reader. A rejected input must fail with an error, never a panic
+// or an oversized allocation. An accepted one must be canonical — a base
+// rewritten from the restored run restores, and rewriting a base from
+// that restore gives the same bytes — and the restored run must play one
+// more round.
+func FuzzReadCheckpointChain(f *testing.F) {
+	for _, name := range []string{"chain_v2_mis_n128.golden", "chain_v1_mis_n128.golden"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	_, _, prefixes, _ := buildComposedChain(f)
+	for _, p := range prefixes {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, chain []byte) {
+		eng, chk, _ := newComposedRun(1)
+		if ReadCheckpointChain(bytes.NewReader(chain), eng, chk, nil) != nil {
+			return
+		}
+		rewrite := func(eng *Engine, chk *TDynamicChecker) []byte {
+			var buf bytes.Buffer
+			if err := WriteCheckpointChain(&buf, eng, chk); err != nil {
+				t.Fatalf("base rewrite of an accepted chain: %v", err)
+			}
+			return buf.Bytes()
+		}
+		first := rewrite(eng, chk)
+		eng2, chk2, _ := newComposedRun(1)
+		if err := ReadCheckpointChain(bytes.NewReader(first), eng2, chk2, nil); err != nil {
+			t.Fatalf("rewritten base does not restore: %v", err)
+		}
+		if second := rewrite(eng2, chk2); !bytes.Equal(first, second) {
+			t.Fatalf("base rewrite is not canonical: %d bytes, then %d", len(first), len(second))
+		}
+		eng.Step()
+	})
 }

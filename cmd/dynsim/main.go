@@ -28,23 +28,22 @@
 //
 // -checkpoint writes the full deterministic run state (engine, algorithm
 // nodes, adversary, checker — see docs/checkpointing.md) atomically at
-// the end of the run. With -checkpoint-every k the file becomes an
-// incremental base+delta chain instead: the first periodic checkpoint
-// atomically writes a full base record, and each later one appends a
-// delta record covering only the state that moved since the previous
-// record, so the steady-state checkpoint cost scales with the
-// inter-checkpoint activity rather than the universe size.
-// -checkpoint-full-every m rebases the chain — an atomic rewrite with a
-// fresh full base — every m checkpoints, bounding both the chain length
-// a resume must replay and the file growth.
+// the end of the run, as a one-record chain: the base record, which
+// lists what differs from a freshly constructed run. With
+// -checkpoint-every k the first periodic checkpoint atomically writes
+// that base, and each later one appends a delta record covering only the
+// state that moved since the previous record, so the steady-state
+// checkpoint cost scales with the inter-checkpoint activity rather than
+// the universe size. -checkpoint-full-every m rebases the chain — an
+// atomic rewrite with a fresh base — every m checkpoints, bounding both
+// the chain length a resume must replay and the file growth.
 //
-// -resume sniffs the format (chain container or plain stream), restores
-// it, and plays the remaining rounds; the run must be reconstructed with
-// the same flags (problem, algo, adversary, n, seed) — the checkpoint
-// header rejects any mismatch — and the resumed rounds are bit-identical
-// to the uninterrupted run, under any worker count. When -resume and
-// -checkpoint name the same chain file, the run keeps appending deltas
-// to the chain it restored from.
+// -resume restores a chain and plays the remaining rounds; the run must
+// be reconstructed with the same flags (problem, algo, adversary, n,
+// seed) — the base record rejects any mismatch — and the resumed rounds
+// are bit-identical to the uninterrupted run, under any worker count.
+// When -resume and -checkpoint name the same chain file, the run keeps
+// appending deltas to the chain it restored from.
 package main
 
 import (
@@ -229,18 +228,17 @@ func run(args []string, out io.Writer) (invalidRounds int, strict bool, err erro
 	// a reconstruction that does not match the checkpointed run.
 	startRound := 0
 	// chainRecs counts the records in the live chain file; 0 means no
-	// chain has been started yet (or plain full-checkpoint mode).
+	// chain has been started yet.
 	chainRecs := 0
 	if *resumePath != "" {
-		chained, err := readCheckpointFile(*resumePath, eng, check)
-		if err != nil {
+		if err := readCheckpointFile(*resumePath, eng, check); err != nil {
 			return 0, false, fmt.Errorf("resuming from %s: %w", *resumePath, err)
 		}
 		startRound = eng.Round()
 		if startRound >= *rounds {
 			return 0, false, fmt.Errorf("checkpoint %s is at round %d, at or past -rounds %d", *resumePath, startRound, *rounds)
 		}
-		if chained && *checkpointEvery > 0 && *checkpointPath == *resumePath {
+		if *checkpointEvery > 0 && *checkpointPath == *resumePath {
 			// The resumed chain is also the checkpoint target: keep
 			// appending deltas to it instead of restarting a chain.
 			chainRecs = int(eng.ChainSeq())
@@ -310,7 +308,7 @@ func run(args []string, out io.Writer) (invalidRounds int, strict bool, err erro
 		if chainRecs > 0 {
 			err = appendCheckpointDelta(*checkpointPath, eng, check)
 		} else {
-			err = writeCheckpoint(*checkpointPath, eng, check)
+			err = startCheckpointChain(*checkpointPath, eng, check)
 		}
 		if err != nil {
 			return 0, false, fmt.Errorf("final checkpoint: %w", err)
@@ -353,32 +351,9 @@ func run(args []string, out io.Writer) (invalidRounds int, strict bool, err erro
 	return invalidRounds, *algo == "combined" || *algo == "restart", nil
 }
 
-// writeCheckpoint writes the composed engine+checker state atomically: a
-// same-directory temporary file, fsynced, renamed over path — so a crash
-// mid-checkpoint never clobbers the previous good checkpoint.
-func writeCheckpoint(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecker) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = dynlocal.WriteCheckpoint(f, e, c)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // chainCheckpoint advances the incremental checkpoint chain: the first
 // call — and every rebase, once fullEvery records have accumulated —
-// atomically rewrites path as a fresh chain (magic plus one full base
+// atomically rewrites path as a fresh chain (magic plus one base
 // record); later calls append one delta record, so the steady-state
 // checkpoint cost scales with inter-checkpoint activity, not with n.
 func chainCheckpoint(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecker, recs *int, fullEvery int) error {
@@ -397,9 +372,9 @@ func chainCheckpoint(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecke
 }
 
 // startCheckpointChain atomically (re)creates path as a chain container
-// holding one full base record, with the same temp+fsync+rename pattern
-// as writeCheckpoint: a crash mid-rebase never clobbers the previous
-// good chain.
+// holding one base record: a same-directory temporary file, fsynced,
+// renamed over path — so a crash mid-checkpoint never clobbers the
+// previous good chain.
 func startCheckpointChain(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecker) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -439,25 +414,15 @@ func appendCheckpointDelta(path string, e *dynlocal.Engine, c *dynlocal.TDynamic
 	return err
 }
 
-// readCheckpointFile restores path into the freshly built run, sniffing
-// the format from the first byte: a chain container opens with the raw
-// "DLCKC1" magic, a plain composed stream with the varint-framed
-// "DLCK1" header.
-func readCheckpointFile(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecker) (chained bool, err error) {
+// readCheckpointFile restores the chain at path into the freshly built
+// run.
+func readCheckpointFile(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecker) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return false, err
+		return err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	head, err := br.Peek(1)
-	if err != nil {
-		return false, err
-	}
-	if head[0] == dynlocal.ChainMagic[0] {
-		return true, dynlocal.ReadCheckpointChain(br, e, c, nil)
-	}
-	return false, dynlocal.ReadCheckpoint(br, e, c)
+	return dynlocal.ReadCheckpointChain(bufio.NewReader(f), e, c, nil)
 }
 
 // recoverTrace salvages the longest complete-round prefix of a torn

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
+
+	"dynlocal/internal/engine"
 )
 
 // Smoke tests drive the full CLI run path on tiny configurations.
@@ -136,7 +139,7 @@ func TestRunCheckpointResume(t *testing.T) {
 }
 
 // TestRunCheckpointChain drives the incremental-chain CLI surface:
-// -checkpoint-every writes a chain container (sniffable by its magic),
+// -checkpoint-every writes a chain container (it opens with the magic),
 // -checkpoint-full-every rebases it, a resume that names the same file
 // as its checkpoint target keeps appending to the restored chain, and
 // the extended chain resumes again.
@@ -186,6 +189,23 @@ func TestRunCheckpointChain(t *testing.T) {
 	}
 	if !strings.Contains(again.String(), "(resumed at round 52)") {
 		t.Fatalf("extended chain should resume at round 52:\n%s", again.String())
+	}
+}
+
+// TestRunResumeRefusesRetiredFormat resumes from the chain fixture the
+// retired record format wrote: the run must fail before any round plays,
+// with the typed retired-format error.
+func TestRunResumeRefusesRetiredFormat(t *testing.T) {
+	var out strings.Builder
+	_, _, err := run([]string{
+		"-problem", "mis", "-algo", "combined", "-adversary", "churn",
+		"-n", "128", "-rounds", "30", "-resume", "../../testdata/chain_v1_mis_n128.golden",
+	}, &out)
+	if !errors.Is(err, engine.ErrRetiredFormat) {
+		t.Fatalf("resume from a retired-format chain: err = %v, want ErrRetiredFormat", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused resume printed output:\n%s", out.String())
 	}
 }
 

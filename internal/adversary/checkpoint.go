@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -544,6 +545,35 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 	loadInner(r, w.Inner)
 }
 
+// ErrNotCheckpointable is the checkpoint error of the adaptive
+// adversaries whose hidden state a resume cannot carry: their
+// Checkpointer methods refuse, so a checkpoint writer fails with it
+// instead of writing a record that would resume a different run.
+var ErrNotCheckpointable = errors.New("adversary: adaptive adversary is not checkpointable")
+
+// SaveState implements Checkpointer by refusing: the injected-edge list,
+// its membership set and the resolver are hidden state that decides
+// future injections.
+func (ci *ConflictInjector) SaveState(w *ckpt.Writer) {
+	w.Fail(fmt.Errorf("%w: ConflictInjector", ErrNotCheckpointable))
+}
+
+// LoadState implements Checkpointer by refusing, like SaveState.
+func (ci *ConflictInjector) LoadState(r *ckpt.Reader) {
+	r.Fail(fmt.Errorf("%w: ConflictInjector", ErrNotCheckpointable))
+}
+
+// SaveState implements Checkpointer by refusing: the burned-edge set
+// steers every later round.
+func (a *LubyStaller) SaveState(w *ckpt.Writer) {
+	w.Fail(fmt.Errorf("%w: LubyStaller", ErrNotCheckpointable))
+}
+
+// LoadState implements Checkpointer by refusing, like SaveState.
+func (a *LubyStaller) LoadState(r *ckpt.Reader) {
+	r.Fail(fmt.Errorf("%w: LubyStaller", ErrNotCheckpointable))
+}
+
 // Interface conformance. P2PChurn, ScriptedStream and the wrappers stay
 // full-rewrite Checkpointers: P2P session state is O(live nodes) anyway,
 // trace replay already fast-forwards incrementally inside LoadState, and
@@ -555,6 +585,8 @@ var (
 	_ Checkpointer      = (*ScriptedStream)(nil)
 	_ Checkpointer      = (*LocalStatic)(nil)
 	_ Checkpointer      = (*Wakeup)(nil)
+	_ Checkpointer      = (*ConflictInjector)(nil)
+	_ Checkpointer      = (*LubyStaller)(nil)
 	_ DeltaCheckpointer = (*Churn)(nil)
 	_ DeltaCheckpointer = (*EdgeMarkov)(nil)
 )

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,13 +11,14 @@ import (
 
 // Chain container: a checkpoint chain file is the raw magic "DLCKC1"
 // followed by length-prefixed records, each record a complete ckpt
-// stream (own CRC-32 trailer). The first record is a full base
-// checkpoint; every following record is a delta against the record
-// before it, linked by the parent's CRC-32 fingerprint (Writer.Sum32 of
-// the parent record, written into the delta's header by the producer and
-// validated by the consumer). The container itself stays dumb on
-// purpose: framing and tear detection live here, record semantics live
-// with the engine/checker delta formats.
+// stream (own CRC-32 trailer). The first record is a base — the
+// difference from a freshly constructed run; every following record is
+// a delta against the record before it, linked by the parent's CRC-32
+// fingerprint (Writer.Sum32 of the parent record, written into the
+// delta's header by the producer and validated by the consumer). The
+// container itself stays dumb on purpose: framing and tear detection
+// live here, record semantics live with the engine/checker record
+// format.
 //
 // Tear semantics: a crash while appending leaves a torn tail. Next
 // returns a clean io.EOF only on a record boundary; an EOF inside a
@@ -146,8 +148,8 @@ func (cr *ChainReader) Next() ([]byte, error) {
 		cr.err = fmt.Errorf("ckpt: chain record length %d exceeds limit", n)
 		return nil, cr.err
 	}
-	rec := make([]byte, n)
-	if _, err := io.ReadFull(cr.r, rec); err != nil {
+	rec, err := cr.readRecord(n)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // torn mid-record
 		}
@@ -159,4 +161,19 @@ func (cr *ChainReader) Next() ([]byte, error) {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// readRecord reads a record body of declared length n. The buffer is
+// allocated up front only when the source reports that it holds n more
+// bytes; otherwise it grows as bytes arrive, so a corrupt length cannot
+// drive a large allocation.
+func (cr *ChainReader) readRecord(n uint64) ([]byte, error) {
+	if l, ok := cr.r.(interface{ Len() int }); ok && uint64(l.Len()) >= n {
+		rec := make([]byte, n)
+		_, err := io.ReadFull(cr.r, rec)
+		return rec, err
+	}
+	var buf bytes.Buffer
+	_, err := io.CopyN(&buf, cr.r, int64(n))
+	return buf.Bytes(), err
 }

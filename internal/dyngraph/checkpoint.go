@@ -2,189 +2,23 @@ package dyngraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynlocal/internal/ckpt"
 	"dynlocal/internal/graph"
 )
 
-// Checkpoint support: a Window serializes its full streak/ring state so
-// a restored checker resumes with bit-identical window deltas. LoadState
-// runs on a freshly constructed NewWindow(t, n) with the same geometry —
-// t and n are configuration, validated rather than restored.
+// Checkpoint support: a Window writes one record kind, the entries that
+// differ from a parent — the last record passed to NoteCheckpoint (a
+// delta) or the freshly constructed window (a base). A base lists every
+// span, wake entry, non-empty ring slot and wake bucket, plus the window
+// geometry t and n, which are configuration, validated rather than
+// restored. Ring slots and wake buckets are written verbatim: slot order
+// is observable (it is the emission order of expiry/arrival deltas), so
+// preserving it exactly is what keeps resumed Delta output bit-identical.
 
-// tagWindow guards the window section of a checkpoint stream;
-// tagWindowDelta guards the incremental variant used by chain records.
-const (
-	tagWindow      uint64 = 0x81
-	tagWindowDelta uint64 = 0x82
-)
-
-// feedMode returns the feed-mode field both window records carry for a
-// window at round r: 2 (the delta feed) once it has observed a round, 0
-// before. The value 1 marked the retired graph-fed scan feed; readers
-// refuse it, along with any value that disagrees with the record's round.
-func feedMode(r int) int {
-	if r > 0 {
-		return 2
-	}
-	return 0
-}
-
-// SaveState implements ckpt.Stater. The spans map is written with sorted
-// keys so identical runs produce byte-identical checkpoints; the ring
-// slots and wake buckets are written verbatim — slot order is observable
-// (it is the emission order of expiry/arrival deltas), so preserving it
-// exactly is what keeps resumed Delta output bit-identical.
-func (w *Window) SaveState(cw *ckpt.Writer) {
-	cw.Section(tagWindow)
-	cw.Int(w.t)
-	cw.Int(w.n)
-	cw.Int(w.round)
-	cw.Int(feedMode(w.round))
-
-	keys := make([]graph.EdgeKey, 0, len(w.spans))
-	for k := range w.spans {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	cw.Int(len(keys))
-	for _, k := range keys {
-		sp := w.spans[k]
-		cw.Uvarint(uint64(k))
-		cw.Bool(sp.present)
-		cw.Int(sp.lastSeen)
-		cw.Int(sp.streakStart)
-		cw.Bool(sp.inInter)
-	}
-
-	nAwake := 0
-	for _, r := range w.wake {
-		if r != 0 {
-			nAwake++
-		}
-	}
-	cw.Int(nAwake)
-	for v, r := range w.wake {
-		if r != 0 {
-			cw.Varint(int64(v))
-			cw.Int(r)
-		}
-	}
-
-	saveRing(cw, w.expiry)
-	saveRing(cw, w.pending)
-
-	rounds := make([]int, 0, len(w.byWake))
-	for r := range w.byWake {
-		rounds = append(rounds, r)
-	}
-	sort.Ints(rounds)
-	cw.Int(len(rounds))
-	for _, r := range rounds {
-		cw.Int(r)
-		bucket := w.byWake[r]
-		cw.Int(len(bucket))
-		for _, v := range bucket {
-			cw.Varint(int64(v))
-		}
-	}
-}
-
-// LoadState implements ckpt.Stater.
-func (w *Window) LoadState(cr *ckpt.Reader) {
-	cr.Section(tagWindow)
-	if w.round != 0 {
-		cr.Fail(fmt.Errorf("dyngraph: LoadState requires a fresh window, this one has observed %d rounds", w.round))
-		return
-	}
-	t := cr.Int()
-	n := cr.Int()
-	round := cr.Int()
-	mode := cr.Int()
-	if cr.Err() != nil {
-		return
-	}
-	switch {
-	case t != w.t:
-		cr.Fail(fmt.Errorf("dyngraph: checkpoint window size %d, window has %d", t, w.t))
-	case n != w.n:
-		cr.Fail(fmt.Errorf("dyngraph: checkpoint universe %d, window has %d", n, w.n))
-	case round < 0:
-		cr.Fail(fmt.Errorf("dyngraph: checkpoint has negative round %d", round))
-	case mode != feedMode(round):
-		cr.Fail(fmt.Errorf("dyngraph: checkpoint has feed mode %d at round %d (only the delta feed is supported)", mode, round))
-	}
-	if cr.Err() != nil {
-		return
-	}
-	w.round = round
-
-	edgeCap := n * (n - 1) / 2
-	nSpans := cr.Count(edgeCap)
-	if cr.Err() != nil {
-		return
-	}
-	for i := 0; i < nSpans; i++ {
-		k := graph.EdgeKey(cr.Uvarint())
-		sp := edgeSpan{}
-		sp.present = cr.Bool()
-		sp.lastSeen = cr.Int()
-		sp.streakStart = cr.Int()
-		sp.inInter = cr.Bool()
-		if cr.Err() != nil {
-			return
-		}
-		if u, v := k.Nodes(); u < 0 || u >= v || int(v) >= n {
-			cr.Fail(fmt.Errorf("dyngraph: checkpoint edge %v outside universe [0,%d)", k, n))
-			return
-		}
-		w.spans[k] = sp
-	}
-
-	nAwake := cr.Count(n)
-	if cr.Err() != nil {
-		return
-	}
-	for i := 0; i < nAwake; i++ {
-		v := cr.Varint()
-		r := cr.Int()
-		if cr.Err() != nil {
-			return
-		}
-		if v < 0 || v >= int64(n) || r < 1 || r > round {
-			cr.Fail(fmt.Errorf("dyngraph: checkpoint wake entry (%d, %d) out of range", v, r))
-			return
-		}
-		w.wake[v] = r
-	}
-
-	w.expiry = loadRing(cr, w.t, edgeCap)
-	w.pending = loadRing(cr, w.t, edgeCap)
-	if cr.Err() != nil {
-		return
-	}
-
-	nBuckets := cr.Count(round + 1)
-	if cr.Err() != nil {
-		return
-	}
-	for i := 0; i < nBuckets; i++ {
-		r := cr.Int()
-		cnt := cr.Count(n)
-		if cr.Err() != nil {
-			return
-		}
-		bucket := make([]graph.NodeID, cnt)
-		for j := range bucket {
-			bucket[j] = graph.NodeID(cr.Varint())
-		}
-		if cr.Err() != nil {
-			return
-		}
-		w.byWake[r] = bucket
-	}
-}
+// tagWindow guards the window section of a checkpoint record.
+const tagWindow uint64 = 0x81
 
 // NoteCheckpoint records that a checkpoint record capturing the window's
 // current state was durably persisted, resetting the dirty tracking so
@@ -208,27 +42,49 @@ func (w *Window) NoteCheckpoint() {
 	w.dirtyWake = w.dirtyWake[:0]
 }
 
-// SaveDelta writes the window's state difference against the last record
-// passed to NoteCheckpoint: only the spans, wake entries, ring slots and
-// wake buckets that moved. Tracking is not reset — the caller notes the
-// record once it is durably persisted.
-func (w *Window) SaveDelta(cw *ckpt.Writer) {
-	cw.Section(tagWindowDelta)
-	if !w.track {
-		cw.Fail(fmt.Errorf("dyngraph: SaveDelta without a noted base checkpoint"))
+// SaveDelta writes the window's record: for a base, its whole state; for
+// a delta, only the spans, wake entries, ring slots and wake buckets that
+// moved since the last record passed to NoteCheckpoint. Tracking is not
+// reset — the caller notes the record once it is durably persisted.
+// Span keys and wake nodes are written as ascending gaps.
+func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
+	cw.Section(tagWindow)
+	if !base && !w.track {
+		cw.Fail(fmt.Errorf("dyngraph: delta record without a noted base record"))
 		return
 	}
-	cw.Int(w.round)
-	cw.Int(feedMode(w.round))
-
-	keys := make([]graph.EdgeKey, 0, len(w.dirtySpans))
-	for k := range w.dirtySpans {
-		keys = append(keys, k)
+	var keys []graph.EdgeKey
+	var rounds []int
+	if base {
+		cw.Int(w.t)
+		cw.Int(w.n)
+		keys = make([]graph.EdgeKey, 0, len(w.spans))
+		for k := range w.spans {
+			keys = append(keys, k)
+		}
+		rounds = make([]int, 0, len(w.byWake))
+		for r := range w.byWake {
+			rounds = append(rounds, r)
+		}
+	} else {
+		keys = make([]graph.EdgeKey, 0, len(w.dirtySpans))
+		for k := range w.dirtySpans {
+			keys = append(keys, k)
+		}
+		rounds = make([]int, 0, len(w.dirtyByWake))
+		for r := range w.dirtyByWake {
+			rounds = append(rounds, r)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	slices.Sort(rounds)
+	cw.Int(w.round)
+
 	cw.Int(len(keys))
+	var prevKey graph.EdgeKey
 	for _, k := range keys {
-		cw.Uvarint(uint64(k))
+		cw.Uvarint(uint64(k - prevKey))
+		prevKey = k
 		sp, ok := w.spans[k]
 		cw.Bool(ok)
 		if ok {
@@ -239,21 +95,38 @@ func (w *Window) SaveDelta(cw *ckpt.Writer) {
 		}
 	}
 
-	sort.Slice(w.dirtyWake, func(i, j int) bool { return w.dirtyWake[i] < w.dirtyWake[j] })
-	cw.Int(len(w.dirtyWake))
-	for _, v := range w.dirtyWake {
-		cw.Varint(int64(v))
-		cw.Int(w.wake[int(v)])
+	// Wake entries: every woken node for a base, the newly woken ones for
+	// a delta.
+	var prevV graph.NodeID
+	writeWake := func(v graph.NodeID) {
+		cw.Uvarint(uint64(v - prevV))
+		prevV = v
+		cw.Int(w.wake[v])
+	}
+	if base {
+		nWake := 0
+		for _, r := range w.wake {
+			if r != 0 {
+				nWake++
+			}
+		}
+		cw.Int(nWake)
+		for v, r := range w.wake {
+			if r != 0 {
+				writeWake(graph.NodeID(v))
+			}
+		}
+	} else {
+		slices.Sort(w.dirtyWake)
+		cw.Int(len(w.dirtyWake))
+		for _, v := range w.dirtyWake {
+			writeWake(v)
+		}
 	}
 
-	saveRingDelta(cw, w.expiry, w.dirtyExpiry)
-	saveRingDelta(cw, w.pending, w.dirtyPending)
+	saveRingDelta(cw, w.expiry, w.dirtyExpiry, base)
+	saveRingDelta(cw, w.pending, w.dirtyPending, base)
 
-	rounds := make([]int, 0, len(w.dirtyByWake))
-	for r := range w.dirtyByWake {
-		rounds = append(rounds, r)
-	}
-	sort.Ints(rounds)
 	cw.Int(len(rounds))
 	for _, r := range rounds {
 		cw.Int(r)
@@ -268,28 +141,33 @@ func (w *Window) SaveDelta(cw *ckpt.Writer) {
 	}
 }
 
-// LoadDelta applies one delta record to a window positioned at the
-// record's parent state. Chain linkage (sequence, parent fingerprint) is
+// LoadDelta applies one record to the window: a base onto a freshly
+// constructed NewWindow(t, n) with the record's geometry, a delta onto
+// the state of its parent record (base LoadDelta + NoteCheckpoint, then
+// every earlier delta). Chain linkage (sequence, parent fingerprint) is
 // validated by the enclosing record's header at the engine layer; here
-// the per-field invariants are checked — rounds move forward, the feed
-// mode matches the round, and every id, key and slot index stays in range.
-// The window must have a noted base (LoadState + NoteCheckpoint).
-func (w *Window) LoadDelta(cr *ckpt.Reader) {
-	cr.Section(tagWindowDelta)
-	if !w.track {
-		cr.Fail(fmt.Errorf("dyngraph: LoadDelta without a restored base checkpoint"))
+// the per-field invariants are checked — rounds move forward, and every
+// id, key and slot index stays in range.
+func (w *Window) LoadDelta(cr *ckpt.Reader, base bool) {
+	cr.Section(tagWindow)
+	switch {
+	case base && (w.round != 0 || w.track):
+		cr.Fail(fmt.Errorf("dyngraph: a base record restores only into a fresh window, this one has observed %d rounds", w.round))
 		return
+	case !base && !w.track:
+		cr.Fail(fmt.Errorf("dyngraph: delta record without a restored base record"))
+		return
+	}
+	if base {
+		t := cr.Int()
+		n := cr.Int()
+		if cr.Err() == nil && (t != w.t || n != w.n) {
+			cr.Fail(fmt.Errorf("dyngraph: record window (t=%d, n=%d), window has (t=%d, n=%d)", t, n, w.t, w.n))
+		}
 	}
 	round := cr.Int()
-	mode := cr.Int()
-	if cr.Err() != nil {
-		return
-	}
-	switch {
-	case round < w.round:
-		cr.Fail(fmt.Errorf("dyngraph: delta round %d precedes window round %d", round, w.round))
-	case mode != feedMode(round):
-		cr.Fail(fmt.Errorf("dyngraph: delta has feed mode %d at round %d (only the delta feed is supported)", mode, round))
+	if cr.Err() == nil && round < w.round {
+		cr.Fail(fmt.Errorf("dyngraph: record round %d precedes window round %d", round, w.round))
 	}
 	if cr.Err() != nil {
 		return
@@ -302,18 +180,19 @@ func (w *Window) LoadDelta(cr *ckpt.Reader) {
 	}
 	var prevKey graph.EdgeKey
 	for i := 0; i < nSpans; i++ {
-		k := graph.EdgeKey(cr.Uvarint())
+		d := graph.EdgeKey(cr.Uvarint())
 		exists := cr.Bool()
 		if cr.Err() != nil {
 			return
 		}
-		if i > 0 && k <= prevKey {
-			cr.Fail(fmt.Errorf("dyngraph: delta span keys not strictly ascending"))
+		k := prevKey + d
+		if i > 0 && (d == 0 || k < prevKey) {
+			cr.Fail(fmt.Errorf("dyngraph: record span keys not strictly ascending"))
 			return
 		}
 		prevKey = k
 		if u, v := k.Nodes(); u < 0 || u >= v || int(v) >= w.n {
-			cr.Fail(fmt.Errorf("dyngraph: delta span edge %v outside universe [0,%d)", k, w.n))
+			cr.Fail(fmt.Errorf("dyngraph: record span edge %v outside universe [0,%d)", k, w.n))
 			return
 		}
 		if !exists {
@@ -335,18 +214,21 @@ func (w *Window) LoadDelta(cr *ckpt.Reader) {
 	if cr.Err() != nil {
 		return
 	}
+	prevV := uint64(0)
 	for i := 0; i < nWake; i++ {
-		v := cr.Varint()
+		d := cr.Uvarint()
 		r := cr.Int()
 		if cr.Err() != nil {
 			return
 		}
-		if v < 0 || v >= int64(w.n) || r < 1 || r > round {
-			cr.Fail(fmt.Errorf("dyngraph: delta wake entry (%d, %d) out of range", v, r))
+		v := prevV + d
+		if (i > 0 && d == 0) || d >= uint64(w.n) || v >= uint64(w.n) || r < 1 || r > round {
+			cr.Fail(fmt.Errorf("dyngraph: record wake entry (%d, %d) out of order or range", v, r))
 			return
 		}
+		prevV = v
 		if w.wake[v] != 0 && w.wake[v] != r {
-			cr.Fail(fmt.Errorf("dyngraph: delta re-wakes node %d (round %d, was %d)", v, r, w.wake[v]))
+			cr.Fail(fmt.Errorf("dyngraph: record re-wakes node %d (round %d, was %d)", v, r, w.wake[v]))
 			return
 		}
 		w.wake[v] = r
@@ -370,7 +252,7 @@ func (w *Window) LoadDelta(cr *ckpt.Reader) {
 			return
 		}
 		if r <= prevRound || r < 1 || r > round {
-			cr.Fail(fmt.Errorf("dyngraph: delta wake bucket round %d out of order or range", r))
+			cr.Fail(fmt.Errorf("dyngraph: record wake bucket round %d out of order or range", r))
 			return
 		}
 		prevRound = r
@@ -384,7 +266,11 @@ func (w *Window) LoadDelta(cr *ckpt.Reader) {
 		}
 		bucket := make([]graph.NodeID, cnt)
 		for j := range bucket {
-			bucket[j] = graph.NodeID(cr.Varint())
+			v := cr.Varint()
+			if v < 0 || v >= int64(w.n) {
+				cr.Fail(fmt.Errorf("dyngraph: record wake bucket node %d outside universe [0,%d)", v, w.n))
+			}
+			bucket[j] = graph.NodeID(v)
 		}
 		if cr.Err() != nil {
 			return
@@ -395,21 +281,27 @@ func (w *Window) LoadDelta(cr *ckpt.Reader) {
 	w.round = round
 }
 
-// saveRingDelta writes only the dirty slots of a ring, by index.
-func saveRingDelta(cw *ckpt.Writer, ring [][]graph.EdgeKey, dirty []bool) {
+// saveRingDelta writes a ring's listed slots by index: the dirty ones
+// for a delta, the non-empty ones for a base.
+func saveRingDelta(cw *ckpt.Writer, ring [][]graph.EdgeKey, dirty []bool, base bool) {
+	listed := func(i int) bool {
+		if base {
+			return len(ring[i]) > 0
+		}
+		return dirty[i]
+	}
 	n := 0
-	for _, d := range dirty {
-		if d {
+	for i := range ring {
+		if listed(i) {
 			n++
 		}
 	}
 	cw.Int(n)
-	for i, d := range dirty {
-		if !d {
+	for i, slot := range ring {
+		if !listed(i) {
 			continue
 		}
 		cw.Int(i)
-		slot := ring[i]
 		cw.Int(len(slot))
 		for _, k := range slot {
 			cw.Uvarint(uint64(k))
@@ -431,7 +323,7 @@ func loadRingDelta(cr *ckpt.Reader, ring [][]graph.EdgeKey, t, edgeCap int) {
 			return
 		}
 		if idx <= prev || idx >= t {
-			cr.Fail(fmt.Errorf("dyngraph: delta ring slot %d out of order or range", idx))
+			cr.Fail(fmt.Errorf("dyngraph: record ring slot %d out of order or range", idx))
 			return
 		}
 		prev = idx
@@ -440,6 +332,9 @@ func loadRingDelta(cr *ckpt.Reader, ring [][]graph.EdgeKey, t, edgeCap int) {
 			return
 		}
 		slot := ring[idx][:0]
+		if cap(slot) < cnt {
+			slot = make([]graph.EdgeKey, 0, cnt)
+		}
 		for j := 0; j < cnt; j++ {
 			slot = append(slot, graph.EdgeKey(cr.Uvarint()))
 		}
@@ -449,44 +344,3 @@ func loadRingDelta(cr *ckpt.Reader, ring [][]graph.EdgeKey, t, edgeCap int) {
 		ring[idx] = slot
 	}
 }
-
-// saveRing writes a t-slot edge-key ring verbatim.
-func saveRing(cw *ckpt.Writer, ring [][]graph.EdgeKey) {
-	cw.Int(len(ring))
-	for _, slot := range ring {
-		cw.Int(len(slot))
-		for _, k := range slot {
-			cw.Uvarint(uint64(k))
-		}
-	}
-}
-
-// loadRing restores a ring of exactly t slots.
-func loadRing(cr *ckpt.Reader, t, edgeCap int) [][]graph.EdgeKey {
-	n := cr.Count(t)
-	if cr.Err() != nil {
-		return nil
-	}
-	if n != t {
-		cr.Fail(fmt.Errorf("dyngraph: checkpoint ring has %d slots, window needs %d", n, t))
-		return nil
-	}
-	ring := make([][]graph.EdgeKey, t)
-	for i := range ring {
-		cnt := cr.Count(edgeCap)
-		if cr.Err() != nil {
-			return nil
-		}
-		if cnt == 0 {
-			continue
-		}
-		slot := make([]graph.EdgeKey, cnt)
-		for j := range slot {
-			slot[j] = graph.EdgeKey(cr.Uvarint())
-		}
-		ring[i] = slot
-	}
-	return ring
-}
-
-var _ ckpt.Stater = (*Window)(nil)

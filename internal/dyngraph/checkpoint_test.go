@@ -65,7 +65,7 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 					snapshot := func() []byte {
 						var buf bytes.Buffer
 						w := ckpt.NewWriter(&buf)
-						ref.SaveState(w)
+						ref.SaveDelta(w, true)
 						if err := w.Close(); err != nil {
 							t.Fatalf("save: %v", err)
 						}
@@ -97,7 +97,7 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 
 					res := newGraphFed(T, n)
 					r := ckpt.NewReader(bytes.NewReader(ckBytes))
-					res.LoadState(r)
+					res.LoadDelta(r, true)
 					if err := r.Close(); err != nil {
 						t.Fatalf("load: %v", err)
 					}
@@ -146,7 +146,7 @@ func TestWindowCheckpointDeterministicBytes(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		cw := ckpt.NewWriter(&buf)
-		w.SaveState(cw)
+		w.SaveDelta(cw, true)
 		if err := cw.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestWindowLoadStateRejects(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cw := ckpt.NewWriter(&buf)
-	w.SaveState(cw)
+	w.SaveDelta(cw, true)
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestWindowLoadStateRejects(t *testing.T) {
 
 	load := func(dst *Window, b []byte) error {
 		r := ckpt.NewReader(bytes.NewReader(b))
-		dst.LoadState(r)
+		dst.LoadDelta(r, true)
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -199,41 +199,25 @@ func TestWindowLoadStateRejects(t *testing.T) {
 		}
 	}
 
-	// Records of the retired graph-fed scan feed carry feed mode 1 and
-	// must be refused, in full and in delta records alike.
-	var scanBuf bytes.Buffer
-	cw = ckpt.NewWriter(&scanBuf)
-	cw.Section(tagWindow)
-	for _, v := range []int{3, n, 1, 1, 0, 0} { // t, n, round, mode, spans, wakes
-		cw.Int(v)
-	}
-	saveRing(cw, make([][]graph.EdgeKey, 3))
-	saveRing(cw, make([][]graph.EdgeKey, 3))
-	cw.Int(0) // wake buckets
-	cw.Int(0) // scan feed's previous-round edge list
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := load(NewWindow(3, n), scanBuf.Bytes()); err == nil || !strings.Contains(err.Error(), "feed mode") {
-		t.Fatalf("restore of a scan-feed record: err = %v, want a feed-mode error", err)
-	}
+	// A base only restores into a fresh window, and a delta only onto a
+	// restored base.
 	base := NewWindow(3, n)
 	if err := load(base, ck); err != nil {
 		t.Fatal(err)
 	}
 	base.NoteCheckpoint()
-	scanBuf.Reset()
-	cw = ckpt.NewWriter(&scanBuf)
-	cw.Section(tagWindowDelta)
-	for _, v := range []int{6, 1, 0, 0, 0, 0, 0, 0} { // round, mode, spans, wakes, rings, buckets, edge list
-		cw.Int(v)
+	if err := load(base, ck); err == nil {
+		t.Fatal("base record restored over a noted base")
 	}
+	var dbuf bytes.Buffer
+	cw = ckpt.NewWriter(&dbuf)
+	base.SaveDelta(cw, false)
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := ckpt.NewReader(bytes.NewReader(scanBuf.Bytes()))
-	base.LoadDelta(r)
-	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "feed mode") {
-		t.Fatalf("scan-feed delta record: err = %v, want a feed-mode error", err)
+	r := ckpt.NewReader(bytes.NewReader(dbuf.Bytes()))
+	NewWindow(3, n).LoadDelta(r, false)
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "without a restored base") {
+		t.Fatalf("delta record onto a fresh window: err = %v, want a missing-base error", err)
 	}
 }

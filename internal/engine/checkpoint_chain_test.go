@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynlocal/internal/adversary"
+	"dynlocal/internal/ckpt"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
@@ -40,13 +41,13 @@ func buildChain(t *testing.T, cfg Config, adv adversary.Adversary, algo Algorith
 		e.Step()
 		switch {
 		case r == base:
-			if err := e.CheckpointChain(&buf); err != nil {
+			if err := e.WriteRecord(&buf, true, nil); err != nil {
 				t.Fatalf("chain base at round %d: %v", r, err)
 			}
 			offsets = append(offsets, buf.Len())
 			recRounds = append(recRounds, r)
 		case r > base && (r-base)%stride == 0:
-			if err := e.CheckpointDelta(&buf); err != nil {
+			if err := e.WriteRecord(&buf, false, nil); err != nil {
 				t.Fatalf("chain delta at round %d: %v", r, err)
 			}
 			offsets = append(offsets, buf.Len())
@@ -61,7 +62,7 @@ func buildChain(t *testing.T, cfg Config, adv adversary.Adversary, algo Algorith
 func resumeChainTrace(t *testing.T, cfg Config, adv adversary.Adversary, algo Algorithm, chain []byte, rounds int) roundTrace {
 	t.Helper()
 	e := New(cfg, adv, algo)
-	if err := e.RestoreChain(bytes.NewReader(chain)); err != nil {
+	if err := e.ReadChain(bytes.NewReader(chain), nil, nil); err != nil {
 		t.Fatalf("restore chain: %v", err)
 	}
 	var tr roundTrace
@@ -126,13 +127,13 @@ func TestCheckpointChainAppendAfterRestore(t *testing.T) {
 	ref, chain, offsets, recRounds := buildChain(t, cfg, mk(), ckAlgo{}, rounds, 3, 4)
 	i := len(offsets) / 2
 	e := New(cfg, mk(), ckAlgo{})
-	if err := e.RestoreChain(bytes.NewReader(chain[:offsets[i]])); err != nil {
+	if err := e.ReadChain(bytes.NewReader(chain[:offsets[i]]), nil, nil); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	extBuf := bytes.NewBuffer(append([]byte(nil), chain[:offsets[i]]...))
 	e.Step()
 	e.Step()
-	if err := e.CheckpointDelta(extBuf); err != nil {
+	if err := e.WriteRecord(extBuf, false, nil); err != nil {
 		t.Fatalf("append after restore: %v", err)
 	}
 	wantRound := recRounds[i] + 2
@@ -164,14 +165,14 @@ func TestCheckpointChainRejects(t *testing.T) {
 		_, chainB, offB, _ := buildChain(t, c2, mk(), ckAlgo{}, rounds, 3, 2)
 		mixed := append([]byte(nil), chain[:offsets[0]]...)
 		mixed = append(mixed, chainB[offB[0]:offB[1]]...)
-		if err := fresh().RestoreChain(bytes.NewReader(mixed)); err == nil {
+		if err := fresh().ReadChain(bytes.NewReader(mixed), nil, nil); err == nil {
 			t.Fatal("delta from a different chain applied over foreign base")
 		}
 	})
 	t.Run("skipped-record", func(t *testing.T) {
 		mixed := append([]byte(nil), chain[:offsets[0]]...)
 		mixed = append(mixed, record(2)...) // skip record 1
-		if err := fresh().RestoreChain(bytes.NewReader(mixed)); err == nil {
+		if err := fresh().ReadChain(bytes.NewReader(mixed), nil, nil); err == nil {
 			t.Fatal("chain with a skipped delta restored")
 		}
 	})
@@ -179,14 +180,14 @@ func TestCheckpointChainRejects(t *testing.T) {
 		mixed := append([]byte(nil), chain[:offsets[0]]...)
 		mixed = append(mixed, record(2)...)
 		mixed = append(mixed, record(1)...)
-		if err := fresh().RestoreChain(bytes.NewReader(mixed)); err == nil {
+		if err := fresh().ReadChain(bytes.NewReader(mixed), nil, nil); err == nil {
 			t.Fatal("chain with reordered deltas restored")
 		}
 	})
 	t.Run("duplicated-record", func(t *testing.T) {
 		mixed := append([]byte(nil), chain[:offsets[1]]...)
 		mixed = append(mixed, record(1)...)
-		if err := fresh().RestoreChain(bytes.NewReader(mixed)); err == nil {
+		if err := fresh().ReadChain(bytes.NewReader(mixed), nil, nil); err == nil {
 			t.Fatal("chain with a duplicated delta restored")
 		}
 	})
@@ -198,7 +199,7 @@ func TestCheckpointChainRejects(t *testing.T) {
 			boundary[off] = true
 		}
 		for cut := 0; cut < len(chain); cut++ {
-			err := fresh().RestoreChain(bytes.NewReader(chain[:cut]))
+			err := fresh().ReadChain(bytes.NewReader(chain[:cut]), nil, nil)
 			if boundary[cut] {
 				if err != nil {
 					t.Fatalf("restore at record boundary %d failed: %v", cut, err)
@@ -212,7 +213,7 @@ func TestCheckpointChainRejects(t *testing.T) {
 		for off := 0; off < len(chain); off += 13 {
 			bad := append([]byte(nil), chain...)
 			bad[off] ^= 0x40
-			if err := fresh().RestoreChain(bytes.NewReader(bad)); err == nil {
+			if err := fresh().ReadChain(bytes.NewReader(bad), nil, nil); err == nil {
 				t.Fatalf("restore with byte %d flipped succeeded", off)
 			}
 		}
@@ -223,30 +224,33 @@ func TestCheckpointChainRejects(t *testing.T) {
 		for r := 0; r < 5; r++ {
 			e.Step()
 		}
-		if err := e.Checkpoint(&buf); err != nil {
+		// One record's stream without the chain container around it.
+		cw := ckpt.NewWriter(&buf)
+		e.CheckpointTo(cw, true)
+		if err := cw.Close(); err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
-		if err := fresh().RestoreChain(bytes.NewReader(buf.Bytes())); err == nil {
-			t.Fatal("RestoreChain accepted a bare checkpoint stream")
+		if err := fresh().ReadChain(bytes.NewReader(buf.Bytes()), nil, nil); err == nil {
+			t.Fatal("ReadChain accepted a bare record stream")
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
-		if err := fresh().RestoreChain(bytes.NewReader(nil)); err == nil {
-			t.Fatal("RestoreChain accepted an empty stream")
+		if err := fresh().ReadChain(bytes.NewReader(nil), nil, nil); err == nil {
+			t.Fatal("ReadChain accepted an empty stream")
 		}
 	})
 	t.Run("delta-without-base", func(t *testing.T) {
 		e := New(cfg, mk(), ckAlgo{})
 		e.Step()
 		var buf bytes.Buffer
-		if err := e.CheckpointDelta(&buf); err == nil {
-			t.Fatal("CheckpointDelta without a chain base succeeded")
+		if err := e.WriteRecord(&buf, false, nil); err == nil {
+			t.Fatal("delta record without a chain base succeeded")
 		}
 	})
 }
 
 // TestCheckpointChainRebase pins the rebase workflow dynsim's
-// -checkpoint-full-every knob uses: a fresh CheckpointChain on a new
+// -checkpoint-full-every knob uses: a fresh base record on a new
 // buffer restarts the sequence, and the rebased chain restores to a run
 // bit-identical to the uninterrupted one.
 func TestCheckpointChainRebase(t *testing.T) {
@@ -262,11 +266,11 @@ func TestCheckpointChainRebase(t *testing.T) {
 		e.Step()
 		switch r {
 		case 2:
-			if err := e.CheckpointChain(&old); err != nil {
+			if err := e.WriteRecord(&old, true, nil); err != nil {
 				t.Fatalf("chain base: %v", err)
 			}
 		case 4, 6, 8:
-			if err := e.CheckpointDelta(&old); err != nil {
+			if err := e.WriteRecord(&old, false, nil); err != nil {
 				t.Fatalf("chain delta: %v", err)
 			}
 		}
@@ -276,7 +280,7 @@ func TestCheckpointChainRebase(t *testing.T) {
 	}
 	// Rebase: fresh base capturing the current state on a new buffer.
 	var rebased bytes.Buffer
-	if err := e.CheckpointChain(&rebased); err != nil {
+	if err := e.WriteRecord(&rebased, true, nil); err != nil {
 		t.Fatalf("rebase: %v", err)
 	}
 	if got := e.ChainSeq(); got != 1 {
@@ -286,7 +290,7 @@ func TestCheckpointChainRebase(t *testing.T) {
 	for r := 9; r <= rounds; r++ {
 		e.Step()
 		if r%3 == 0 {
-			if err := e.CheckpointDelta(&rebased); err != nil {
+			if err := e.WriteRecord(&rebased, false, nil); err != nil {
 				t.Fatalf("post-rebase delta: %v", err)
 			}
 			lastDelta = r
@@ -320,7 +324,7 @@ func checkpointAdversariesWrapped(n int) map[string]func() adversary.Adversary {
 	}
 }
 
-// TestCheckpointWrapperAdversaries runs both full-checkpoint and chain
+// TestCheckpointWrapperAdversaries runs both one-record and chain
 // resume equivalence for the wrapper adversaries that gained
 // Checkpointer support: LocalStatic and Wakeup.
 func TestCheckpointWrapperAdversaries(t *testing.T) {

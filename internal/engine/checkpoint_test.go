@@ -106,14 +106,14 @@ func runWithCheckpoint(t *testing.T, cfg Config, adv adversary.Adversary, algo A
 	})
 	var buf bytes.Buffer
 	if k == 0 {
-		if err := e.Checkpoint(&buf); err != nil {
+		if err := e.WriteRecord(&buf, true, nil); err != nil {
 			t.Fatalf("checkpoint at round 0: %v", err)
 		}
 	}
 	for r := 1; r <= rounds; r++ {
 		e.Step()
 		if r == k {
-			if err := e.Checkpoint(&buf); err != nil {
+			if err := e.WriteRecord(&buf, true, nil); err != nil {
 				t.Fatalf("checkpoint at round %d: %v", k, err)
 			}
 		}
@@ -126,7 +126,7 @@ func runWithCheckpoint(t *testing.T, cfg Config, adv adversary.Adversary, algo A
 func resumeTrace(t *testing.T, cfg Config, adv adversary.Adversary, algo Algorithm, ck []byte, rounds int) roundTrace {
 	t.Helper()
 	e := New(cfg, adv, algo)
-	if err := e.Restore(bytes.NewReader(ck)); err != nil {
+	if err := e.ReadChain(bytes.NewReader(ck), nil, nil); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	var tr roundTrace
@@ -233,20 +233,20 @@ func TestRestoreRejects(t *testing.T) {
 	t.Run("used-engine", func(t *testing.T) {
 		e := fresh(cfg)
 		e.Step()
-		if err := e.Restore(bytes.NewReader(ck)); err == nil {
+		if err := e.ReadChain(bytes.NewReader(ck), nil, nil); err == nil {
 			t.Fatal("restore onto stepped engine succeeded")
 		}
 	})
 	t.Run("wrong-algo", func(t *testing.T) {
 		e := New(cfg, churnAdv(n)(), floodAlgo{})
-		if err := e.Restore(bytes.NewReader(ck)); err == nil {
+		if err := e.ReadChain(bytes.NewReader(ck), nil, nil); err == nil {
 			t.Fatal("restore under different algorithm succeeded")
 		}
 	})
 	t.Run("wrong-seed", func(t *testing.T) {
 		c := cfg
 		c.Seed = 6
-		if err := fresh(c).Restore(bytes.NewReader(ck)); err == nil {
+		if err := fresh(c).ReadChain(bytes.NewReader(ck), nil, nil); err == nil {
 			t.Fatal("restore under different seed succeeded")
 		}
 	})
@@ -254,14 +254,14 @@ func TestRestoreRejects(t *testing.T) {
 		c := cfg
 		c.N = n + 1
 		e := New(c, churnAdv(n+1)(), ckAlgo{})
-		if err := e.Restore(bytes.NewReader(ck)); err == nil {
+		if err := e.ReadChain(bytes.NewReader(ck), nil, nil); err == nil {
 			t.Fatal("restore under different N succeeded")
 		}
 	})
 	t.Run("wrong-lag", func(t *testing.T) {
 		c := cfg
 		c.OutputLag = 3
-		if err := fresh(c).Restore(bytes.NewReader(ck)); err == nil {
+		if err := fresh(c).ReadChain(bytes.NewReader(ck), nil, nil); err == nil {
 			t.Fatal("restore under different OutputLag succeeded")
 		}
 	})
@@ -269,13 +269,13 @@ func TestRestoreRejects(t *testing.T) {
 		s := prf.NewStream(9, 0, 0, prf.PurposeWorkload)
 		g := graph.GNP(n, 4.0/float64(n), s)
 		e := New(cfg, adversary.Static{G: g}, ckAlgo{})
-		if err := e.Restore(bytes.NewReader(ck)); err == nil {
+		if err := e.ReadChain(bytes.NewReader(ck), nil, nil); err == nil {
 			t.Fatal("restore of churn checkpoint onto stateless adversary succeeded")
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 0; cut < len(ck); cut += 17 {
-			if err := fresh(cfg).Restore(bytes.NewReader(ck[:cut])); err == nil {
+			if err := fresh(cfg).ReadChain(bytes.NewReader(ck[:cut]), nil, nil); err == nil {
 				t.Fatalf("restore of %d-byte prefix succeeded", cut)
 			}
 		}
@@ -284,13 +284,13 @@ func TestRestoreRejects(t *testing.T) {
 		for off := 0; off < len(ck); off += 11 {
 			bad := append([]byte(nil), ck...)
 			bad[off] ^= 0x20
-			if err := fresh(cfg).Restore(bytes.NewReader(bad)); err == nil {
+			if err := fresh(cfg).ReadChain(bytes.NewReader(bad), nil, nil); err == nil {
 				t.Fatalf("restore with byte %d flipped succeeded", off)
 			}
 		}
 	})
 	t.Run("garbage", func(t *testing.T) {
-		if err := fresh(cfg).Restore(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
+		if err := fresh(cfg).ReadChain(bytes.NewReader([]byte("not a checkpoint")), nil, nil); err == nil {
 			t.Fatal("restore of garbage succeeded")
 		}
 	})

@@ -89,6 +89,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
@@ -373,8 +374,8 @@ type Engine struct {
 	// state may have changed (the phase-time active list under the sparse
 	// plane; all awake nodes under Dense), the nodes whose output changed,
 	// the net topology diff and whether the active list moved, all since
-	// the last persisted record. CheckpointDeltaTo serializes exactly
-	// these marks; NoteCheckpoint resets them once a record survives.
+	// the last persisted record. A delta record serializes exactly these
+	// marks; NoteCheckpoint resets them once a record survives.
 	ckptTrack    bool
 	ckptSeq      uint64                 // records persisted in the current chain
 	ckptSum      uint32                 // CRC-32 fingerprint of the last record
@@ -385,6 +386,8 @@ type Engine struct {
 	dirtyOutList []graph.NodeID         // set bits of dirtyOut, unsorted
 	topDirty     map[graph.EdgeKey]bool // net edge diff: true=added, false=removed
 	activeDirty  bool                   // active list changed since last record
+	ckptScratch  []graph.NodeID         // a base record's node lists (checkpoint.go)
+	recBuf       bytes.Buffer           // record bytes before chain framing
 
 	observers []func(*RoundInfo)
 }

@@ -4,9 +4,10 @@
 // surviving bytes and proves the resumed run is bit-identical to an
 // uninterrupted one — outputs, accounting, RoundInfo deltas and
 // T-dynamic verdicts, across adversaries, algorithms and worker counts.
-// Both checkpoint formats are covered: standalone full snapshots
-// (VerifyResume) and every prefix of the incremental base+delta chain
-// (VerifyResumeChain).
+// Every checkpoint is a chain of records written by Engine.WriteRecord,
+// the production record path: a one-record chain written at the crash
+// round (VerifyResume) and every prefix of the incremental base+delta
+// chain (VerifyResumeChain).
 //
 // The package is a library of error-returning drivers so the same
 // scenarios run under `go test -race` locally and as the crash-resume
@@ -22,7 +23,6 @@ import (
 	"slices"
 
 	"dynlocal/internal/adversary"
-	"dynlocal/internal/ckpt"
 	"dynlocal/internal/core"
 	"dynlocal/internal/engine"
 	"dynlocal/internal/problems"
@@ -103,10 +103,12 @@ type Record struct {
 }
 
 // Reference is an uninterrupted run's full observable history plus the
-// checkpoint bytes taken at each crashpoint — both as standalone full
-// snapshots and as the growing incremental chain.
+// checkpoint bytes taken at each crashpoint — both as one-record chains
+// and as the growing incremental chain.
 type Reference struct {
-	Records     []Record // Records[r-1] describes round r
+	Records []Record // Records[r-1] describes round r
+	// Checkpoints[k] holds a one-record chain — magic plus one base
+	// record — written at round k.
 	Checkpoints map[int][]byte
 	// ChainPrefixes[k] holds the incremental chain bytes — magic, full
 	// base record, then one delta per earlier crashpoint — up to and
@@ -127,128 +129,40 @@ func totals(c *verify.TDynamic) [5]int64 {
 	return [5]int64{int64(rounds), int64(invalid), int64(packing), int64(cover), int64(bot)}
 }
 
-// snapshot writes the composed engine+checker checkpoint stream — the
-// same layout cmd/dynsim records — and returns its bytes.
-func snapshot(e *engine.Engine, chk *verify.TDynamic) ([]byte, error) {
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
-	e.CheckpointTo(w)
-	chk.SaveState(w)
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// restore reads a composed engine+checker stream back into a fresh pair.
-func restore(ck []byte, e *engine.Engine, chk *verify.TDynamic) error {
-	r := ckpt.NewReader(bytes.NewReader(ck))
-	e.RestoreFrom(r)
-	chk.LoadState(r)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return r.Close()
-}
-
-// chainRecord composes one chain record — the full base when base is
-// set, else a delta against the previous record — appends it to the
-// chain, and notes it on both the engine and the checker so the next
-// delta diffs against it.
-func chainRecord(chain *bytes.Buffer, e *engine.Engine, chk *verify.TDynamic, base bool) error {
-	var rec bytes.Buffer
-	w := ckpt.NewWriter(&rec)
-	if base {
-		e.CheckpointTo(w)
-		chk.SaveState(w)
-	} else {
-		e.CheckpointDeltaTo(w)
-		chk.SaveDelta(w)
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	if err := ckpt.AppendChainRecord(chain, rec.Bytes()); err != nil {
-		return err
-	}
-	if base {
-		e.NoteCheckpointBase(w.Sum32())
-	} else {
-		e.NoteCheckpoint(w.Sum32())
-	}
-	chk.NoteCheckpoint()
-	return nil
-}
-
-// restoreChain applies a chain prefix into a fresh engine+checker pair —
-// the internal-layer mirror of the facade's ReadCheckpointChain.
-func restoreChain(prefix []byte, e *engine.Engine, chk *verify.TDynamic) error {
-	cr := ckpt.NewChainReader(bytes.NewReader(prefix))
-	first := true
-	for {
-		rec, err := cr.Next()
-		if err == io.EOF {
-			if first {
-				return errors.New("empty chain")
-			}
-			return chk.FinishChain()
-		}
-		if err != nil {
-			return err
-		}
-		rr := ckpt.NewReader(bytes.NewReader(rec))
-		if first {
-			e.RestoreFrom(rr)
-			chk.LoadState(rr)
-		} else {
-			e.RestoreDeltaFrom(rr)
-			chk.LoadDelta(rr)
-		}
-		if err := rr.Err(); err != nil {
-			return err
-		}
-		if err := rr.Close(); err != nil {
-			return err
-		}
-		if first {
-			e.NoteCheckpointBase(rr.Sum32())
-		} else {
-			e.NoteCheckpoint(rr.Sum32())
-		}
-		chk.NoteCheckpoint()
-		first = false
-	}
+// newRun builds a fresh engine and checker for the scenario — what a
+// restarted process constructs before restoring.
+func (s Scenario) newRun(workers int) (*engine.Engine, *verify.TDynamic) {
+	algo := s.NewAlgo(s.N)
+	return engine.New(s.config(workers), s.NewAdv(), algo), verify.NewTDynamic(s.Problem, algo.T1, s.N)
 }
 
 // RunReference plays the uninterrupted run, recording every round and
-// checkpointing at each crashpoint — a standalone full snapshot plus one
-// record of the incremental chain (the base at the first crashpoint,
-// deltas after), so every chain position has its crash-surviving prefix.
+// checkpointing at each crashpoint through the production record path
+// (Engine.WriteRecord with the checker as chain part): one record of the
+// incremental chain (the base at the first crashpoint, deltas after), so
+// every chain position has its crash-surviving prefix, and a one-record
+// chain. Noting a base restarts a chain, so the one-record chains come
+// from a second, identical run in lockstep.
 func RunReference(s Scenario) (*Reference, error) {
-	algo := s.NewAlgo(s.N)
-	e := engine.New(s.config(s.Workers), s.NewAdv(), algo)
-	chk := verify.NewTDynamic(s.Problem, algo.T1, s.N)
+	e, chk := s.newRun(s.Workers)
+	be, bchk := s.newRun(s.Workers)
 	ref := &Reference{Checkpoints: make(map[int][]byte), ChainPrefixes: make(map[int][]byte)}
 	e.OnRound(func(info *engine.RoundInfo) {
 		rep := copyReport(chk.Feed(info.Delta()))
 		ref.Records = append(ref.Records, Record{Info: info.Retain(), Report: rep})
 	})
+	be.OnRound(func(info *engine.RoundInfo) { bchk.Feed(info.Delta()) })
 	var chain bytes.Buffer
 	for r := 1; r <= s.Rounds; r++ {
 		e.Step()
+		be.Step()
 		if slices.Contains(s.Crashpoints, r) {
-			ck, err := snapshot(e, chk)
-			if err != nil {
+			var one bytes.Buffer
+			if err := be.WriteRecord(&one, true, bchk); err != nil {
 				return nil, fmt.Errorf("checkpoint at round %d: %w", r, err)
 			}
-			ref.Checkpoints[r] = ck
-			base := len(ref.ChainPrefixes) == 0
-			if base {
-				if err := ckpt.WriteChainMagic(&chain); err != nil {
-					return nil, err
-				}
-			}
-			if err := chainRecord(&chain, e, chk, base); err != nil {
+			ref.Checkpoints[r] = one.Bytes()
+			if err := e.WriteRecord(&chain, len(ref.ChainPrefixes) == 0, chk); err != nil {
 				return nil, fmt.Errorf("chain record at round %d: %w", r, err)
 			}
 			ref.ChainPrefixes[r] = slices.Clone(chain.Bytes())
@@ -259,22 +173,12 @@ func RunReference(s Scenario) (*Reference, error) {
 }
 
 // VerifyResume simulates the crash at round k: a fresh engine, checker
-// and adversary are restored from the checkpoint the dying run left
-// behind, replayed to the end under the given worker count, and every
-// observable of every remaining round is compared bit-identically
+// and adversary are restored from the one-record chain the dying run
+// left behind, replayed to the end under the given worker count, and
+// every observable of every remaining round is compared bit-identically
 // against the uninterrupted reference.
 func VerifyResume(s Scenario, ref *Reference, k, workers int) error {
-	ck, ok := ref.Checkpoints[k]
-	if !ok {
-		return fmt.Errorf("no checkpoint at round %d", k)
-	}
-	algo := s.NewAlgo(s.N)
-	e := engine.New(s.config(workers), s.NewAdv(), algo)
-	chk := verify.NewTDynamic(s.Problem, algo.T1, s.N)
-	if err := restore(ck, e, chk); err != nil {
-		return fmt.Errorf("restore at round %d: %w", k, err)
-	}
-	return replayCompare(s, ref, e, chk, k)
+	return resume(s, ref, ref.Checkpoints[k], k, workers)
 }
 
 // VerifyResumeChain simulates the crash that leaves only the incremental
@@ -283,15 +187,18 @@ func VerifyResume(s Scenario, ref *Reference, k, workers int) error {
 // — through the chain reader, then play to the end under the given
 // worker count, compared bit-identically against the reference.
 func VerifyResumeChain(s Scenario, ref *Reference, k, workers int) error {
-	prefix, ok := ref.ChainPrefixes[k]
-	if !ok {
-		return fmt.Errorf("no chain record at round %d", k)
+	return resume(s, ref, ref.ChainPrefixes[k], k, workers)
+}
+
+// resume restores chain bytes into a fresh run and replays it against
+// the reference.
+func resume(s Scenario, ref *Reference, chain []byte, k, workers int) error {
+	if chain == nil {
+		return fmt.Errorf("no checkpoint at round %d", k)
 	}
-	algo := s.NewAlgo(s.N)
-	e := engine.New(s.config(workers), s.NewAdv(), algo)
-	chk := verify.NewTDynamic(s.Problem, algo.T1, s.N)
-	if err := restoreChain(prefix, e, chk); err != nil {
-		return fmt.Errorf("chain restore at round %d: %w", k, err)
+	e, chk := s.newRun(workers)
+	if err := e.ReadChain(bytes.NewReader(chain), nil, chk); err != nil {
+		return fmt.Errorf("restore at round %d: %w", k, err)
 	}
 	return replayCompare(s, ref, e, chk, k)
 }

@@ -170,7 +170,7 @@ func TestFaultWriter(t *testing.T) {
 }
 
 // TestCheckpointMidWriteCrash kills the checkpoint itself: the write
-// fails partway at every sampled byte limit. Checkpoint must surface the
+// fails partway at every sampled byte limit. WriteRecord must surface the
 // error, the torn prefix must never restore, and the run that survived
 // the failed snapshot must continue bit-identically to a run that never
 // attempted one.
@@ -190,12 +190,12 @@ func TestCheckpointMidWriteCrash(t *testing.T) {
 				for _, limit := range crashLimits {
 					var sink bytes.Buffer
 					fw := &FaultWriter{W: &sink, Limit: limit}
-					if err := e.Checkpoint(fw); !errors.Is(err, ErrInjected) {
-						t.Fatalf("limit %d: Checkpoint returned %v, want ErrInjected", limit, err)
+					if err := e.WriteRecord(fw, true, nil); !errors.Is(err, ErrInjected) {
+						t.Fatalf("limit %d: WriteRecord returned %v, want ErrInjected", limit, err)
 					}
 					torn := sink.Bytes()
 					e2 := engine.New(engine.Config{N: n, Seed: 17, Workers: 2}, mkAdv(), mis.NewMIS(n))
-					if err := e2.Restore(bytes.NewReader(torn)); err == nil {
+					if err := e2.ReadChain(bytes.NewReader(torn), nil, nil); err == nil {
 						t.Fatalf("limit %d: restoring the %d-byte torn prefix succeeded", limit, len(torn))
 					}
 				}
@@ -210,7 +210,7 @@ func TestCheckpointMidWriteCrash(t *testing.T) {
 	{
 		e := engine.New(engine.Config{N: n, Seed: 17, Workers: 2}, mkAdv(), mis.NewMIS(n))
 		e.Run(k)
-		if err := e.Checkpoint(&whole); err != nil {
+		if err := e.WriteRecord(&whole, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

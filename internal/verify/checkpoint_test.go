@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -17,7 +16,7 @@ import (
 )
 
 // TestTDynamicCheckpointRoundTrip composes engine and checker state in
-// one checkpoint stream — exactly the workflow cmd/dynsim and the
+// one checkpoint record — exactly the workflow cmd/dynsim and the
 // fault-injection harness use — and requires the resumed pair to emit
 // bit-identical TDynamicReports and Totals for the remaining rounds.
 // The checker's violation trackers are rebuilt, not serialized, so this
@@ -50,10 +49,7 @@ func TestTDynamicCheckpointRoundTrip(t *testing.T) {
 				e.Step()
 				if r == k {
 					var buf bytes.Buffer
-					w := ckpt.NewWriter(&buf)
-					e.CheckpointTo(w)
-					chk.SaveState(w)
-					if err := w.Close(); err != nil {
+					if err := e.WriteRecord(&buf, true, chk); err != nil {
 						t.Fatalf("checkpoint: %v", err)
 					}
 					ck = buf.Bytes()
@@ -66,14 +62,8 @@ func TestTDynamicCheckpointRoundTrip(t *testing.T) {
 			algo2 := mis.NewMIS(n)
 			e2 := engine.New(cfg, mkAdv(), algo2)
 			chk2 := NewTDynamic(problems.MIS(), T1, n)
-			r := ckpt.NewReader(bytes.NewReader(ck))
-			e2.RestoreFrom(r)
-			chk2.LoadState(r)
-			if err := r.Err(); err != nil {
+			if err := e2.ReadChain(bytes.NewReader(ck), nil, chk2); err != nil {
 				t.Fatalf("restore: %v", err)
-			}
-			if err := r.Close(); err != nil {
-				t.Fatalf("restore close: %v", err)
 			}
 			var resReports []TDynamicReport
 			e2.OnRound(func(info *engine.RoundInfo) {
@@ -97,9 +87,8 @@ func TestTDynamicCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTDynamicLoadStateRejects pins checker restore validation: records
-// of the retired oracle checker, geometry mismatches and torn streams
-// error out.
+// TestTDynamicLoadStateRejects pins checker restore validation: geometry
+// mismatches, a base over a used checker and torn streams error out.
 func TestTDynamicLoadStateRejects(t *testing.T) {
 	const n = 48
 	algo := mis.NewMIS(n)
@@ -112,7 +101,7 @@ func TestTDynamicLoadStateRejects(t *testing.T) {
 	e.Run(8)
 	var buf bytes.Buffer
 	w := ckpt.NewWriter(&buf)
-	chk.SaveState(w)
+	chk.SaveDelta(w, true)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,27 +109,11 @@ func TestTDynamicLoadStateRejects(t *testing.T) {
 
 	load := func(dst *TDynamic, b []byte) error {
 		r := ckpt.NewReader(bytes.NewReader(b))
-		dst.LoadState(r)
+		dst.LoadDelta(r, true)
 		if err := r.Err(); err != nil {
 			return err
 		}
 		return r.Close()
-	}
-	// The retired oracle checker wrote oracle=true, its window and the
-	// tallies, and no output snapshot.
-	var orcBuf bytes.Buffer
-	w = ckpt.NewWriter(&orcBuf)
-	w.Section(tagTDynamic)
-	w.Bool(true)
-	chk.window.SaveState(w)
-	for _, v := range []int{chk.rounds, chk.invalidRounds, chk.totalPacking, chk.totalCover, chk.totalBotCore} {
-		w.Int(v)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := load(NewTDynamic(problems.MIS(), algo.T1, n), orcBuf.Bytes()); err == nil || !strings.Contains(err.Error(), "oracle") {
-		t.Fatalf("restore of an oracle checkpoint: err = %v, want an oracle error", err)
 	}
 	if err := load(NewTDynamic(problems.MIS(), algo.T1+1, n), ck); err == nil {
 		t.Fatal("restore into different window size succeeded")
