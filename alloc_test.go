@@ -1,0 +1,37 @@
+package dynlocal
+
+import "testing"
+
+// TestStepAllocationGuard bounds the allocations of one steady-state
+// round of the combined algorithms — N = 4096 under Churn 32+32 at one
+// worker, measured after 2·T1 warm-up rounds, once every Concat pipeline
+// is full. Delivery, the pipelines and the instances reuse their storage
+// then, so what remains is churn-driven growth (new neighbors, adjacency
+// rows); a regression to per-node or per-instance allocation overshoots
+// the bounds by an order of magnitude.
+func TestStepAllocationGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 4096
+	cases := []struct {
+		name  string
+		algo  *Combined
+		bound float64
+	}{
+		{"coloring", NewColoring(n), 1024},
+		{"mis", NewMIS(n), 4096},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			adv := NewChurn(GNP(n, 8.0/float64(n), 5), 32, 32, 6)
+			e := NewEngine(EngineConfig{N: n, Seed: 7, Workers: 1}, adv, tc.algo)
+			e.Run(2 * tc.algo.T1)
+			allocs := testing.AllocsPerRun(4, func() { e.Step() })
+			t.Logf("%s: %.0f allocations per round", tc.name, allocs)
+			if allocs > tc.bound {
+				t.Fatalf("%s: one round allocates %.0f times, bound %.0f", tc.name, allocs, tc.bound)
+			}
+		})
+	}
+}

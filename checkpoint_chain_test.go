@@ -2,8 +2,10 @@ package dynlocal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -338,4 +340,30 @@ func FuzzReadCheckpointChain(f *testing.F) {
 		}
 		eng.Step()
 	})
+}
+
+// coloringChainSHA256 is the SHA-256 of the chain
+// TestColoringChainBytesPinned writes: a base record of a combined
+// coloring run at round 20 and a delta at round 23.
+const coloringChainSHA256 = "196bc8a6e1845694ce6f29775516fd6d7eb54a824de214553afb0ec84bce6446"
+
+// TestColoringChainBytesPinned pins the coloring side of the record
+// format the way TestComposedChainGolden pins the MIS side: the Concat
+// pipeline, DColor's streak table and palette and SColor's palette must
+// serialize to the same bytes, run after run and release after release.
+func TestColoringChainBytesPinned(t *testing.T) {
+	const n = 128
+	eng := NewEngine(EngineConfig{N: n, Seed: 5, Workers: 1}, NewChurn(GNP(n, 8.0/float64(n), 11), 6, 6, 12), NewColoring(n))
+	var chain bytes.Buffer
+	eng.Run(20)
+	if err := WriteCheckpointChain(&chain, eng, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(3)
+	if err := AppendCheckpointDelta(&chain, eng, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(chain.Bytes())); got != coloringChainSHA256 {
+		t.Fatalf("coloring chain (%d bytes) has SHA-256 %s, want %s", chain.Len(), got, coloringChainSHA256)
+	}
 }

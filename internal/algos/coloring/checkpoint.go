@@ -2,7 +2,6 @@ package coloring
 
 import (
 	"fmt"
-	"sort"
 
 	"dynlocal/internal/ckpt"
 	"dynlocal/internal/core"
@@ -48,10 +47,8 @@ func loadPalette(r *ckpt.Reader) palette {
 	return palette{words: words, size: size}
 }
 
-// SaveState implements ckpt.Stater. The streak map is written as
-// key-sorted pairs so identical runs produce bit-identical checkpoint
-// artifacts; map iteration order never influences the restored state
-// (lookups only).
+// SaveState implements ckpt.Stater. The streak table is written as
+// key-sorted pairs once the start round has run.
 func (d *dcolorNode) SaveState(w *ckpt.Writer) {
 	w.Section(tagDColor)
 	w.Varint(int64(d.out))
@@ -59,17 +56,12 @@ func (d *dcolorNode) SaveState(w *ckpt.Writer) {
 	w.Varint(int64(d.age))
 	w.Varint(d.tentative)
 	savePalette(w, &d.pal)
-	w.Bool(d.streak != nil)
-	if d.streak != nil {
-		keys := make([]graph.NodeID, 0, len(d.streak))
-		for k := range d.streak {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.Int(len(keys))
-		for _, k := range keys {
+	w.Bool(d.started)
+	if d.started {
+		w.Int(len(d.streakK))
+		for i, k := range d.streakK {
 			w.Varint(int64(k))
-			w.Varint(int64(d.streak[k]))
+			w.Varint(int64(d.streakV[i]))
 		}
 	}
 }
@@ -82,17 +74,15 @@ func (d *dcolorNode) LoadState(r *ckpt.Reader) {
 	d.age = int32(r.Varint())
 	d.tentative = r.Varint()
 	d.pal = loadPalette(r)
+	d.streakK, d.streakV = d.streakK[:0], d.streakV[:0]
 	if r.Bool() {
 		n := r.Count(streakCap)
-		// Non-nil even when empty: Process branches on d.started, but the
-		// map must exist once the start round has run.
-		d.streak = make(map[graph.NodeID]int32, n)
+		d.streakK = ckpt.AllocSlice[graph.NodeID](r, n)
+		d.streakV = ckpt.AllocSlice[int32](r, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			k := graph.NodeID(r.Varint())
-			d.streak[k] = int32(r.Varint())
+			d.streakK[i] = graph.NodeID(r.Varint())
+			d.streakV[i] = int32(r.Varint())
 		}
-	} else {
-		d.streak = nil
 	}
 }
 

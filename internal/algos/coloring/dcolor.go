@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"math/bits"
+	"slices"
 
 	"dynlocal/internal/core"
 	"dynlocal/internal/engine"
@@ -91,22 +92,32 @@ type dcolorNode struct {
 
 	out problems.Value
 	pal palette
-	// streak[u] is the last age at which u had broadcast in every round
-	// of this instance so far; u is an intersection-graph neighbor in the
-	// current round iff streak[u] == age-1. One map for the node's
-	// lifetime — the per-round intersection needs no allocation.
-	streak    map[graph.NodeID]int32
+	// streakV[i] is the last age at which neighbor streakK[i] had
+	// broadcast in every round of this instance so far; it is an
+	// intersection-graph neighbor in the current round iff streakV[i] ==
+	// age-1. The keys are the start round's senders in ascending order,
+	// fixed for the instance's lifetime, so a merge walk over a
+	// sender-sorted inbox finds every entry without hashing. The slices
+	// outlive re-Starts — the per-round intersection allocates nothing.
+	streakK   []graph.NodeID
+	streakV   []int32
 	age       int32
 	started   bool
 	tentative int64
 }
 
-// Start records the input; the start round's communication (sending φ_v,
-// initializing the palette from the neighbors' inputs) happens in the
-// instance's first Broadcast/Process round, costing the one communication
-// round Algorithm 2 budgets for it.
+// Start records the input and resets the instance for a new run, keeping
+// its streak and palette storage; the start round's communication
+// (sending φ_v, initializing the palette from the neighbors' inputs)
+// happens in the instance's first Broadcast/Process round, costing the
+// one communication round Algorithm 2 budgets for it.
 func (d *dcolorNode) Start(ctx *engine.Ctx, input problems.Value) {
 	d.out = input
+	d.pal.clear()
+	d.streakK, d.streakV = d.streakK[:0], d.streakV[:0]
+	d.age = 0
+	d.started = false
+	d.tentative = 0
 }
 
 // Broadcast implements the send half of Algorithm 2.
@@ -129,14 +140,25 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 		// neighbors' input colors, and the intersection-neighbor streaks
 		// with the current neighbors.
 		d.started = true
-		d.streak = make(map[graph.NodeID]int32, len(in))
 		d.age = 1
-		d.pal = newPalette(deg + 1)
+		d.pal.reset(deg + 1)
+		keys := d.streakK[:0]
 		for _, m := range in {
-			d.streak[m.From] = 1
+			if n := len(keys); n == 0 || keys[n-1] != m.From {
+				keys = append(keys, m.From)
+			}
 			if d.out == problems.Bot && m.M.Kind == KindStart && m.M.A != 0 {
 				d.pal.remove(m.M.A)
 			}
+		}
+		if !slices.IsSorted(keys) {
+			slices.Sort(keys)
+			keys = slices.Compact(keys)
+		}
+		d.streakK = keys
+		d.streakV = d.streakV[:0]
+		for range keys {
+			d.streakV = append(d.streakV, 1)
 		}
 		return
 	}
@@ -148,15 +170,25 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	// Restrict communication to the intersection graph: a sender counts
 	// only if it has been a neighbor in every round since the start,
 	// i.e. its streak reaches the previous round (stale entries never
-	// match again, so no per-round set rebuild is needed).
+	// match again, so no per-round set rebuild is needed). The engine
+	// delivers senders in ascending order, so one cursor walks the keys
+	// alongside the inbox; a sender out of order restarts the walk.
 	prev := d.age
 	d.age++
 	tentativeClash := false
+	keys := d.streakK
+	k := 0
 	for _, m := range in {
-		if d.streak[m.From] != prev {
+		if k > 0 && keys[k-1] >= m.From {
+			k = 0
+		}
+		for k < len(keys) && keys[k] < m.From {
+			k++
+		}
+		if k == len(keys) || keys[k] != m.From || d.streakV[k] != prev {
 			continue
 		}
-		d.streak[m.From] = prev + 1
+		d.streakV[k] = prev + 1
 		switch m.M.Kind {
 		case KindFixed:
 			if d.pal.contains(m.M.A) {
@@ -190,7 +222,7 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 // Output implements core.NodeInstance.
 func (d *dcolorNode) Output() problems.Value { return d.out }
 
-// UncoloredIntersectionNeighbors exposes |U(v)| for the Lemma 4.2
-// invariant test (palette never smaller than uncolored intersection
-// neighbors + 1). Test-support API.
+// PaletteLen exposes |P_v| for the Lemma 4.2 invariant test (palette
+// never smaller than uncolored intersection neighbors + 1). Test-support
+// API.
 func (d *dcolorNode) PaletteLen() int { return d.pal.len() }

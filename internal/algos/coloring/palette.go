@@ -28,7 +28,7 @@ const prfTentative = prf.PurposeTentativeColor
 // palette is a bitset over colors {1, …, k} supporting removal, membership
 // tests and uniform random selection. DColor palettes only shrink
 // (Lemma 4.2's invariant builds on that); SColor rebuilds its palette
-// every round.
+// every round, in place (reset).
 type palette struct {
 	words []uint64
 	size  int
@@ -36,17 +36,34 @@ type palette struct {
 
 // newPalette returns the full palette {1, …, k}.
 func newPalette(k int) palette {
+	var p palette
+	p.reset(k)
+	return p
+}
+
+// reset refills the palette to {1, …, k} in place, reusing its word
+// storage when it is large enough.
+func (p *palette) reset(k int) {
 	if k < 0 {
 		k = 0
 	}
-	words := make([]uint64, (k+63)/64)
-	for i := range words {
-		words[i] = ^uint64(0)
+	n := (k + 63) / 64
+	if cap(p.words) < n {
+		p.words = make([]uint64, n)
 	}
-	if k%64 != 0 && len(words) > 0 {
-		words[len(words)-1] = (1 << uint(k%64)) - 1
+	p.words = p.words[:n]
+	for i := range p.words {
+		p.words[i] = ^uint64(0)
 	}
-	return palette{words: words, size: k}
+	if k%64 != 0 && n > 0 {
+		p.words[n-1] = (1 << uint(k%64)) - 1
+	}
+	p.size = k
+}
+
+// clear empties the palette, keeping its word storage for the next reset.
+func (p *palette) clear() {
+	p.words, p.size = p.words[:0], 0
 }
 
 // contains reports whether color c is in the palette.

@@ -64,7 +64,8 @@ type scolorNode struct {
 // the palette to {1} as in Algorithm 3 — no communication round needed.
 func (s *scolorNode) Start(ctx *engine.Ctx, input problems.Value) {
 	s.out = input
-	s.pal = newPalette(1)
+	s.tentative = 0
+	s.pal.reset(1)
 }
 
 // Broadcast implements the send half of Algorithm 3.
@@ -87,7 +88,7 @@ func (s *scolorNode) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 // Process implements the receive half of Algorithm 3.
 func (s *scolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	// Rebuild the palette: P_v = [d_r(v)+1] \ F_v.
-	s.pal = newPalette(deg + 1)
+	s.pal.reset(deg + 1)
 	tentativeClash := false
 	for _, m := range in {
 		switch m.M.Kind {

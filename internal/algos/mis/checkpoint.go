@@ -33,8 +33,8 @@ func (d *dmisNode) SaveState(w *ckpt.Writer) {
 	w.Bool(d.provD)
 	w.Int(d.age)
 	w.Uvarint(d.alpha)
-	w.Bool(d.streakK != nil)
-	if d.streakK != nil {
+	w.Bool(d.age > 0)
+	if d.age > 0 {
 		w.Int(len(d.streakK))
 		for i, k := range d.streakK {
 			w.Varint(int64(k))
@@ -50,19 +50,15 @@ func (d *dmisNode) LoadState(r *ckpt.Reader) {
 	d.provD = r.Bool()
 	d.age = r.Int()
 	d.alpha = r.Uvarint()
+	d.streakK, d.streakV = d.streakK[:0], d.streakV[:0]
 	if r.Bool() {
 		n := r.Count(streakCap)
-		// The nil-ness of streakK is load-bearing (it marks the first
-		// executed round), so restore a non-nil slice even when empty —
-		// AllocSlice guarantees non-nil for n == 0.
 		d.streakK = ckpt.AllocSlice[graph.NodeID](r, n)
 		d.streakV = ckpt.AllocSlice[int32](r, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			d.streakK[i] = graph.NodeID(r.Varint())
 			d.streakV[i] = int32(r.Varint())
 		}
-	} else {
-		d.streakK, d.streakV = nil, nil
 	}
 }
 

@@ -18,6 +18,7 @@ package mis
 
 import (
 	"math/bits"
+	"slices"
 
 	"dynlocal/internal/core"
 	"dynlocal/internal/engine"
@@ -126,8 +127,8 @@ type dmisNode struct {
 	// current round iff streak(u) == age-1. Stored as parallel key/value
 	// slices scanned linearly: the per-message lookup is on the hottest
 	// engine path and at local-algorithm degrees a scan of a few
-	// contiguous entries beats hashing. One allocation for the node's
-	// lifetime — the per-round intersection needs none.
+	// contiguous entries beats hashing. The slices outlive re-Starts —
+	// the per-round intersection allocates nothing.
 	streakK []graph.NodeID
 	streakV []int32
 	age     int    // rounds processed
@@ -136,11 +137,15 @@ type dmisNode struct {
 	mask    uint64 // alpha truncation mask (AlphaBits)
 }
 
-// Start records the input configuration (M, D); Algorithm 4 needs no
-// start communication round.
+// Start records the input configuration (M, D) and resets the instance
+// for a new run, keeping its streak storage; Algorithm 4 needs no start
+// communication round.
 func (d *dmisNode) Start(ctx *engine.Ctx, input problems.Value) {
 	d.out = input
 	d.provD = input == problems.Dominated
+	d.streakK, d.streakV = d.streakK[:0], d.streakV[:0]
+	d.age = 0
+	d.alpha = 0
 }
 
 // Broadcast implements the send half of Algorithm 4: MIS nodes send a
@@ -187,13 +192,13 @@ func less(a uint64, av graph.NodeID, b uint64, bv graph.NodeID) bool {
 // Process implements the receive half of Algorithm 4, restricted to the
 // intersection graph.
 func (d *dmisNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
-	if d.streakK == nil {
+	if d.age == 0 {
 		// First executed round: the intersection graph is the current
 		// graph; senders are exactly the participating neighbors.
 		// (Dominated nodes are silent, but they also never influence
 		// anyone, so omitting them from the known set is harmless.)
-		d.streakK = make([]graph.NodeID, 0, len(in))
-		d.streakV = make([]int32, 0, len(in))
+		d.streakK = slices.Grow(d.streakK, len(in))
+		d.streakV = slices.Grow(d.streakV, len(in))
 	}
 	prev := int32(d.age)
 	mark := false

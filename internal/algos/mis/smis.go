@@ -103,6 +103,8 @@ func (s *smisNode) pFloor() float64 {
 // Algorithm 5 (no communication round needed).
 func (s *smisNode) Start(ctx *engine.Ctx, input problems.Value) {
 	s.out = input
+	s.p = 0.5
+	s.candidate = false
 }
 
 // Broadcast implements the send half of Algorithm 5: MIS nodes send a

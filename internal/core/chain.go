@@ -59,6 +59,10 @@ func NewChain(d, mid DynamicAlgorithm, s NetworkStaticAlgorithm, n int) *Chain {
 	if t1 < 2 || tm < 2 {
 		panic(fmt.Sprintf("core: chain windows T1=%d, Tm=%d must be >= 2", t1, tm))
 	}
+	// Live mid channels are 2r over the last Tm-1 rounds and outer
+	// channels 2r+1 over the last T1-1, so the wider pipeline sets the
+	// span from the oldest live channel to the newest.
+	checkChannelSpan(max(2*t1-3, 2*tm-2), fmt.Sprintf("chain windows T1=%d, Tm=%d", t1, tm))
 	return &Chain{D: d, Mid: mid, S: s, N: n, T1: t1, Tm: tm, T2: s.StabilizationTime(n)}
 }
 
@@ -83,13 +87,9 @@ type chainProc struct {
 	c    *Chain
 	v    graph.NodeID
 	salg NodeInstance
-	mids []dSlot
-	outs []dSlot
-	// ictx and bucks: see concatProc — reusable callback context (a stack
-	// copy would heap-escape per instance call) and one-pass channel demux
-	// buffers (slot 0 = SAlg, then mids, then outs).
-	ictx  engine.Ctx
-	bucks [][]engine.Incoming
+	mids []dSlot    // capacity Tm-1, see push
+	outs []dSlot    // capacity T1-1
+	ictx engine.Ctx // reusable callback context, see concatProc
 }
 
 func (p *chainProc) Start(ctx *engine.Ctx, input problems.Value) {
@@ -112,6 +112,22 @@ func (p *chainProc) midOutput() problems.Value {
 	return front.inst.Output()
 }
 
+// nextSlot returns the live instance of lower channel among mids[*i] and
+// outs[*j] and advances past it, nil once both pipelines are exhausted.
+// Each pipeline ascends by channel, so repeated calls walk all live
+// instances in ascending channel order.
+func (p *chainProc) nextSlot(i, j *int) *dSlot {
+	switch {
+	case *i < len(p.mids) && (*j == len(p.outs) || p.mids[*i].ch < p.outs[*j].ch):
+		*i++
+		return &p.mids[*i-1]
+	case *j < len(p.outs):
+		*j++
+		return &p.outs[*j-1]
+	}
+	return nil
+}
+
 func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
 	// Capture the mid-pipeline output of the previous round before any
 	// mutation (the outer pipeline's φ_{r-1}).
@@ -119,27 +135,21 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 
 	// Start this round's mid instance on the static algorithm's output.
 	midCh := int32(2 * ctx.Round)
-	mi := p.c.Mid.NewNode(p.v)
+	p.mids = push(p.mids, p.c.Tm-1, midCh, p.c.Mid, p.v)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(midCh)
-	mi.Start(&p.ictx, p.salg.Output())
-	p.mids = append(p.mids, dSlot{ch: midCh, inst: mi})
-	if len(p.mids) > p.c.Tm-1 {
-		p.mids = p.mids[1:]
-	}
+	p.mids[len(p.mids)-1].inst.Start(&p.ictx, p.salg.Output())
 
 	// Start this round's outer instance on the mid-pipeline output.
 	outCh := int32(2*ctx.Round + 1)
-	oi := p.c.D.NewNode(p.v)
+	p.outs = push(p.outs, p.c.T1-1, outCh, p.c.D, p.v)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(outCh)
-	oi.Start(&p.ictx, midPrev)
-	p.outs = append(p.outs, dSlot{ch: outCh, inst: oi})
-	if len(p.outs) > p.c.T1-1 {
-		p.outs = p.outs[1:]
-	}
+	p.outs[len(p.outs)-1].inst.Start(&p.ictx, midPrev)
 
-	// Broadcast all three layers with channel tags.
+	// Broadcast all three layers with channel tags, in ascending channel
+	// order as the engine requires: S on channel 0, then the mid and
+	// outer instances interleaved.
 	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
 	start := len(buf)
@@ -147,78 +157,37 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 	for i := start; i < len(buf); i++ {
 		buf[i].Chan = 0
 	}
-	for _, ring := range [][]dSlot{p.mids, p.outs} {
-		for i := range ring {
-			s := &ring[i]
-			p.ictx = *ctx
-			p.ictx.PurposeBase = dalgPurpose(s.ch)
-			start = len(buf)
-			buf = s.inst.Broadcast(&p.ictx, buf)
-			for j := start; j < len(buf); j++ {
-				buf[j].Chan = s.ch
-			}
+	var i, j int
+	for s := p.nextSlot(&i, &j); s != nil; s = p.nextSlot(&i, &j) {
+		p.ictx = *ctx
+		p.ictx.PurposeBase = dalgPurpose(s.ch)
+		start = len(buf)
+		buf = s.inst.Broadcast(&p.ictx, buf)
+		for k := start; k < len(buf); k++ {
+			buf[k].Chan = s.ch
 		}
 	}
 	return buf
 }
 
 func (p *chainProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
-	bucks := p.demux(in)
+	// Each instance's sub-inbox is the next run of the channel-sorted
+	// inbox, as in concatProc.Process.
+	run, rest := channelRun(in, 0)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
-	p.salg.Process(&p.ictx, bucks[0], deg)
-	slot := 1
-	for _, ring := range [][]dSlot{p.mids, p.outs} {
-		for i := range ring {
-			s := &ring[i]
-			p.ictx = *ctx
-			p.ictx.PurposeBase = dalgPurpose(s.ch)
-			s.inst.Process(&p.ictx, bucks[slot], deg)
-			s.age++
-			slot++
-		}
+	p.salg.Process(&p.ictx, run, deg)
+	var i, j int
+	for s := p.nextSlot(&i, &j); s != nil; s = p.nextSlot(&i, &j) {
+		run, rest = channelRun(rest, s.ch)
+		p.ictx = *ctx
+		p.ictx.PurposeBase = dalgPurpose(s.ch)
+		s.inst.Process(&p.ictx, run, deg)
+		s.age++
 	}
 	if p.c.MidProbe != nil {
 		p.c.MidProbe(p.v, ctx.Round, p.midOutput())
 	}
-}
-
-// demux splits the inbox by channel into reused per-slot buffers: slot 0
-// for SAlg, slots 1..len(mids) for the mid pipeline (even channels
-// 2r), the rest for the outer pipeline (odd channels 2r+1). Both rings
-// hold consecutive rounds, so slot lookup is an offset.
-func (p *chainProc) demux(in []engine.Incoming) [][]engine.Incoming {
-	nb := 1 + len(p.mids) + len(p.outs)
-	for len(p.bucks) < nb {
-		p.bucks = append(p.bucks, nil)
-	}
-	bucks := p.bucks[:nb]
-	for i := range bucks {
-		bucks[i] = bucks[i][:0]
-	}
-	var midBase, outBase int32
-	if len(p.mids) > 0 {
-		midBase = p.mids[0].ch
-	}
-	if len(p.outs) > 0 {
-		outBase = p.outs[0].ch
-	}
-	for _, m := range in {
-		ch := m.M.Chan
-		switch {
-		case ch == 0:
-			bucks[0] = append(bucks[0], m)
-		case ch&1 == 0:
-			if idx := int(ch-midBase) / 2; idx >= 0 && idx < len(p.mids) && p.mids[idx].ch == ch {
-				bucks[1+idx] = append(bucks[1+idx], m)
-			}
-		default:
-			if idx := int(ch-outBase) / 2; idx >= 0 && idx < len(p.outs) && p.outs[idx].ch == ch {
-				bucks[1+len(p.mids)+idx] = append(bucks[1+len(p.mids)+idx], m)
-			}
-		}
-	}
-	return bucks
 }
 
 // Output is the oldest mature outer instance, as in Algorithm 1.

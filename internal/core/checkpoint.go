@@ -93,11 +93,11 @@ func saveSlots(w *ckpt.Writer, slots []dSlot) {
 	}
 }
 
-// loadSlots restores an instance pipeline, building each instance via
-// the factory (NewNode without Start — all instance state comes from the
-// stream). The slot slice is carved from the reader's arena at the
-// pipeline's capacity bound, so the restored run's appends stay within
-// it.
+// loadSlots restores an instance pipeline of at most maxSlots instances,
+// building each instance via the factory (NewNode without Start — all
+// instance state comes from the stream). The slot slice is carved from
+// the reader's arena at that capacity, so the restored pipeline fills
+// and recycles within it (push).
 func loadSlots(r *ckpt.Reader, maxSlots int, f nodeFactory, v graph.NodeID) []dSlot {
 	n := r.Count(maxSlots)
 	if r.Err() != nil {
@@ -126,13 +126,13 @@ func (p *concatProc) SaveState(w *ckpt.Writer) {
 
 // LoadState implements ckpt.Stater: it rebuilds the static-algorithm
 // instance and the dynamic pipeline via their factories, then restores
-// each instance's state. ictx and bucks are per-round scratch and need
-// no restoring.
+// each instance's state. ictx is per-call scratch and needs no
+// restoring.
 func (p *concatProc) LoadState(r *ckpt.Reader) {
 	r.Section(tagConcat)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)
-	p.dal = loadSlots(r, p.c.T1, p.c.D, p.v)
+	p.dal = loadSlots(r, p.c.T1-1, p.c.D, p.v)
 }
 
 // NewNodeArena implements engine.ArenaAlgorithm: on restore the
@@ -156,8 +156,8 @@ func (p *chainProc) LoadState(r *ckpt.Reader) {
 	r.Section(tagChain)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)
-	p.mids = loadSlots(r, p.c.Tm, p.c.Mid, p.v)
-	p.outs = loadSlots(r, p.c.T1, p.c.D, p.v)
+	p.mids = loadSlots(r, p.c.Tm-1, p.c.Mid, p.v)
+	p.outs = loadSlots(r, p.c.T1-1, p.c.D, p.v)
 }
 
 // NewNodeArena implements engine.ArenaAlgorithm.

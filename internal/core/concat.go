@@ -41,6 +41,7 @@ func NewConcat(d DynamicAlgorithm, s NetworkStaticAlgorithm, n int) *Concat {
 	if t1 < 2 {
 		panic(fmt.Sprintf("core: dynamic window T1 = %d < 2", t1))
 	}
+	checkChannelSpan(t1-1, fmt.Sprintf("dynamic window T1 = %d", t1))
 	c := &Concat{D: d, S: s, N: n, T1: t1, T2: s.StabilizationTime(n)}
 	db, dOK := d.(MessageBitsFunc)
 	sb, sOK := s.(MessageBitsFunc)
@@ -91,23 +92,58 @@ type concatProc struct {
 	c    *Concat
 	v    graph.NodeID
 	salg NodeInstance
-	dal  []dSlot // front = oldest
+	// dal is the pipeline, front = oldest: a slice of capacity T1-1 that
+	// never reallocates once full (see push).
+	dal []dSlot
 	// ictx is the reusable context handed to instance callbacks: passing
 	// a fresh stack copy through the NodeInstance interface would escape
 	// to the heap on every call — one allocation per instance per round.
 	// Instances must not retain the pointer beyond the call (they don't).
 	ictx engine.Ctx
-	// bucks demultiplexes the inbox by channel in one pass: bucks[0] is
-	// SAlg's, bucks[1+i] belongs to dal[i]. Buffers are reused per round.
-	bucks [][]engine.Incoming
 }
 
 // dalgPurpose derives the purpose base of a dynamic instance channel,
-// avoiding slot 0 (reserved for SAlg). Collisions between live instances
-// are impossible for T1-1 < purposeSlots-1.
+// avoiding slot 0 (reserved for SAlg). Any purposeSlots-1 consecutive
+// channels map to distinct slots; the constructors check that the live
+// channels fit (checkChannelSpan).
 func dalgPurpose(ch int32) prf.Purpose {
 	slot := 1 + (uint32(ch)-1)%(purposeSlots-1)
 	return instancePurpose(int32(slot))
+}
+
+// push starts a pipeline's newest slot on channel ch and returns the
+// pipeline. While the pipeline fills it builds the instance with
+// f.NewNode; once it holds size instances it evicts the oldest, shifts the
+// rest down in place and hands the evicted instance to the new slot. The
+// caller Starts the new slot's instance, which by the NodeInstance
+// contract makes a recycled instance indistinguishable from a fresh one.
+func push(slots []dSlot, size int, ch int32, f nodeFactory, v graph.NodeID) []dSlot {
+	if len(slots) < size {
+		if slots == nil {
+			slots = make([]dSlot, 0, size)
+		}
+		return append(slots, dSlot{ch: ch, inst: f.NewNode(v)})
+	}
+	inst := slots[0].inst
+	copy(slots, slots[1:])
+	slots[size-1] = dSlot{ch: ch, inst: inst}
+	return slots
+}
+
+// channelRun splits the run on channel ch off the front of a Chan-sorted
+// inbox, dropping the lower channels before it (instances this node does
+// not run). The run is capped at its length, so an instance appending to
+// it cannot write into the next instance's run.
+func channelRun(in []engine.Incoming, ch int32) (run, rest []engine.Incoming) {
+	i := 0
+	for i < len(in) && in[i].M.Chan < ch {
+		i++
+	}
+	j := i
+	for j < len(in) && in[j].M.Chan == ch {
+		j++
+	}
+	return in[i:j:j], in[j:]
 }
 
 func (p *concatProc) Start(ctx *engine.Ctx, input problems.Value) {
@@ -119,19 +155,18 @@ func (p *concatProc) Start(ctx *engine.Ctx, input problems.Value) {
 
 func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
 	// Line 1 of Algorithm 1: start a new DAlg instance on the current
-	// SAlg output.
+	// SAlg output. Lines 2-3: the pipeline holds at most T1-1 live
+	// instances, so once it is full the oldest one is discarded — and
+	// recycled as the new one.
 	ch := int32(ctx.Round)
-	inst := p.c.D.NewNode(p.v)
+	p.dal = push(p.dal, p.c.T1-1, ch, p.c.D, p.v)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(ch)
-	inst.Start(&p.ictx, p.salg.Output())
-	p.dal = append(p.dal, dSlot{ch: ch, inst: inst})
-	// Lines 2-3: cap the pipeline at T1-1 live instances.
-	if len(p.dal) > p.c.T1-1 {
-		p.dal = p.dal[1:]
-	}
+	p.dal[len(p.dal)-1].inst.Start(&p.ictx, p.salg.Output())
 
-	// SAlg sub-messages on channel 0.
+	// SAlg sub-messages on channel 0, then each live DAlg instance on its
+	// channel: the pipeline's channels are consecutive rounds, so the
+	// outbox is in ascending channel order, as the engine requires.
 	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
 	start := len(buf)
@@ -139,7 +174,6 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 	for i := start; i < len(buf); i++ {
 		buf[i].Chan = 0
 	}
-	// Each live DAlg instance on its channel.
 	for i := range p.dal {
 		s := &p.dal[i]
 		p.ictx = *ctx
@@ -154,48 +188,21 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 }
 
 func (p *concatProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
-	// One-pass demux of the inbox: live channels are the consecutive
-	// engine rounds dal[0].ch … dal[0].ch+len(dal)-1, so the slot index
-	// is an offset — no per-instance rescan of the inbox.
-	bucks := p.demux(in)
+	// The inbox arrives sorted by channel, and channel 0 and the
+	// pipeline's channels ascend in slot order, so each instance's
+	// sub-inbox is the next contiguous run — sliced, not copied.
+	run, rest := channelRun(in, 0)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
-	p.salg.Process(&p.ictx, bucks[0], deg)
+	p.salg.Process(&p.ictx, run, deg)
 	for i := range p.dal {
 		s := &p.dal[i]
+		run, rest = channelRun(rest, s.ch)
 		p.ictx = *ctx
 		p.ictx.PurposeBase = dalgPurpose(s.ch)
-		s.inst.Process(&p.ictx, bucks[1+i], deg)
+		s.inst.Process(&p.ictx, run, deg)
 		s.age++
 	}
-}
-
-// demux splits the inbox by channel into reused per-slot buffers:
-// slot 0 for SAlg, slot 1+i for dal[i].
-func (p *concatProc) demux(in []engine.Incoming) [][]engine.Incoming {
-	nb := 1 + len(p.dal)
-	for len(p.bucks) < nb {
-		p.bucks = append(p.bucks, nil)
-	}
-	bucks := p.bucks[:nb]
-	for i := range bucks {
-		bucks[i] = bucks[i][:0]
-	}
-	var base int32
-	if len(p.dal) > 0 {
-		base = p.dal[0].ch
-	}
-	for _, m := range in {
-		ch := m.M.Chan
-		if ch == 0 {
-			bucks[0] = append(bucks[0], m)
-			continue
-		}
-		if idx := int(ch - base); idx >= 0 && idx < len(p.dal) && p.dal[idx].ch == ch {
-			bucks[1+idx] = append(bucks[1+idx], m)
-		}
-	}
-	return bucks
 }
 
 // Output implements line 7 of Algorithm 1: the output of the oldest live

@@ -5,9 +5,17 @@
 // realizing Theorem 1.1 — a network-static base algorithm continuously
 // computes a partial solution, and a pipeline of dynamic-algorithm
 // instances extends it to a full T-dynamic solution every round.
+//
+// The combiners recycle instances: once a pipeline is full, the instance
+// it evicts is Started again as the pipeline's newest, so an algorithm's
+// NewNode runs only while the pipeline fills. NodeInstance.Start must
+// therefore fully reinitialize an instance (see NodeInstance); storage
+// such as streak tables and palettes may be kept for reuse.
 package core
 
 import (
+	"fmt"
+
 	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
@@ -19,6 +27,12 @@ import (
 // management: instances emit sub-messages with Chan 0 and receive only the
 // sub-messages addressed to them; the combiner rewrites channels.
 type NodeInstance interface {
+	// Start (re)initializes the instance with its input. It may be called
+	// again on an instance that has already run — the combiners recycle
+	// evicted pipeline instances this way — and must then leave it
+	// indistinguishable from a fresh NewNode instance given the same
+	// Start: the same SaveState bytes and the same behavior in every
+	// later round. Only storage capacity may carry over.
 	Start(ctx *engine.Ctx, input problems.Value)
 	Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg
 	Process(ctx *engine.Ctx, in []engine.Incoming, deg int)
@@ -111,13 +125,23 @@ func WrapSingle(name string, factory func(v graph.NodeID) NodeInstance) Single {
 }
 
 // purposeSlots bounds the purpose-space slots used to separate the PRF
-// streams of concurrently live combiner instances. Live instances span at
-// most T1-1 consecutive engine rounds, so slot collisions cannot occur for
-// any T1 below this bound.
+// streams of concurrently live combiner instances: slot 0 belongs to the
+// network-static algorithm, and dynamic instances share the other
+// purposeSlots-1 slots by channel (dalgPurpose).
 const purposeSlots = 4096
 
 // instancePurpose derives the PRF purpose base for a combiner instance
 // channel. Channel 0 is the network-static algorithm.
 func instancePurpose(channel int32) prf.Purpose {
 	return prf.InstanceStride * prf.Purpose(uint32(channel)%purposeSlots)
+}
+
+// checkChannelSpan panics unless span consecutive channels — the widest
+// range a combiner's live dynamic instances occupy — fit the
+// purposeSlots-1 dynamic PRF purpose slots. Beyond that, two live
+// instances would draw the same randomness.
+func checkChannelSpan(span int, what string) {
+	if span > purposeSlots-1 {
+		panic(fmt.Sprintf("core: %s puts %d live instance channels on %d PRF purpose slots; at most %d fit", what, span, purposeSlots-1, purposeSlots-1))
+	}
 }

@@ -41,6 +41,7 @@ type probeDynInst struct {
 func (i *probeDynInst) Start(ctx *engine.Ctx, input problems.Value) {
 	i.start = ctx.Round
 	i.input = input
+	i.age = 0
 	if i.v == 0 && i.p.log != nil {
 		i.p.log.started = append(i.p.log.started, ctx.Round)
 	}

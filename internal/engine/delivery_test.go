@@ -1,0 +1,147 @@
+package engine
+
+import (
+	"fmt"
+	"hash/fnv"
+	"strings"
+	"testing"
+
+	"dynlocal/internal/adversary"
+	"dynlocal/internal/graph"
+	"dynlocal/internal/prf"
+	"dynlocal/internal/problems"
+)
+
+// chanAlgo is a toy multi-channel algorithm: each round a node emits 0-3
+// sub-messages on each of a random subset of channels, in ascending
+// channel order, numbering its outbox in B. Every third round it stays on
+// channel 0 only, so both delivery paths — the one-pass append and the
+// channel-run merge — are exercised. Process checks that the inbox is
+// stably sorted by (Chan, sender, outbox position) and outputs a hash of
+// it, so equal outputs mean equal inboxes.
+type chanAlgo struct{}
+
+func (chanAlgo) Name() string                    { return "chan-toy" }
+func (chanAlgo) NewNode(v graph.NodeID) NodeProc { return &chanNode{v: v} }
+
+var toyChannels = []int32{-1, 0, 1, 2, 5, 7}
+
+type chanNode struct {
+	v   graph.NodeID
+	out problems.Value
+}
+
+func (c *chanNode) Start(*Ctx, problems.Value) {}
+
+func (c *chanNode) Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg {
+	s := ctx.Stream(prf.PurposeWorkload)
+	chans := toyChannels
+	if ctx.Round%3 == 0 {
+		chans = []int32{0}
+	}
+	for _, ch := range chans {
+		for k := s.Intn(4); k > 0; k-- {
+			buf = append(buf, SubMsg{Chan: ch, Kind: 1, A: int64(c.v), B: int64(len(buf))})
+		}
+	}
+	return buf
+}
+
+func (c *chanNode) Process(ctx *Ctx, in []Incoming, deg int) {
+	h := fnv.New64a()
+	for i, m := range in {
+		if m.M.A != int64(m.From) {
+			c.out = -1
+			return
+		}
+		if i > 0 {
+			p := in[i-1]
+			ordered := p.M.Chan < m.M.Chan ||
+				p.M.Chan == m.M.Chan && (p.From < m.From || p.From == m.From && p.M.B < m.M.B)
+			if !ordered {
+				c.out = -1
+				return
+			}
+		}
+		fmt.Fprintf(h, "%d:%d:%d;", m.From, m.M.Chan, m.M.B)
+	}
+	c.out = problems.Value(h.Sum64() >> 2)
+}
+
+func (c *chanNode) Output() problems.Value { return c.out }
+
+// TestDeliverySortedByChannel pins the delivery contract: every inbox is
+// stably sorted by (Chan, adjacency order), and the inboxes are the same
+// whatever the worker count and for the sparse and dense walks.
+func TestDeliverySortedByChannel(t *testing.T) {
+	const n, rounds = 1024, 12 // above serialThreshold so sharding engages
+	run := func(workers int, dense bool) roundTrace {
+		e := New(Config{N: n, Seed: 42, Workers: workers, Dense: dense}, churnAdv(n)(), chanAlgo{})
+		var tr roundTrace
+		e.OnRound(func(info *RoundInfo) {
+			for v, out := range info.Outputs {
+				if out == -1 {
+					t.Fatalf("round %d node %d: inbox not sorted by (Chan, adjacency order)", info.Round, v)
+				}
+			}
+			tr.outputs = append(tr.outputs, append([]problems.Value(nil), info.Outputs...))
+			tr.messages = append(tr.messages, info.Messages)
+			tr.bits = append(tr.bits, info.Bits)
+		})
+		e.Run(rounds)
+		return tr
+	}
+	ref := run(1, false)
+	for _, workers := range []int{1, 4} {
+		for _, dense := range []bool{false, true} {
+			label := fmt.Sprintf("workers=%d dense=%v", workers, dense)
+			got := run(workers, dense)
+			for r := range ref.outputs {
+				if ref.messages[r] != got.messages[r] {
+					t.Fatalf("%s round %d: messages %d vs %d", label, r+1, got.messages[r], ref.messages[r])
+				}
+				for v := range ref.outputs[r] {
+					if ref.outputs[r][v] != got.outputs[r][v] {
+						t.Fatalf("%s round %d node %d: inbox differs from the serial sparse run", label, r+1, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// unsortedAlgo emits channels 2 then 1 at node 3 in round 2.
+type unsortedAlgo struct{}
+
+func (unsortedAlgo) Name() string                    { return "unsorted" }
+func (unsortedAlgo) NewNode(v graph.NodeID) NodeProc { return &unsortedNode{v: v} }
+
+type unsortedNode struct{ v graph.NodeID }
+
+func (u *unsortedNode) Start(*Ctx, problems.Value) {}
+func (u *unsortedNode) Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg {
+	if u.v == 3 && ctx.Round == 2 {
+		return append(buf, SubMsg{Chan: 2}, SubMsg{Chan: 1})
+	}
+	return append(buf, SubMsg{Chan: 1}, SubMsg{Chan: 2})
+}
+func (u *unsortedNode) Process(*Ctx, []Incoming, int) {}
+func (u *unsortedNode) Output() problems.Value        { return 1 }
+
+// TestUnsortedOutboxPanics: an outbox out of Chan order is a contract
+// violation reported with the offending node and round.
+func TestUnsortedOutboxPanics(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		t.Run(fmt.Sprintf("dense=%v", dense), func(t *testing.T) {
+			e := New(Config{N: 8, Seed: 1, Workers: 1, Dense: dense}, adversary.Static{G: graph.Complete(8)}, unsortedAlgo{})
+			e.Step()
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "round 2 node 3") {
+					t.Fatalf("panic %q does not name round 2 node 3", msg)
+				}
+			}()
+			e.Step()
+		})
+	}
+}

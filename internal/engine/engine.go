@@ -14,9 +14,13 @@
 //
 // The two communication phases are parallelized over edge-balanced node
 // shards (cut by cumulative degree, see parallel.go) with a barrier
-// between them. Message delivery is batched per sender: each neighbor's
-// outbox lands in the receiver's exactly-sized inbox as one contiguous
-// run.
+// between them. Each receiver's inbox is assembled in a per-worker
+// scratch buffer, stably sorted by channel: within a channel, messages
+// come in adjacency order and then in outbox order. Senders emit their
+// outboxes in nondecreasing channel order, so in rounds where some outbox
+// carries a nonzero channel the inbox is a k-way merge of the neighbors'
+// channel runs; in all other rounds it is one pass of appends, neighbor by
+// neighbor.
 //
 // # Determinism contract
 //
@@ -83,7 +87,12 @@
 // be retained longer. RoundInfo.Retain is the one sanctioned way to hold
 // a whole round past those lifetimes. Inside algorithm callbacks,
 // Broadcast's buf and Process's inbox are likewise engine-owned scratch,
-// valid only for the duration of the call.
+// valid only for the duration of the call: the inbox lives in its
+// worker's scratch buffer and is overwritten by the next node that worker
+// processes. Broadcast must return its sub-messages in nondecreasing Chan
+// order (Step panics otherwise, naming the node and round), and Process
+// receives its inbox sorted by (Chan, adjacency order) — a combiner can
+// slice each instance's run out of it without copying.
 //
 // The per-round topologies come from an adversary (internal/adversary).
 package engine
@@ -138,10 +147,13 @@ type NodeProc interface {
 	// first Broadcast, with the node's input value (Bot if none).
 	Start(ctx *Ctx, input problems.Value)
 	// Broadcast appends the node's sub-messages for this round to buf and
-	// returns it. Returning an empty slice means the node stays silent.
+	// returns it, in nondecreasing Chan order. Returning an empty slice
+	// means the node stays silent.
 	Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg
 	// Process handles the inbox (all sub-messages broadcast by current
-	// neighbors this round) and the node's degree in G_r.
+	// neighbors this round) and the node's degree in G_r. The inbox is
+	// stably sorted by Chan: within a channel, senders come in ascending
+	// node order, each sender's sub-messages in its outbox order.
 	Process(ctx *Ctx, in []Incoming, deg int)
 	// Output returns the node's current output (Bot for ⊥).
 	Output() problems.Value
@@ -337,7 +349,8 @@ type Engine struct {
 	awake    []bool
 	wakeRnd  []int
 	outbox   [][]SubMsg
-	inbox    [][]Incoming
+	scratch  []workerScratch    // per-worker delivery buffers
+	multiCh  bool               // this round some outbox carries a nonzero channel
 	snaps    [][]problems.Value // ring of pooled output snapshots
 	infos    []RoundInfo        // ring of pooled RoundInfo headers, same lifetime
 	lag      int
@@ -421,7 +434,7 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		awake:    make([]bool, cfg.N),
 		wakeRnd:  make([]int, cfg.N),
 		outbox:   make([][]SubMsg, cfg.N),
-		inbox:    make([][]Incoming, cfg.N),
+		scratch:  make([]workerScratch, workers),
 		snaps:    make([][]problems.Value, lag+1),
 		infos:    make([]RoundInfo, lag+1),
 		lag:      lag,
@@ -693,6 +706,7 @@ func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.Edg
 	// Phase 1: broadcast (sparseBroadcast over the active list).
 	e.stepRound = r
 	msgs, bits := e.runPhase(list, e.phase1Fn)
+	e.foldChannels()
 
 	// Phase 2: deliver, process, snapshot, diff and quiesce
 	// (sparseProcess), fused per node.
@@ -743,7 +757,7 @@ func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.Edg
 // and receives the batch (whether or not it is active enough to act on
 // it) — which is what lets phase 2 skip quiescent receivers without
 // perturbing Messages/Bits.
-func (e *Engine) sparseBroadcast(ctx *Ctx, _ int, v graph.NodeID) (int, int64) {
+func (e *Engine) sparseBroadcast(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 	if e.quiet[v] > 0 {
 		// Grace fast path: v reported Quiescent with an unchanged output,
 		// so by the terminal contract its Broadcast is forever empty —
@@ -755,9 +769,29 @@ func (e *Engine) sparseBroadcast(ctx *Ctx, _ int, v graph.NodeID) (int, int64) {
 	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed}
 	out := e.states[v].Broadcast(ctx, e.outbox[v][:0])
 	e.outbox[v] = out
-	deg := e.adj.Degree(v)
+	return e.sent(w, e.stepRound, v, out, e.adj.Degree(v))
+}
+
+// sent accounts one sender's fresh outbox, delivered to its deg
+// neighbors: it returns the delivered message count and declared bits. It
+// also enforces the nondecreasing channel order delivery relies on, and
+// flags the worker's shard when the outbox carries a nonzero channel —
+// given the order, one compare of its two ends — so that phase 2 merges
+// channel runs only in rounds that need it.
+func (e *Engine) sent(w, r int, v graph.NodeID, out []SubMsg, deg int) (int, int64) {
+	if len(out) == 0 {
+		return 0, 0
+	}
+	for i := 1; i < len(out); i++ {
+		if out[i].Chan < out[i-1].Chan {
+			panic(fmt.Sprintf("engine: round %d node %d broadcast channel %d after channel %d — outboxes must be in nondecreasing Chan order", r, v, out[i].Chan, out[i-1].Chan))
+		}
+	}
+	if out[0].Chan != 0 || out[len(out)-1].Chan != 0 {
+		e.acc[w].chans = true
+	}
 	var b int64
-	if e.sizer != nil && len(out) > 0 {
+	if e.sizer != nil {
 		for i := range out {
 			b += int64(e.sizer.MessageBits(out[i]))
 		}
@@ -766,13 +800,93 @@ func (e *Engine) sparseBroadcast(ctx *Ctx, _ int, v graph.NodeID) (int, int64) {
 	return len(out) * deg, b
 }
 
+// foldChannels folds the per-worker nonzero-channel flags of phase 1 at
+// the barrier and clears them for the next round.
+func (e *Engine) foldChannels() {
+	e.multiCh = false
+	for w := range e.acc {
+		if e.acc[w].chans {
+			e.multiCh = true
+			e.acc[w].chans = false
+		}
+	}
+}
+
+// workerScratch is one worker's delivery scratch: the inbox loaned to
+// Process and the run-merge cursors, one per neighbor. Workers store the
+// headers back after every node, so each cell is padded out to a cache
+// line of its own.
+type workerScratch struct {
+	inbox  []Incoming
+	cursor []int
+	_      [16]byte
+}
+
+// deliver assembles v's inbox from its neighbors' outboxes in worker w's
+// scratch buffer, which keeps its high-water capacity across rounds, so
+// delivery stops allocating once the round mix is steady. The inbox is
+// stably sorted by Chan — within a channel in adjacency order, then
+// outbox order. When every outbox of the round is on channel 0 that is
+// plain neighbor order: one pass of appends, the whole cost for
+// standalone algorithms. Otherwise the sorted outboxes are merged one
+// channel at a time (mergeRuns). Each neighbor's outbox header is a
+// random read into a node-indexed array, so no separate sizing pass is
+// made; dropped neighbors' outboxes are empty by contract and by
+// applyDrops.
+func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
+	sc := &e.scratch[w]
+	in := sc.inbox[:0]
+	if e.multiCh {
+		in = e.mergeRuns(w, in, nbrs)
+	} else {
+		for _, u := range nbrs {
+			run := e.outbox[u]
+			for i := range run {
+				in = append(in, Incoming{From: u, M: run[i]})
+			}
+		}
+	}
+	sc.inbox = in
+	return in
+}
+
+// mergeRuns is the k-way run merge behind deliver: each pass takes, from
+// every neighbor in adjacency order, its run on the smallest channel any
+// cursor points at, so a pass costs O(deg) plus the messages it moves and
+// a round of c live channels makes c passes.
+func (e *Engine) mergeRuns(w int, in []Incoming, nbrs []graph.NodeID) []Incoming {
+	sc := &e.scratch[w]
+	cur := sc.cursor[:0]
+	var ch int32
+	live := false
+	for _, u := range nbrs {
+		cur = append(cur, 0)
+		if run := e.outbox[u]; len(run) > 0 && (!live || run[0].Chan < ch) {
+			ch, live = run[0].Chan, true
+		}
+	}
+	for live {
+		live = false
+		var next int32
+		for i, u := range nbrs {
+			run, p := e.outbox[u], cur[i]
+			for p < len(run) && run[p].Chan == ch {
+				in = append(in, Incoming{From: u, M: run[p]})
+				p++
+			}
+			cur[i] = p
+			if p < len(run) && (!live || run[p].Chan < next) {
+				next, live = run[p].Chan, true
+			}
+		}
+		ch = next
+	}
+	sc.cursor = cur
+	return in
+}
+
 // sparseProcess is the sparse phase-2 callback: deliver, process,
-// snapshot, diff and quiesce, fused per node. Delivery is one pass of
-// appends — each neighbor's outbox header is a random read into a
-// node-indexed array, so a separate sizing pass would double the cache
-// misses; the inbox keeps its high-water capacity across rounds, so the
-// appends stop allocating once the round mix is steady. (Dropped
-// neighbors' outboxes are empty by contract and by applyDrops.)
+// snapshot, diff and quiesce, fused per node.
 func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 	if e.quiet[v] > 0 {
 		// Grace fast path: a quiescent node's output is frozen regardless
@@ -787,14 +901,7 @@ func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 		return 0, 0
 	}
 	nbrs := e.adj.Neighbors(v)
-	in := e.inbox[v][:0]
-	for _, u := range nbrs {
-		run := e.outbox[u]
-		for i := range run {
-			in = append(in, Incoming{From: u, M: run[i]})
-		}
-	}
-	e.inbox[v] = in
+	in := e.deliver(w, nbrs)
 	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed}
 	e.states[v].Process(ctx, in, len(nbrs))
 	val := e.states[v].Output()
@@ -830,54 +937,22 @@ func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.Edge
 
 	// Phase 1: broadcast, with the same per-sender accounting as the
 	// sparse walk.
-	msgs, bits := e.parallelNodes(g, func(ctx *Ctx, _ int, v graph.NodeID) (int, int64) {
+	msgs, bits := e.parallelNodes(g, func(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
 		out := e.states[v].Broadcast(ctx, e.outbox[v][:0])
 		e.outbox[v] = out
-		deg := g.Degree(v)
-		var b int64
-		if e.sizer != nil && len(out) > 0 {
-			for i := range out {
-				b += int64(e.sizer.MessageBits(out[i]))
-			}
-			b *= int64(deg)
-		}
-		return len(out) * deg, b
+		return e.sent(w, r, v, out, g.Degree(v))
 	})
+	e.foldChannels()
 
 	// Phase 2: deliver, process, snapshot and diff — fused per node so no
-	// serial post-pass remains. Inboxes are sized exactly before filling
-	// (one O(deg) counting pass), then delivery is batched per sender:
-	// each neighbor's outbox lands as one contiguous run written through
-	// a pre-sliced window.
+	// serial post-pass remains; delivery is the sparse walk's.
 	snap, prev := e.ringSlots(r)
 	for w := range e.chg {
 		e.chg[w] = e.chg[w][:0]
 	}
 	e.parallelNodes(g, func(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
-		need := 0
-		for _, u := range g.Neighbors(v) {
-			need += len(e.outbox[u])
-		}
-		in := e.inbox[v]
-		if cap(in) < need {
-			in = make([]Incoming, need)
-		} else {
-			in = in[:need]
-		}
-		pos := 0
-		for _, u := range g.Neighbors(v) {
-			run := e.outbox[u]
-			if len(run) == 0 {
-				continue
-			}
-			dst := in[pos : pos+len(run) : pos+len(run)]
-			for i := range run {
-				dst[i] = Incoming{From: u, M: run[i]}
-			}
-			pos += len(run)
-		}
-		e.inbox[v] = in
+		in := e.deliver(w, g.Neighbors(v))
 		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
 		e.states[v].Process(ctx, in, g.Degree(v))
 		val := e.states[v].Output()
