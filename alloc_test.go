@@ -35,3 +35,31 @@ func TestStepAllocationGuard(t *testing.T) {
 		})
 	}
 }
+
+// TestFillAllocationGuard bounds the allocations of one round of
+// combined MIS while the Concat pipelines fill — P2P session churn over
+// N = 4096 ids (1024 initial peers, 8 joins per round) at one worker,
+// measured in rounds 17–21 of T1 = 49, before any pipeline is full. Each
+// round every awake node adds an instance to its pipeline; the pipeline
+// takes instances in blocks of eight from one NewNodes allocation, and
+// each started instance allocates its one streak slice. That measures
+// 2120 allocations per round; one allocation per instance measures 3851,
+// and parallel streak key and value slices on top of that 4826.
+func TestFillAllocationGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 4096
+	algo := NewMIS(n)
+	adv := &P2PChurnAdversary{N: n, Init: 1024, JoinPerRound: 8, Seed: 6}
+	e := NewEngine(EngineConfig{N: n, Seed: 7, Workers: 1}, adv, algo)
+	e.Run(16)
+	allocs := testing.AllocsPerRun(4, func() { e.Step() })
+	if e.Round() >= algo.T1-1 {
+		t.Fatalf("measured up to round %d, past the fill (T1 = %d)", e.Round(), algo.T1)
+	}
+	t.Logf("%.0f allocations per fill round", allocs)
+	if bound := 3072.0; allocs > bound {
+		t.Fatalf("one fill round allocates %.0f times, bound %.0f", allocs, bound)
+	}
+}

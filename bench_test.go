@@ -445,6 +445,26 @@ func BenchmarkCombinedMISRound(b *testing.B) {
 	b.ReportMetric(float64(n), "nodes")
 }
 
+// BenchmarkCombinedMISFill measures combined MIS while its Concat
+// pipelines fill. One op is rounds 1 to T1-2 of a fresh run under P2P
+// session churn (N = 4096 ids, 1024 initial peers, 8 joins per round,
+// T1 = 49) at one worker, so in every round each awake node adds an
+// instance to its pipeline and none is recycled; engine construction is
+// left out of the timing and the allocation counts. With -benchmem,
+// allocs/op counts the pipelines' instance blocks and streak slices.
+func BenchmarkCombinedMISFill(b *testing.B) {
+	const n = 4096
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		algo := NewMIS(n)
+		adv := &P2PChurnAdversary{N: n, Init: 1024, JoinPerRound: 8, Seed: 6}
+		e := NewEngine(EngineConfig{N: n, Seed: 7, Workers: 1}, adv, algo)
+		b.StartTimer()
+		e.Run(algo.T1 - 2)
+	}
+}
+
 // BenchmarkTDynamicChecker measures the verification overhead per round at
 // N=4096 under steady churn, in two modes: the delta-fed checker driven by
 // the full round-delta plane as the engine supplies it via RoundInfo.Delta

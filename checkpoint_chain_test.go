@@ -367,3 +367,76 @@ func TestColoringChainBytesPinned(t *testing.T) {
 		t.Fatalf("coloring chain (%d bytes) has SHA-256 %s, want %s", chain.Len(), got, coloringChainSHA256)
 	}
 }
+
+// roundTrace is one round of a run as TestP2PMISResumeMidFill compares
+// it: the output snapshot, sub-messages and changed nodes.
+type roundTrace struct {
+	outputs  []Value
+	messages int
+	changed  []NodeID
+}
+
+// TestP2PMISResumeMidFill resumes combined MIS under P2P session churn
+// from records taken while the Concat pipelines are still filling: a
+// base and two deltas, all before round T1-1, each leaving the
+// pipelines part way through an instance block. A resumed pipeline
+// keeps filling from new blocks, so the resumed rounds, through the
+// fill and beyond, must match the uninterrupted run's outputs,
+// Messages and Changed round for round.
+func TestP2PMISResumeMidFill(t *testing.T) {
+	const n, rounds = 512, 56
+	newRun := func() (*Engine, *[]roundTrace) {
+		adv := &P2PChurnAdversary{N: n, Init: 64, JoinPerRound: 4, Seed: 19}
+		eng := NewEngine(EngineConfig{N: n, Seed: 3, Workers: 1}, adv, NewMIS(n))
+		tr := new([]roundTrace)
+		eng.OnRound(func(info *RoundInfo) {
+			*tr = append(*tr, roundTrace{slices.Clone(info.Outputs), info.Messages, slices.Clone(info.Changed)})
+		})
+		return eng, tr
+	}
+	t1 := NewMIS(n).T1
+	recAt := []int{5, 13, 22}
+	if last := recAt[len(recAt)-1]; last >= t1-1 || rounds <= t1 {
+		t.Fatalf("records up to round %d and %d rounds do not straddle the fill (T1 = %d)", last, rounds, t1)
+	}
+	eng, ref := newRun()
+	var chain bytes.Buffer
+	var prefixes [][]byte
+	for r := 1; r <= rounds; r++ {
+		eng.Step()
+		if !slices.Contains(recAt, r) {
+			continue
+		}
+		var err error
+		if r == recAt[0] {
+			err = WriteCheckpointChain(&chain, eng, nil)
+		} else {
+			err = AppendCheckpointDelta(&chain, eng, nil)
+		}
+		if err != nil {
+			t.Fatalf("record at round %d: %v", r, err)
+		}
+		prefixes = append(prefixes, slices.Clone(chain.Bytes()))
+	}
+	for i, prefix := range prefixes {
+		eng2, got := newRun()
+		if err := ReadCheckpointChain(bytes.NewReader(prefix), eng2, nil, nil); err != nil {
+			t.Fatalf("prefix %d: restore: %v", i, err)
+		}
+		if eng2.Round() != recAt[i] {
+			t.Fatalf("prefix %d: restored at round %d, want %d", i, eng2.Round(), recAt[i])
+		}
+		eng2.Run(rounds - recAt[i])
+		want := (*ref)[recAt[i]:]
+		if len(*got) != len(want) {
+			t.Fatalf("prefix %d: %d resumed rounds, want %d", i, len(*got), len(want))
+		}
+		for j, w := range want {
+			g := (*got)[j]
+			if !slices.Equal(g.outputs, w.outputs) || g.messages != w.messages || !slices.Equal(g.changed, w.changed) {
+				t.Fatalf("prefix %d: round %d diverges: %d messages, %d changed; want %d messages, %d changed",
+					i, recAt[i]+j+1, g.messages, len(g.changed), w.messages, len(w.changed))
+			}
+		}
+	}
+}

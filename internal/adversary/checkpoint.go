@@ -95,7 +95,10 @@ func (c *Churn) SaveState(w *ckpt.Writer) {
 	}
 }
 
-// LoadState implements Checkpointer.
+// LoadState implements Checkpointer. Every key must name a canonical
+// edge {u < v} inside the universe and appear once: keyIdx maps each key
+// to its position, so a duplicate would leave the list and the index
+// disagreeing, and a later swap-delete would remove the wrong edge.
 func (c *Churn) LoadState(r *ckpt.Reader) {
 	r.Section(tagChurn)
 	if !r.Bool() {
@@ -108,13 +111,29 @@ func (c *Churn) LoadState(r *ckpt.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	c.keys = make([]graph.EdgeKey, n)
-	c.keyIdx = make(map[graph.EdgeKey]int, n)
-	for i := range c.keys {
+	keys := make([]graph.EdgeKey, n)
+	keyIdx := make(map[graph.EdgeKey]int, n)
+	for i := range keys {
 		k := graph.EdgeKey(r.Uvarint())
-		c.keys[i] = k
-		c.keyIdx[k] = i
+		if r.Err() != nil {
+			return
+		}
+		switch x, y := k.Nodes(); {
+		case x == y:
+			r.Fail(fmt.Errorf("adversary: checkpoint churn edge %v is a self-loop", k))
+			return
+		case x < 0 || x > y || int(y) >= c.n:
+			r.Fail(fmt.Errorf("adversary: checkpoint churn edge %v outside universe [0,%d)", k, c.n))
+			return
+		}
+		if _, dup := keyIdx[k]; dup {
+			r.Fail(fmt.Errorf("adversary: checkpoint churn edge %v listed twice", k))
+			return
+		}
+		keys[i] = k
+		keyIdx[k] = i
 	}
+	c.keys, c.keyIdx = keys, keyIdx
 }
 
 // SaveDelta implements DeltaCheckpointer. Churn's per-round mutations

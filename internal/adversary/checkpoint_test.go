@@ -157,3 +157,58 @@ func TestDeltaRejectsWrongAdversary(t *testing.T) {
 		t.Fatal("churn delta restored into an edge-Markov adversary")
 	}
 }
+
+// TestChurnLoadStateRejectsBadKeys feeds Churn.LoadState crafted
+// sections: keys outside the universe, self-loops, non-canonical keys
+// and duplicates must fail the reader, while the same section with valid
+// keys loads. A duplicate would corrupt keyIdx, and the next swap-delete
+// would then remove the wrong edge.
+func TestChurnLoadStateRejectsBadKeys(t *testing.T) {
+	const n = 16
+	base := graph.GNP(n, 0.3, prf.NewStream(3, 0, 0, prf.PurposeWorkload))
+	section := func(keys ...graph.EdgeKey) []byte {
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		w.Section(tagChurn)
+		w.Bool(true)
+		w.Int(len(keys))
+		for _, k := range keys {
+			w.Uvarint(uint64(k))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	raw := func(u, v uint32) graph.EdgeKey { return graph.EdgeKey(uint64(u)<<32 | uint64(v)) }
+	ok := graph.MakeEdgeKey(1, 2)
+	cases := []struct {
+		name  string
+		keys  []graph.EdgeKey
+		valid bool
+	}{
+		{"valid", []graph.EdgeKey{ok, graph.MakeEdgeKey(0, n-1)}, true},
+		{"out-of-range", []graph.EdgeKey{ok, graph.MakeEdgeKey(3, n)}, false},
+		{"negative-id", []graph.EdgeKey{raw(1<<31, 2)}, false},
+		{"self-loop", []graph.EdgeKey{ok, raw(4, 4)}, false},
+		{"non-canonical", []graph.EdgeKey{raw(5, 2)}, false},
+		{"duplicate", []graph.EdgeKey{ok, graph.MakeEdgeKey(0, 3), ok}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Churn{Base: base, Add: 1, Del: 1, Seed: 1}
+			r := ckpt.NewReader(bytes.NewReader(section(tc.keys...)))
+			c.LoadState(r)
+			err := r.Err()
+			if err == nil {
+				err = r.Close()
+			}
+			if tc.valid != (err == nil) {
+				t.Fatalf("keys %v: err = %v, want valid %v", tc.keys, err, tc.valid)
+			}
+			if tc.valid && !bytes.Equal(stateBytes(t, c), section(tc.keys...)) {
+				t.Fatal("valid section did not round-trip")
+			}
+		})
+	}
+}

@@ -58,10 +58,10 @@ func (d *dcolorNode) SaveState(w *ckpt.Writer) {
 	savePalette(w, &d.pal)
 	w.Bool(d.started)
 	if d.started {
-		w.Int(len(d.streakK))
-		for i, k := range d.streakK {
-			w.Varint(int64(k))
-			w.Varint(int64(d.streakV[i]))
+		w.Int(len(d.streak))
+		for _, e := range d.streak {
+			w.Varint(int64(e.u))
+			w.Varint(int64(e.last))
 		}
 	}
 }
@@ -74,14 +74,12 @@ func (d *dcolorNode) LoadState(r *ckpt.Reader) {
 	d.age = int32(r.Varint())
 	d.tentative = r.Varint()
 	d.pal = loadPalette(r)
-	d.streakK, d.streakV = d.streakK[:0], d.streakV[:0]
+	d.streak = d.streak[:0]
 	if r.Bool() {
 		n := r.Count(streakCap)
-		d.streakK = ckpt.AllocSlice[graph.NodeID](r, n)
-		d.streakV = ckpt.AllocSlice[int32](r, n)
+		d.streak = ckpt.AllocSlice[streakEntry](r, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			d.streakK[i] = graph.NodeID(r.Varint())
-			d.streakV[i] = int32(r.Varint())
+			d.streak[i] = streakEntry{graph.NodeID(r.Varint()), int32(r.Varint())}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -85,6 +86,17 @@ func (f *DColorFactory) NewNode(v graph.NodeID) core.NodeInstance {
 	return &dcolorNode{f: f, v: v}
 }
 
+// NewNodes implements core.DynamicAlgorithm: the k instances share one
+// allocation.
+func (f *DColorFactory) NewNodes(v graph.NodeID, k int, dst []core.NodeInstance) []core.NodeInstance {
+	block := make([]dcolorNode, k)
+	for i := range block {
+		block[i] = dcolorNode{f: f, v: v}
+		dst = append(dst, &block[i])
+	}
+	return dst
+}
+
 // dcolorNode is the per-node state of one DColor instance.
 type dcolorNode struct {
 	f *DColorFactory
@@ -92,15 +104,14 @@ type dcolorNode struct {
 
 	out problems.Value
 	pal palette
-	// streakV[i] is the last age at which neighbor streakK[i] had
-	// broadcast in every round of this instance so far; it is an
-	// intersection-graph neighbor in the current round iff streakV[i] ==
-	// age-1. The keys are the start round's senders in ascending order,
-	// fixed for the instance's lifetime, so a merge walk over a
-	// sender-sorted inbox finds every entry without hashing. The slices
-	// outlive re-Starts — the per-round intersection allocates nothing.
-	streakK   []graph.NodeID
-	streakV   []int32
+	// streak holds, for each of the start round's senders u, the last
+	// age at which u had broadcast in every round of this instance so
+	// far; u is an intersection-graph neighbor in the current round iff
+	// that age is age-1. The entries are sorted by sender and fixed for
+	// the instance's lifetime, so a merge walk over a sender-sorted inbox
+	// finds every entry without hashing. The slice outlives re-Starts —
+	// the per-round intersection allocates nothing.
+	streak    []streakEntry
 	age       int32
 	started   bool
 	tentative int64
@@ -114,7 +125,7 @@ type dcolorNode struct {
 func (d *dcolorNode) Start(ctx *engine.Ctx, input problems.Value) {
 	d.out = input
 	d.pal.clear()
-	d.streakK, d.streakV = d.streakK[:0], d.streakV[:0]
+	d.streak = d.streak[:0]
 	d.age = 0
 	d.started = false
 	d.tentative = 0
@@ -142,24 +153,20 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 		d.started = true
 		d.age = 1
 		d.pal.reset(deg + 1)
-		keys := d.streakK[:0]
+		st := d.streak[:0]
 		for _, m := range in {
-			if n := len(keys); n == 0 || keys[n-1] != m.From {
-				keys = append(keys, m.From)
+			if n := len(st); n == 0 || st[n-1].u != m.From {
+				st = append(st, streakEntry{u: m.From, last: 1})
 			}
 			if d.out == problems.Bot && m.M.Kind == KindStart && m.M.A != 0 {
 				d.pal.remove(m.M.A)
 			}
 		}
-		if !slices.IsSorted(keys) {
-			slices.Sort(keys)
-			keys = slices.Compact(keys)
+		if !slices.IsSortedFunc(st, streakEntry.cmp) {
+			slices.SortFunc(st, streakEntry.cmp)
+			st = slices.CompactFunc(st, func(a, b streakEntry) bool { return a.u == b.u })
 		}
-		d.streakK = keys
-		d.streakV = d.streakV[:0]
-		for range keys {
-			d.streakV = append(d.streakV, 1)
-		}
+		d.streak = st
 		return
 	}
 
@@ -176,19 +183,19 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	prev := d.age
 	d.age++
 	tentativeClash := false
-	keys := d.streakK
+	st := d.streak
 	k := 0
 	for _, m := range in {
-		if k > 0 && keys[k-1] >= m.From {
+		if k > 0 && st[k-1].u >= m.From {
 			k = 0
 		}
-		for k < len(keys) && keys[k] < m.From {
+		for k < len(st) && st[k].u < m.From {
 			k++
 		}
-		if k == len(keys) || keys[k] != m.From || d.streakV[k] != prev {
+		if k == len(st) || st[k].u != m.From || st[k].last != prev {
 			continue
 		}
-		d.streakV[k] = prev + 1
+		st[k].last = prev + 1
 		switch m.M.Kind {
 		case KindFixed:
 			if d.pal.contains(m.M.A) {
@@ -218,6 +225,16 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 		})
 	}
 }
+
+// streakEntry is one start-round sender's streak: the sender and the last
+// age up to which it broadcast in every round. Key and value share a
+// cache line.
+type streakEntry struct {
+	u    graph.NodeID
+	last int32
+}
+
+func (e streakEntry) cmp(o streakEntry) int { return cmp.Compare(e.u, o.u) }
 
 // Output implements core.NodeInstance.
 func (d *dcolorNode) Output() problems.Value { return d.out }

@@ -24,7 +24,7 @@ const (
 const streakCap = 1 << 24
 
 // SaveState implements ckpt.Stater. The streak table is written
-// verbatim (parallel key/value slices in insertion order): order does
+// verbatim (key/value pairs in insertion order): order does
 // not change behavior, but keeping it byte-stable makes checkpoint
 // artifacts of identical runs comparable bit-for-bit.
 func (d *dmisNode) SaveState(w *ckpt.Writer) {
@@ -35,10 +35,10 @@ func (d *dmisNode) SaveState(w *ckpt.Writer) {
 	w.Uvarint(d.alpha)
 	w.Bool(d.age > 0)
 	if d.age > 0 {
-		w.Int(len(d.streakK))
-		for i, k := range d.streakK {
-			w.Varint(int64(k))
-			w.Varint(int64(d.streakV[i]))
+		w.Int(len(d.streak))
+		for _, e := range d.streak {
+			w.Varint(int64(e.u))
+			w.Varint(int64(e.last))
 		}
 	}
 }
@@ -50,14 +50,12 @@ func (d *dmisNode) LoadState(r *ckpt.Reader) {
 	d.provD = r.Bool()
 	d.age = r.Int()
 	d.alpha = r.Uvarint()
-	d.streakK, d.streakV = d.streakK[:0], d.streakV[:0]
+	d.streak = d.streak[:0]
 	if r.Bool() {
 		n := r.Count(streakCap)
-		d.streakK = ckpt.AllocSlice[graph.NodeID](r, n)
-		d.streakV = ckpt.AllocSlice[int32](r, n)
+		d.streak = ckpt.AllocSlice[streakEntry](r, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
-			d.streakK[i] = graph.NodeID(r.Varint())
-			d.streakV[i] = int32(r.Varint())
+			d.streak[i] = streakEntry{graph.NodeID(r.Varint()), int32(r.Varint())}
 		}
 	}
 }

@@ -118,23 +118,41 @@ func (f *DMisFactory) NewNode(v graph.NodeID) core.NodeInstance {
 	return &dmisNode{v: v, mask: f.alphaMask()}
 }
 
+// NewNodes implements core.DynamicAlgorithm: the k instances share one
+// allocation.
+func (f *DMisFactory) NewNodes(v graph.NodeID, k int, dst []core.NodeInstance) []core.NodeInstance {
+	block := make([]dmisNode, k)
+	mask := f.alphaMask()
+	for i := range block {
+		block[i] = dmisNode{v: v, mask: mask}
+		dst = append(dst, &block[i])
+	}
+	return dst
+}
+
 type dmisNode struct {
 	v graph.NodeID
 
 	out problems.Value
-	// streak(u) is the last age at which u had broadcast in every round
-	// of this instance so far; u is an intersection-graph neighbor in the
-	// current round iff streak(u) == age-1. Stored as parallel key/value
-	// slices scanned linearly: the per-message lookup is on the hottest
+	// streak holds, for each sender u heard so far, the last age at
+	// which u had broadcast in every round of this instance; u is an
+	// intersection-graph neighbor in the current round iff that age is
+	// age-1. Scanned linearly: the per-message lookup is on the hottest
 	// engine path and at local-algorithm degrees a scan of a few
-	// contiguous entries beats hashing. The slices outlive re-Starts —
+	// contiguous entries beats hashing. The slice outlives re-Starts —
 	// the per-round intersection allocates nothing.
-	streakK []graph.NodeID
-	streakV []int32
-	age     int    // rounds processed
-	provD   bool   // Dominated input, not yet re-witnessed (rounds 1-2)
-	alpha   uint64 // this round's random word (valid while undecided)
-	mask    uint64 // alpha truncation mask (AlphaBits)
+	streak []streakEntry
+	age    int    // rounds processed
+	provD  bool   // Dominated input, not yet re-witnessed (rounds 1-2)
+	alpha  uint64 // this round's random word (valid while undecided)
+	mask   uint64 // alpha truncation mask (AlphaBits)
+}
+
+// streakEntry is one sender's streak: the sender and the last age up to
+// which it broadcast in every round. Key and value share a cache line.
+type streakEntry struct {
+	u    graph.NodeID
+	last int32
 }
 
 // Start records the input configuration (M, D) and resets the instance
@@ -143,7 +161,7 @@ type dmisNode struct {
 func (d *dmisNode) Start(ctx *engine.Ctx, input problems.Value) {
 	d.out = input
 	d.provD = input == problems.Dominated
-	d.streakK, d.streakV = d.streakK[:0], d.streakV[:0]
+	d.streak = d.streak[:0]
 	d.age = 0
 	d.alpha = 0
 }
@@ -197,8 +215,7 @@ func (d *dmisNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 		// graph; senders are exactly the participating neighbors.
 		// (Dominated nodes are silent, but they also never influence
 		// anyone, so omitting them from the known set is harmless.)
-		d.streakK = slices.Grow(d.streakK, len(in))
-		d.streakV = slices.Grow(d.streakV, len(in))
+		d.streak = slices.Grow(d.streak, len(in))
 	}
 	prev := int32(d.age)
 	mark := false
@@ -208,20 +225,19 @@ func (d *dmisNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 		// every round so far (stale streak entries never match again;
 		// an absent entry reads as streak 0).
 		si := -1
-		for i, k := range d.streakK {
-			if k == m.From {
+		for i := range d.streak {
+			if d.streak[i].u == m.From {
 				si = i
 				break
 			}
 		}
-		if prev > 0 && (si < 0 || d.streakV[si] != prev) {
+		if prev > 0 && (si < 0 || d.streak[si].last != prev) {
 			continue
 		}
 		if si < 0 {
-			d.streakK = append(d.streakK, m.From)
-			d.streakV = append(d.streakV, prev+1)
+			d.streak = append(d.streak, streakEntry{m.From, prev + 1})
 		} else {
-			d.streakV[si] = prev + 1
+			d.streak[si].last = prev + 1
 		}
 		switch m.M.Kind {
 		case KindMark:

@@ -87,8 +87,8 @@ type chainProc struct {
 	c    *Chain
 	v    graph.NodeID
 	salg NodeInstance
-	mids []dSlot    // capacity Tm-1, see push
-	outs []dSlot    // capacity T1-1
+	mids pipeline   // Tm-1 slots
+	outs pipeline   // T1-1 slots
 	ictx engine.Ctx // reusable callback context, see concatProc
 }
 
@@ -101,31 +101,24 @@ func (p *chainProc) Start(ctx *engine.Ctx, input problems.Value) {
 
 // midOutput is the mid-pipeline's current output: the oldest mid instance
 // that has run its full Tm-1 rounds (⊥ during warm-up).
-func (p *chainProc) midOutput() problems.Value {
-	if len(p.mids) == 0 {
-		return problems.Bot
-	}
-	front := &p.mids[0]
-	if front.age < p.c.Tm-1 {
-		return problems.Bot
-	}
-	return front.inst.Output()
-}
+func (p *chainProc) midOutput() problems.Value { return p.mids.output(p.c.Tm) }
 
-// nextSlot returns the live instance of lower channel among mids[*i] and
-// outs[*j] and advances past it, nil once both pipelines are exhausted.
-// Each pipeline ascends by channel, so repeated calls walk all live
-// instances in ascending channel order.
-func (p *chainProc) nextSlot(i, j *int) *dSlot {
+// nextSlot returns the pipeline and index of the live instance of lower
+// channel among mids slot *i and outs slot *j and advances past it; the
+// pipeline is nil once both are exhausted. Each pipeline ascends by
+// channel, so repeated calls walk all live instances in ascending
+// channel order.
+func (p *chainProc) nextSlot(i, j *int) (*pipeline, int) {
+	mids, outs := p.mids.meta, p.outs.meta
 	switch {
-	case *i < len(p.mids) && (*j == len(p.outs) || p.mids[*i].ch < p.outs[*j].ch):
+	case *i < len(mids) && (*j == len(outs) || mids[*i].ch < outs[*j].ch):
 		*i++
-		return &p.mids[*i-1]
-	case *j < len(p.outs):
+		return &p.mids, *i - 1
+	case *j < len(outs):
 		*j++
-		return &p.outs[*j-1]
+		return &p.outs, *j - 1
 	}
-	return nil
+	return nil, 0
 }
 
 func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
@@ -135,17 +128,17 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 
 	// Start this round's mid instance on the static algorithm's output.
 	midCh := int32(2 * ctx.Round)
-	p.mids = push(p.mids, p.c.Tm-1, midCh, p.c.Mid, p.v)
+	mid := p.mids.push(p.c.Tm-1, midCh, p.c.Mid, p.v)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(midCh)
-	p.mids[len(p.mids)-1].inst.Start(&p.ictx, p.salg.Output())
+	mid.Start(&p.ictx, p.salg.Output())
 
 	// Start this round's outer instance on the mid-pipeline output.
 	outCh := int32(2*ctx.Round + 1)
-	p.outs = push(p.outs, p.c.T1-1, outCh, p.c.D, p.v)
+	out := p.outs.push(p.c.T1-1, outCh, p.c.D, p.v)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(outCh)
-	p.outs[len(p.outs)-1].inst.Start(&p.ictx, midPrev)
+	out.Start(&p.ictx, midPrev)
 
 	// Broadcast all three layers with channel tags, in ascending channel
 	// order as the engine requires: S on channel 0, then the mid and
@@ -158,13 +151,14 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 		buf[i].Chan = 0
 	}
 	var i, j int
-	for s := p.nextSlot(&i, &j); s != nil; s = p.nextSlot(&i, &j) {
+	for q, k := p.nextSlot(&i, &j); q != nil; q, k = p.nextSlot(&i, &j) {
+		ch := q.meta[k].ch
 		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(s.ch)
+		p.ictx.PurposeBase = dalgPurpose(ch)
 		start = len(buf)
-		buf = s.inst.Broadcast(&p.ictx, buf)
-		for k := start; k < len(buf); k++ {
-			buf[k].Chan = s.ch
+		buf = q.inst[k].Broadcast(&p.ictx, buf)
+		for b := start; b < len(buf); b++ {
+			buf[b].Chan = ch
 		}
 	}
 	return buf
@@ -178,12 +172,13 @@ func (p *chainProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	p.ictx.PurposeBase = instancePurpose(0)
 	p.salg.Process(&p.ictx, run, deg)
 	var i, j int
-	for s := p.nextSlot(&i, &j); s != nil; s = p.nextSlot(&i, &j) {
-		run, rest = channelRun(rest, s.ch)
+	for q, k := p.nextSlot(&i, &j); q != nil; q, k = p.nextSlot(&i, &j) {
+		m := &q.meta[k]
+		run, rest = channelRun(rest, m.ch)
 		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(s.ch)
-		s.inst.Process(&p.ictx, run, deg)
-		s.age++
+		p.ictx.PurposeBase = dalgPurpose(m.ch)
+		q.inst[k].Process(&p.ictx, run, deg)
+		m.age++
 	}
 	if p.c.MidProbe != nil {
 		p.c.MidProbe(p.v, ctx.Round, p.midOutput())
@@ -191,13 +186,4 @@ func (p *chainProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 }
 
 // Output is the oldest mature outer instance, as in Algorithm 1.
-func (p *chainProc) Output() problems.Value {
-	if len(p.outs) == 0 {
-		return problems.Bot
-	}
-	front := &p.outs[0]
-	if front.age < p.c.T1-1 {
-		return problems.Bot
-	}
-	return front.inst.Output()
-}
+func (p *chainProc) Output() problems.Value { return p.outs.output(p.c.T1) }

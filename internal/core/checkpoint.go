@@ -81,47 +81,48 @@ func (p singleProc) LoadState(r *ckpt.Reader) {
 	loadInstance(r, p.inst)
 }
 
-// saveSlots serializes one instance pipeline: slot count, then each
-// slot's channel, age and instance state in ring order (front = oldest).
-func saveSlots(w *ckpt.Writer, slots []dSlot) {
-	w.Int(len(slots))
-	for i := range slots {
-		s := &slots[i]
-		w.Varint(int64(s.ch))
-		w.Int(s.age)
-		saveInstance(w, s.inst)
+// save serializes the pipeline: slot count, then each live slot's
+// channel, age and instance state, front = oldest. The not yet live
+// instances of the newest block are fresh and carry no state.
+func (p *pipeline) save(w *ckpt.Writer) {
+	w.Int(len(p.meta))
+	for i, m := range p.meta {
+		w.Varint(int64(m.ch))
+		w.Int(int(m.age))
+		saveInstance(w, p.inst[i])
 	}
 }
 
-// loadSlots restores an instance pipeline of at most maxSlots instances,
-// building each instance via the factory (NewNode without Start — all
-// instance state comes from the stream). The slot slice is carved from
-// the reader's arena at that capacity, so the restored pipeline fills
-// and recycles within it (push).
-func loadSlots(r *ckpt.Reader, maxSlots int, f nodeFactory, v graph.NodeID) []dSlot {
-	n := r.Count(maxSlots)
+// load restores a pipeline of at most size instances, building each
+// instance via the factory (NewNode without Start — all instance state
+// comes from the stream). The slices are carved from the reader's arena
+// at that capacity, so the restored pipeline fills and recycles within
+// them (push); it continues filling with a new block.
+func (p *pipeline) load(r *ckpt.Reader, size int, f nodeFactory, v graph.NodeID) {
+	*p = pipeline{}
+	n := r.Count(size)
 	if r.Err() != nil {
-		return nil
+		return
 	}
-	slots := ckpt.AllocSlice[dSlot](r, maxSlots)[:n]
-	for i := 0; i < n; i++ {
-		s := &slots[i]
-		s.ch = int32(r.Varint())
-		s.age = r.Int()
-		s.inst = restoredInstance(r, f, v)
-		loadInstance(r, s.inst)
+	inst := ckpt.AllocSlice[NodeInstance](r, size)[:n]
+	meta := ckpt.AllocSlice[slotMeta](r, size)[:n]
+	for i := range meta {
+		meta[i].ch = int32(r.Varint())
+		meta[i].age = int32(r.Int())
+		inst[i] = restoredInstance(r, f, v)
+		loadInstance(r, inst[i])
 		if r.Err() != nil {
-			return nil
+			return
 		}
 	}
-	return slots
+	p.inst, p.meta = inst, meta
 }
 
 // SaveState implements ckpt.Stater for the Concat processor.
 func (p *concatProc) SaveState(w *ckpt.Writer) {
 	w.Section(tagConcat)
 	saveInstance(w, p.salg)
-	saveSlots(w, p.dal)
+	p.dal.save(w)
 }
 
 // LoadState implements ckpt.Stater: it rebuilds the static-algorithm
@@ -132,7 +133,7 @@ func (p *concatProc) LoadState(r *ckpt.Reader) {
 	r.Section(tagConcat)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)
-	p.dal = loadSlots(r, p.c.T1-1, p.c.D, p.v)
+	p.dal.load(r, p.c.T1-1, p.c.D, p.v)
 }
 
 // NewNodeArena implements engine.ArenaAlgorithm: on restore the
@@ -147,8 +148,8 @@ func (c *Concat) NewNodeArena(v graph.NodeID, r *ckpt.Reader) engine.NodeProc {
 func (p *chainProc) SaveState(w *ckpt.Writer) {
 	w.Section(tagChain)
 	saveInstance(w, p.salg)
-	saveSlots(w, p.mids)
-	saveSlots(w, p.outs)
+	p.mids.save(w)
+	p.outs.save(w)
 }
 
 // LoadState implements ckpt.Stater.
@@ -156,8 +157,8 @@ func (p *chainProc) LoadState(r *ckpt.Reader) {
 	r.Section(tagChain)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)
-	p.mids = loadSlots(r, p.c.Tm-1, p.c.Mid, p.v)
-	p.outs = loadSlots(r, p.c.T1-1, p.c.D, p.v)
+	p.mids.load(r, p.c.Tm-1, p.c.Mid, p.v)
+	p.outs.load(r, p.c.T1-1, p.c.D, p.v)
 }
 
 // NewNodeArena implements engine.ArenaAlgorithm.

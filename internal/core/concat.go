@@ -81,20 +81,11 @@ func (c *Concat) NewNode(v graph.NodeID) engine.NodeProc {
 	return &concatProc{c: c, v: v}
 }
 
-// dSlot is one live dynamic-algorithm instance at a node.
-type dSlot struct {
-	ch   int32
-	inst NodeInstance
-	age  int // rounds processed
-}
-
 type concatProc struct {
 	c    *Concat
 	v    graph.NodeID
 	salg NodeInstance
-	// dal is the pipeline, front = oldest: a slice of capacity T1-1 that
-	// never reallocates once full (see push).
-	dal []dSlot
+	dal  pipeline // T1-1 slots
 	// ictx is the reusable context handed to instance callbacks: passing
 	// a fresh stack copy through the NodeInstance interface would escape
 	// to the heap on every call — one allocation per instance per round.
@@ -109,25 +100,6 @@ type concatProc struct {
 func dalgPurpose(ch int32) prf.Purpose {
 	slot := 1 + (uint32(ch)-1)%(purposeSlots-1)
 	return instancePurpose(int32(slot))
-}
-
-// push starts a pipeline's newest slot on channel ch and returns the
-// pipeline. While the pipeline fills it builds the instance with
-// f.NewNode; once it holds size instances it evicts the oldest, shifts the
-// rest down in place and hands the evicted instance to the new slot. The
-// caller Starts the new slot's instance, which by the NodeInstance
-// contract makes a recycled instance indistinguishable from a fresh one.
-func push(slots []dSlot, size int, ch int32, f nodeFactory, v graph.NodeID) []dSlot {
-	if len(slots) < size {
-		if slots == nil {
-			slots = make([]dSlot, 0, size)
-		}
-		return append(slots, dSlot{ch: ch, inst: f.NewNode(v)})
-	}
-	inst := slots[0].inst
-	copy(slots, slots[1:])
-	slots[size-1] = dSlot{ch: ch, inst: inst}
-	return slots
 }
 
 // channelRun splits the run on channel ch off the front of a Chan-sorted
@@ -159,10 +131,10 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 	// instances, so once it is full the oldest one is discarded — and
 	// recycled as the new one.
 	ch := int32(ctx.Round)
-	p.dal = push(p.dal, p.c.T1-1, ch, p.c.D, p.v)
+	inst := p.dal.push(p.c.T1-1, ch, p.c.D, p.v)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(ch)
-	p.dal[len(p.dal)-1].inst.Start(&p.ictx, p.salg.Output())
+	inst.Start(&p.ictx, p.salg.Output())
 
 	// SAlg sub-messages on channel 0, then each live DAlg instance on its
 	// channel: the pipeline's channels are consecutive rounds, so the
@@ -174,14 +146,13 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 	for i := start; i < len(buf); i++ {
 		buf[i].Chan = 0
 	}
-	for i := range p.dal {
-		s := &p.dal[i]
+	for i, m := range p.dal.meta {
 		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(s.ch)
+		p.ictx.PurposeBase = dalgPurpose(m.ch)
 		start = len(buf)
-		buf = s.inst.Broadcast(&p.ictx, buf)
+		buf = p.dal.inst[i].Broadcast(&p.ictx, buf)
 		for j := start; j < len(buf); j++ {
-			buf[j].Chan = s.ch
+			buf[j].Chan = m.ch
 		}
 	}
 	return buf
@@ -195,26 +166,80 @@ func (p *concatProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
 	p.salg.Process(&p.ictx, run, deg)
-	for i := range p.dal {
-		s := &p.dal[i]
-		run, rest = channelRun(rest, s.ch)
+	for i := range p.dal.meta {
+		m := &p.dal.meta[i]
+		run, rest = channelRun(rest, m.ch)
 		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(s.ch)
-		s.inst.Process(&p.ictx, run, deg)
-		s.age++
+		p.ictx.PurposeBase = dalgPurpose(m.ch)
+		p.dal.inst[i].Process(&p.ictx, run, deg)
+		m.age++
 	}
 }
 
 // Output implements line 7 of Algorithm 1: the output of the oldest live
 // DAlg instance once it has run its full T1-1 rounds; ⊥ while the pipeline
 // is still warming up after the node's wake round.
-func (p *concatProc) Output() problems.Value {
-	if len(p.dal) == 0 {
+func (p *concatProc) Output() problems.Value { return p.dal.output(p.c.T1) }
+
+// pipelineBlock is the number of instances a filling pipeline takes from
+// one NewNodes call.
+const pipelineBlock = 8
+
+// pipeline is one node's run of live DAlg instances, front = oldest. A
+// filling pipeline takes its instances in blocks of pipelineBlock, each
+// one allocation from DynamicAlgorithm.NewNodes, so that a node's
+// instances sit together in memory (see the package comment), and
+// recycling (push) keeps every block in place once the pipeline is full.
+type pipeline struct {
+	// inst holds the live instances, followed by the instances of the
+	// newest block that are not live yet. Its capacity is the pipeline
+	// size, so NewNodes appends in place and rotation never reallocates.
+	inst []NodeInstance
+	// meta holds each live instance's channel and age; len(meta) is the
+	// number of live instances.
+	meta []slotMeta
+}
+
+// slotMeta is the combiner's bookkeeping for one live instance.
+type slotMeta struct {
+	ch  int32
+	age int32 // rounds processed
+}
+
+// push starts the pipeline's newest slot, on channel ch, and returns its
+// instance for the caller to Start. While the pipeline fills, the slot
+// takes the next instance of the newest block, and a spent block is
+// followed by a new one of up to pipelineBlock instances from f. Once
+// the pipeline holds size instances, push evicts the oldest, shifts the
+// rest down in place and recycles the evicted instance as the newest.
+// By the NodeInstance and NewNodes contracts, a Started block or
+// recycled instance is indistinguishable from a fresh NewNode instance.
+func (p *pipeline) push(size int, ch int32, f DynamicAlgorithm, v graph.NodeID) NodeInstance {
+	n := len(p.meta)
+	if n < size {
+		if n == len(p.inst) {
+			if p.inst == nil {
+				p.inst = make([]NodeInstance, 0, size)
+				p.meta = make([]slotMeta, 0, size)
+			}
+			p.inst = f.NewNodes(v, min(pipelineBlock, size-n), p.inst)
+		}
+		p.meta = append(p.meta, slotMeta{ch: ch})
+		return p.inst[n]
+	}
+	inst := p.inst[0]
+	copy(p.inst, p.inst[1:])
+	p.inst[n-1] = inst
+	copy(p.meta, p.meta[1:])
+	p.meta[n-1] = slotMeta{ch: ch}
+	return inst
+}
+
+// output is the pipeline's output: the oldest live instance's once it
+// has run its full window-1 rounds, ⊥ while the pipeline warms up.
+func (p *pipeline) output(window int) problems.Value {
+	if len(p.meta) == 0 || p.meta[0].age < int32(window-1) {
 		return problems.Bot
 	}
-	front := &p.dal[0]
-	if front.age < p.c.T1-1 {
-		return problems.Bot
-	}
-	return front.inst.Output()
+	return p.inst[0].Output()
 }

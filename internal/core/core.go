@@ -6,11 +6,20 @@
 // computes a partial solution, and a pipeline of dynamic-algorithm
 // instances extends it to a full T-dynamic solution every round.
 //
+// Each node's pipeline is laid out in blocks: while it fills, the
+// combiner takes instances in blocks of eight from one
+// DynamicAlgorithm.NewNodes call, one allocation per block, instead of
+// one NewNode per round. The engine runs a round node by node, and every
+// node touches each of its T1-1 instances, so instances built round by
+// round would lie scattered among all other nodes' instances and cost a
+// cache miss each per round; a node's blocks keep them together.
+//
 // The combiners recycle instances: once a pipeline is full, the instance
-// it evicts is Started again as the pipeline's newest, so an algorithm's
-// NewNode runs only while the pipeline fills. NodeInstance.Start must
-// therefore fully reinitialize an instance (see NodeInstance); storage
-// such as streak tables and palettes may be kept for reuse.
+// it evicts is Started again as the pipeline's newest, so no instance is
+// allocated after the pipeline fills and every block stays in place for
+// the rest of the run. NodeInstance.Start must therefore fully
+// reinitialize an instance (see NodeInstance); storage such as streak
+// tables and palettes may be kept for reuse.
 package core
 
 import (
@@ -53,6 +62,12 @@ type DynamicAlgorithm interface {
 	WindowSize(n int) int
 	// NewNode creates the per-node instance state.
 	NewNode(v graph.NodeID) NodeInstance
+	// NewNodes appends k fresh instances for node v to dst and returns
+	// the extended slice. Each instance is in the state NewNode leaves
+	// one in, but the k instances are allocated as one block, so that a
+	// combiner pipeline's instances sit together in memory (see
+	// pipeline).
+	NewNodes(v graph.NodeID, k int, dst []NodeInstance) []NodeInstance
 }
 
 // NetworkStaticAlgorithm is a (T, α)-network-static algorithm factory

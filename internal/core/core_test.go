@@ -29,6 +29,12 @@ func (p *probeDyn) WindowSize(int) int { return p.window }
 func (p *probeDyn) NewNode(v graph.NodeID) NodeInstance {
 	return &probeDynInst{p: p, v: v}
 }
+func (p *probeDyn) NewNodes(v graph.NodeID, k int, dst []NodeInstance) []NodeInstance {
+	for range k {
+		dst = append(dst, p.NewNode(v))
+	}
+	return dst
+}
 
 type probeDynInst struct {
 	p     *probeDyn
@@ -181,6 +187,12 @@ func (p *randProbe) Name() string       { return "rand-probe" }
 func (p *randProbe) WindowSize(int) int { return p.window }
 func (p *randProbe) NewNode(v graph.NodeID) NodeInstance {
 	return &randProbeInst{p: p, v: v}
+}
+func (p *randProbe) NewNodes(v graph.NodeID, k int, dst []NodeInstance) []NodeInstance {
+	for range k {
+		dst = append(dst, p.NewNode(v))
+	}
+	return dst
 }
 
 type randProbeInst struct {

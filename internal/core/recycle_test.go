@@ -130,6 +130,94 @@ func TestRestartEqualsFreshInstance(t *testing.T) {
 	}
 }
 
+// TestBlockInstancesEqualNewNode: the combiners fill their pipelines
+// from NewNodes blocks, so every instance of a block must be
+// indistinguishable from a NewNode instance. Node 0 of a small network
+// runs a NewNode instance; each instance of a block NewNodes built for
+// it is Started with the same input and context and fed node 0's inbox,
+// and must match it in checkpoint bytes after Start and in broadcasts,
+// outputs and checkpoint bytes in each of T rounds.
+func TestBlockInstancesEqualNewNode(t *testing.T) {
+	const block = 8
+	dcolor := &coloring.DColorFactory{N: recycleN}
+	dmis := &mis.DMisFactory{N: recycleN}
+	cases := []struct {
+		name  string
+		f     core.DynamicAlgorithm
+		input problems.Value // node 0's input
+	}{
+		{"dcolor", dcolor, problems.Bot},
+		{"dcolor-colored-input", dcolor, 1},
+		{"dmis", dmis, problems.Bot},
+		{"dmis-dominated-input", dmis, problems.Dominated},
+	}
+	base := graph.GNP(recycleN, 0.3, prf.NewStream(3, 0, 0, prf.PurposeWorkload))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := func(v graph.NodeID, r int) *engine.Ctx {
+				return &engine.Ctx{Node: v, Round: r, Seed: 11}
+			}
+			// NewNodes appends to dst, keeping what dst holds.
+			prefix := tc.f.NewNode(0)
+			blk := tc.f.NewNodes(0, block, []core.NodeInstance{prefix})
+			if len(blk) != block+1 || blk[0] != prefix {
+				t.Fatalf("NewNodes returned %d instances, want the prefix and %d more", len(blk), block)
+			}
+			blk = blk[1:]
+			nodes := make([]core.NodeInstance, recycleN)
+			outs := make([][]engine.SubMsg, recycleN)
+			for v := range nodes {
+				in := problems.Bot
+				if v == 0 {
+					in = tc.input
+				}
+				nodes[v] = tc.f.NewNode(graph.NodeID(v))
+				nodes[v].Start(ctx(graph.NodeID(v), 1), in)
+			}
+			for i, b := range blk {
+				b.Start(ctx(0, 1), tc.input)
+				if got, want := stateBytes(t, b), stateBytes(t, nodes[0]); !bytes.Equal(got, want) {
+					t.Fatalf("block instance %d started as %x, NewNode instance %x", i, got, want)
+				}
+			}
+			var blkOut []engine.SubMsg
+			for r := 1; r <= tc.f.WindowSize(recycleN); r++ {
+				for v := range nodes {
+					outs[v] = nodes[v].Broadcast(ctx(graph.NodeID(v), r), outs[v][:0])
+				}
+				for i, b := range blk {
+					blkOut = b.Broadcast(ctx(0, r), blkOut[:0])
+					if !slices.Equal(blkOut, outs[0]) {
+						t.Fatalf("round %d: block instance %d broadcast %v, NewNode instance %v", r, i, blkOut, outs[0])
+					}
+				}
+				for v := range nodes {
+					nbrs := recycleNeighbors(base, graph.NodeID(v), r)
+					var in []engine.Incoming
+					for _, u := range nbrs {
+						for _, m := range outs[u] {
+							in = append(in, engine.Incoming{From: u, M: m})
+						}
+					}
+					nodes[v].Process(ctx(graph.NodeID(v), r), in, len(nbrs))
+					if v != 0 {
+						continue
+					}
+					for i, b := range blk {
+						b.Process(ctx(0, r), in, len(nbrs))
+						if got, want := b.Output(), nodes[0].Output(); got != want {
+							t.Fatalf("round %d: block instance %d output %d, NewNode instance %d", r, i, got, want)
+						}
+						if got, want := stateBytes(t, b), stateBytes(t, nodes[0]); !bytes.Equal(got, want) {
+							t.Fatalf("round %d: block instance %d state %x, NewNode instance %x", r, i, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCombinersGuardPurposeSlots: live dynamic instances draw their
 // randomness from channel-indexed PRF purpose slots, so a window whose
 // live channels do not fit the slots must be refused at construction.
