@@ -8,7 +8,10 @@ import "testing"
 // is full. Delivery, the pipelines and the instances reuse their storage
 // then, so what remains is churn-driven growth (new neighbors, adjacency
 // rows); a regression to per-node or per-instance allocation overshoots
-// the bounds by an order of magnitude.
+// the bounds by an order of magnitude. Coloring measures 41: its palettes
+// sit inline in the instance blocks and its streak tables in storage
+// carved per block, so only a start round with more than 12 senders
+// allocates.
 func TestStepAllocationGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -19,7 +22,7 @@ func TestStepAllocationGuard(t *testing.T) {
 		algo  *Combined
 		bound float64
 	}{
-		{"coloring", NewColoring(n), 1024},
+		{"coloring", NewColoring(n), 128},
 		{"mis", NewMIS(n), 4096},
 	}
 	for _, tc := range cases {

@@ -445,6 +445,39 @@ func BenchmarkCombinedMISRound(b *testing.B) {
 	b.ReportMetric(float64(n), "nodes")
 }
 
+// BenchmarkCombinedColoringRound measures one round of combined coloring
+// at one worker (N = 1024, Churn 8+8, T1 = 30) in two cells: steady,
+// once every pipeline is full (after 2·T1 rounds), and late, after 40·T1
+// rounds. Concat numbers its channels by instance age, so delivery's
+// counting sort spans the same T1 channels in both cells and their times
+// should agree; channels numbered by start round would make the late
+// cell pay for a span that grows with the round number. Each cell builds
+// its engine once and keeps stepping it across the benchmark's b.N
+// calibration runs, so the warm-up is paid once per cell.
+func BenchmarkCombinedColoringRound(b *testing.B) {
+	const n = 1024
+	cells := []struct {
+		name    string
+		windows int
+	}{{"steady", 2}, {"late", 40}}
+	for _, cell := range cells {
+		var e *Engine
+		b.Run(cell.name, func(b *testing.B) {
+			if e == nil {
+				algo := NewColoring(n)
+				adv := NewChurn(GNP(n, 8.0/float64(n), 5), 8, 8, 6)
+				e = NewEngine(EngineConfig{N: n, Seed: 7, Workers: 1}, adv, algo)
+				e.Run(cell.windows * algo.T1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}
+
 // BenchmarkCombinedMISFill measures combined MIS while its Concat
 // pipelines fill. One op is rounds 1 to T1-2 of a fresh run under P2P
 // session churn (N = 4096 ids, 1024 initial peers, 8 joins per round,

@@ -49,6 +49,19 @@ type DeltaCheckpointer interface {
 	LoadDelta(r *ckpt.Reader, from, to int)
 }
 
+// EdgeMirror is implemented by adversaries that keep their own copy of
+// the live edge set, the one their next Step diffs against. A restore
+// loads that copy from the adversary section and the engine's topology
+// from the topology sections, so the engine checks the two against each
+// other once a checkpoint chain is read: a record that makes them
+// disagree fails the read instead of making a later Step add a present
+// edge or remove an absent one.
+type EdgeMirror interface {
+	// CheckEdges returns an error unless the adversary's live edges are
+	// exactly the m edges for which has reports true.
+	CheckEdges(m int, has func(graph.EdgeKey) bool) error
+}
+
 // Section tags guarding the adversary section of a checkpoint stream.
 const (
 	tagChurn           uint64 = 0x71
@@ -136,6 +149,21 @@ func (c *Churn) LoadState(r *ckpt.Reader) {
 	c.keys, c.keyIdx = keys, keyIdx
 }
 
+// CheckEdges implements EdgeMirror. The key list holds no duplicates
+// (LoadState refuses them and Step never adds one), so it names exactly
+// the topology's edges when it has m keys and each is an edge.
+func (c *Churn) CheckEdges(m int, has func(graph.EdgeKey) bool) error {
+	if len(c.keys) != m {
+		return fmt.Errorf("adversary: churn holds %d edges, the topology %d", len(c.keys), m)
+	}
+	for _, k := range c.keys {
+		if !has(k) {
+			return fmt.Errorf("adversary: churn edge %v is not in the topology", k)
+		}
+	}
+	return nil
+}
+
 // SaveDelta implements DeltaCheckpointer. Churn's per-round mutations
 // are drawn from advStream(Seed, round) against the live key list, so
 // the state at `to` is fully determined by the state at `from`: the
@@ -207,6 +235,25 @@ func (m *EdgeMarkov) LoadState(r *ckpt.Reader) {
 	for i := range m.on {
 		m.on[i] = r.Bool()
 	}
+}
+
+// CheckEdges implements EdgeMirror: the footprint edges marked on must be
+// exactly the topology's m edges.
+func (m *EdgeMarkov) CheckEdges(edges int, has func(graph.EdgeKey) bool) error {
+	on := 0
+	for i, k := range m.keys {
+		if !m.on[i] {
+			continue
+		}
+		if !has(k) {
+			return fmt.Errorf("adversary: edge-Markov edge %v is on but not in the topology", k)
+		}
+		on++
+	}
+	if on != edges {
+		return fmt.Errorf("adversary: edge-Markov has %d edges on, the topology %d", on, edges)
+	}
+	return nil
 }
 
 // SaveDelta implements DeltaCheckpointer. Like Churn, the edge-Markov
@@ -608,4 +655,6 @@ var (
 	_ Checkpointer      = (*LubyStaller)(nil)
 	_ DeltaCheckpointer = (*Churn)(nil)
 	_ DeltaCheckpointer = (*EdgeMarkov)(nil)
+	_ EdgeMirror        = (*Churn)(nil)
+	_ EdgeMirror        = (*EdgeMarkov)(nil)
 )

@@ -53,7 +53,7 @@ type basicNode struct {
 // Start initializes P_v = {1}; no communication round needed.
 func (b *basicNode) Start(ctx *engine.Ctx, input problems.Value) {
 	b.out = input
-	b.pal = newPalette(1)
+	b.pal.reset(1)
 }
 
 // Broadcast implements the send half of Algorithm 6.
@@ -74,12 +74,12 @@ func (b *basicNode) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 func (b *basicNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	palBefore := b.pal.len()
 	wasUncolored := b.out == problems.Bot
-	fresh := newPalette(deg + 1)
+	b.pal.reset(deg + 1)
 	tentativeClash := false
 	for _, m := range in {
 		switch m.M.Kind {
 		case KindFixed:
-			fresh.remove(m.M.A)
+			b.pal.remove(m.M.A)
 		case KindTentative:
 			if m.M.A != 0 && m.M.A == b.tentative {
 				tentativeClash = true
@@ -90,12 +90,11 @@ func (b *basicNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	if b.started && wasUncolored {
 		// Palette shrink accounting for Lemma 6.1 (palette only shrinks
 		// on a static graph, where deg is constant).
-		if d := palBefore - fresh.len(); d > 0 {
+		if d := palBefore - b.pal.len(); d > 0 {
 			removed = d
 		}
 	}
 	b.started = true
-	b.pal = fresh
 	if wasUncolored && b.tentative != 0 && b.pal.contains(b.tentative) && !tentativeClash {
 		b.out = problems.Value(b.tentative)
 	}

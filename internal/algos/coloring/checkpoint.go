@@ -34,17 +34,23 @@ func savePalette(w *ckpt.Writer, p *palette) {
 	}
 }
 
-func loadPalette(r *ckpt.Reader) palette {
-	size := r.Int()
+// loadPalette restores p in place; up to 64 colors land in its inline
+// word.
+func loadPalette(r *ckpt.Reader, p *palette) {
+	p.size = r.Int()
 	n := r.Count(paletteWordCap)
 	if r.Err() != nil {
-		return palette{}
+		p.words, p.size = nil, 0
+		return
 	}
-	words := ckpt.AllocSlice[uint64](r, n)
-	for i := range words {
-		words[i] = r.Uvarint()
+	if n <= len(p.first) {
+		p.words = p.first[:n]
+	} else {
+		p.words = ckpt.AllocSlice[uint64](r, n)
 	}
-	return palette{words: words, size: size}
+	for i := range p.words {
+		p.words[i] = r.Uvarint()
+	}
 }
 
 // SaveState implements ckpt.Stater. The streak table is written as
@@ -73,7 +79,7 @@ func (d *dcolorNode) LoadState(r *ckpt.Reader) {
 	d.started = r.Bool()
 	d.age = int32(r.Varint())
 	d.tentative = r.Varint()
-	d.pal = loadPalette(r)
+	loadPalette(r, &d.pal)
 	d.streak = d.streak[:0]
 	if r.Bool() {
 		n := r.Count(streakCap)
@@ -97,7 +103,7 @@ func (s *scolorNode) LoadState(r *ckpt.Reader) {
 	r.Section(tagSColor)
 	s.out = problemsValue(r)
 	s.tentative = r.Varint()
-	s.pal = loadPalette(r)
+	loadPalette(r, &s.pal)
 }
 
 // NewNodeArena implements core.ArenaFactory: restored instance structs

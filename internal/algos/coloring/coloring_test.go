@@ -30,7 +30,8 @@ func allColored(out []problems.Value) bool {
 // --- palette ----------------------------------------------------------
 
 func TestPaletteBasics(t *testing.T) {
-	p := newPalette(70)
+	var p palette
+	p.reset(70)
 	if p.len() != 70 || !p.contains(1) || !p.contains(70) || p.contains(71) || p.contains(0) {
 		t.Fatal("fresh palette wrong")
 	}
@@ -46,7 +47,8 @@ func TestPaletteBasics(t *testing.T) {
 }
 
 func TestPalettePickUniform(t *testing.T) {
-	p := newPalette(8)
+	var p palette
+	p.reset(8)
 	p.remove(3)
 	p.remove(7)
 	s := prf.NewStream(5, 1, 1, prf.PurposeTentativeColor)
@@ -68,7 +70,8 @@ func TestPalettePickUniform(t *testing.T) {
 }
 
 func TestPalettePickEmptyPanics(t *testing.T) {
-	p := newPalette(0)
+	var p palette
+	p.reset(0)
 	s := prf.NewStream(1, 1, 1, prf.PurposeTentativeColor)
 	defer func() {
 		if recover() == nil {
@@ -79,13 +82,51 @@ func TestPalettePickEmptyPanics(t *testing.T) {
 }
 
 func TestPaletteWordBoundaries(t *testing.T) {
-	p := newPalette(64)
+	var p palette
+	p.reset(64)
 	if p.len() != 64 || !p.contains(64) || p.contains(65) {
 		t.Fatal("64-color palette wrong")
 	}
-	p2 := newPalette(65)
+	var p2 palette
+	p2.reset(65)
 	if p2.len() != 65 || !p2.contains(65) {
 		t.Fatal("65-color palette wrong")
+	}
+}
+
+// TestPaletteStoragePaths: a palette of up to 64 colors lives in its
+// inline word and a larger one on the heap. One palette is reset back and
+// forth across 64 colors, and in each size its membership, size and
+// uniform picks must match a reference set.
+func TestPaletteStoragePaths(t *testing.T) {
+	var p palette
+	s := prf.NewStream(9, 1, 1, prf.PurposeTentativeColor)
+	for _, k := range []int{1, 40, 64, 65, 130, 63, 200, 2} {
+		p.reset(k)
+		if inline := &p.words[0] == &p.first[0]; inline != (k <= 64) {
+			t.Fatalf("k=%d: inline storage %v, want %v", k, inline, k <= 64)
+		}
+		ref := make(map[int64]bool)
+		for c := int64(1); c <= int64(k); c++ {
+			ref[c] = true
+		}
+		for c := int64(3); c <= int64(k); c += 7 {
+			p.remove(c)
+			delete(ref, c)
+		}
+		if p.len() != len(ref) {
+			t.Fatalf("k=%d: size %d, want %d", k, p.len(), len(ref))
+		}
+		for c := int64(0); c <= int64(k)+65; c++ {
+			if p.contains(c) != ref[c] {
+				t.Fatalf("k=%d: contains(%d) = %v, want %v", k, c, p.contains(c), ref[c])
+			}
+		}
+		for i := 0; i < 200; i++ {
+			if c := p.pick(s); !ref[c] {
+				t.Fatalf("k=%d: picked color %d outside the palette", k, c)
+			}
+		}
 	}
 }
 

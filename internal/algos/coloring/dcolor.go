@@ -86,12 +86,20 @@ func (f *DColorFactory) NewNode(v graph.NodeID) core.NodeInstance {
 	return &dcolorNode{f: f, v: v}
 }
 
+// blockStreakCap is the streak capacity NewNodes carves for each instance
+// of a block from one array the block shares. An instance whose start
+// round has more senders regrows its streak table on the heap.
+const blockStreakCap = 12
+
 // NewNodes implements core.DynamicAlgorithm: the k instances share one
-// allocation.
+// allocation, their palettes' first words are inline, and their initial
+// streak tables share one more.
 func (f *DColorFactory) NewNodes(v graph.NodeID, k int, dst []core.NodeInstance) []core.NodeInstance {
 	block := make([]dcolorNode, k)
+	streaks := make([]streakEntry, k*blockStreakCap)
 	for i := range block {
-		block[i] = dcolorNode{f: f, v: v}
+		lo, hi := i*blockStreakCap, (i+1)*blockStreakCap
+		block[i] = dcolorNode{f: f, v: v, streak: streaks[lo:lo:hi]}
 		dst = append(dst, &block[i])
 	}
 	return dst

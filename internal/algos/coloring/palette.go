@@ -29,29 +29,33 @@ const prfTentative = prf.PurposeTentativeColor
 // tests and uniform random selection. DColor palettes only shrink
 // (Lemma 4.2's invariant builds on that); SColor rebuilds its palette
 // every round, in place (reset).
+//
+// A palette of up to 64 colors keeps its one word inline, so the palette
+// of an instance in a DColor block sits in the block itself and costs no
+// allocation. Its words then point into the palette value: reset a
+// palette in place, and never copy one to use the copy as a second
+// palette.
 type palette struct {
 	words []uint64
 	size  int
+	first [1]uint64 // words' storage for palettes of up to 64 colors
 }
 
-// newPalette returns the full palette {1, …, k}.
-func newPalette(k int) palette {
-	var p palette
-	p.reset(k)
-	return p
-}
-
-// reset refills the palette to {1, …, k} in place, reusing its word
-// storage when it is large enough.
+// reset refills the palette to {1, …, k} in place: inline for up to 64
+// colors, otherwise reusing its word storage when it is large enough.
 func (p *palette) reset(k int) {
 	if k < 0 {
 		k = 0
 	}
 	n := (k + 63) / 64
-	if cap(p.words) < n {
+	switch {
+	case n <= len(p.first):
+		p.words = p.first[:n]
+	case cap(p.words) < n:
 		p.words = make([]uint64, n)
+	default:
+		p.words = p.words[:n]
 	}
-	p.words = p.words[:n]
 	for i := range p.words {
 		p.words[i] = ^uint64(0)
 	}

@@ -30,8 +30,12 @@ import (
 //	   the input-sanitization notes in the algorithm implementations),
 //	   invalid mid outputs caused by heavy dynamics cannot poison it.
 //
-// Channel layout: 0 = S; even channels 2r = mid instance started in
-// round r; odd channels 2r+1 = outer instance started in round r.
+// Channel layout: 0 = S; with W = max(T1, Tm)-1, a mid instance of age a
+// on even channel 2(W-a) and an outer instance of age a on odd channel
+// 2(W-a)+1. Instances are aligned across nodes by age, as in Concat, so
+// the channels lie in [0, 2·max(T1, Tm)-1] however long the run lasts;
+// the mid and outer instances started in one round sit side by side, the
+// oldest lowest.
 type Chain struct {
 	D   DynamicAlgorithm
 	Mid DynamicAlgorithm
@@ -59,9 +63,10 @@ func NewChain(d, mid DynamicAlgorithm, s NetworkStaticAlgorithm, n int) *Chain {
 	if t1 < 2 || tm < 2 {
 		panic(fmt.Sprintf("core: chain windows T1=%d, Tm=%d must be >= 2", t1, tm))
 	}
-	// Live mid channels are 2r over the last Tm-1 rounds and outer
-	// channels 2r+1 over the last T1-1, so the wider pipeline sets the
-	// span from the oldest live channel to the newest.
+	// Mid instances key their PRF purposes by 2r over the last Tm-1
+	// start rounds r, and outer instances by 2r+1 over the last T1-1, so
+	// the wider pipeline sets the span from the oldest live key to the
+	// newest.
 	checkChannelSpan(max(2*t1-3, 2*tm-2), fmt.Sprintf("chain windows T1=%d, Tm=%d", t1, tm))
 	return &Chain{D: d, Mid: mid, S: s, N: n, T1: t1, Tm: tm, T2: s.StabilizationTime(n)}
 }
@@ -104,10 +109,10 @@ func (p *chainProc) Start(ctx *engine.Ctx, input problems.Value) {
 func (p *chainProc) midOutput() problems.Value { return p.mids.output(p.c.Tm) }
 
 // nextSlot returns the pipeline and index of the live instance of lower
-// channel among mids slot *i and outs slot *j and advances past it; the
+// start key among mids slot *i and outs slot *j and advances past it; the
 // pipeline is nil once both are exhausted. Each pipeline ascends by
-// channel, so repeated calls walk all live instances in ascending
-// channel order.
+// start key, and a lower key means a lower wire channel, so repeated
+// calls walk all live instances in ascending channel order.
 func (p *chainProc) nextSlot(i, j *int) (*pipeline, int) {
 	mids, outs := p.mids.meta, p.outs.meta
 	switch {
@@ -152,16 +157,27 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 	}
 	var i, j int
 	for q, k := p.nextSlot(&i, &j); q != nil; q, k = p.nextSlot(&i, &j) {
-		ch := q.meta[k].ch
+		m := q.meta[k]
 		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(ch)
+		p.ictx.PurposeBase = dalgPurpose(m.ch)
 		start = len(buf)
 		buf = q.inst[k].Broadcast(&p.ictx, buf)
+		wire := p.wire(q, m.age)
 		for b := start; b < len(buf); b++ {
-			buf[b].Chan = ch
+			buf[b].Chan = wire
 		}
 	}
 	return buf
+}
+
+// wire is the channel of the instance of the given age in pipeline q:
+// 2(W-age) for a mid instance, 2(W-age)+1 for an outer one.
+func (p *chainProc) wire(q *pipeline, age int32) int32 {
+	ch := 2 * (int32(max(p.c.T1, p.c.Tm)-1) - age)
+	if q == &p.outs {
+		ch++
+	}
+	return ch
 }
 
 func (p *chainProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
@@ -174,7 +190,7 @@ func (p *chainProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	var i, j int
 	for q, k := p.nextSlot(&i, &j); q != nil; q, k = p.nextSlot(&i, &j) {
 		m := &q.meta[k]
-		run, rest = channelRun(rest, m.ch)
+		run, rest = channelRun(rest, p.wire(q, m.age))
 		p.ictx = *ctx
 		p.ictx.PurposeBase = dalgPurpose(m.ch)
 		q.inst[k].Process(&p.ictx, run, deg)

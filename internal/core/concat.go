@@ -20,11 +20,15 @@ import (
 // T2 rounds (property B.2) and, because DAlg is input-extending (A.1), so
 // does Concat's output: Theorem 1.1(2).
 //
-// Instance alignment across nodes uses the engine round as the channel id.
-// The paper notes a common global round counter is not needed; operationally
-// every message could carry its instance's age instead, which identifies
-// the instance uniquely among the T1-1 live ones. The engine round is the
-// same information precomputed.
+// Instances are aligned across nodes by their age, as the paper notes a
+// common global round counter is not needed: the instances two nodes
+// started in the same round have the same age, and the age identifies an
+// instance uniquely among the T1-1 live ones. SAlg's sub-messages go out
+// on channel 0 and an instance of age a on channel T1-1-a, which lies in
+// [1, T1-1], so the oldest instance has the lowest channel and a node's
+// channels span T1 at most however long the run lasts. The start round
+// is kept too (slotMeta.ch), for the instance's PRF purpose and for
+// checkpoints.
 type Concat struct {
 	D DynamicAlgorithm
 	S NetworkStaticAlgorithm
@@ -137,8 +141,9 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 	inst.Start(&p.ictx, p.salg.Output())
 
 	// SAlg sub-messages on channel 0, then each live DAlg instance on its
-	// channel: the pipeline's channels are consecutive rounds, so the
-	// outbox is in ascending channel order, as the engine requires.
+	// age's channel: the pipeline runs from the oldest instance to the
+	// newest, so the outbox is in ascending channel order, as the engine
+	// requires.
 	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
 	start := len(buf)
@@ -151,24 +156,30 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 		p.ictx.PurposeBase = dalgPurpose(m.ch)
 		start = len(buf)
 		buf = p.dal.inst[i].Broadcast(&p.ictx, buf)
+		wire := p.wire(m.age)
 		for j := start; j < len(buf); j++ {
-			buf[j].Chan = m.ch
+			buf[j].Chan = wire
 		}
 	}
 	return buf
 }
 
+// wire is the channel of the instance of the given age.
+func (p *concatProc) wire(age int32) int32 { return int32(p.c.T1-1) - age }
+
 func (p *concatProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	// The inbox arrives sorted by channel, and channel 0 and the
 	// pipeline's channels ascend in slot order, so each instance's
-	// sub-inbox is the next contiguous run — sliced, not copied.
+	// sub-inbox is the next contiguous run — sliced, not copied. An
+	// instance's age moves on only after its run is taken, so Process
+	// reads the channels Broadcast wrote.
 	run, rest := channelRun(in, 0)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
 	p.salg.Process(&p.ictx, run, deg)
 	for i := range p.dal.meta {
 		m := &p.dal.meta[i]
-		run, rest = channelRun(rest, m.ch)
+		run, rest = channelRun(rest, p.wire(m.age))
 		p.ictx = *ctx
 		p.ictx.PurposeBase = dalgPurpose(m.ch)
 		p.dal.inst[i].Process(&p.ictx, run, deg)
@@ -200,13 +211,15 @@ type pipeline struct {
 	meta []slotMeta
 }
 
-// slotMeta is the combiner's bookkeeping for one live instance.
+// slotMeta is the combiner's bookkeeping for one live instance. ch is
+// the instance's start round (Chain: a function of it), which keys its
+// PRF purpose; the channel on the wire is derived from age.
 type slotMeta struct {
 	ch  int32
 	age int32 // rounds processed
 }
 
-// push starts the pipeline's newest slot, on channel ch, and returns its
+// push starts the pipeline's newest slot, with start key ch, and returns its
 // instance for the caller to Start. While the pipeline fills, the slot
 // takes the next instance of the newest block, and a spent block is
 // followed by a new one of up to pipelineBlock instances from f. Once

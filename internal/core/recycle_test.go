@@ -136,23 +136,33 @@ func TestRestartEqualsFreshInstance(t *testing.T) {
 // runs a NewNode instance; each instance of a block NewNodes built for
 // it is Started with the same input and context and fed node 0's inbox,
 // and must match it in checkpoint bytes after Start and in broadcasts,
-// outputs and checkpoint bytes in each of T rounds.
+// outputs and checkpoint bytes in each of T rounds. In the wide-start
+// case node 0's start-round inbox has more senders than the 12 streak
+// entries DColor's NewNodes carves per instance, so the block instances'
+// streak tables regrow on the heap.
 func TestBlockInstancesEqualNewNode(t *testing.T) {
 	const block = 8
 	dcolor := &coloring.DColorFactory{N: recycleN}
 	dmis := &mis.DMisFactory{N: recycleN}
+	sparse := graph.GNP(recycleN, 0.3, prf.NewStream(3, 0, 0, prf.PurposeWorkload))
+	dense := graph.GNP(recycleN, 0.9, prf.NewStream(3, 0, 0, prf.PurposeWorkload))
 	cases := []struct {
 		name  string
 		f     core.DynamicAlgorithm
 		input problems.Value // node 0's input
+		base  *graph.Graph
 	}{
-		{"dcolor", dcolor, problems.Bot},
-		{"dcolor-colored-input", dcolor, 1},
-		{"dmis", dmis, problems.Bot},
-		{"dmis-dominated-input", dmis, problems.Dominated},
+		{"dcolor", dcolor, problems.Bot, sparse},
+		{"dcolor-colored-input", dcolor, 1, sparse},
+		{"dcolor-wide-start", dcolor, problems.Bot, dense},
+		{"dmis", dmis, problems.Bot, sparse},
+		{"dmis-dominated-input", dmis, problems.Dominated, sparse},
 	}
-	base := graph.GNP(recycleN, 0.3, prf.NewStream(3, 0, 0, prf.PurposeWorkload))
+	if n := len(recycleNeighbors(dense, 0, 1)); n <= 12 {
+		t.Fatalf("wide-start inbox has %d senders, want more than 12", n)
+	}
 	for _, tc := range cases {
+		base := tc.base
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := func(v graph.NodeID, r int) *engine.Ctx {
 				return &engine.Ctx{Node: v, Round: r, Seed: 11}

@@ -599,6 +599,36 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 	return base
 }
 
+// checkAdversaryEdges checks, after a chain is read, that an adversary
+// keeping its own copy of the live edges (adversary.EdgeMirror) agrees
+// with the restored topology.
+func (e *Engine) checkAdversaryEdges() error {
+	mirror, ok := e.adv.(adversary.EdgeMirror)
+	if !ok {
+		return nil
+	}
+	var m int
+	var has func(u, v graph.NodeID) bool
+	if e.adj != nil {
+		m = e.adj.M()
+		has = func(u, v graph.NodeID) bool {
+			_, found := slices.BinarySearch(e.adj.Neighbors(u), v)
+			return found
+		}
+	} else {
+		g := e.resolver.Materialize()
+		m, has = g.M(), g.HasEdge
+	}
+	err := mirror.CheckEdges(m, func(k graph.EdgeKey) bool {
+		u, v := k.Nodes()
+		return u >= 0 && u < v && int(v) < e.cfg.N && has(u, v)
+	})
+	if err != nil {
+		return fmt.Errorf("engine: restored adversary state disagrees with the restored topology: %w", err)
+	}
+	return nil
+}
+
 // readConfig reads a base record's configuration block and fails r on
 // any mismatch with the restoring engine: node state only replays
 // correctly under the exact same configuration.
@@ -682,6 +712,9 @@ func (e *Engine) ReadChain(r io.Reader, a *ckpt.RestoreArena, part ChainPart) er
 		if err == io.EOF {
 			if n == 0 {
 				return errors.New("engine: empty checkpoint chain")
+			}
+			if err := e.checkAdversaryEdges(); err != nil {
+				return err
 			}
 			if part != nil {
 				return part.FinishChain()

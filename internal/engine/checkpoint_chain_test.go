@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -345,5 +346,89 @@ func TestCheckpointWrapperAdversaries(t *testing.T) {
 				diffTraces(t, fmt.Sprintf("%s chain prefix %d", name, i), ref.tail(recRounds[i]), res)
 			}
 		})
+	}
+}
+
+// forgedAdv plays adv's topology but writes forged's state into
+// checkpoint records: forged is stepped alongside, so its section is
+// well formed, and the record's CRC is valid, but the section describes
+// other edges than the record's topology.
+type forgedAdv struct {
+	adversary.Adversary
+	forged interface {
+		adversary.Adversary
+		adversary.Checkpointer
+	}
+}
+
+func (f forgedAdv) Step(v adversary.View) adversary.Step {
+	f.forged.Step(v)
+	return f.Adversary.Step(v)
+}
+func (f forgedAdv) SaveState(w *ckpt.Writer) { f.forged.SaveState(w) }
+func (f forgedAdv) LoadState(r *ckpt.Reader) { f.forged.LoadState(r) }
+
+// TestCheckpointChainAdversaryMatchesTopology: Churn and EdgeMarkov keep
+// their own copy of the live edges, restored from the adversary section
+// while the engine's topology comes from the topology sections. A record
+// whose sections disagree must fail the read, before a later Step can
+// remove an edge the topology does not have; the honest record of the
+// same run must read and resume.
+func TestCheckpointChainAdversaryMatchesTopology(t *testing.T) {
+	const n = 48
+	s := prf.NewStream(9, 0, 0, prf.PurposeWorkload)
+	base := graph.GNP(n, 6.0/float64(n), s)
+	churn := func(add, del int, seed uint64) *adversary.Churn {
+		return &adversary.Churn{Base: base, Add: add, Del: del, Seed: seed}
+	}
+	markov := func(seed uint64) *adversary.EdgeMarkov {
+		return &adversary.EdgeMarkov{Footprint: base, POn: 0.3, POff: 0.3, Seed: seed}
+	}
+	cases := []struct {
+		name    string
+		live    func() adversary.Adversary
+		forged  func() forgedAdv
+		wantErr string
+	}{
+		{"churn-honest", func() adversary.Adversary { return churn(2, 2, 17) },
+			func() forgedAdv { return forgedAdv{churn(2, 2, 17), churn(2, 2, 17)} }, ""},
+		{"churn-other-edges", func() adversary.Adversary { return churn(2, 2, 17) },
+			func() forgedAdv { return forgedAdv{churn(2, 2, 17), churn(2, 2, 18)} }, "is not in the topology"},
+		{"churn-other-count", func() adversary.Adversary { return churn(2, 2, 17) },
+			func() forgedAdv { return forgedAdv{churn(2, 2, 17), churn(3, 1, 17)} }, "edges, the topology"},
+		{"markov-honest", func() adversary.Adversary { return markov(17) },
+			func() forgedAdv { return forgedAdv{markov(17), markov(17)} }, ""},
+		{"markov-other-edges", func() adversary.Adversary { return markov(17) },
+			func() forgedAdv { return forgedAdv{markov(17), markov(18)} }, "edge-Markov"},
+	}
+	for _, tc := range cases {
+		for _, dense := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/dense=%v", tc.name, dense), func(t *testing.T) {
+				cfg := Config{N: n, Seed: 5, Workers: 1, Dense: dense}
+				w := New(cfg, tc.forged(), ckAlgo{})
+				w.Run(6)
+				var buf bytes.Buffer
+				if err := w.WriteRecord(&buf, true, nil); err != nil {
+					t.Fatalf("write record: %v", err)
+				}
+				e := New(cfg, tc.live(), ckAlgo{})
+				err := e.ReadChain(bytes.NewReader(buf.Bytes()), nil, nil)
+				if tc.wantErr == "" {
+					if err != nil {
+						t.Fatalf("honest record: %v", err)
+					}
+					e.Run(6)
+					return
+				}
+				if err == nil {
+					t.Fatal("record whose adversary disagrees with its topology was read")
+				}
+				for _, want := range []string{"disagrees with the restored topology", tc.wantErr} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %q does not say %q", err, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -13,18 +13,20 @@ import (
 )
 
 // chanAlgo is a toy multi-channel algorithm: each round a node emits 0-3
-// sub-messages on each of a random subset of channels, in ascending
+// sub-messages on each channel of one of two channel sets, in ascending
 // channel order, numbering its outbox in B. Every third round it stays on
 // channel 0 only, so both delivery paths — the one-pass append and the
-// channel-run merge — are exercised. Process checks that the inbox is
-// stably sorted by (Chan, sender, outbox position) and outputs a hash of
-// it, so equal outputs mean equal inboxes.
+// counting sort — are exercised. The set alternates with node and round:
+// a dense run, and a sparse wide one with gaps and a negative channel, so
+// receivers see either set or their union. Process checks that the inbox
+// is stably sorted by (Chan, sender, outbox position) and outputs a hash
+// of it, so equal outputs mean equal inboxes.
 type chanAlgo struct{}
 
 func (chanAlgo) Name() string                    { return "chan-toy" }
 func (chanAlgo) NewNode(v graph.NodeID) NodeProc { return &chanNode{v: v} }
 
-var toyChannels = []int32{-1, 0, 1, 2, 5, 7}
+var toyChannels = [2][]int32{{-1, 0, 1, 2, 5, 7}, {-7, 0, 3, 900}}
 
 type chanNode struct {
 	v   graph.NodeID
@@ -35,7 +37,7 @@ func (c *chanNode) Start(*Ctx, problems.Value) {}
 
 func (c *chanNode) Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg {
 	s := ctx.Stream(prf.PurposeWorkload)
-	chans := toyChannels
+	chans := toyChannels[(ctx.Round+int(c.v))%2]
 	if ctx.Round%3 == 0 {
 		chans = []int32{0}
 	}
@@ -143,5 +145,122 @@ func TestUnsortedOutboxPanics(t *testing.T) {
 			}()
 			e.Step()
 		})
+	}
+}
+
+// spanAlgo broadcasts on channel lo at node 0 and on channel hi at the
+// last node in round 2, and on channel 0 everywhere else.
+type spanAlgo struct {
+	n      graph.NodeID
+	lo, hi int32
+}
+
+func (a spanAlgo) Name() string                    { return "span" }
+func (a spanAlgo) NewNode(v graph.NodeID) NodeProc { return &spanNode{a: a, v: v} }
+
+type spanNode struct {
+	a spanAlgo
+	v graph.NodeID
+}
+
+func (s *spanNode) Start(*Ctx, problems.Value) {}
+func (s *spanNode) Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg {
+	var ch int32
+	switch {
+	case ctx.Round != 2:
+	case s.v == 0:
+		ch = s.a.lo
+	case s.v == s.a.n-1:
+		ch = s.a.hi
+	}
+	return append(buf, SubMsg{Chan: ch})
+}
+func (s *spanNode) Process(*Ctx, []Incoming, int) {}
+func (s *spanNode) Output() problems.Value        { return 1 }
+
+// TestChannelSpanGuard: delivery counts messages per channel, so a round
+// whose channels span more than maxChanSpan is refused at the barrier,
+// with the round and both channels named. The two ends come from the
+// first and the last node, which sit in different worker shards. A round
+// spanning exactly maxChanSpan channels is delivered.
+func TestChannelSpanGuard(t *testing.T) {
+	const n = 1024 // above serialThreshold so the fold spans workers
+	cases := []struct {
+		lo, hi int32
+		panics bool
+	}{
+		{-5, maxChanSpan - 6, false},
+		{-5, maxChanSpan - 5, true},
+		{0, 1 << 30, true},
+	}
+	for _, tc := range cases {
+		for _, dense := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d..%d/dense=%v", tc.lo, tc.hi, dense), func(t *testing.T) {
+				algo := spanAlgo{n: n, lo: tc.lo, hi: tc.hi}
+				e := New(Config{N: n, Seed: 1, Workers: 4, Dense: dense}, adversary.Static{G: graph.Cycle(n)}, algo)
+				e.Step()
+				defer func() {
+					msg := recover()
+					if (msg != nil) != tc.panics {
+						t.Fatalf("panic = %v, want panic %v", msg, tc.panics)
+					}
+					want := fmt.Sprintf("round 2 broadcast channels %d to %d", tc.lo, tc.hi)
+					if msg != nil && !strings.Contains(fmt.Sprint(msg), want) {
+						t.Fatalf("panic %q does not name %q", msg, want)
+					}
+				}()
+				if info := e.Step(); info.Messages != 2*n {
+					t.Fatalf("round 2 delivered %d messages, want %d", info.Messages, 2*n)
+				}
+			})
+		}
+	}
+}
+
+// bitsAlgo is chanAlgo with declared message sizes; each node outputs
+// the bits of its inbox.
+type bitsAlgo struct{ chanAlgo }
+
+func (bitsAlgo) NewNode(v graph.NodeID) NodeProc { return &bitsNode{chanNode{v: v}} }
+func (bitsAlgo) MessageBits(m SubMsg) int      { return 1 + int(m.Chan&7) + int(m.B%5) }
+
+type bitsNode struct{ chanNode }
+
+func (b *bitsNode) Process(ctx *Ctx, in []Incoming, deg int) {
+	var sum int64
+	for _, m := range in {
+		sum += int64(bitsAlgo{}.MessageBits(m.M))
+	}
+	b.out = problems.Value(sum)
+}
+
+// TestBitsMatchInboxes: the engine accounts bits per sender, as the
+// outbox's bits times the sender's degree, and skips sizing for isolated
+// senders. The round's Bits must still equal the bits every receiver
+// finds in its inbox, on a churned sparse graph with isolated and
+// degree-1 nodes.
+func TestBitsMatchInboxes(t *testing.T) {
+	const n, rounds = 1024, 9
+	for _, workers := range []int{1, 4} {
+		for _, dense := range []bool{false, true} {
+			e := New(Config{N: n, Seed: 42, Workers: workers, Dense: dense}, churnAdv(n)(), bitsAlgo{})
+			isolated := 0
+			e.OnRound(func(info *RoundInfo) {
+				var sum int64
+				for v, out := range info.Outputs {
+					sum += int64(out)
+					if info.Graph().Degree(graph.NodeID(v)) == 0 {
+						isolated++
+					}
+				}
+				if info.Bits != sum {
+					t.Fatalf("workers=%d dense=%v round %d: Bits %d, inboxes hold %d", workers, dense, info.Round, info.Bits, sum)
+				}
+			})
+			e.Run(rounds)
+			if isolated == 0 {
+				t.Fatalf("workers=%d dense=%v: no isolated node in %d rounds", workers, dense, rounds)
+			}
+		}
 	}
 }

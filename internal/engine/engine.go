@@ -16,11 +16,16 @@
 // shards (cut by cumulative degree, see parallel.go) with a barrier
 // between them. Each receiver's inbox is assembled in a per-worker
 // scratch buffer, stably sorted by channel: within a channel, messages
-// come in adjacency order and then in outbox order. Senders emit their
-// outboxes in nondecreasing channel order, so in rounds where some outbox
-// carries a nonzero channel the inbox is a k-way merge of the neighbors'
-// channel runs; in all other rounds it is one pass of appends, neighbor by
-// neighbor.
+// come in adjacency order and then in outbox order. In rounds where every
+// outbox is on channel 0 that is one pass of appends, neighbor by
+// neighbor. Otherwise it is a counting sort over the receiver's channel
+// span: senders emit their outboxes in nondecreasing channel order, so
+// the first and last sub-message of each neighbor's outbox bound the
+// span, one pass counts the messages per channel and a second scatters
+// them into place. Counting costs O(span) per receiver, so the barrier
+// after the broadcast phase panics when a round's channels span more than
+// 2^16; the combiners number their channels by instance age, which keeps
+// the span below their window however long a run lasts.
 //
 // # Determinism contract
 //
@@ -90,7 +95,8 @@
 // valid only for the duration of the call: the inbox lives in its
 // worker's scratch buffer and is overwritten by the next node that worker
 // processes. Broadcast must return its sub-messages in nondecreasing Chan
-// order (Step panics otherwise, naming the node and round), and Process
+// order (Step panics otherwise, naming the node and round), a round's
+// channels must span at most 2^16 (likewise checked), and Process
 // receives its inbox sorted by (Chan, adjacency order) — a combiner can
 // slice each instance's run out of it without copying.
 //
@@ -100,6 +106,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
@@ -148,7 +155,9 @@ type NodeProc interface {
 	Start(ctx *Ctx, input problems.Value)
 	// Broadcast appends the node's sub-messages for this round to buf and
 	// returns it, in nondecreasing Chan order. Returning an empty slice
-	// means the node stays silent.
+	// means the node stays silent. All outboxes of one round together may
+	// span at most 2^16 channels, from the lowest to the highest; Step
+	// panics otherwise, naming the round and both channels.
 	Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg
 	// Process handles the inbox (all sub-messages broadcast by current
 	// neighbors this round) and the node's degree in G_r. The inbox is
@@ -706,7 +715,7 @@ func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.Edg
 	// Phase 1: broadcast (sparseBroadcast over the active list).
 	e.stepRound = r
 	msgs, bits := e.runPhase(list, e.phase1Fn)
-	e.foldChannels()
+	e.foldChannels(r)
 
 	// Phase 2: deliver, process, snapshot, diff and quiesce
 	// (sparseProcess), fused per node.
@@ -775,9 +784,11 @@ func (e *Engine) sparseBroadcast(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 // sent accounts one sender's fresh outbox, delivered to its deg
 // neighbors: it returns the delivered message count and declared bits. It
 // also enforces the nondecreasing channel order delivery relies on, and
-// flags the worker's shard when the outbox carries a nonzero channel —
-// given the order, one compare of its two ends — so that phase 2 merges
-// channel runs only in rounds that need it.
+// folds the outbox's channel range — given the order, its two ends —
+// into the worker's accounting cell, so that phase 2 sorts by channel
+// only in rounds that need it and the barrier can bound the round's
+// channel span. An isolated sender delivers nothing, so its messages are
+// not sized.
 func (e *Engine) sent(w, r int, v graph.NodeID, out []SubMsg, deg int) (int, int64) {
 	if len(out) == 0 {
 		return 0, 0
@@ -787,11 +798,15 @@ func (e *Engine) sent(w, r int, v graph.NodeID, out []SubMsg, deg int) (int, int
 			panic(fmt.Sprintf("engine: round %d node %d broadcast channel %d after channel %d — outboxes must be in nondecreasing Chan order", r, v, out[i].Chan, out[i-1].Chan))
 		}
 	}
-	if out[0].Chan != 0 || out[len(out)-1].Chan != 0 {
-		e.acc[w].chans = true
+	acc := &e.acc[w]
+	lo, hi := out[0].Chan, out[len(out)-1].Chan
+	if !acc.sending {
+		acc.lo, acc.hi, acc.sending = lo, hi, true
+	} else {
+		acc.lo, acc.hi = min(acc.lo, lo), max(acc.hi, hi)
 	}
 	var b int64
-	if e.sizer != nil {
+	if e.sizer != nil && deg > 0 {
 		for i := range out {
 			b += int64(e.sizer.MessageBits(out[i]))
 		}
@@ -800,26 +815,44 @@ func (e *Engine) sent(w, r int, v graph.NodeID, out []SubMsg, deg int) (int, int
 	return len(out) * deg, b
 }
 
-// foldChannels folds the per-worker nonzero-channel flags of phase 1 at
-// the barrier and clears them for the next round.
-func (e *Engine) foldChannels() {
-	e.multiCh = false
+// maxChanSpan bounds the number of channels one round's outboxes may
+// span: delivery counts messages per channel, at a cost of O(span) per
+// receiver.
+const maxChanSpan = 1 << 16
+
+// foldChannels folds the per-worker channel ranges of phase 1 at the
+// barrier and clears them for the next round. It panics, naming the
+// round and both channels, when the round's channels span more than
+// maxChanSpan.
+func (e *Engine) foldChannels(r int) {
+	var lo, hi int32
+	sending := false
 	for w := range e.acc {
-		if e.acc[w].chans {
-			e.multiCh = true
-			e.acc[w].chans = false
+		acc := &e.acc[w]
+		if !acc.sending {
+			continue
 		}
+		if !sending {
+			lo, hi, sending = acc.lo, acc.hi, true
+		} else {
+			lo, hi = min(lo, acc.lo), max(hi, acc.hi)
+		}
+		acc.sending = false
 	}
+	if int64(hi)-int64(lo) >= maxChanSpan {
+		panic(fmt.Sprintf("engine: round %d broadcast channels %d to %d — a round's channels must span at most %d", r, lo, hi, maxChanSpan))
+	}
+	e.multiCh = lo != 0 || hi != 0
 }
 
 // workerScratch is one worker's delivery scratch: the inbox loaned to
-// Process and the run-merge cursors, one per neighbor. Workers store the
-// headers back after every node, so each cell is padded out to a cache
-// line of its own.
+// Process and the per-channel counts of the counting sort. Workers store
+// the headers back after every node, so each cell is padded out to a
+// cache line of its own.
 type workerScratch struct {
-	inbox  []Incoming
-	cursor []int
-	_      [16]byte
+	inbox []Incoming
+	count []int
+	_     [16]byte
 }
 
 // deliver assembles v's inbox from its neighbors' outboxes in worker w's
@@ -828,60 +861,62 @@ type workerScratch struct {
 // stably sorted by Chan — within a channel in adjacency order, then
 // outbox order. When every outbox of the round is on channel 0 that is
 // plain neighbor order: one pass of appends, the whole cost for
-// standalone algorithms. Otherwise the sorted outboxes are merged one
-// channel at a time (mergeRuns). Each neighbor's outbox header is a
-// random read into a node-indexed array, so no separate sizing pass is
-// made; dropped neighbors' outboxes are empty by contract and by
-// applyDrops.
+// standalone algorithms. Otherwise it is a counting sort over the
+// receiver's channel span [lo, hi]: the ends of each neighbor's sorted
+// outbox give the span and the inbox size, one pass counts the messages
+// per channel, prefix sums turn the counts into each channel's first
+// inbox slot, and a second pass scatters the outboxes in adjacency
+// order. The cost is O(deg + messages + span), and the barrier bounds
+// the span (foldChannels). Dropped neighbors' outboxes are empty by
+// contract and by applyDrops.
 func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	sc := &e.scratch[w]
 	in := sc.inbox[:0]
-	if e.multiCh {
-		in = e.mergeRuns(w, in, nbrs)
-	} else {
+	if !e.multiCh {
 		for _, u := range nbrs {
 			run := e.outbox[u]
 			for i := range run {
 				in = append(in, Incoming{From: u, M: run[i]})
 			}
 		}
+		sc.inbox = in
+		return in
 	}
-	sc.inbox = in
-	return in
-}
-
-// mergeRuns is the k-way run merge behind deliver: each pass takes, from
-// every neighbor in adjacency order, its run on the smallest channel any
-// cursor points at, so a pass costs O(deg) plus the messages it moves and
-// a round of c live channels makes c passes.
-func (e *Engine) mergeRuns(w int, in []Incoming, nbrs []graph.NodeID) []Incoming {
-	sc := &e.scratch[w]
-	cur := sc.cursor[:0]
-	var ch int32
-	live := false
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
+	total := 0
 	for _, u := range nbrs {
-		cur = append(cur, 0)
-		if run := e.outbox[u]; len(run) > 0 && (!live || run[0].Chan < ch) {
-			ch, live = run[0].Chan, true
+		if run := e.outbox[u]; len(run) > 0 {
+			lo, hi = min(lo, run[0].Chan), max(hi, run[len(run)-1].Chan)
+			total += len(run)
 		}
 	}
-	for live {
-		live = false
-		var next int32
-		for i, u := range nbrs {
-			run, p := e.outbox[u], cur[i]
-			for p < len(run) && run[p].Chan == ch {
-				in = append(in, Incoming{From: u, M: run[p]})
-				p++
-			}
-			cur[i] = p
-			if p < len(run) && (!live || run[p].Chan < next) {
-				next, live = run[p].Chan, true
-			}
-		}
-		ch = next
+	if total == 0 {
+		sc.inbox = in
+		return in
 	}
-	sc.cursor = cur
+	span := int(hi-lo) + 1
+	count := slices.Grow(sc.count[:0], span)[:span]
+	clear(count)
+	for _, u := range nbrs {
+		for _, m := range e.outbox[u] {
+			count[m.Chan-lo]++
+		}
+	}
+	next := 0
+	for i, c := range count {
+		count[i] = next
+		next += c
+	}
+	in = slices.Grow(in, total)[:total]
+	for _, u := range nbrs {
+		run := e.outbox[u]
+		for i := range run {
+			p := &count[run[i].Chan-lo]
+			in[*p] = Incoming{From: u, M: run[i]}
+			*p++
+		}
+	}
+	sc.inbox, sc.count = in, count
 	return in
 }
 
@@ -943,7 +978,7 @@ func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.Edge
 		e.outbox[v] = out
 		return e.sent(w, r, v, out, g.Degree(v))
 	})
-	e.foldChannels()
+	e.foldChannels(r)
 
 	// Phase 2: deliver, process, snapshot and diff — fused per node so no
 	// serial post-pass remains; delivery is the sparse walk's.

@@ -21,13 +21,15 @@ const serialThreshold = 512
 type phaseFunc func(ctx *Ctx, w int, v graph.NodeID) (msgs int, bits int64)
 
 // workerAcc is a per-worker accounting cell, padded out to a cache line so
-// concurrent workers do not false-share. chans is set by phase 1 when a
-// sender of the worker's shard uses a nonzero channel (see Engine.sent).
+// concurrent workers do not false-share. Phase 1 sets sending when a
+// sender of the worker's shard broadcasts; lo and hi are then the lowest
+// and highest channel of the shard's outboxes (see Engine.sent).
 type workerAcc struct {
-	msgs  int
-	bits  int64
-	chans bool
-	_     [47]byte
+	msgs    int
+	bits    int64
+	lo, hi  int32
+	sending bool
+	_       [39]byte
 }
 
 // parallelNodes applies fn to every awake node and returns the summed
