@@ -10,8 +10,8 @@ import "testing"
 // rows); a regression to per-node or per-instance allocation overshoots
 // the bounds by an order of magnitude. Coloring measures 41: its palettes
 // sit inline in the instance blocks and its streak tables in storage
-// carved per block, so only a start round with more than 12 senders
-// allocates.
+// carved per block, so beyond churn-driven growth only a start round
+// with more than 12 senders allocates.
 func TestStepAllocationGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -50,13 +50,14 @@ func TestWireChannelsStayInWindow(t *testing.T) {
 	const n = 64
 	dyn := func(window int) core.DynamicAlgorithm { return &coloring.DColorFactory{N: n, Window: window} }
 	s := &coloring.SColorFactory{N: n}
+	t1 := coloring.DefaultColoringWindow(n)
 	cases := []struct {
 		name   string
 		algo   engine.Algorithm
 		window int // the widest pipeline's window
 		top    int32
 	}{
-		{"concat", core.NewConcat(dyn(0), s, n), coloring.DefaultColoringWindow(n), int32(coloring.DefaultColoringWindow(n) - 1)},
+		{"concat", core.NewConcat(dyn(0), s, n), t1, int32(t1 - 1)},
 		{"chain-outer-wider", core.NewChain(dyn(12), dyn(5), s, n), 12, 2*12 - 1},
 		{"chain-mid-wider", core.NewChain(dyn(6), dyn(11), s, n), 11, 2*11 - 1},
 	}
@@ -73,7 +74,7 @@ func TestWireChannelsStayInWindow(t *testing.T) {
 			}
 			for ch := range spy.seen {
 				if ch < 0 || ch > tc.top {
-					t.Fatalf("round > %d: channel %d outside [0, %d]", spy.from, ch, tc.top)
+					t.Fatalf("from round %d: channel %d outside [0, %d]", spy.from, ch, tc.top)
 				}
 			}
 		})

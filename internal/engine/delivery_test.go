@@ -222,7 +222,7 @@ func TestChannelSpanGuard(t *testing.T) {
 type bitsAlgo struct{ chanAlgo }
 
 func (bitsAlgo) NewNode(v graph.NodeID) NodeProc { return &bitsNode{chanNode{v: v}} }
-func (bitsAlgo) MessageBits(m SubMsg) int      { return 1 + int(m.Chan&7) + int(m.B%5) }
+func (bitsAlgo) MessageBits(m SubMsg) int        { return 1 + int(m.Chan&7) + int(m.B%5) }
 
 type bitsNode struct{ chanNode }
 

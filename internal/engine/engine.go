@@ -825,24 +825,17 @@ const maxChanSpan = 1 << 16
 // round and both channels, when the round's channels span more than
 // maxChanSpan.
 func (e *Engine) foldChannels(r int) {
-	var lo, hi int32
-	sending := false
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for w := range e.acc {
-		acc := &e.acc[w]
-		if !acc.sending {
-			continue
-		}
-		if !sending {
-			lo, hi, sending = acc.lo, acc.hi, true
-		} else {
+		if acc := &e.acc[w]; acc.sending {
 			lo, hi = min(lo, acc.lo), max(hi, acc.hi)
+			acc.sending = false
 		}
-		acc.sending = false
 	}
-	if int64(hi)-int64(lo) >= maxChanSpan {
+	e.multiCh = lo <= hi && (lo != 0 || hi != 0)
+	if e.multiCh && int64(hi)-int64(lo) >= maxChanSpan {
 		panic(fmt.Sprintf("engine: round %d broadcast channels %d to %d — a round's channels must span at most %d", r, lo, hi, maxChanSpan))
 	}
-	e.multiCh = lo != 0 || hi != 0
 }
 
 // workerScratch is one worker's delivery scratch: the inbox loaned to
