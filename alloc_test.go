@@ -1,6 +1,16 @@
 package dynlocal
 
-import "testing"
+import (
+	"io"
+	"runtime"
+	"testing"
+
+	"dynlocal/internal/algos/mis"
+)
+
+// deltaRecordAllocs is TestDeltaRecordAllocs's bound on one delta
+// record, the most it measures.
+const deltaRecordAllocs = 4
 
 // TestStepAllocationGuard bounds the allocations of one steady-state
 // round of the combined algorithms — N = 4096 under Churn 32+32 at one
@@ -64,5 +74,44 @@ func TestFillAllocationGuard(t *testing.T) {
 	t.Logf("%.0f allocations per fill round", allocs)
 	if bound := 3072.0; allocs > bound {
 		t.Fatalf("one fill round allocates %.0f times, bound %.0f", allocs, bound)
+	}
+}
+
+// TestDeltaRecordAllocs bounds the allocations of one delta record of
+// standalone DMis and its T-dynamic checker — N = 4096 under Churn
+// 16+16 at one worker, a base, then a delta every 8 rounds. The record
+// is encoded by the engine's reused writer and the window sorts its
+// span keys in reused storage, so once the first delta has grown them a
+// record allocates 3 or 4 times: the engine's two edge diff lists, the
+// chain framing's length prefix and, when wake buckets moved, the
+// window's list of bucket rounds. A writer or buffer allocated per
+// record overshoots the bound.
+func TestDeltaRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, deltas = 4096, 12
+	adv := NewChurn(GNP(n, 8.0/float64(n), 5), 16, 16, 6)
+	e := NewEngine(EngineConfig{N: n, Seed: 7, Workers: 1}, adv, NewDMis(n))
+	chk := NewTDynamicChecker(MISProblem(), mis.DefaultMISWindow(n), n)
+	e.OnRound(func(info *RoundInfo) { chk.Feed(info.Delta()) })
+	e.Run(8)
+	if err := WriteCheckpointChain(io.Discard, e, chk); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	for i := 0; i < deltas; i++ {
+		e.Run(8)
+		runtime.ReadMemStats(&before)
+		err := AppendCheckpointDelta(io.Discard, e, chk)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := after.Mallocs - before.Mallocs
+		t.Logf("delta %d at round %d: %d allocations", i+1, e.Round(), allocs)
+		if i > 0 && allocs > deltaRecordAllocs {
+			t.Fatalf("delta %d at round %d allocates %d times, bound %d", i+1, e.Round(), allocs, deltaRecordAllocs)
+		}
 	}
 }

@@ -1039,16 +1039,14 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 			b.Run(fmt.Sprintf("delta/%s/N=%d", cl.tag, n), func(b *testing.B) {
 				b.ReportAllocs()
-				var probe bytes.Buffer
-				if err := appendDeltaRecord(&probe, e, chk); err != nil {
+				probe, err := appendDeltaRecord(nil, e, chk)
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.SetBytes(int64(probe.Len()))
+				b.SetBytes(int64(len(probe)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					var buf bytes.Buffer
-					buf.Grow(probe.Len())
-					if err := appendDeltaRecord(&buf, e, chk); err != nil {
+					if _, err := appendDeltaRecord(make([]byte, 0, len(probe)), e, chk); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -1072,11 +1070,12 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // appendDeltaRecord serializes one delta record without noting it, so a
 // benchmark can write the same delta repeatedly against a live run.
-func appendDeltaRecord(buf *bytes.Buffer, e *engine.Engine, chk *verify.TDynamic) error {
+func appendDeltaRecord(buf []byte, e *engine.Engine, chk *verify.TDynamic) ([]byte, error) {
 	w := ckpt.NewWriter(buf)
 	e.CheckpointTo(w, false)
 	chk.SaveDelta(w, false)
-	return w.Close()
+	err := w.Close()
+	return w.Bytes(), err
 }
 
 func BenchmarkStatsFit(b *testing.B) {

@@ -3,9 +3,11 @@ package dynlocal
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -176,14 +178,13 @@ func TestReadCheckpointArenaEquivalence(t *testing.T) {
 // is left undisturbed.
 func baseRecord(t testing.TB, eng *Engine, chk *TDynamicChecker) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
+	w := ckpt.NewWriter(nil)
 	eng.CheckpointTo(w, true)
 	chk.SaveDelta(w, true)
 	if err := w.Close(); err != nil {
 		t.Fatalf("base record: %v", err)
 	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 // TestComposedChainCanonicalBase requires every chain prefix to restore
@@ -307,6 +308,26 @@ func TestAdaptiveAdversariesRefuseCheckpoints(t *testing.T) {
 // that restore gives the same bytes — and the restored run must play one
 // more round.
 func FuzzReadCheckpointChain(f *testing.F) {
+	addChainSeeds(f)
+	f.Fuzz(checkReadChain)
+}
+
+// FuzzReadResealedCheckpointChain is FuzzReadCheckpointChain over
+// resealed input: before the read, every record of the mutated chain
+// gets a fresh length prefix and CRC-32 trailer, and every record after
+// the first names the CRC of the record before it as its parent. Most
+// mutations then get past the framing and the chain linkage and reach
+// the validators of the record's sections.
+func FuzzReadResealedCheckpointChain(f *testing.F) {
+	addChainSeeds(f)
+	f.Fuzz(func(t *testing.T, chain []byte) {
+		checkReadChain(t, resealChain(chain))
+	})
+}
+
+// addChainSeeds seeds a chain fuzz target with the golden chains and
+// every prefix of the composed chain.
+func addChainSeeds(f *testing.F) {
 	for _, name := range []string{"chain_v2_mis_n128.golden", "chain_v1_mis_n128.golden"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -318,28 +339,99 @@ func FuzzReadCheckpointChain(f *testing.F) {
 	for _, p := range prefixes {
 		f.Add(p)
 	}
-	f.Fuzz(func(t *testing.T, chain []byte) {
-		eng, chk, _ := newComposedRun(1)
-		if ReadCheckpointChain(bytes.NewReader(chain), eng, chk, nil) != nil {
-			return
+}
+
+// checkReadChain reads chain into a fresh composed run and, when it is
+// accepted, checks that the restored state is canonical and can step.
+func checkReadChain(t *testing.T, chain []byte) {
+	eng, chk, _ := newComposedRun(1)
+	if ReadCheckpointChain(bytes.NewReader(chain), eng, chk, nil) != nil {
+		return
+	}
+	rewrite := func(eng *Engine, chk *TDynamicChecker) []byte {
+		var buf bytes.Buffer
+		if err := WriteCheckpointChain(&buf, eng, chk); err != nil {
+			t.Fatalf("base rewrite of an accepted chain: %v", err)
 		}
-		rewrite := func(eng *Engine, chk *TDynamicChecker) []byte {
-			var buf bytes.Buffer
-			if err := WriteCheckpointChain(&buf, eng, chk); err != nil {
-				t.Fatalf("base rewrite of an accepted chain: %v", err)
-			}
-			return buf.Bytes()
+		return buf.Bytes()
+	}
+	first := rewrite(eng, chk)
+	eng2, chk2, _ := newComposedRun(1)
+	if err := ReadCheckpointChain(bytes.NewReader(first), eng2, chk2, nil); err != nil {
+		t.Fatalf("rewritten base does not restore: %v", err)
+	}
+	if second := rewrite(eng2, chk2); !bytes.Equal(first, second) {
+		t.Fatalf("base rewrite is not canonical: %d bytes, then %d", len(first), len(second))
+	}
+	eng.Step()
+}
+
+// TestResealChainIdentity pins the resealing fuzz's framing: an intact
+// chain reseals to itself.
+func TestResealChainIdentity(t *testing.T) {
+	_, _, prefixes, _ := buildComposedChain(t)
+	for i, p := range prefixes {
+		if !bytes.Equal(resealChain(p), p) {
+			t.Fatalf("prefix %d changed when resealed", i)
 		}
-		first := rewrite(eng, chk)
-		eng2, chk2, _ := newComposedRun(1)
-		if err := ReadCheckpointChain(bytes.NewReader(first), eng2, chk2, nil); err != nil {
-			t.Fatalf("rewritten base does not restore: %v", err)
+	}
+}
+
+// resealChain re-frames the records of a chain: each keeps its framed
+// bytes minus the last four, gets the CRC-32 of those as a new trailer
+// and a new length prefix, and, after the first, the CRC of the record
+// before it in its header's parent field. A length prefix that overruns
+// the input takes what is left; bytes that do not frame a record are
+// dropped. Input without the chain magic is returned as it is.
+func resealChain(chain []byte) []byte {
+	rest, ok := bytes.CutPrefix(chain, []byte(ckpt.ChainMagic))
+	if !ok {
+		return chain
+	}
+	out := []byte(ckpt.ChainMagic)
+	var parent uint32
+	for i := 0; len(rest) > 0; i++ {
+		n, k := binary.Uvarint(rest)
+		if k <= 0 {
+			break
 		}
-		if second := rewrite(eng2, chk2); !bytes.Equal(first, second) {
-			t.Fatalf("base rewrite is not canonical: %d bytes, then %d", len(first), len(second))
+		rest = rest[k:]
+		n = min(n, uint64(len(rest)))
+		payload := slices.Clone(rest[:max(int(n)-4, 0)])
+		rest = rest[n:]
+		if i > 0 {
+			payload = setParentField(payload, parent)
 		}
-		eng.Step()
-	})
+		parent = crc32.ChecksumIEEE(payload)
+		out = binary.AppendUvarint(out, uint64(len(payload)+4))
+		out = binary.LittleEndian.AppendUint32(append(out, payload...), parent)
+	}
+	return out
+}
+
+// setParentField replaces the parent fingerprint in a record's header —
+// the fourth field, after the record magic, the header tag and the
+// sequence number — with sum. A payload too short to hold the field is
+// returned as it is.
+func setParentField(payload []byte, sum uint32) []byte {
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n > uint64(len(payload)-k) {
+		return payload
+	}
+	off := k + int(n)
+	for field := 0; field < 3; field++ {
+		_, k := binary.Uvarint(payload[off:])
+		if k <= 0 {
+			return payload
+		}
+		if field < 2 {
+			off += k
+			continue
+		}
+		tail := payload[off+k:]
+		return append(binary.AppendUvarint(payload[:off:off], uint64(sum)), tail...)
+	}
+	return payload
 }
 
 // coloringChainSHA256 is the SHA-256 of the chain

@@ -13,18 +13,17 @@ import (
 // fingerprint for comparing two adversaries bit for bit.
 func stateBytes(t *testing.T, c Checkpointer) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
+	w := ckpt.NewWriter(nil)
 	c.SaveState(w)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 func loadState(t *testing.T, c Checkpointer, b []byte) {
 	t.Helper()
-	r := ckpt.NewReader(bytes.NewReader(b))
+	r := ckpt.NewReader(b)
 	c.LoadState(r)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -34,13 +33,12 @@ func loadState(t *testing.T, c Checkpointer, b []byte) {
 // deltaRoundTrip writes src's (from, to] delta and applies it to dst.
 func deltaRoundTrip(t *testing.T, src, dst DeltaCheckpointer, from, to int) error {
 	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
+	w := ckpt.NewWriter(nil)
 	src.SaveDelta(w, from, to)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
+	r := ckpt.NewReader(w.Bytes())
 	dst.LoadDelta(r, from, to)
 	if err := r.Err(); err != nil {
 		return err
@@ -167,8 +165,7 @@ func TestChurnLoadStateRejectsBadKeys(t *testing.T) {
 	const n = 16
 	base := graph.GNP(n, 0.3, prf.NewStream(3, 0, 0, prf.PurposeWorkload))
 	section := func(keys ...graph.EdgeKey) []byte {
-		var buf bytes.Buffer
-		w := ckpt.NewWriter(&buf)
+		w := ckpt.NewWriter(nil)
 		w.Section(tagChurn)
 		w.Bool(true)
 		w.Int(len(keys))
@@ -178,7 +175,7 @@ func TestChurnLoadStateRejectsBadKeys(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return w.Bytes()
 	}
 	raw := func(u, v uint32) graph.EdgeKey { return graph.EdgeKey(uint64(u)<<32 | uint64(v)) }
 	ok := graph.MakeEdgeKey(1, 2)
@@ -197,7 +194,7 @@ func TestChurnLoadStateRejectsBadKeys(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := &Churn{Base: base, Add: 1, Del: 1, Seed: 1}
-			r := ckpt.NewReader(bytes.NewReader(section(tc.keys...)))
+			r := ckpt.NewReader(section(tc.keys...))
 			c.LoadState(r)
 			err := r.Err()
 			if err == nil {

@@ -384,8 +384,9 @@ func (c *rangeChecker) sortedLater(obj types.Object) bool {
 	return sorted
 }
 
-// sortingCall recognizes order-establishing (slices.Sort*, sort.*) and
-// order-canonicalizing (graph.FromEdges, which sorts internally) calls.
+// sortingCall recognizes order-establishing (slices.Sort*, sort.*,
+// graph.SortEdgeKeys) and order-canonicalizing (graph.FromEdges, which
+// sorts internally) calls.
 func sortingCall(info *types.Info, call *ast.CallExpr) bool {
 	obj := framework.CalleeObj(info, call)
 	fn, ok := obj.(*types.Func)
@@ -398,7 +399,7 @@ func sortingCall(info *types.Info, call *ast.CallExpr) bool {
 	case "sort":
 		return true
 	case "graph":
-		return fn.Name() == "FromEdges"
+		return fn.Name() == "FromEdges" || fn.Name() == "SortEdgeKeys"
 	}
 	return false
 }

@@ -1,17 +1,23 @@
 // Package ckpt provides the low-level wire primitives for checkpoint
-// streams: a sticky-error varint Writer/Reader pair with section tags
+// records: a sticky-error varint Writer/Reader pair with section tags
 // and a trailing CRC-32 so torn or corrupted checkpoints are detected
 // on restore instead of silently resuming from garbage.
 //
-// A checkpoint stream is a flat sequence of varints (plus raw byte
-// runs for strings) produced by one Writer and consumed by one Reader;
-// both ends must agree on the exact field sequence, which is enforced
-// loosely by interleaved section tags and strictly by the checksum.
-// All encoding is deterministic: the same state always serializes to
-// the same bytes, so checkpoint artifacts can be compared bit-for-bit.
+// A record is a flat sequence of varints (plus raw byte runs for
+// strings) produced by one Writer and consumed by one Reader; both ends
+// must agree on the exact field sequence, which is enforced loosely by
+// interleaved section tags and strictly by the checksum. All encoding
+// is deterministic: the same state always serializes to the same bytes,
+// so checkpoint artifacts can be compared bit-for-bit.
 //
-// Both types latch the first error and turn every subsequent call into
-// a no-op, so callers serialize whole structures without per-field
+// A record is encoded and decoded in memory. The Writer appends to a
+// caller-owned byte slice and computes the CRC-32 once, over the whole
+// record, when it closes; the Reader decodes straight from a record
+// slice and checks the trailer with one CRC pass on Close. The chain
+// container (chain.go) moves whole records between memory and I/O.
+//
+// Both types latch the first error and turn every later read into a
+// zero value, so callers serialize whole structures without per-field
 // error checks and inspect Err (or Close) once at the end.
 package ckpt
 
@@ -29,6 +35,9 @@ import (
 // corrupted.
 var ErrChecksum = errors.New("ckpt: checksum mismatch")
 
+// errOverflow reports a varint whose value does not fit 64 bits.
+var errOverflow = errors.New("ckpt: varint overflows uint64")
+
 // Stater is implemented by components whose mutable state round-trips
 // through a checkpoint stream. SaveState appends the state as a fixed
 // field sequence; LoadState consumes the same sequence into an
@@ -45,43 +54,49 @@ type Stater interface {
 // corruption, not data.
 const maxBytes = 1 << 20
 
-// Writer serializes varint fields into an io.Writer while folding
-// every byte into a running CRC-32. The first write error sticks and
-// suppresses all further output.
+// Writer encodes one record into a byte slice. Fields are appended
+// without checksumming; Close computes the CRC-32 of the whole record
+// and appends it as the trailer.
 type Writer struct {
-	w   io.Writer
+	buf []byte
 	crc uint32
-	buf [binary.MaxVarintLen64]byte
 	err error
 }
 
-// NewWriter returns a checkpoint writer over w. The caller owns w and
-// is responsible for any buffering, syncing and closing; Close here
-// only appends the checksum trailer.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w}
+// NewWriter returns a writer that encodes a record into buf's storage,
+// from buf[:0]; the zero Writer starts from no storage. The slice grows
+// by doubling, so a writer reused across records (Reset) stops
+// allocating once it has held the largest one.
+func NewWriter(buf []byte) *Writer {
+	return &Writer{buf: buf[:0]}
 }
 
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
+// Reset starts a new record in w's storage, dropping the previous
+// record and any latched error.
+func (w *Writer) Reset() { *w = Writer{buf: w.buf[:0]} }
+
+// reserve makes room for n more bytes, at least doubling the capacity
+// when it grows: append's 1.25× steps for large slices would copy a
+// multi-megabyte base record many times over.
+func (w *Writer) reserve(n int) {
+	if cap(w.buf)-len(w.buf) >= n {
 		return
 	}
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
-	if _, err := w.w.Write(p); err != nil {
-		w.err = err
-	}
+	nb := make([]byte, len(w.buf), 2*cap(w.buf)+n)
+	copy(nb, w.buf)
+	w.buf = nb
 }
 
 // Uvarint appends one unsigned varint field.
 func (w *Writer) Uvarint(v uint64) {
-	n := binary.PutUvarint(w.buf[:], v)
-	w.write(w.buf[:n])
+	w.reserve(binary.MaxVarintLen64)
+	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
 // Varint appends one signed (zig-zag) varint field.
 func (w *Writer) Varint(v int64) {
-	n := binary.PutVarint(w.buf[:], v)
-	w.write(w.buf[:n])
+	w.reserve(binary.MaxVarintLen64)
+	w.buf = binary.AppendVarint(w.buf, v)
 }
 
 // Int appends an int as a signed varint.
@@ -89,10 +104,11 @@ func (w *Writer) Int(v int) { w.Varint(int64(v)) }
 
 // Bool appends a bool as a 0/1 varint.
 func (w *Writer) Bool(b bool) {
+	w.reserve(1)
 	if b {
-		w.Uvarint(1)
+		w.buf = append(w.buf, 1)
 	} else {
-		w.Uvarint(0)
+		w.buf = append(w.buf, 0)
 	}
 }
 
@@ -103,9 +119,8 @@ func (w *Writer) Float64(f float64) { w.Uvarint(math.Float64bits(f)) }
 // String appends a length-prefixed byte string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
-	if w.err == nil && len(s) > 0 {
-		w.write([]byte(s))
-	}
+	w.reserve(len(s))
+	w.buf = append(w.buf, s...)
 }
 
 // Section appends a section tag. Tags carry no data; the matching
@@ -116,51 +131,48 @@ func (w *Writer) Section(tag uint64) { w.Uvarint(tag) }
 // Err returns the first error encountered, if any.
 func (w *Writer) Err() error { return w.err }
 
-// Sum32 returns the stream's CRC-32 over every payload byte written so
-// far — after Close this is exactly the trailer value. Chain writers use
-// it as the parent-linkage fingerprint of a record (see chain.go).
+// Sum32 returns the record's CRC-32 as computed by Close, the trailer
+// value (zero before Close). Chain writers use it as the
+// parent-linkage fingerprint of a record (see chain.go).
 func (w *Writer) Sum32() uint32 { return w.crc }
 
-// Fail latches err as the stream error if none is set yet, mirroring
+// Bytes returns the record: the fields written so far, and after Close
+// the trailer too. It aliases the writer's storage.
+func (w *Writer) Bytes() []byte { return w.buf }
+
+// Fail latches err as the record's error if none is set yet, mirroring
 // Reader.Fail for semantic failures discovered while serializing (e.g.
-// a component that does not support checkpointing).
+// a component that does not support checkpointing). A failed record
+// must be discarded: Close returns the error instead of sealing it.
 func (w *Writer) Fail(err error) {
 	if w.err == nil && err != nil {
 		w.err = err
 	}
 }
 
-// Close appends the CRC-32 trailer (4 bytes little-endian, not
-// included in its own checksum) and returns the first error from the
-// whole stream. It does not close the underlying writer.
+// Close computes the CRC-32 of the record, appends it as the trailer
+// (4 bytes little-endian, not included in its own checksum) and returns
+// nil, or returns the first error latched by Fail without sealing.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
 	}
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], w.crc)
-	if _, err := w.w.Write(tr[:]); err != nil {
-		w.err = err
-	}
-	return w.err
+	w.crc = crc32.ChecksumIEEE(w.buf)
+	w.reserve(4)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, w.crc)
+	return nil
 }
 
-// Reader decodes a stream produced by Writer, folding every consumed
-// byte into a CRC-32 that Close verifies against the trailer. The
-// first error sticks: all subsequent reads return zero values, so
-// callers deserialize whole structures and check Err (or Close) once.
-//
-// The Reader consumes the underlying io.Reader exactly byte by byte
-// unless it implements io.ByteReader (bytes.Reader, bufio.Reader, …),
-// so wrapping a file in a bufio.Reader is recommended — but note a
-// buffered wrapper may read past the checksum trailer.
+// Reader decodes a record produced by Writer straight from its bytes.
+// Close checks the 4-byte trailer after the consumed fields against
+// their CRC-32. The first error sticks: all subsequent reads return
+// zero values, so callers deserialize whole structures and check Err
+// (or Close) once. Bytes after the trailer are not examined.
 type Reader struct {
-	r   io.Reader
-	br  io.ByteReader
-	crc uint32
-	sum uint32
-	one [1]byte
-	err error
+	data []byte
+	off  int
+	sum  uint32
+	err  error
 	// arena re-exports the pooled lifetime of the attached RestoreArena:
 	// state restored through this reader is valid only until the arena's
 	// owner calls Reset.
@@ -169,70 +181,47 @@ type Reader struct {
 	arena *RestoreArena
 }
 
-// NewReader returns a checkpoint reader over r.
-func NewReader(r io.Reader) *Reader {
-	cr := &Reader{r: r}
-	cr.br, _ = r.(io.ByteReader)
-	return cr
-}
-
-func (r *Reader) readByte() (byte, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	var b byte
-	var err error
-	if r.br != nil {
-		b, err = r.br.ReadByte()
-	} else {
-		_, err = io.ReadFull(r.r, r.one[:])
-		b = r.one[0]
-	}
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.err = err
-		return 0, err
-	}
-	r.one[0] = b
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.one[:1])
-	return b, nil
+// NewReader returns a checkpoint reader over the record rec. The
+// reader never writes rec or retains parts of it in decoded values.
+func NewReader(rec []byte) *Reader {
+	return &Reader{data: rec}
 }
 
 // Uvarint reads one unsigned varint field.
 func (r *Reader) Uvarint() uint64 {
-	var v uint64
-	var shift uint
-	for {
-		b, err := r.readByte()
-		if err != nil {
-			return 0
-		}
-		if shift == 63 && b > 1 {
-			r.err = errors.New("ckpt: varint overflows uint64")
-			return 0
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v
-		}
-		shift += 7
-		if shift > 63 {
-			r.err = errors.New("ckpt: varint too long")
-			return 0
-		}
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 || r.err != nil {
+		r.fault(n)
+		return 0
 	}
+	r.off += n
+	return v
 }
 
 // Varint reads one signed (zig-zag) varint field.
 func (r *Reader) Varint() int64 {
-	u := r.Uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
+	v, n := binary.Varint(r.data[r.off:])
+	if n <= 0 || r.err != nil {
+		r.fault(n)
+		return 0
 	}
+	r.off += n
 	return v
+}
+
+// fault latches the failure of a varint that binary.Uvarint decoded
+// with byte count n, unless an earlier error stands.
+func (r *Reader) fault(n int) {
+	if r.err != nil {
+		return
+	}
+	// A tenth byte with its continuation bit set overflows even when
+	// the record ends right after it.
+	if n < 0 || len(r.data)-r.off >= binary.MaxVarintLen64 {
+		r.err = errOverflow
+	} else {
+		r.err = io.ErrUnexpectedEOF
+	}
 }
 
 // Int reads an int field written by Writer.Int.
@@ -266,15 +255,13 @@ func (r *Reader) String() string {
 		r.err = fmt.Errorf("ckpt: string length %d exceeds limit", n)
 		return ""
 	}
-	buf := make([]byte, n)
-	for i := range buf {
-		b, err := r.readByte()
-		if err != nil {
-			return ""
-		}
-		buf[i] = b
+	if uint64(len(r.data)-r.off) < n {
+		r.err = io.ErrUnexpectedEOF
+		return ""
 	}
-	return string(buf)
+	s := string(r.data[r.off : r.off+int(n)])
+	r.off += int(n)
+	return s
 }
 
 // Count reads an element count written with Int and validates it is
@@ -325,25 +312,22 @@ func (r *Reader) Fail(err error) {
 	}
 }
 
-// Close reads the 4-byte CRC-32 trailer and verifies it against the
-// bytes consumed, returning ErrChecksum on mismatch or the stream's
-// first error if one occurred earlier. It does not close the
-// underlying reader.
+// Close consumes the 4-byte CRC-32 trailer and checks it against the
+// CRC of the bytes consumed before it, computed in one pass. It returns
+// ErrChecksum on mismatch, io.ErrUnexpectedEOF when the trailer is cut
+// short, or the stream's first error if one occurred earlier.
 func (r *Reader) Close() error {
 	if r.err != nil {
 		return r.err
 	}
-	sum := r.crc // trailer is not part of its own checksum
-	r.sum = sum
-	var tr [4]byte
-	for i := range tr {
-		b, err := r.readByte()
-		if err != nil {
-			return r.err
-		}
-		tr[i] = b
+	r.sum = crc32.ChecksumIEEE(r.data[:r.off]) // trailer is not part of its own checksum
+	if len(r.data)-r.off < 4 {
+		r.err = io.ErrUnexpectedEOF
+		return r.err
 	}
-	if binary.LittleEndian.Uint32(tr[:]) != sum {
+	tr := binary.LittleEndian.Uint32(r.data[r.off:])
+	r.off += 4
+	if tr != r.sum {
 		r.err = ErrChecksum
 	}
 	return r.err

@@ -98,7 +98,12 @@ func (p *pipeline) save(w *ckpt.Writer) {
 // comes from the stream). The slices are carved from the reader's arena
 // at that capacity, so the restored pipeline fills and recycles within
 // them (push); it continues filling with a new block.
-func (p *pipeline) load(r *ckpt.Reader, size int, f nodeFactory, v graph.NodeID) {
+//
+// A pipeline pushes one instance per round, so at a round barrier its n
+// slots have ages n, n-1, …, 1 from the oldest, and start keys that
+// rise by step (the keys of consecutive rounds). Any other shape is a
+// corrupt record: its wire channels would not ascend.
+func (p *pipeline) load(r *ckpt.Reader, size int, step int32, f nodeFactory, v graph.NodeID) {
 	*p = pipeline{}
 	n := r.Count(size)
 	if r.Err() != nil {
@@ -109,6 +114,10 @@ func (p *pipeline) load(r *ckpt.Reader, size int, f nodeFactory, v graph.NodeID)
 	for i := range meta {
 		meta[i].ch = int32(r.Varint())
 		meta[i].age = int32(r.Int())
+		if r.Err() == nil && (meta[i].age != int32(n-i) || i > 0 && meta[i].ch != meta[i-1].ch+step) {
+			r.Fail(fmt.Errorf("core: pipeline slot %d of %d has age %d and start key %d, not a slot of consecutive rounds", i, n, meta[i].age, meta[i].ch))
+			return
+		}
 		inst[i] = restoredInstance(r, f, v)
 		loadInstance(r, inst[i])
 		if r.Err() != nil {
@@ -133,7 +142,7 @@ func (p *concatProc) LoadState(r *ckpt.Reader) {
 	r.Section(tagConcat)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)
-	p.dal.load(r, p.c.T1-1, p.c.D, p.v)
+	p.dal.load(r, p.c.T1-1, 1, p.c.D, p.v)
 }
 
 // NewNodeArena implements engine.ArenaAlgorithm: on restore the
@@ -157,8 +166,14 @@ func (p *chainProc) LoadState(r *ckpt.Reader) {
 	r.Section(tagChain)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)
-	p.mids.load(r, p.c.Tm-1, p.c.Mid, p.v)
-	p.outs.load(r, p.c.T1-1, p.c.D, p.v)
+	p.mids.load(r, p.c.Tm-1, 2, p.c.Mid, p.v)
+	p.outs.load(r, p.c.T1-1, 2, p.c.D, p.v)
+	// Both pipelines push in every round, the mid instance with key 2r
+	// and the outer one with 2r+1.
+	mids, outs := p.mids.meta, p.outs.meta
+	if r.Err() == nil && len(mids) > 0 && len(outs) > 0 && outs[len(outs)-1].ch != mids[len(mids)-1].ch+1 {
+		r.Fail(fmt.Errorf("core: newest outer start key %d does not follow newest mid start key %d", outs[len(outs)-1].ch, mids[len(mids)-1].ch))
+	}
 }
 
 // NewNodeArena implements engine.ArenaAlgorithm.

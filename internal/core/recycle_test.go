@@ -43,13 +43,12 @@ func recycleNeighbors(base *graph.Graph, v graph.NodeID, r int) []graph.NodeID {
 
 func stateBytes(t *testing.T, inst core.NodeInstance) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
+	w := ckpt.NewWriter(nil)
 	inst.(ckpt.Stater).SaveState(w)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 func TestRestartEqualsFreshInstance(t *testing.T) {

@@ -58,7 +58,7 @@ func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
 	if base {
 		cw.Int(w.t)
 		cw.Int(w.n)
-		keys = make([]graph.EdgeKey, 0, len(w.spans))
+		keys = slices.Grow(w.saveKeys[:0], len(w.spans))
 		for k := range w.spans {
 			keys = append(keys, k)
 		}
@@ -67,7 +67,7 @@ func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
 			rounds = append(rounds, r)
 		}
 	} else {
-		keys = make([]graph.EdgeKey, 0, len(w.dirtySpans))
+		keys = slices.Grow(w.saveKeys[:0], len(w.dirtySpans))
 		for k := range w.dirtySpans {
 			keys = append(keys, k)
 		}
@@ -76,7 +76,9 @@ func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
 			rounds = append(rounds, r)
 		}
 	}
-	slices.Sort(keys)
+	w.saveKeys = keys
+	w.saveTmp = slices.Grow(w.saveTmp[:0], len(keys))[:len(keys)]
+	keys = graph.SortEdgeKeys(keys, w.saveTmp)
 	slices.Sort(rounds)
 	cw.Int(w.round)
 

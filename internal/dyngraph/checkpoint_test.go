@@ -63,13 +63,12 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 					sched := newDeltaSchedule(n)
 					var ckBytes []byte
 					snapshot := func() []byte {
-						var buf bytes.Buffer
-						w := ckpt.NewWriter(&buf)
+						w := ckpt.NewWriter(nil)
 						ref.SaveDelta(w, true)
 						if err := w.Close(); err != nil {
 							t.Fatalf("save: %v", err)
 						}
-						return buf.Bytes()
+						return w.Bytes()
 					}
 					if k == 0 {
 						ckBytes = snapshot()
@@ -96,7 +95,7 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 					}
 
 					res := newGraphFed(T, n)
-					r := ckpt.NewReader(bytes.NewReader(ckBytes))
+					r := ckpt.NewReader(ckBytes)
 					res.LoadDelta(r, true)
 					if err := r.Close(); err != nil {
 						t.Fatalf("load: %v", err)
@@ -144,13 +143,12 @@ func TestWindowCheckpointDeterministicBytes(t *testing.T) {
 			adds, removes, _ := sched.round(randomToggles(sched, 5, r))
 			w.ObserveEdgeDelta(adds, removes, wakeList(n, r))
 		}
-		var buf bytes.Buffer
-		cw := ckpt.NewWriter(&buf)
+		cw := ckpt.NewWriter(nil)
 		w.SaveDelta(cw, true)
 		if err := cw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return cw.Bytes()
 	}
 	if a, b := mk(), mk(); !bytes.Equal(a, b) {
 		t.Fatalf("snapshots of identical windows differ: %d vs %d bytes", len(a), len(b))
@@ -166,16 +164,15 @@ func TestWindowLoadStateRejects(t *testing.T) {
 		adds, removes, _ := sched.round(randomToggles(sched, 3, r))
 		w.ObserveEdgeDelta(adds, removes, wakeList(n, r))
 	}
-	var buf bytes.Buffer
-	cw := ckpt.NewWriter(&buf)
+	cw := ckpt.NewWriter(nil)
 	w.SaveDelta(cw, true)
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ck := buf.Bytes()
+	ck := cw.Bytes()
 
 	load := func(dst *Window, b []byte) error {
-		r := ckpt.NewReader(bytes.NewReader(b))
+		r := ckpt.NewReader(b)
 		dst.LoadDelta(r, true)
 		if err := r.Err(); err != nil {
 			return err
@@ -209,13 +206,12 @@ func TestWindowLoadStateRejects(t *testing.T) {
 	if err := load(base, ck); err == nil {
 		t.Fatal("base record restored over a noted base")
 	}
-	var dbuf bytes.Buffer
-	cw = ckpt.NewWriter(&dbuf)
+	cw = ckpt.NewWriter(nil)
 	base.SaveDelta(cw, false)
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := ckpt.NewReader(bytes.NewReader(dbuf.Bytes()))
+	r := ckpt.NewReader(cw.Bytes())
 	NewWindow(3, n).LoadDelta(r, false)
 	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "without a restored base") {
 		t.Fatalf("delta record onto a fresh window: err = %v, want a missing-base error", err)

@@ -119,6 +119,8 @@ type Window struct {
 	dirtyExpiry  []bool
 	dirtyPending []bool
 	dirtyByWake  map[int]struct{}
+	saveKeys     []graph.EdgeKey // SaveDelta's span keys and radix-sort
+	saveTmp      []graph.EdgeKey // buffer, reused across records
 }
 
 // NewWindow creates a window of size t >= 1 over a node universe of size n.

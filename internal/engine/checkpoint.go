@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -583,11 +582,23 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 
 	// Sections validated — apply the topology diff. Every edge entering
 	// must connect awake nodes (the model invariant Step asserts on the
-	// way in holds for persisted edges by induction).
+	// way in holds for persisted edges by induction), be absent before
+	// the record, and every edge leaving must be present.
+	_, has := e.topology()
 	for _, k := range adds {
 		u, v := k.Nodes()
 		if !e.awake[u] || !e.awake[v] {
 			r.Fail(fmt.Errorf("engine: checkpoint edge %v touches a sleeping node", k))
+			return false
+		}
+		if has(u, v) {
+			r.Fail(fmt.Errorf("engine: checkpoint adds edge %v, which is present", k))
+			return false
+		}
+	}
+	for _, k := range rems {
+		if u, v := k.Nodes(); !has(u, v) {
+			r.Fail(fmt.Errorf("engine: checkpoint removes edge %v, which is absent", k))
 			return false
 		}
 	}
@@ -607,18 +618,7 @@ func (e *Engine) checkAdversaryEdges() error {
 	if !ok {
 		return nil
 	}
-	var m int
-	var has func(u, v graph.NodeID) bool
-	if e.adj != nil {
-		m = e.adj.M()
-		has = func(u, v graph.NodeID) bool {
-			_, found := slices.BinarySearch(e.adj.Neighbors(u), v)
-			return found
-		}
-	} else {
-		g := e.resolver.Materialize()
-		m, has = g.M(), g.HasEdge
-	}
+	m, has := e.topology()
 	err := mirror.CheckEdges(m, func(k graph.EdgeKey) bool {
 		u, v := k.Nodes()
 		return u >= 0 && u < v && int(v) < e.cfg.N && has(u, v)
@@ -627,6 +627,19 @@ func (e *Engine) checkAdversaryEdges() error {
 		return fmt.Errorf("engine: restored adversary state disagrees with the restored topology: %w", err)
 	}
 	return nil
+}
+
+// topology returns the edge count of the engine's current topology and
+// a membership test on it.
+func (e *Engine) topology() (int, func(u, v graph.NodeID) bool) {
+	if e.adj != nil {
+		return e.adj.M(), func(u, v graph.NodeID) bool {
+			_, found := slices.BinarySearch(e.adj.Neighbors(u), v)
+			return found
+		}
+	}
+	g := e.resolver.Materialize()
+	return g.M(), g.HasEdge
 }
 
 // readConfig reads a base record's configuration block and fails r on
@@ -671,10 +684,10 @@ func (e *Engine) readConfig(r *ckpt.Reader) {
 // exactly what a crashed-then-resumed appender needs. The same part (nil
 // or not) must be passed to every call on one chain.
 func (e *Engine) WriteRecord(w io.Writer, base bool, part ChainPart) error {
-	// The record is buffered to learn its length for the chain framing;
-	// the buffer is kept for the next record.
-	e.recBuf.Reset()
-	cw := ckpt.NewWriter(&e.recBuf)
+	// The record is built in memory to learn its length for the chain
+	// framing; the buffer is kept for the next record.
+	cw := &e.recW
+	cw.Reset()
 	e.CheckpointTo(cw, base)
 	if part != nil {
 		part.SaveDelta(cw, base)
@@ -687,7 +700,7 @@ func (e *Engine) WriteRecord(w io.Writer, base bool, part ChainPart) error {
 			return err
 		}
 	}
-	if err := ckpt.AppendChainRecord(w, e.recBuf.Bytes()); err != nil {
+	if err := ckpt.AppendChainRecord(w, cw.Bytes()); err != nil {
 		return err
 	}
 	e.NoteCheckpoint(base, cw.Sum32())
@@ -724,7 +737,7 @@ func (e *Engine) ReadChain(r io.Reader, a *ckpt.RestoreArena, part ChainPart) er
 		if err != nil {
 			return err
 		}
-		rr := ckpt.NewReader(bytes.NewReader(rec))
+		rr := ckpt.NewReader(rec)
 		rr.SetArena(a)
 		base := e.RestoreFrom(rr)
 		if part != nil {

@@ -220,18 +220,17 @@ func TestCheckpointChainRejects(t *testing.T) {
 		}
 	})
 	t.Run("bare-stream", func(t *testing.T) {
-		var buf bytes.Buffer
 		e := New(cfg, mk(), ckAlgo{})
 		for r := 0; r < 5; r++ {
 			e.Step()
 		}
 		// One record's stream without the chain container around it.
-		cw := ckpt.NewWriter(&buf)
+		cw := ckpt.NewWriter(nil)
 		e.CheckpointTo(cw, true)
 		if err := cw.Close(); err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
-		if err := fresh().ReadChain(bytes.NewReader(buf.Bytes()), nil, nil); err == nil {
+		if err := fresh().ReadChain(bytes.NewReader(cw.Bytes()), nil, nil); err == nil {
 			t.Fatal("ReadChain accepted a bare record stream")
 		}
 	})

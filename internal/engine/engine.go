@@ -104,13 +104,13 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
 
 	"dynlocal/internal/adversary"
+	"dynlocal/internal/ckpt"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
@@ -409,7 +409,7 @@ type Engine struct {
 	topDirty     map[graph.EdgeKey]bool // net edge diff: true=added, false=removed
 	activeDirty  bool                   // active list changed since last record
 	ckptScratch  []graph.NodeID         // a base record's node lists (checkpoint.go)
-	recBuf       bytes.Buffer           // record bytes before chain framing
+	recW         ckpt.Writer            // record encoder; its buffer is kept across records
 
 	observers []func(*RoundInfo)
 }

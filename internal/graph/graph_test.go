@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -337,5 +338,34 @@ func TestIsIndependentAndDominating(t *testing.T) {
 	}
 	if IsDominatingSet(g, []NodeID{0}, all) {
 		t.Fatal("{0} cannot dominate C6")
+	}
+}
+
+// TestSortEdgeKeysMatchesSort checks the radix sort against
+// slices.Sort on universes of 2 to 2^30 nodes, whose keys vary in two
+// to eight bytes, with 0 to 2000 keys.
+func TestSortEdgeKeysMatchesSort(t *testing.T) {
+	for _, n := range []int{2, 300, 70000, 1 << 30} {
+		for _, size := range []int{0, 1, 2, 17, 2000} {
+			str := prf.NewStream(uint64(n), int32(size), 0, prf.PurposeWorkload)
+			seen := map[EdgeKey]bool{}
+			var keys []EdgeKey
+			for len(keys) < size && len(seen) < n*(n-1)/2 {
+				u, v := NodeID(str.Intn(n)), NodeID(str.Intn(n))
+				if u == v {
+					continue
+				}
+				if k := MakeEdgeKey(u, v); !seen[k] {
+					seen[k] = true
+					keys = append(keys, k)
+				}
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			got := SortEdgeKeys(keys, make([]EdgeKey, len(keys)))
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d, %d keys: radix order differs from slices.Sort", n, len(keys))
+			}
+		}
 	}
 }

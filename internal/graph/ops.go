@@ -283,3 +283,41 @@ func mustSameN(g, h *Graph) {
 		panic("graph: operand node spaces differ")
 	}
 }
+
+// SortEdgeKeys sorts keys ascending with a least-significant-byte-first
+// radix sort through tmp, which must be as long as keys, skipping the
+// bytes every key shares. It returns whichever of the two holds the
+// result. Keys of an n-node universe vary in at most four bytes, so
+// large key sets sort in four linear passes, several times faster than
+// slices.Sort.
+//
+//dynlint:sorted return
+func SortEdgeKeys(keys, tmp []EdgeKey) []EdgeKey {
+	if len(keys) < 2 {
+		return keys
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(keys[0]>>(8*d))] == len(keys) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b] = sum
+			sum += n
+		}
+		for _, k := range keys {
+			b := byte(k >> (8 * d))
+			tmp[c[b]] = k
+			c[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}

@@ -99,16 +99,15 @@ func TestTDynamicLoadStateRejects(t *testing.T) {
 	chk := NewTDynamic(problems.MIS(), algo.T1, n)
 	e.OnRound(func(info *engine.RoundInfo) { chk.Feed(info.Delta()) })
 	e.Run(8)
-	var buf bytes.Buffer
-	w := ckpt.NewWriter(&buf)
+	w := ckpt.NewWriter(nil)
 	chk.SaveDelta(w, true)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ck := buf.Bytes()
+	ck := w.Bytes()
 
 	load := func(dst *TDynamic, b []byte) error {
-		r := ckpt.NewReader(bytes.NewReader(b))
+		r := ckpt.NewReader(b)
 		dst.LoadDelta(r, true)
 		if err := r.Err(); err != nil {
 			return err
