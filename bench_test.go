@@ -12,6 +12,7 @@ package dynlocal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -1046,7 +1047,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 				b.SetBytes(int64(len(probe)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := appendDeltaRecord(make([]byte, 0, len(probe)), e, chk); err != nil {
+					// The writer reserves a whole varint before each
+					// field, so a buffer of exactly the record's length
+					// would double on the last one.
+					buf := make([]byte, 0, len(probe)+binary.MaxVarintLen64)
+					if _, err := appendDeltaRecord(buf, e, chk); err != nil {
 						b.Fatal(err)
 					}
 				}
