@@ -143,6 +143,35 @@ func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
 	}
 }
 
+// CheckTopology returns an error unless the window's round graph holds
+// exactly the m edges hasEdge reports and its woken nodes are exactly
+// those awake reports. A restored window fed from a restored engine must
+// agree with it: otherwise a later round adds a present edge, removes an
+// absent one or touches a node the window thinks asleep.
+func (w *Window) CheckTopology(m int, hasEdge func(graph.EdgeKey) bool, awake func(graph.NodeID) bool) error {
+	for v, r := range w.wake {
+		switch up := awake(graph.NodeID(v)); {
+		case r != 0 && !up:
+			return fmt.Errorf("dyngraph: window woke node %d in round %d, the topology has it asleep", v, r)
+		case r == 0 && up:
+			return fmt.Errorf("dyngraph: node %d is awake in the topology, asleep in the window", v)
+		}
+	}
+	present, shared := 0, 0
+	for k, sp := range w.spans {
+		if sp.present {
+			present++
+			if hasEdge(k) {
+				shared++
+			}
+		}
+	}
+	if present != m || shared != m {
+		return fmt.Errorf("dyngraph: window round graph has %d edges, %d of them among the topology's %d", present, shared, m)
+	}
+	return nil
+}
+
 // LoadDelta applies one record to the window: a base onto a freshly
 // constructed NewWindow(t, n) with the record's geometry, a delta onto
 // the state of its parent record (base LoadDelta + NoteCheckpoint, then

@@ -217,3 +217,41 @@ func TestWindowLoadStateRejects(t *testing.T) {
 		t.Fatalf("delta record onto a fresh window: err = %v, want a missing-base error", err)
 	}
 }
+
+// TestWindowCheckTopology accepts the topology a window was fed and
+// rejects one with an edge or a woken node more or less.
+func TestWindowCheckTopology(t *testing.T) {
+	const n = 16
+	w := NewWindow(3, n)
+	sched := newDeltaSchedule(n)
+	var g *graph.Graph
+	for r := 1; r <= 3; r++ { // nodes 13 to 15 stay asleep
+		var adds, removes []graph.EdgeKey
+		adds, removes, g = sched.round(randomToggles(sched, 3, r))
+		w.ObserveEdgeDelta(adds, removes, wakeList(n, r))
+	}
+	keys := g.EdgeKeys()
+	if len(keys) < 2 {
+		t.Fatalf("schedule left %d edges", len(keys))
+	}
+	edges := func(skip graph.EdgeKey) func(graph.EdgeKey) bool {
+		return func(k graph.EdgeKey) bool { return k != skip && g.HasEdge(k.Nodes()) }
+	}
+	awake := func(flip graph.NodeID) func(graph.NodeID) bool {
+		return func(v graph.NodeID) bool { return (v != flip) == sched.awake[v] }
+	}
+	if err := w.CheckTopology(len(keys), edges(0), awake(-1)); err != nil {
+		t.Fatalf("fed topology rejected: %v", err)
+	}
+	if w.CheckTopology(len(keys)-1, edges(keys[0]), awake(-1)) == nil {
+		t.Fatal("topology missing an edge accepted")
+	}
+	if w.CheckTopology(len(keys)+1, edges(0), awake(-1)) == nil {
+		t.Fatal("topology with an extra edge accepted")
+	}
+	for _, v := range []graph.NodeID{0, n - 1} {
+		if w.CheckTopology(len(keys), edges(0), awake(v)) == nil {
+			t.Fatalf("topology with node %d's awake bit flipped accepted", v)
+		}
+	}
+}

@@ -85,12 +85,16 @@ type ArenaAlgorithm interface {
 // ChainPart is a component checkpointed after the engine sections of
 // every record — the T-dynamic checker. SaveDelta and LoadDelta take the
 // record kind from the engine header; NoteCheckpoint is called for every
-// persisted or restored record, and FinishChain once after the last
-// restored one.
+// persisted or restored record, and CheckTopology and then FinishChain
+// once after the last restored one.
 type ChainPart interface {
 	SaveDelta(w *ckpt.Writer, base bool)
 	LoadDelta(r *ckpt.Reader, base bool)
 	NoteCheckpoint()
+	// CheckTopology returns an error unless the part's own copy of the
+	// round graph holds exactly the m edges hasEdge reports, and its
+	// woken nodes are exactly those awake reports.
+	CheckTopology(m int, hasEdge func(graph.EdgeKey) bool, awake func(graph.NodeID) bool) error
 	FinishChain() error
 }
 
@@ -610,21 +614,28 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 	return base
 }
 
-// checkAdversaryEdges checks, after a chain is read, that an adversary
-// keeping its own copy of the live edges (adversary.EdgeMirror) agrees
-// with the restored topology.
-func (e *Engine) checkAdversaryEdges() error {
-	mirror, ok := e.adv.(adversary.EdgeMirror)
-	if !ok {
-		return nil
-	}
+// checkMirrors checks, after a chain is read, that the components
+// keeping their own copy of the live topology agree with the restored
+// engine: an adversary implementing adversary.EdgeMirror, and the chain
+// part (nil for none). A record that makes them disagree fails the read
+// instead of making a later round add a present edge, remove an absent
+// one or touch a sleeping node.
+func (e *Engine) checkMirrors(part ChainPart) error {
 	m, has := e.topology()
-	err := mirror.CheckEdges(m, func(k graph.EdgeKey) bool {
+	hasEdge := func(k graph.EdgeKey) bool {
 		u, v := k.Nodes()
 		return u >= 0 && u < v && int(v) < e.cfg.N && has(u, v)
-	})
-	if err != nil {
-		return fmt.Errorf("engine: restored adversary state disagrees with the restored topology: %w", err)
+	}
+	if mirror, ok := e.adv.(adversary.EdgeMirror); ok {
+		if err := mirror.CheckEdges(m, hasEdge); err != nil {
+			return fmt.Errorf("engine: restored adversary state disagrees with the restored topology: %w", err)
+		}
+	}
+	if part != nil {
+		awake := func(v graph.NodeID) bool { return e.awake[v] }
+		if err := part.CheckTopology(m, hasEdge, awake); err != nil {
+			return fmt.Errorf("engine: restored chain part disagrees with the restored topology: %w", err)
+		}
 	}
 	return nil
 }
@@ -726,7 +737,7 @@ func (e *Engine) ReadChain(r io.Reader, a *ckpt.RestoreArena, part ChainPart) er
 			if n == 0 {
 				return errors.New("engine: empty checkpoint chain")
 			}
-			if err := e.checkAdversaryEdges(); err != nil {
+			if err := e.checkMirrors(part); err != nil {
 				return err
 			}
 			if part != nil {

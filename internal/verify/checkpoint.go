@@ -175,4 +175,10 @@ func (c *TDynamic) FinishChain() error {
 	return nil
 }
 
+// CheckTopology implements engine.ChainPart: the checker's window must
+// hold the restored engine's round graph and awake set.
+func (c *TDynamic) CheckTopology(m int, hasEdge func(graph.EdgeKey) bool, awake func(graph.NodeID) bool) error {
+	return c.window.CheckTopology(m, hasEdge, awake)
+}
+
 var _ engine.ChainPart = (*TDynamic)(nil)
