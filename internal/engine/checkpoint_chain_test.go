@@ -431,3 +431,56 @@ func TestCheckpointChainAdversaryMatchesTopology(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointChainRejectsBadTopologyDiff forges deltas whose edge
+// diff adds an edge the parent record already has, or removes one it
+// lacks. The read must fail with an error before the diff reaches the
+// adjacency, which would panic on it.
+func TestCheckpointChainRejectsBadTopologyDiff(t *testing.T) {
+	const n = 48
+	mk := churnAdv(n)
+	for _, dense := range []bool{false, true} {
+		for _, tc := range []struct {
+			name  string
+			added bool
+			want  string
+		}{
+			{"add-present", true, "which is present"},
+			{"remove-absent", false, "which is absent"},
+		} {
+			t.Run(fmt.Sprintf("%s/dense=%v", tc.name, dense), func(t *testing.T) {
+				cfg := Config{N: n, Seed: 5, Workers: 1, Dense: dense}
+				e := New(cfg, mk(), ckAlgo{})
+				e.Run(4)
+				var chain bytes.Buffer
+				if err := e.WriteRecord(&chain, true, nil); err != nil {
+					t.Fatal(err)
+				}
+				e.Run(2)
+				// The forged entry claims the opposite of the edge's
+				// state at the last record.
+				_, has := e.topology()
+				forged := false
+				for u := graph.NodeID(0); u < n && !forged; u++ {
+					for v := u + 1; v < n && !forged; v++ {
+						k := graph.MakeEdgeKey(u, v)
+						if _, moved := e.topDirty[k]; !moved && e.awake[u] && e.awake[v] && has(u, v) == tc.added {
+							e.topDirty[k] = tc.added
+							forged = true
+						}
+					}
+				}
+				if !forged {
+					t.Fatal("no edge to forge")
+				}
+				if err := e.WriteRecord(&chain, false, nil); err != nil {
+					t.Fatal(err)
+				}
+				err := New(cfg, mk(), ckAlgo{}).ReadChain(bytes.NewReader(chain.Bytes()), nil, nil)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("forged diff read with err = %v, want one saying %q", err, tc.want)
+				}
+			})
+		}
+	}
+}
