@@ -287,7 +287,7 @@ func mustSameN(g, h *Graph) {
 // SortEdgeKeys sorts keys ascending with a least-significant-byte-first
 // radix sort through tmp, which must be as long as keys, skipping the
 // bytes every key shares. It returns whichever of the two holds the
-// result. Keys of an n-node universe vary in at most four bytes, so
+// result. Keys over at most 2^16 nodes vary in at most four bytes, so
 // large key sets sort in four linear passes, several times faster than
 // slices.Sort.
 //
