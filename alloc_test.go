@@ -10,7 +10,7 @@ import (
 
 // deltaRecordAllocs is TestDeltaRecordAllocs's bound on one delta
 // record, the most it measures.
-const deltaRecordAllocs = 4
+const deltaRecordAllocs = 1
 
 // TestStepAllocationGuard bounds the allocations of one steady-state
 // round of the combined algorithms — N = 4096 under Churn 32+32 at one
@@ -80,12 +80,12 @@ func TestFillAllocationGuard(t *testing.T) {
 // TestDeltaRecordAllocs bounds the allocations of one delta record of
 // standalone DMis and its T-dynamic checker — N = 4096 under Churn
 // 16+16 at one worker, a base, then a delta every 8 rounds. The record
-// is encoded by the engine's reused writer and the window sorts its
-// span keys in reused storage, so once the first delta has grown them a
-// record allocates 3 or 4 times: the engine's two edge diff lists, the
-// chain framing's length prefix and, when wake buckets moved, the
-// window's list of bucket rounds. A writer or buffer allocated per
-// record overshoots the bound.
+// is encoded by the engine's reused writer, framed from the writer's own
+// storage, and the engine's edge diff lists and the window's span keys
+// are kept in reused storage, so once the first delta has grown them a
+// record allocates at most once: for the window's list of bucket rounds
+// when wake buckets moved (it measures 0 or 1). A writer, diff list or
+// length prefix allocated per record overshoots the bound.
 func TestDeltaRecordAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Chain container: a checkpoint chain file is the raw magic "DLCKC1"
@@ -45,16 +46,18 @@ func WriteChainMagic(w io.Writer) error {
 	return err
 }
 
-// AppendChainRecord appends one complete record (a closed ckpt stream,
-// trailer included) to a chain container. The caller is responsible for
-// any durability (fsync) between records.
-func AppendChainRecord(w io.Writer, record []byte) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(record)))
-	if _, err := w.Write(buf[:n]); err != nil {
+// AppendChainRecord appends the closed record in rec (a sealed ckpt
+// stream, trailer included) to a chain container: its length prefix,
+// then its bytes. The prefix is encoded in rec's own storage, since a
+// local array handed to w.Write would escape to the heap on every
+// record. The caller is responsible for any durability (fsync) between
+// records.
+func AppendChainRecord(w io.Writer, rec *Writer) error {
+	n := binary.PutUvarint(rec.prefix[:], uint64(len(rec.buf)))
+	if _, err := w.Write(rec.prefix[:n]); err != nil {
 		return err
 	}
-	_, err := w.Write(record)
+	_, err := w.Write(rec.buf)
 	return err
 }
 
@@ -78,6 +81,7 @@ type ChainReader struct {
 	r       io.Reader
 	br      io.ByteReader
 	one     [1]byte
+	buf     []byte // record buffer, reused by every Next
 	started bool
 	err     error
 }
@@ -103,7 +107,11 @@ func (cr *ChainReader) readByte() (byte, error) {
 // Next returns the next record's bytes (trailer included), CRC-verified
 // via VerifyRecord. It returns io.EOF exactly on a clean record
 // boundary; an EOF anywhere else means a torn tail and surfaces as
-// io.ErrUnexpectedEOF. Errors are sticky.
+// io.ErrUnexpectedEOF. Errors are sticky. The returned slice is the
+// reader's own buffer: it is valid until the next call to Next, which
+// overwrites it, so a caller that keeps a record longer must copy it.
+//
+//dynlint:loan
 func (cr *ChainReader) Next() ([]byte, error) {
 	if cr.err != nil {
 		return nil, cr.err
@@ -163,17 +171,19 @@ func (cr *ChainReader) Next() ([]byte, error) {
 	return rec, nil
 }
 
-// readRecord reads a record body of declared length n. The buffer is
-// allocated up front only when the source reports that it holds n more
-// bytes; otherwise it grows as bytes arrive, so a corrupt length cannot
-// drive a large allocation.
+// readRecord reads a record body of declared length n into the reader's
+// buffer, which keeps its high-water capacity across records. The buffer
+// is grown to n up front only when it already holds n bytes or the
+// source reports that it holds n more; otherwise it grows as bytes
+// arrive, so a corrupt length cannot drive a large allocation.
 func (cr *ChainReader) readRecord(n uint64) ([]byte, error) {
-	if l, ok := cr.r.(interface{ Len() int }); ok && uint64(l.Len()) >= n {
-		rec := make([]byte, n)
-		_, err := io.ReadFull(cr.r, rec)
-		return rec, err
+	if l, ok := cr.r.(interface{ Len() int }); ok && uint64(l.Len()) >= n || uint64(cap(cr.buf)) >= n {
+		cr.buf = slices.Grow(cr.buf[:0], int(n))[:n]
+		_, err := io.ReadFull(cr.r, cr.buf)
+		return cr.buf, err
 	}
-	var buf bytes.Buffer
-	_, err := io.CopyN(&buf, cr.r, int64(n))
-	return buf.Bytes(), err
+	buf := bytes.NewBuffer(cr.buf[:0])
+	_, err := io.CopyN(buf, cr.r, int64(n))
+	cr.buf = buf.Bytes()
+	return cr.buf, err
 }

@@ -58,9 +58,10 @@ const maxBytes = 1 << 20
 // without checksumming; Close computes the CRC-32 of the whole record
 // and appends it as the trailer.
 type Writer struct {
-	buf []byte
-	crc uint32
-	err error
+	buf    []byte
+	crc    uint32
+	err    error
+	prefix [binary.MaxVarintLen64]byte // chain framing scratch (AppendChainRecord)
 }
 
 // NewWriter returns a writer that encodes a record into buf's storage,

@@ -239,18 +239,16 @@ func TestFail(t *testing.T) {
 // and bodies grow as they arrive.
 func TestPlainReader(t *testing.T) {
 	var recs [][]byte
+	var chain bytes.Buffer
+	if err := WriteChainMagic(&chain); err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range []string{"x", strings.Repeat("y", 300)} {
 		w := NewWriter(nil)
 		w.Uvarint(999 + uint64(i))
 		w.String(s)
 		recs = append(recs, bytes.Clone(record(t, w)))
-	}
-	var chain bytes.Buffer
-	if err := WriteChainMagic(&chain); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := AppendChainRecord(&chain, rec); err != nil {
+		if err := AppendChainRecord(&chain, w); err != nil {
 			t.Fatal(err)
 		}
 	}

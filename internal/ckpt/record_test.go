@@ -18,9 +18,14 @@ import (
 // write fails, so the next delta still diffs against the record that
 // persisted.
 func TestStickyWriteError(t *testing.T) {
+	rec := ckpt.NewWriter(nil)
+	rec.String("record")
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for limit := 0; limit < 2; limit++ {
 		fw := &failAfter{limit: limit}
-		if err := ckpt.AppendChainRecord(fw, []byte("record")); err == nil {
+		if err := ckpt.AppendChainRecord(fw, rec); err == nil {
 			t.Errorf("limit %d: AppendChainRecord swallowed the write error", limit)
 		}
 		if fw.writes > limit+1 {

@@ -5,6 +5,7 @@ import (
 
 	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
+	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
 )
 
@@ -141,14 +142,12 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 	// Start this round's outer instance on the mid-pipeline output.
 	outCh := int32(2*ctx.Round + 1)
 	out := p.outs.push(p.c.T1-1, outCh, p.c.D, p.v)
-	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(outCh)
 	out.Start(&p.ictx, midPrev)
 
 	// Broadcast all three layers with channel tags, in ascending channel
 	// order as the engine requires: S on channel 0, then the mid and
 	// outer instances interleaved.
-	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
 	start := len(buf)
 	buf = p.salg.Broadcast(&p.ictx, buf)
@@ -156,10 +155,10 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 		buf[i].Chan = 0
 	}
 	var i, j int
+	mw, ow := p.purposes()
 	for q, k := p.nextSlot(&i, &j); q != nil; q, k = p.nextSlot(&i, &j) {
 		m := q.meta[k]
-		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(m.ch)
+		p.ictx.PurposeBase = p.nextPurpose(q, &mw, &ow)
 		start = len(buf)
 		buf = q.inst[k].Broadcast(&p.ictx, buf)
 		wire := p.wire(q, m.age)
@@ -168,6 +167,22 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 		}
 	}
 	return buf
+}
+
+// purposes starts the purpose walks of both pipelines: each pushes once
+// per round, with start keys 2r (mid) and 2r+1 (outer), so within a
+// pipeline consecutive keys are 2 apart.
+func (p *chainProc) purposes() (mids, outs purposeWalk) {
+	return p.mids.purposes(2), p.outs.purposes(2)
+}
+
+// nextPurpose returns the purpose base of the next instance of pipeline
+// q in the nextSlot order, stepping q's walk.
+func (p *chainProc) nextPurpose(q *pipeline, mids, outs *purposeWalk) prf.Purpose {
+	if q == &p.mids {
+		return mids.next()
+	}
+	return outs.next()
 }
 
 // wire is the channel of the instance of the given age in pipeline q:
@@ -188,11 +203,14 @@ func (p *chainProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	p.ictx.PurposeBase = instancePurpose(0)
 	p.salg.Process(&p.ictx, run, deg)
 	var i, j int
+	mw, ow := p.purposes()
 	for q, k := p.nextSlot(&i, &j); q != nil; q, k = p.nextSlot(&i, &j) {
 		m := &q.meta[k]
-		run, rest = channelRun(rest, p.wire(q, m.age))
-		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(m.ch)
+		run = nil
+		if len(rest) > 0 {
+			run, rest = channelRun(rest, p.wire(q, m.age))
+		}
+		p.ictx.PurposeBase = p.nextPurpose(q, &mw, &ow)
 		q.inst[k].Process(&p.ictx, run, deg)
 		m.age++
 	}

@@ -93,17 +93,46 @@ type concatProc struct {
 	// ictx is the reusable context handed to instance callbacks: passing
 	// a fresh stack copy through the NodeInstance interface would escape
 	// to the heap on every call — one allocation per instance per round.
-	// Instances must not retain the pointer beyond the call (they don't).
+	// A callback copies the engine's context into it once and then sets
+	// only PurposeBase per instance, so instances must neither modify it
+	// nor retain the pointer beyond the call (see NodeInstance).
 	ictx engine.Ctx
 }
 
-// dalgPurpose derives the purpose base of a dynamic instance channel,
-// avoiding slot 0 (reserved for SAlg). Any purposeSlots-1 consecutive
-// channels map to distinct slots; the constructors check that the live
-// channels fit (checkChannelSpan).
-func dalgPurpose(ch int32) prf.Purpose {
-	slot := 1 + (uint32(ch)-1)%(purposeSlots-1)
-	return instancePurpose(int32(slot))
+// dalgSlot is the PRF purpose slot of a dynamic instance's start key ch,
+// in [1, purposeSlots-1]: slot 0 is reserved for SAlg. Any
+// purposeSlots-1 consecutive start keys map to distinct slots; the
+// constructors check that the live keys fit (checkChannelSpan).
+func dalgSlot(ch int32) uint32 { return 1 + (uint32(ch)-1)%(purposeSlots-1) }
+
+// dalgPurpose derives the purpose base of the dynamic instance with start
+// key ch.
+func dalgPurpose(ch int32) prf.Purpose { return instancePurpose(int32(dalgSlot(ch))) }
+
+// purposeWalk yields the purpose bases of a pipeline's live instances,
+// oldest first, without a modulo per instance. A pipeline's start keys
+// rise by a fixed step (pipeline.load rejects any other shape), so each
+// slot follows the one before it by that step, wrapping past
+// purposeSlots-1 back to 1 exactly as dalgSlot's modulo does.
+type purposeWalk struct{ slot, step uint32 }
+
+// purposes starts a walk at the pipeline's oldest live instance; step is
+// the distance between consecutive start keys.
+func (p *pipeline) purposes(step uint32) purposeWalk {
+	if len(p.meta) == 0 {
+		return purposeWalk{}
+	}
+	return purposeWalk{slot: dalgSlot(p.meta[0].ch), step: step}
+}
+
+// next returns the current instance's purpose base and steps to the next
+// instance.
+func (w *purposeWalk) next() prf.Purpose {
+	pb := instancePurpose(int32(w.slot))
+	if w.slot += w.step; w.slot >= purposeSlots {
+		w.slot -= purposeSlots - 1
+	}
+	return pb
 }
 
 // channelRun splits the run on channel ch off the front of a Chan-sorted
@@ -144,16 +173,15 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 	// age's channel: the pipeline runs from the oldest instance to the
 	// newest, so the outbox is in ascending channel order, as the engine
 	// requires.
-	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
 	start := len(buf)
 	buf = p.salg.Broadcast(&p.ictx, buf)
 	for i := start; i < len(buf); i++ {
 		buf[i].Chan = 0
 	}
+	pw := p.dal.purposes(1)
 	for i, m := range p.dal.meta {
-		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(m.ch)
+		p.ictx.PurposeBase = pw.next()
 		start = len(buf)
 		buf = p.dal.inst[i].Broadcast(&p.ictx, buf)
 		wire := p.wire(m.age)
@@ -172,16 +200,20 @@ func (p *concatProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	// pipeline's channels ascend in slot order, so each instance's
 	// sub-inbox is the next contiguous run — sliced, not copied. An
 	// instance's age moves on only after its run is taken, so Process
-	// reads the channels Broadcast wrote.
+	// reads the channels Broadcast wrote. Once the inbox is used up, the
+	// remaining instances get an empty run without a search.
 	run, rest := channelRun(in, 0)
 	p.ictx = *ctx
 	p.ictx.PurposeBase = instancePurpose(0)
 	p.salg.Process(&p.ictx, run, deg)
+	pw := p.dal.purposes(1)
 	for i := range p.dal.meta {
 		m := &p.dal.meta[i]
-		run, rest = channelRun(rest, p.wire(m.age))
-		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(m.ch)
+		run = nil
+		if len(rest) > 0 {
+			run, rest = channelRun(rest, p.wire(m.age))
+		}
+		p.ictx.PurposeBase = pw.next()
 		p.dal.inst[i].Process(&p.ictx, run, deg)
 		m.age++
 	}

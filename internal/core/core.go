@@ -35,6 +35,11 @@ import (
 // inside the framework. It is the engine.NodeProc contract minus channel
 // management: instances emit sub-messages with Chan 0 and receive only the
 // sub-messages addressed to them; the combiner rewrites channels.
+//
+// The ctx an instance receives is read-only and valid only during the
+// call: a combiner copies the engine's context once per callback and
+// shares that copy among the node's instances, changing only its
+// PurposeBase from one instance to the next.
 type NodeInstance interface {
 	// Start (re)initializes the instance with its input. It may be called
 	// again on an instance that has already run — the combiners recycle

@@ -362,10 +362,11 @@ func (e *Engine) baseList(keep func(v int) bool) []graph.NodeID {
 }
 
 // topologyDiff returns the net edge diff since the last noted record
-// as ascending adds and removes.
+// as ascending adds and removes, in the engine's record scratch (valid
+// until the next call).
 func (e *Engine) topologyDiff() (adds, rems []graph.EdgeKey) {
-	adds = make([]graph.EdgeKey, 0, len(e.topDirty))
-	rems = make([]graph.EdgeKey, 0, len(e.topDirty))
+	adds = slices.Grow(e.diffAdds[:0], len(e.topDirty))
+	rems = slices.Grow(e.diffRems[:0], len(e.topDirty))
 	for k, added := range e.topDirty {
 		if added {
 			adds = append(adds, k)
@@ -375,6 +376,7 @@ func (e *Engine) topologyDiff() (adds, rems []graph.EdgeKey) {
 	}
 	slices.Sort(adds)
 	slices.Sort(rems)
+	e.diffAdds, e.diffRems = adds, rems
 	return adds, rems
 }
 
@@ -711,7 +713,7 @@ func (e *Engine) WriteRecord(w io.Writer, base bool, part ChainPart) error {
 			return err
 		}
 	}
-	if err := ckpt.AppendChainRecord(w, cw.Bytes()); err != nil {
+	if err := ckpt.AppendChainRecord(w, cw); err != nil {
 		return err
 	}
 	e.NoteCheckpoint(base, cw.Sum32())

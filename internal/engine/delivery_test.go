@@ -264,3 +264,122 @@ func TestBitsMatchInboxes(t *testing.T) {
 		}
 	}
 }
+
+// beaconAlgo probes the delivery gate: every node beacons one sub-message
+// each round and reports Quiescent exactly while its last processed round
+// left it isolated. A non-empty Broadcast breaks the letter of the
+// Quiescer contract, but an isolated node's beacon reaches no one, so the
+// sparse plane's skipping it is unobservable until an edge touches the
+// node; the touch resets its quiescence and it beacons again that very
+// round. A node dropped while isolated and revived by an edge add in
+// round r must therefore be heard by its new neighbor in round r, just
+// as in the dense walk. Each Process records its inbox hash (0 when
+// empty) per round and node, and calls per node; the output folds the
+// hashes of non-empty inboxes, so it freezes while the node is isolated.
+// Even rounds beacon on channels 0-2, odd rounds on channel 0 only, so
+// both delivery paths are probed.
+type beaconAlgo struct {
+	inbox [][]uint64 // [round][node] inbox hash
+	calls []int      // Process calls per node
+}
+
+func (a *beaconAlgo) Name() string                    { return "beacon" }
+func (a *beaconAlgo) NewNode(v graph.NodeID) NodeProc { return &beaconNode{a: a, v: v, deg: -1} }
+
+type beaconNode struct {
+	a   *beaconAlgo
+	v   graph.NodeID
+	deg int
+	out problems.Value
+}
+
+func (b *beaconNode) Start(*Ctx, problems.Value) {}
+
+func (b *beaconNode) Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg {
+	var ch int32
+	if ctx.Round%2 == 0 {
+		ch = int32(b.v % 3)
+	}
+	s := ctx.Stream(prf.PurposeWorkload)
+	return append(buf, SubMsg{Chan: ch, Kind: 1, A: int64(b.v), B: int64(s.Intn(1 << 20))})
+}
+
+func (b *beaconNode) Process(ctx *Ctx, in []Incoming, deg int) {
+	b.deg = deg
+	b.a.calls[b.v]++
+	if len(in) == 0 {
+		return
+	}
+	h := fnv.New64a()
+	for _, m := range in {
+		fmt.Fprintf(h, "%d:%d:%d;", m.From, m.M.Chan, m.M.B)
+	}
+	sum := h.Sum64() | 1
+	b.a.inbox[ctx.Round][b.v] = sum
+	b.out = problems.Value((uint64(b.out)*31 ^ sum) >> 2)
+}
+
+func (b *beaconNode) Output() problems.Value { return b.out }
+func (b *beaconNode) Quiescent() bool        { return b.deg == 0 }
+
+// flickerAdv wakes every node in round 1 and keeps hubs [0, hubs) on a
+// fixed ring; every other node v holds the edge {v, v-hubs} for six
+// rounds, then sits isolated for six, its phase shifted by v. Isolated
+// six rounds is long enough for the sparse plane to drop a node (one
+// detection round plus the OutputLag grace) before the edge returns.
+func flickerAdv(n, hubs int) adversary.Adversary {
+	return adversaryFunc(func(v adversary.View) adversary.Step {
+		r := v.Round()
+		var st adversary.Step
+		if r == 1 {
+			for u := 0; u < n; u++ {
+				st.Wake = append(st.Wake, graph.NodeID(u))
+			}
+		}
+		var edges []graph.EdgeKey
+		for u := 0; u < hubs; u++ {
+			edges = append(edges, graph.MakeEdgeKey(graph.NodeID(u), graph.NodeID((u+1)%hubs)))
+		}
+		for u := hubs; u < n; u++ {
+			if (r+u)/6%2 == 0 {
+				edges = append(edges, graph.MakeEdgeKey(graph.NodeID(u), graph.NodeID(u-hubs)))
+			}
+		}
+		st.G = graph.FromEdges(n, edges)
+		return st
+	})
+}
+
+// TestDeliveryGateHearsRevivedNodes pins the phase-2 delivery gate: the
+// sparse plane reads only active neighbors' outboxes, and a node revived
+// by this round's topology diff counts as active in this round. Every
+// node's per-round inbox must equal the dense walk's, at Workers {1, 4}
+// (the hubs keep the active list above the serial threshold, so 4
+// workers shard it), while the sparse run skips the dropped rounds.
+func TestDeliveryGateHearsRevivedNodes(t *testing.T) {
+	const n, hubs, rounds = 1024, 640, 40
+	run := func(workers int, dense bool) *beaconAlgo {
+		a := &beaconAlgo{inbox: make([][]uint64, rounds+1), calls: make([]int, n)}
+		for r := range a.inbox {
+			a.inbox[r] = make([]uint64, n)
+		}
+		New(Config{N: n, Seed: 3, Workers: workers, Dense: dense}, flickerAdv(n, hubs), a).Run(rounds)
+		return a
+	}
+	ref := run(1, true)
+	for _, workers := range []int{1, 4} {
+		got := run(workers, false)
+		for r := 1; r <= rounds; r++ {
+			for v := 0; v < n; v++ {
+				if got.inbox[r][v] != ref.inbox[r][v] {
+					t.Fatalf("workers=%d round %d node %d: inbox hash %#x, dense walk %#x", workers, r, v, got.inbox[r][v], ref.inbox[r][v])
+				}
+			}
+		}
+		for v := hubs; v < n; v++ {
+			if got.calls[v] >= ref.calls[v] {
+				t.Fatalf("workers=%d node %d: processed %d rounds, dense %d — the isolated node was never dropped", workers, v, got.calls[v], ref.calls[v])
+			}
+		}
+	}
+}

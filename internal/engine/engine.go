@@ -58,9 +58,12 @@
 // materialized when an observer asks RoundInfo.Graph() or a wrapper
 // adversary asks View.PrevGraph(). Worker shards are cut by walking the
 // active list's degrees — O(active + workers), no per-round O(n) prefix
-// rebuild. Config.Dense selects the pre-sparse reference walk over the
-// full node space (the equivalence baseline; bit-identical by
-// construction and pinned by tests).
+// rebuild, and the cuts serve both phases of the round. Phase 2 reads
+// only active neighbors' outboxes, so a round's delivery costs the
+// senders' messages, not the degrees of silent dropped nodes.
+// Config.Dense selects the pre-sparse reference walk over the full node
+// space (the equivalence baseline; bit-identical by construction and
+// pinned by tests).
 //
 // # Round-delta plane
 //
@@ -409,6 +412,8 @@ type Engine struct {
 	topDirty     map[graph.EdgeKey]bool // net edge diff: true=added, false=removed
 	activeDirty  bool                   // active list changed since last record
 	ckptScratch  []graph.NodeID         // a base record's node lists (checkpoint.go)
+	diffAdds     []graph.EdgeKey        // a delta record's added edges (topologyDiff)
+	diffRems     []graph.EdgeKey        // a delta record's removed edges (topologyDiff)
 	recW         ckpt.Writer            // record encoder; its buffer is kept across records
 
 	observers []func(*RoundInfo)
@@ -660,8 +665,9 @@ func (e *Engine) mergeActive() {
 
 // applyDrops removes this round's quiesced nodes from the active set and
 // compacts the list. A dropped node's outbox is emptied once here — by
-// the Quiescer contract it would stay empty anyway — so senders' inbox
-// assembly needs no activity check.
+// the Quiescer contract it would stay empty anyway — so a node off the
+// active list has nothing to deliver, and inbox assembly skips it on the
+// bitmap alone (deliver).
 func (e *Engine) applyDrops() {
 	total := 0
 	for w := range e.drops {
@@ -711,10 +717,11 @@ func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.Edg
 		}
 	}
 	list := e.activeList
+	cuts := e.listCuts(list)
 
 	// Phase 1: broadcast (sparseBroadcast over the active list).
 	e.stepRound = r
-	msgs, bits := e.runPhase(list, e.phase1Fn)
+	msgs, bits := e.runPhase(list, cuts, e.phase1Fn)
 	e.foldChannels(r)
 
 	// Phase 2: deliver, process, snapshot, diff and quiesce
@@ -724,7 +731,7 @@ func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.Edg
 		e.chg[w] = e.chg[w][:0]
 		e.drops[w] = e.drops[w][:0]
 	}
-	e.runPhase(list, e.phase2Fn)
+	e.runPhase(list, cuts, e.phase2Fn)
 
 	// Fold the per-worker changed shards. Shards are contiguous ascending
 	// ranges of the active list, so concatenation in worker order yields
@@ -860,13 +867,24 @@ type workerScratch struct {
 // per channel, prefix sums turn the counts into each channel's first
 // inbox slot, and a second pass scatters the outboxes in adjacency
 // order. The cost is O(deg + messages + span), and the barrier bounds
-// the span (foldChannels). Dropped neighbors' outboxes are empty by
-// contract and by applyDrops.
+// the span (foldChannels).
+//
+// Under the sparse plane only active neighbors are read: a node off the
+// active list is dropped, with its outbox emptied by applyDrops and kept
+// empty by the Quiescer contract, so it has nothing to deliver. The
+// check reads one byte of the active bitmap instead of an outbox header,
+// and the bitmap is written only serially between phases, so the gate is
+// exact; a node revived by this round's topology diff was marked active
+// before phase 1. Dense runs keep the ungated read (their bitmap is nil).
 func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	sc := &e.scratch[w]
 	in := sc.inbox[:0]
+	act := e.active
 	if !e.multiCh {
 		for _, u := range nbrs {
+			if act != nil && !act[u] {
+				continue
+			}
 			run := e.outbox[u]
 			for i := range run {
 				in = append(in, Incoming{From: u, M: run[i]})
@@ -878,6 +896,9 @@ func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	total := 0
 	for _, u := range nbrs {
+		if act != nil && !act[u] {
+			continue
+		}
 		if run := e.outbox[u]; len(run) > 0 {
 			lo, hi = min(lo, run[0].Chan), max(hi, run[len(run)-1].Chan)
 			total += len(run)
@@ -891,6 +912,9 @@ func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	count := slices.Grow(sc.count[:0], span)[:span]
 	clear(count)
 	for _, u := range nbrs {
+		if act != nil && !act[u] {
+			continue
+		}
 		for _, m := range e.outbox[u] {
 			count[m.Chan-lo]++
 		}
@@ -902,6 +926,9 @@ func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	}
 	in = slices.Grow(in, total)[:total]
 	for _, u := range nbrs {
+		if act != nil && !act[u] {
+			continue
+		}
 		run := e.outbox[u]
 		for i := range run {
 			p := &count[run[i].Chan-lo]

@@ -95,13 +95,13 @@ func (e *Engine) parallelNodes(g *graph.Graph, fn phaseFunc) (int, int64) {
 // runPhase applies fn to every node of the sorted active list and returns
 // the summed accounting — the sparse counterpart of parallelNodes. Nodes
 // on the list are awake by construction, so there is no bitmap gate; the
-// whole round does no work proportional to n. Shards are contiguous
-// list ranges cut by degree weight (listCuts), run on the persistent
-// phasePool workers, and accounting folds at the barrier exactly like
-// parallelNodes, so outputs and totals are bit-identical for every
-// worker count.
-func (e *Engine) runPhase(list []graph.NodeID, fn phaseFunc) (int, int64) {
-	if e.workers <= 1 || len(list) < serialThreshold {
+// whole round does no work proportional to n. Shards are the contiguous
+// list ranges of cuts (listCuts; nil runs the phase serially), run on the
+// persistent phasePool workers, and accounting folds at the barrier
+// exactly like parallelNodes, so outputs and totals are bit-identical for
+// every worker count.
+func (e *Engine) runPhase(list []graph.NodeID, cuts []int, fn phaseFunc) (int, int64) {
+	if cuts == nil {
 		// The scratch Ctx lives on the Engine, not the stack: fn is a
 		// dynamic func value, so a local would escape and allocate on
 		// every phase of every round.
@@ -116,7 +116,7 @@ func (e *Engine) runPhase(list []graph.NodeID, fn phaseFunc) (int, int64) {
 		return msgs, bits
 	}
 	p := e.ensurePool()
-	p.cuts = e.listCuts(list)
+	p.cuts = cuts
 	p.list = list
 	p.fn = fn
 	for _, c := range p.work {
@@ -199,10 +199,16 @@ func (p *phasePool) worker(w int) {
 
 // listCuts cuts the active list into one contiguous index range per
 // worker with near-equal total weight, where node v weighs deg(v)+1 in
-// the current dynamic adjacency. One pass over the list — O(active +
-// workers) — replaces the dense path's O(n)-prefix-backed binary
-// searches; the cuts slice is reused across rounds.
+// the current dynamic adjacency, or returns nil when the list is too
+// short to shard (or there is one worker) and phases run serially. One
+// pass over the list — O(active + workers) — replaces the dense path's
+// O(n)-prefix-backed binary searches. A round cuts once for both phases:
+// neither the list nor the adjacency changes between them. The cuts
+// slice is reused across rounds.
 func (e *Engine) listCuts(list []graph.NodeID) []int {
+	if e.workers <= 1 || len(list) < serialThreshold {
+		return nil
+	}
 	total := 0
 	for _, v := range list {
 		total += e.adj.Degree(v) + 1
