@@ -83,8 +83,12 @@ type (
 	Adversary = adversary.Adversary
 	// AdversaryView is the model-granted information an adversary sees.
 	AdversaryView = adversary.View
-	// AdversaryStep is one adversary move (graph + wake set).
+	// AdversaryStep is one adversary move: a wake set and the round's
+	// sorted edge diff.
 	AdversaryStep = adversary.Step
+	// GraphsAdversary adapts a function that builds a whole graph each
+	// round, diffing consecutive graphs.
+	GraphsAdversary = adversary.Graphs
 	// StaticAdversary plays one fixed graph.
 	StaticAdversary = adversary.Static
 	// ChurnAdversary inserts and deletes random edges every round.

@@ -280,7 +280,7 @@ func BenchmarkAblationDesireFloor(b *testing.B) {
 		algo := core.Single{Label: "smis", Factory: func(v graph.NodeID) core.NodeInstance {
 			return f.NewNode(v)
 		}}
-		e := engine.New(engine.Config{N: n, Seed: 7}, &pumpAdversary{groups: groups}, algo)
+		e := engine.New(engine.Config{N: n, Seed: 7}, &adversary.Graphs{Next: (&pumpAdversary{groups: groups}).next}, algo)
 		e.Run(groups)
 		recovered, _ := e.RunUntil(4*groups, func(info *engine.RoundInfo) bool {
 			return info.Outputs[0] != problems.Bot
@@ -305,7 +305,7 @@ type pumpAdversary struct {
 	groups int
 }
 
-func (p *pumpAdversary) Step(v adversary.View) adversary.Step {
+func (p *pumpAdversary) next(v adversary.View) (*graph.Graph, []graph.NodeID) {
 	n := 1 + 5*p.groups
 	b := graph.NewBuilder(n)
 	r := v.Round()
@@ -322,19 +322,18 @@ func (p *pumpAdversary) Step(v adversary.View) adversary.Step {
 			}
 		}
 	}
-	st := adversary.Step{}
+	var wake []graph.NodeID
 	if r == 1 {
-		st.Wake = append(st.Wake, 0)
+		wake = append(wake, 0)
 	}
 	if r <= p.groups {
 		base := graph.NodeID(1 + 5*(r-1))
 		for i := graph.NodeID(0); i < 5; i++ {
-			st.Wake = append(st.Wake, base+i)
+			wake = append(wake, base+i)
 			b.AddEdge(0, base+i)
 		}
 	}
-	st.G = b.Graph()
-	return st
+	return b.Graph(), wake
 }
 
 // BenchmarkAblationSMisSelfHealing compares SMis (which un-decides on

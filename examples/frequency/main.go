@@ -49,7 +49,9 @@ func (m *waypointMobility) rand() float64 {
 	return float64(m.rngState*0x2545F4914F6CDD1D>>11) / (1 << 53)
 }
 
-func (m *waypointMobility) Step(v dynlocal.AdversaryView) dynlocal.AdversaryStep {
+// next moves the nodes and returns the round's unit-disk graph; a
+// GraphsAdversary turns the graph sequence into the engine's edge diffs.
+func (m *waypointMobility) next(v dynlocal.AdversaryView) (*dynlocal.Graph, []dynlocal.NodeID) {
 	if v.Round() > 1 {
 		for i := range m.pts {
 			if m.parked[i] {
@@ -67,11 +69,11 @@ func (m *waypointMobility) Step(v dynlocal.AdversaryView) dynlocal.AdversaryStep
 			m.pts[i].Y += dy * norm
 		}
 	}
-	st := dynlocal.AdversaryStep{G: dynlocal.Geometric(m.pts, m.radius)}
+	var wake []dynlocal.NodeID
 	if v.Round() == 1 {
-		st.Wake = dynlocal.AllNodes(len(m.pts))
+		wake = dynlocal.AllNodes(len(m.pts))
 	}
-	return st
+	return dynlocal.Geometric(m.pts, m.radius), wake
 }
 
 func sqrt(x float64) float64 {
@@ -107,7 +109,8 @@ func main() {
 	}
 
 	algo := dynlocal.NewColoring(*n)
-	eng := dynlocal.NewEngine(dynlocal.EngineConfig{N: *n, Seed: *seed}, mob, algo)
+	adv := &dynlocal.GraphsAdversary{Next: mob.next}
+	eng := dynlocal.NewEngine(dynlocal.EngineConfig{N: *n, Seed: *seed}, adv, algo)
 	check := dynlocal.NewTDynamicChecker(dynlocal.ColoringProblem(), algo.T1, *n)
 
 	fmt.Printf("frequency assignment: %d radios, range %.2f, %.0f%% parked, window T=%d\n\n",

@@ -11,19 +11,20 @@
 // remark after Lemma 5.2 is realized by LubyStaller, which is additionally
 // given the PRF seed and therefore knows every future random bit.
 //
-// # Delta-native steps
+// # Steps are edge diffs
 //
 // A highly dynamic network is naturally described by what changed, not by
-// a fresh graph: a Step may carry the round's topology as a sorted edge
-// diff (EdgeAdds/EdgeRemoves, with G == nil) instead of a materialized
-// graph. EdgeMarkov, Churn, LocalStatic and Scripted emit such delta
-// steps natively — their own state transitions are the diff — so a round
-// costs O(changes) end to end: the engine folds the diff into its pooled
-// CSR patcher (graph.Patcher) and the windows/checkers consume it
-// directly. Adversaries that materialize (Static, Alternator,
-// LubyStaller, the wrappers) keep returning full graphs; Resolver turns
-// either kind of step into a (graph, adds, removes) triple, synthesizing
-// the diff by a linear edge-key merge when only a graph was given.
+// a fresh graph (the edge-change view of Censor-Hillel, Kolobov and
+// Schwartzman): every Step carries the round's topology as a sorted edge
+// diff (EdgeAdds/EdgeRemoves) against the adversary's previous round, and
+// no adversary materializes a graph. Randomized adversaries emit their own
+// state transitions; Static and Alternator diff fixed graphs once, from
+// the round number; the wrappers (LocalStatic, Wakeup, ConflictInjector)
+// transform their inner adversary's diff. A round therefore costs
+// O(changes) end to end: the engine folds the diff into its adjacency and
+// the windows/checkers consume it directly. Callers whose natural unit is
+// a whole graph per round wrap themselves in Graphs, which diffs
+// consecutive graphs once.
 //
 // Invariants all adversaries maintain:
 //
@@ -31,18 +32,15 @@
 //     only. Randomized adversaries draw from prf streams over sorted
 //     edge-key slices — never from Go map iteration order — so a (kind,
 //     seed) pair names one reproducible execution.
-//   - Model validity: returned topologies live on the engine's fixed
-//     n-node universe and edges only touch awake nodes (the engine
-//     asserts this on every added edge); wake-ups are monotone,
-//     V_{r-1} ⊆ V_r.
-//   - Delta steps describe the diff against the adversary's previous
-//     round exactly (strictly ascending keys, adds absent before, removes
-//     present before); the engine's patcher panics on any divergence.
-//   - Materialized graphs are immutable graph.Graph values and may be
-//     retained by observers; adversaries never mutate a graph they have
-//     handed out. Delta steps may alias adversary-owned buffers that are
-//     reused on the next Step — consumers must finish with them within
-//     the round.
+//   - Model validity: topologies live on the engine's fixed n-node
+//     universe and edges only touch awake nodes (the engine asserts this
+//     on every added edge); wake-ups are monotone, V_{r-1} ⊆ V_r.
+//   - Diffs describe the change against the adversary's previous round
+//     exactly (strictly ascending keys, adds absent before, removes
+//     present before); the engine panics on any divergence.
+//   - Diff slices may alias adversary-owned buffers (or immutable graphs'
+//     key views) that are reused on the next Step — consumers must finish
+//     with them within the round.
 //
 // Downstream, the per-round topologies feed the engine's two
 // communication phases (internal/engine) and the sliding windows
@@ -52,43 +50,34 @@ package adversary
 
 import (
 	"io"
-	"slices"
 
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
 )
 
-// Step is the adversary's move for one round: either a materialized
-// communication graph G_r, or — when G is nil — a delta-native step whose
-// EdgeAdds/EdgeRemoves describe G_r as a sorted diff against the
-// adversary's previous round (round 1 diffs against the empty graph G_0).
+// Step is the adversary's move for one round: the wake set and the
+// communication graph G_r as a sorted diff against the adversary's
+// previous round (round 1 diffs against the empty graph G_0).
 type Step struct {
-	// G is the communication graph G_r; nil for a delta step. It may
-	// alias pooled resolver/patcher arenas valid for the round.
-	//dynlint:loan
-	G    *graph.Graph
 	Wake []graph.NodeID // nodes waking up at the start of round r
-	// EdgeAdds and EdgeRemoves are the sorted edge diff of a delta step:
-	// strictly ascending canonical keys, every added edge absent from and
-	// every removed edge present in the previous round's topology. Ignored
-	// when G is non-nil (the graph is authoritative; Resolver synthesizes
-	// the diff). The slices may alias adversary-owned buffers reused on
-	// the next Step.
+	// EdgeAdds and EdgeRemoves are strictly ascending canonical keys,
+	// every added edge absent from and every removed edge present in the
+	// previous round's topology. The slices may alias adversary-owned
+	// buffers reused on the next Step.
 	//dynlint:loan
 	//dynlint:sorted
 	EdgeAdds, EdgeRemoves []graph.EdgeKey
 }
 
 // View is the information the model grants the adversary when it
-// constructs G_r. Implemented by the engine.
+// constructs G_r. Implemented by the engine. It carries no topology: an
+// adversary knows the graphs it played from its own diffs.
 type View interface {
 	// Round is the 1-based round being constructed.
 	Round() int
 	// N is the size of the potential-node universe.
 	N() int
-	// PrevGraph returns G_{r-1} (the empty graph before round 1).
-	PrevGraph() *graph.Graph
 	// Awake reports whether v is awake entering this round.
 	Awake(v graph.NodeID) bool
 	// DelayedOutputs returns the output snapshot at the end of round
@@ -100,156 +89,10 @@ type View interface {
 
 // Adversary produces the graph sequence.
 type Adversary interface {
-	// Step returns round view.Round()'s topology (materialized or as a
-	// delta, see Step) and wake set. The topology must only contain edges
-	// between nodes awake after the wake set is applied.
+	// Step returns round view.Round()'s wake set and topology diff. The
+	// topology must only contain edges between nodes awake after the wake
+	// set is applied.
 	Step(view View) Step
-}
-
-// Resolver materializes the topology stream of a possibly delta-native
-// adversary and reports every round's sorted edge diff, so consumers —
-// the engine, wrapper adversaries, tests — can handle both step kinds
-// uniformly. Delta steps are folded into a pooled graph.Patcher (one
-// block-copy merge, no counting rebuild); materialized steps are adopted
-// as-is and their diff synthesized with one linear merge over the
-// EdgeKeys views of consecutive rounds.
-//
-// Lifetimes follow the patcher's double buffering: a resolved graph stays
-// valid through the next Resolve call and may be recycled by the one
-// after that; the returned diff slices are valid until the next Resolve.
-// Clone anything retained longer.
-//
-// Resolver has two mutually exclusive feeds. Resolve is the eager one:
-// every round yields a materialized graph (wrapper adversaries and tests
-// use it). Observe/Materialize is the lazy one the engine's sparse round
-// plane uses: Observe only reports each round's diff — folding it into a
-// pending net-diff — and a CSR graph is built just when Materialize is
-// called, so delta-native rounds never pay the patcher's O(n + m) merge.
-// The pending net-diff is bounded by the symmetric difference against the
-// last materialized graph, i.e. O(m) however many rounds pass between
-// materializations.
-type Resolver struct {
-	p *graph.Patcher
-	// prev holds the previous round's graph, which may alias a pooled
-	// patcher arena: a sanctioned loan-to-loan handoff — the patcher's
-	// double buffering keeps it valid exactly as long as the resolver
-	// needs it.
-	//dynlint:loan
-	prev   *graph.Graph
-	addBuf []graph.EdgeKey
-	remBuf []graph.EdgeKey
-
-	// Lazy plane (Observe/Materialize): the net edge diff accumulated
-	// since prev was last materialized, with exact add/remove
-	// cancellation, plus sort scratch for Materialize. Kept separate from
-	// addBuf/remBuf so a mid-round Materialize cannot clobber diff slices
-	// an Observe caller is still holding.
-	pendAdd, pendRem map[graph.EdgeKey]struct{}
-	matAdd, matRem   []graph.EdgeKey
-}
-
-// NewResolver creates a resolver over an n-node universe; the previous
-// topology starts as the empty graph G_0.
-func NewResolver(n int) *Resolver {
-	p := graph.NewPatcher(n)
-	return &Resolver{
-		p: p, prev: p.Current(),
-		pendAdd: make(map[graph.EdgeKey]struct{}),
-		pendRem: make(map[graph.EdgeKey]struct{}),
-	}
-}
-
-// Resolve turns st into a (graph, adds, removes) triple. For a delta step
-// the graph is patched from the previous round and the given diff is
-// passed through; for a materialized step the diff is synthesized. The
-// same-graph fast path (adversaries like Static replay one immutable
-// graph) costs O(1).
-//
-//dynlint:loan
-func (r *Resolver) Resolve(st *Step) (g *graph.Graph, adds, removes []graph.EdgeKey) {
-	if st.G == nil {
-		r.p.Reset(r.prev)
-		g = r.p.Apply(st.EdgeAdds, st.EdgeRemoves)
-		r.prev = g
-		return g, st.EdgeAdds, st.EdgeRemoves
-	}
-	g = st.G
-	if g == r.prev {
-		return g, nil, nil
-	}
-	adds, removes = graph.DiffSortedKeys(r.prev.EdgeKeys(), g.EdgeKeys(), r.addBuf[:0], r.remBuf[:0])
-	r.addBuf, r.remBuf = adds, removes
-	r.prev = g
-	return g, adds, removes
-}
-
-// Observe is the lazy sibling of Resolve: it reports the round's sorted
-// edge diff without materializing a graph. Delta steps pass their diff
-// through and fold it into the resolver's pending net-diff (with exact
-// add/remove cancellation), so a delta-native round costs O(changes) and
-// allocates nothing; materialized steps are adopted as-is (after catching
-// the pending diff up) and their diff synthesized as in Resolve. The
-// current graph is produced on demand by Materialize. The returned
-// slices follow the same lifetime as Resolve's: valid until the next
-// Observe. Observe and Resolve must not be mixed on one Resolver.
-//
-//dynlint:loan
-func (r *Resolver) Observe(st *Step) (adds, removes []graph.EdgeKey) {
-	if st.G == nil {
-		for _, k := range st.EdgeAdds {
-			if _, ok := r.pendRem[k]; ok {
-				delete(r.pendRem, k)
-			} else {
-				r.pendAdd[k] = struct{}{}
-			}
-		}
-		for _, k := range st.EdgeRemoves {
-			if _, ok := r.pendAdd[k]; ok {
-				delete(r.pendAdd, k)
-			} else {
-				r.pendRem[k] = struct{}{}
-			}
-		}
-		return st.EdgeAdds, st.EdgeRemoves
-	}
-	prev := r.Materialize()
-	g := st.G
-	if g == prev {
-		return nil, nil
-	}
-	adds, removes = graph.DiffSortedKeys(prev.EdgeKeys(), g.EdgeKeys(), r.addBuf[:0], r.remBuf[:0])
-	r.addBuf, r.remBuf = adds, removes
-	r.prev = g
-	return adds, removes
-}
-
-// Materialize returns the current graph of the Observe feed, folding any
-// pending net diff into the pooled patcher first. With no pending changes
-// it is O(1) (the previously materialized graph is returned unchanged);
-// otherwise it costs one O(n + m) patcher merge — which is why the engine
-// only calls it on demand, never per round. The returned graph follows
-// the patcher lifetime: valid until the second-next materialization that
-// actually patches; Clone to retain longer.
-func (r *Resolver) Materialize() *graph.Graph {
-	if len(r.pendAdd) == 0 && len(r.pendRem) == 0 {
-		return r.prev
-	}
-	r.matAdd = sortedKeys(r.pendAdd, r.matAdd[:0])
-	r.matRem = sortedKeys(r.pendRem, r.matRem[:0])
-	clear(r.pendAdd)
-	clear(r.pendRem)
-	r.p.Reset(r.prev)
-	r.prev = r.p.Apply(r.matAdd, r.matRem)
-	return r.prev
-}
-
-// sortedKeys appends a key set to dst in ascending order.
-func sortedKeys(set map[graph.EdgeKey]struct{}, dst []graph.EdgeKey) []graph.EdgeKey {
-	for k := range set {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
 }
 
 // AllNodes returns the full wake set 0..n-1.
@@ -263,25 +106,25 @@ func AllNodes(n int) []graph.NodeID {
 
 // Static plays a fixed graph every round and wakes all nodes at round 1.
 // With this adversary the simulation reduces to the classic static
-// synchronous model (Section 6). It hands out the same immutable graph
-// each round, which the Resolver recognizes as an O(1) empty diff.
+// synchronous model (Section 6). Round 1 adds the graph's edges; every
+// later diff is empty.
 type Static struct {
 	G *graph.Graph
 }
 
 // Step implements Adversary.
 func (s Static) Step(v View) Step {
-	st := Step{G: s.G}
-	if v.Round() == 1 {
-		st.Wake = AllNodes(s.G.N())
+	if v.Round() != 1 {
+		return Step{}
 	}
-	return st
+	return Step{Wake: AllNodes(s.G.N()), EdgeAdds: s.G.EdgeKeys()}
 }
 
 // Alternator switches between two graphs A and B, playing A for Period
 // rounds, then B for Period rounds, and so on. Period <= 0 behaves as 1
 // (strict alternation — the high-frequency worst case discussed in the
-// introduction, under which the window graphs become weak).
+// introduction, under which the window graphs become weak). Round 1 adds
+// A's edges; a switch round emits the diff between the two graphs.
 type Alternator struct {
 	A, B   *graph.Graph
 	Period int
@@ -289,20 +132,46 @@ type Alternator struct {
 
 // Step implements Adversary.
 func (a Alternator) Step(v View) Step {
-	p := a.Period
-	if p <= 0 {
-		p = 1
+	p := max(a.Period, 1)
+	r := v.Round()
+	if r == 1 {
+		return Step{Wake: AllNodes(a.A.N()), EdgeAdds: a.A.EdgeKeys()}
 	}
-	st := Step{}
-	if ((v.Round()-1)/p)%2 == 0 {
-		st.G = a.A
-	} else {
-		st.G = a.B
+	if (r-1)%p != 0 {
+		return Step{}
 	}
-	if v.Round() == 1 {
-		st.Wake = AllNodes(a.A.N())
+	from, to := a.A, a.B
+	if ((r-1)/p)%2 == 0 {
+		from, to = a.B, a.A
 	}
-	return st
+	adds, removes := graph.DiffSortedKeys(from.EdgeKeys(), to.EdgeKeys(), nil, nil)
+	return Step{EdgeAdds: adds, EdgeRemoves: removes}
+}
+
+// Graphs adapts a caller that builds a whole graph each round (a
+// mobility model, a hand-written test scenario) to the diff-only Step:
+// Next returns round v.Round()'s graph and wake set, and Graphs emits
+// the diff against the graph Next returned the round before. Next must
+// return graphs over one n-node universe that it does not mutate
+// afterwards. The previous graph is hidden state a checkpoint cannot
+// carry, so Graphs refuses to checkpoint (ErrNotCheckpointable).
+type Graphs struct {
+	Next func(v View) (*graph.Graph, []graph.NodeID)
+
+	prev           *graph.Graph
+	addBuf, remBuf []graph.EdgeKey
+}
+
+// Step implements Adversary.
+func (a *Graphs) Step(v View) Step {
+	g, wake := a.Next(v)
+	var prevKeys []graph.EdgeKey
+	if a.prev != nil {
+		prevKeys = a.prev.EdgeKeys()
+	}
+	a.addBuf, a.remBuf = graph.DiffSortedKeys(prevKeys, g.EdgeKeys(), a.addBuf[:0], a.remBuf[:0])
+	a.prev = g
+	return Step{Wake: wake, EdgeAdds: a.addBuf, EdgeRemoves: a.remBuf}
 }
 
 // Scripted replays a recorded trace delta-natively: no graph is ever

@@ -11,24 +11,19 @@ import (
 )
 
 // fakeView is a scriptable View for adversary unit tests. Its play helper
-// resolves delta-native steps through a Resolver, so tests can assert on
-// materialized graphs regardless of which step kind an adversary emits.
-// Resolved graphs are pooled (valid for the current and next play); tests
-// that retain one longer Clone it.
+// folds each step's diff through a graph.Patcher, so tests can assert on
+// the topology an adversary leads to. Folded graphs are pooled (valid for
+// the current and next play); tests that retain one longer Clone it.
 type fakeView struct {
-	round int
-	n     int
-	// prev may alias a pooled resolver arena, exactly like Resolver.prev.
-	//dynlint:loan
-	prev    *graph.Graph
+	round   int
+	n       int
 	awake   []bool
 	delayed []problems.Value
-	res     *Resolver
+	p       *graph.Patcher
 }
 
-func (f *fakeView) Round() int              { return f.round }
-func (f *fakeView) N() int                  { return f.n }
-func (f *fakeView) PrevGraph() *graph.Graph { return f.prev }
+func (f *fakeView) Round() int { return f.round }
+func (f *fakeView) N() int     { return f.n }
 func (f *fakeView) Awake(v graph.NodeID) bool {
 	if f.awake == nil {
 		return true
@@ -38,18 +33,22 @@ func (f *fakeView) Awake(v graph.NodeID) bool {
 func (f *fakeView) DelayedOutputs() []problems.Value { return f.delayed }
 
 func newFakeView(n int) *fakeView {
-	return &fakeView{round: 0, n: n, prev: graph.Empty(n), res: NewResolver(n)}
+	return &fakeView{round: 0, n: n, p: graph.NewPatcher(n)}
 }
 
-// play advances the adversary one round and returns the step with its
-// graph materialized (delta steps are folded through the resolver).
-func (f *fakeView) play(a Adversary) Step {
+// played is one step together with the topology G_r it folds to.
+type played struct {
+	Step
+	//dynlint:loan
+	G *graph.Graph
+}
+
+// play advances the adversary one round and folds its diff (the patcher
+// panics on an inexact one).
+func (f *fakeView) play(a Adversary) played {
 	f.round++
 	st := a.Step(f)
-	g, _, _ := f.res.Resolve(&st)
-	st.G = g
-	f.prev = g
-	return st
+	return played{Step: st, G: f.p.Apply(st.EdgeAdds, st.EdgeRemoves)}
 }
 
 func TestStaticAdversary(t *testing.T) {
@@ -146,7 +145,7 @@ func TestChurnActuallyChurns(t *testing.T) {
 	base := graph.GNP(30, 0.2, prf.NewStream(2, 0, 0, prf.PurposeWorkload))
 	adv := &Churn{Base: base, Add: 5, Del: 5, Seed: 7}
 	v := newFakeView(30)
-	first := v.play(adv).G.Clone() // retained past the resolver's pooling window
+	first := v.play(adv).G.Clone() // retained past the patcher's pooling window
 	tenth := first
 	for r := 2; r <= 10; r++ {
 		tenth = v.play(adv).G
@@ -372,9 +371,8 @@ func TestLubyStallerLeavesDecidedAlone(t *testing.T) {
 	adv := &LubyStaller{Base: base, Seed: 1, Purpose: prf.PurposeLubyAlpha}
 	v := newFakeView(4)
 	// All nodes decided: no undecided-undecided edges, nothing to delete.
-	v.round = 1
 	v.delayed = []problems.Value{problems.InMIS, problems.Dominated, problems.InMIS, problems.Dominated}
-	st := adv.Step(v)
+	st := v.play(adv)
 	if st.G.M() != base.M() {
 		t.Fatalf("edges deleted despite all nodes decided: %d vs %d", st.G.M(), base.M())
 	}
@@ -387,191 +385,319 @@ func TestAllNodes(t *testing.T) {
 	}
 }
 
-// TestDeltaStepsAreExactDiffs drives every delta-capable adversary (plus
-// wrappers over delta-native inners) and checks the Step contract: emitted
-// diffs are strictly ascending, adds are absent from and removes present
-// in the previous topology, and folding them reproduces exactly the
-// resolved graph sequence.
+// contractCase is one adversary under the step contract, with an
+// independently built reference for the topology it must fold to.
+type contractCase struct {
+	adv Adversary
+	// ref returns the edge set G_r of round r, built without the
+	// adversary's diff logic.
+	ref func(r int) []graph.EdgeKey
+	// delayed, if set, supplies the delayed outputs of round r.
+	delayed func(r int) []problems.Value
+}
+
+// keysWhere returns the keys of g for which keep holds, ascending.
+func keysWhere(g *graph.Graph, keep func(k graph.EdgeKey) bool) []graph.EdgeKey {
+	var out []graph.EdgeKey
+	for _, k := range g.EdgeKeys() {
+		if keep(k) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// churnKeys is the live edge set a Churn holds.
+func churnKeys(c *Churn) []graph.EdgeKey {
+	return graph.FromEdges(c.Base.N(), c.keys).EdgeKeys()
+}
+
+// scriptedGraphs returns a Graphs adapter replaying gs (the last graph
+// persists) with all nodes woken in round 1.
+func scriptedGraphs(n int, gs []*graph.Graph) *Graphs {
+	return &Graphs{Next: func(v View) (*graph.Graph, []graph.NodeID) {
+		var wake []graph.NodeID
+		if v.Round() == 1 {
+			wake = AllNodes(n)
+		}
+		return gs[min(v.Round(), len(gs))-1], wake
+	}}
+}
+
+func edgeList(n int, pairs ...[2]graph.NodeID) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, p := range pairs {
+		b.AddEdge(p[0], p[1])
+	}
+	return b.Graph()
+}
+
+// TestDeltaStepsAreExactDiffs drives every production adversary, the
+// Graphs adapter and the wrappers over several inners, and checks the
+// Step contract each round: diffs are strictly ascending, adds are absent
+// from and removes present in the previous topology, added edges touch
+// only woken nodes, and the folded topology equals a reference graph
+// built independently of the adversary's diff logic.
 func TestDeltaStepsAreExactDiffs(t *testing.T) {
 	const n = 28
 	mkBase := func(seed uint64) *graph.Graph {
 		return graph.GNP(n, 0.2, prf.NewStream(seed, 0, 0, prf.PurposeWorkload))
 	}
-	advs := map[string]func() Adversary{
-		"churn": func() Adversary {
-			return &Churn{Base: mkBase(1), Add: 4, Del: 4, Seed: 5}
+	gnps := func(seed uint64, rounds int) []*graph.Graph {
+		s := prf.NewStream(seed, 0, 0, prf.PurposeWorkload)
+		gs := make([]*graph.Graph, rounds)
+		for i := range gs {
+			gs[i] = graph.GNP(n, 0.2, s)
+		}
+		return gs
+	}
+	// Schedule for the Wakeup cases: staggered over rounds 1..7, with
+	// node 27 never waking.
+	sched := UniformRandomSchedule(n, 7, 4)
+	sched[n-1] = 0
+	awakeBy := func(r int) func(graph.EdgeKey) bool {
+		return func(k graph.EdgeKey) bool {
+			x, y := k.Nodes()
+			return sched[x] >= 1 && sched[x] <= r && sched[y] >= 1 && sched[y] <= r
+		}
+	}
+	cases := map[string]func() contractCase{
+		"churn": func() contractCase {
+			c := &Churn{Base: mkBase(1), Add: 4, Del: 4, Seed: 5}
+			return contractCase{adv: c, ref: func(int) []graph.EdgeKey { return churnKeys(c) }}
 		},
-		"edge-markov": func() Adversary {
-			return &EdgeMarkov{Footprint: mkBase(2), POn: 0.3, POff: 0.3, Seed: 6}
+		"edge-markov": func() contractCase {
+			m := &EdgeMarkov{Footprint: mkBase(2), POn: 0.3, POff: 0.3, Seed: 6}
+			return contractCase{adv: m, ref: func(int) []graph.EdgeKey {
+				var on []graph.EdgeKey
+				for i, k := range m.keys {
+					if m.on[i] {
+						on = append(on, k)
+					}
+				}
+				return graph.FromEdges(n, on).EdgeKeys()
+			}}
 		},
-		"local-static": func() Adversary {
+		"p2p": func() contractCase {
+			p := &P2PChurn{N: n, Init: 12, JoinPerRound: 2, Degree: 3, Seed: 3}
+			return contractCase{adv: p, ref: func(int) []graph.EdgeKey {
+				b := graph.NewBuilder(n)
+				for x, row := range p.nbrs {
+					for _, y := range row {
+						b.AddEdge(x, y)
+					}
+				}
+				return b.EdgeKeys()
+			}}
+		},
+		"static": func() contractCase {
+			g := mkBase(10)
+			return contractCase{adv: Static{G: g}, ref: func(int) []graph.EdgeKey { return g.EdgeKeys() }}
+		},
+		"alternator": func() contractCase {
+			a, b := mkBase(11), mkBase(12)
+			return contractCase{
+				adv: Alternator{A: a, B: b, Period: 3},
+				ref: func(r int) []graph.EdgeKey {
+					if r <= 3 || (r >= 7 && r <= 9) {
+						return a.EdgeKeys()
+					}
+					return b.EdgeKeys()
+				},
+			}
+		},
+		"graphs": func() contractCase {
+			gs := gnps(13, 12)
+			return contractCase{adv: scriptedGraphs(n, gs), ref: func(r int) []graph.EdgeKey { return gs[r-1].EdgeKeys() }}
+		},
+		"luby-staller": func() contractCase {
+			base := mkBase(14)
+			a := &LubyStaller{Base: base, Seed: 8, Purpose: prf.PurposeLubyAlpha}
+			return contractCase{
+				adv: a,
+				ref: func(int) []graph.EdgeKey {
+					return keysWhere(base, func(k graph.EdgeKey) bool { return !a.removed[k] })
+				},
+				// A growing undecided prefix makes every round burn
+				// fresh edges.
+				delayed: func(r int) []problems.Value {
+					out := make([]problems.Value, n)
+					for v := range out {
+						out[v] = problems.InMIS
+						if v < 2*r+2 {
+							out[v] = problems.Bot
+						}
+					}
+					return out
+				},
+			}
+		},
+		"local-static": func() contractCase {
 			base := mkBase(3)
-			return &LocalStatic{
-				Inner:     &Churn{Base: base, Add: 6, Del: 6, Seed: 7},
-				Base:      base,
-				Protected: []graph.NodeID{2, 20},
-				Alpha:     2,
-			}
+			inner := &Churn{Base: base, Add: 6, Del: 6, Seed: 7}
+			l := &LocalStatic{Inner: inner, Base: base, Protected: []graph.NodeID{2, 20}, Alpha: 2}
+			return contractCase{adv: l, ref: func(int) []graph.EdgeKey {
+				frozen := func(k graph.EdgeKey) bool { x, y := k.Nodes(); return l.frozen[x] || l.frozen[y] }
+				keys := keysWhere(base, frozen)
+				for _, k := range churnKeys(inner) {
+					if !frozen(k) {
+						keys = append(keys, k)
+					}
+				}
+				return graph.FromEdges(n, keys).EdgeKeys()
+			}}
 		},
-		"local-static-over-materialized": func() Adversary {
+		"local-static-over-luby": func() contractCase {
 			base := mkBase(4)
-			return &LocalStatic{
-				Inner:     &LubyStaller{Base: base, Seed: 8, Purpose: prf.PurposeLubyAlpha},
-				Base:      base,
-				Protected: []graph.NodeID{1},
-				Alpha:     1,
+			inner := &LubyStaller{Base: base, Seed: 8, Purpose: prf.PurposeLubyAlpha}
+			l := &LocalStatic{Inner: inner, Base: base, Protected: []graph.NodeID{1}, Alpha: 1}
+			return contractCase{adv: l, ref: func(int) []graph.EdgeKey {
+				return keysWhere(base, func(k graph.EdgeKey) bool {
+					x, y := k.Nodes()
+					return l.frozen[x] || l.frozen[y] || !inner.removed[k]
+				})
+			}}
+		},
+		"wakeup-over-static": func() contractCase {
+			g := mkBase(15)
+			return contractCase{
+				adv: &Wakeup{Inner: Static{G: g}, Schedule: sched},
+				ref: func(r int) []graph.EdgeKey { return keysWhere(g, awakeBy(r)) },
 			}
 		},
-		"scripted": func() Adversary {
+		"wakeup-over-churn": func() contractCase {
+			inner := &Churn{Base: mkBase(16), Add: 5, Del: 5, Seed: 9}
+			return contractCase{
+				adv: &Wakeup{Inner: inner, Schedule: sched},
+				ref: func(r int) []graph.EdgeKey {
+					return keysWhere(graph.FromEdges(n, inner.keys), awakeBy(r))
+				},
+			}
+		},
+		"scripted": func() contractCase {
 			tr := dyngraph.NewTrace(n)
-			s := prf.NewStream(9, 0, 0, prf.PurposeWorkload)
+			gs := gnps(9, 6)
 			var prev *graph.Graph
-			for r := 1; r <= 6; r++ {
-				g := graph.GNP(n, 0.2, s)
+			for r, g := range gs {
 				var wake []graph.NodeID
-				if r == 1 {
+				if r == 0 {
 					wake = AllNodes(n)
 				}
 				tr.Append(prev, g, wake)
 				prev = g
 			}
-			return NewScripted(tr)
+			return contractCase{adv: NewScripted(tr), ref: func(r int) []graph.EdgeKey { return gs[min(r, len(gs))-1].EdgeKeys() }}
 		},
 	}
-	for name, mk := range advs {
+	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
-			adv := mk()
-			v := newFakeView(n)
-			present := make(map[graph.EdgeKey]bool)
-			sawDeltaStep := false
-			for r := 1; r <= 12; r++ {
-				v.round = r
-				st := adv.Step(v)
-				if st.G != nil {
-					t.Fatalf("round %d: expected a delta-native step", r)
-				}
-				sawDeltaStep = true
-				for i, k := range st.EdgeAdds {
-					if i > 0 && st.EdgeAdds[i-1] >= k {
-						t.Fatalf("round %d: adds not strictly ascending", r)
-					}
-					if present[k] {
-						t.Fatalf("round %d: add of present edge %v", r, k)
-					}
-					present[k] = true
-				}
-				for i, k := range st.EdgeRemoves {
-					if i > 0 && st.EdgeRemoves[i-1] >= k {
-						t.Fatalf("round %d: removes not strictly ascending", r)
-					}
-					if !present[k] {
-						t.Fatalf("round %d: remove of absent edge %v", r, k)
-					}
-					delete(present, k)
-				}
-				g, _, _ := v.res.Resolve(&st)
-				v.prev = g
-				if g.M() != len(present) {
-					t.Fatalf("round %d: folded %d edges, resolved graph has %d", r, len(present), g.M())
-				}
-				for k := range present {
-					if !g.HasEdge(k.Nodes()) {
-						t.Fatalf("round %d: folded edge %v missing from resolved graph", r, k)
-					}
-				}
-			}
-			if !sawDeltaStep {
-				t.Fatal("adversary emitted no delta steps")
-			}
+			checkStepContract(t, n, 12, mk())
 		})
 	}
 }
 
-// switchingInner flips between delta-native and materialized steps —
-// the step pattern a ConflictInjector-style wrapper produces — to pin
-// that LocalStatic's diff tracking survives mid-run switches.
-type switchingInner struct {
-	inner        Adversary
-	res          *Resolver
-	materialized func(round int) bool
-}
-
-func (s *switchingInner) Step(v View) Step {
-	st := s.inner.Step(v)
-	if s.res == nil {
-		s.res = NewResolver(v.N())
-	}
-	g, _, _ := s.res.Resolve(&st)
-	if s.materialized(v.Round()) {
-		return Step{G: g, Wake: st.Wake}
-	}
-	return st
-}
-
-// TestLocalStaticOverSwitchingInner drives LocalStatic over an inner
-// that alternates step kinds and checks the emitted diffs stay exact
-// (folding them through a Resolver must not panic and the frozen ball
-// must stay static) — the composition that a stale inner mirror broke.
-func TestLocalStaticOverSwitchingInner(t *testing.T) {
-	s := prf.NewStream(6, 0, 0, prf.PurposeWorkload)
-	base := graph.GNP(36, 0.18, s)
-	const protectedNode = 5
-	adv := &LocalStatic{
-		Inner: &switchingInner{
-			inner: &Churn{Base: base, Add: 6, Del: 6, Seed: 11},
-			// Delta rounds 1-4, materialized 5-8, delta again, then
-			// every third round materialized.
-			materialized: func(r int) bool { return (r >= 5 && r <= 8) || r%3 == 0 },
-		},
-		Base:      base,
-		Protected: []graph.NodeID{protectedNode},
-		Alpha:     2,
-	}
-	v := newFakeView(36)
-	prev := (*graph.Graph)(nil)
-	for r := 1; r <= 24; r++ {
-		st := v.play(adv) // play resolves: panics here on an inexact diff
-		if prev != nil && !graph.BallStatic(prev, st.G, protectedNode, 2) {
-			t.Fatalf("round %d: protected ball changed", r)
+// checkStepContract plays c.adv for the given rounds and checks the Step
+// contract and the reference topology every round.
+func checkStepContract(t *testing.T, n, rounds int, c contractCase) {
+	t.Helper()
+	v := newFakeView(n)
+	present := make(map[graph.EdgeKey]bool)
+	woken := make([]bool, n)
+	for r := 1; r <= rounds; r++ {
+		if c.delayed != nil {
+			v.delayed = c.delayed(r)
 		}
-		prev = st.G
+		st := v.play(c.adv)
+		for _, id := range st.Wake {
+			woken[id] = true
+		}
+		for i, k := range st.EdgeAdds {
+			if i > 0 && st.EdgeAdds[i-1] >= k {
+				t.Fatalf("round %d: adds not strictly ascending", r)
+			}
+			if present[k] {
+				t.Fatalf("round %d: add of present edge %v", r, k)
+			}
+			if x, y := k.Nodes(); !woken[x] || !woken[y] {
+				t.Fatalf("round %d: added edge %v touches a sleeping node", r, k)
+			}
+			present[k] = true
+		}
+		for i, k := range st.EdgeRemoves {
+			if i > 0 && st.EdgeRemoves[i-1] >= k {
+				t.Fatalf("round %d: removes not strictly ascending", r)
+			}
+			if !present[k] {
+				t.Fatalf("round %d: remove of absent edge %v", r, k)
+			}
+			delete(present, k)
+		}
+		want := c.ref(r)
+		if got := st.G.EdgeKeys(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: folded topology %v, reference %v", r, got, want)
+		}
 	}
 }
 
-// TestResolverSynthesizesDiffsForMaterializedSteps pins the legacy path:
-// graph-valued steps yield exactly the edge diff of consecutive graphs,
-// with an O(1) empty diff when the same graph object is replayed.
-func TestResolverSynthesizesDiffsForMaterializedSteps(t *testing.T) {
-	a, b := graph.Path(6), graph.Cycle(6)
-	res := NewResolver(6)
-	st := Step{G: a}
-	_, adds, removes := res.Resolve(&st)
-	if len(adds) != a.M() || len(removes) != 0 {
-		t.Fatalf("first resolve: %d adds %d removes, want %d/0", len(adds), len(removes), a.M())
+// TestWakeupEdgeTiming pins the two wake-time corners on a hand-written
+// inner sequence: an edge whose second endpoint wakes later appears in
+// that endpoint's wake round, and an inner edge removed in the round its
+// endpoint wakes never appears at all.
+func TestWakeupEdgeTiming(t *testing.T) {
+	const n = 6
+	gs := []*graph.Graph{
+		edgeList(n, [2]graph.NodeID{0, 1}, [2]graph.NodeID{0, 2}, [2]graph.NodeID{1, 3}, [2]graph.NodeID{2, 3}),
+		// Round 2: node 3 wakes as {1,3} goes away.
+		edgeList(n, [2]graph.NodeID{0, 1}, [2]graph.NodeID{0, 2}, [2]graph.NodeID{2, 3}),
+		// Round 3: node 2 wakes as {0,2} goes away; {2,3} waited for it;
+		// {3,4} is added as node 4 wakes.
+		edgeList(n, [2]graph.NodeID{0, 1}, [2]graph.NodeID{2, 3}, [2]graph.NodeID{3, 4}),
+		// Round 4: node 5 never wakes, so {4,5} stays suppressed.
+		edgeList(n, [2]graph.NodeID{0, 1}, [2]graph.NodeID{2, 3}, [2]graph.NodeID{4, 5}),
 	}
-	// Same pointer: empty diff.
-	st = Step{G: a}
-	_, adds, removes = res.Resolve(&st)
-	if len(adds) != 0 || len(removes) != 0 {
-		t.Fatalf("same-graph resolve: %d adds %d removes", len(adds), len(removes))
+	sched := []int{1, 1, 3, 2, 3, 0}
+	want := [][]graph.EdgeKey{
+		{graph.MakeEdgeKey(0, 1)},
+		{graph.MakeEdgeKey(0, 1)},
+		{graph.MakeEdgeKey(0, 1), graph.MakeEdgeKey(2, 3), graph.MakeEdgeKey(3, 4)},
+		{graph.MakeEdgeKey(0, 1), graph.MakeEdgeKey(2, 3)},
 	}
-	// Path -> Cycle: one edge appears ({0,5}), none disappear.
-	st = Step{G: b}
-	_, adds, removes = res.Resolve(&st)
-	if len(adds) != 1 || adds[0] != graph.MakeEdgeKey(0, 5) || len(removes) != 0 {
-		t.Fatalf("path->cycle diff: adds %v removes %v", adds, removes)
-	}
-	// Mixed: a delta step after materialized steps patches from the last
-	// graph.
-	st = Step{EdgeRemoves: []graph.EdgeKey{graph.MakeEdgeKey(0, 5)}}
-	g, _, _ := res.Resolve(&st)
-	if !g.Equal(a) {
-		t.Fatalf("delta-after-materialized resolve: got %s, want path", g)
+	checkStepContract(t, n, len(want), contractCase{
+		adv: &Wakeup{Inner: scriptedGraphs(n, gs), Schedule: sched},
+		ref: func(r int) []graph.EdgeKey { return want[r-1] },
+	})
+}
+
+// TestConflictInjectorOverChangingInner drives the injector over an inner
+// that removes an edge the injector then injects in the same round, and
+// later adds and removes that injected edge again: the played topology
+// must stay inner ∪ injected throughout.
+func TestConflictInjectorOverChangingInner(t *testing.T) {
+	const n = 5
+	full := graph.Complete(n)
+	without01 := graph.Difference(full, edgeList(n, [2]graph.NodeID{0, 1}))
+	gs := []*graph.Graph{full, without01, full, without01, without01}
+	inner := scriptedGraphs(n, gs)
+	ci := &ConflictInjector{Inner: inner, Rate: 30, MinRound: 2, Seed: 3}
+	k01 := graph.MakeEdgeKey(0, 1)
+	checkStepContract(t, n, 6, contractCase{
+		adv:     ci,
+		delayed: func(r int) []problems.Value { return []problems.Value{5, 5, 5, 5, 5} },
+		ref: func(r int) []graph.EdgeKey {
+			keys := gs[min(r, len(gs))-1].AppendEdges(nil)
+			for _, inj := range ci.Injections {
+				keys = append(keys, inj.Edge)
+			}
+			return graph.FromEdges(n, keys).EdgeKeys()
+		},
+	})
+	if len(ci.Injections) != 1 || ci.Injections[0] != (Injection{Round: 2, Edge: k01}) {
+		t.Fatalf("injections %v, want {0,1} injected in round 2 as the inner removes it", ci.Injections)
 	}
 }
 
 // TestScriptedDeltaNativePersistsFinalTopology pins the post-trace
-// behavior of delta-native scripts: empty diffs keep the last graph.
+// behavior of scripts: empty diffs keep the last graph.
 func TestScriptedDeltaNativePersistsFinalTopology(t *testing.T) {
 	const n = 8
 	tr := dyngraph.NewTrace(n)
@@ -584,7 +710,7 @@ func TestScriptedDeltaNativePersistsFinalTopology(t *testing.T) {
 	}
 	for r := 2; r <= 4; r++ {
 		st := v.play(adv)
-		if st.G == nil || !st.G.Equal(g1) {
+		if !st.G.Equal(g1) {
 			t.Fatalf("round %d: final topology not persisted", r)
 		}
 		if len(st.EdgeAdds) != 0 || len(st.EdgeRemoves) != 0 {

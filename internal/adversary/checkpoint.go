@@ -68,10 +68,13 @@ const (
 	tagEdgeMarkov      uint64 = 0x72
 	tagP2PChurn        uint64 = 0x73
 	tagScriptedStream  uint64 = 0x74
-	tagLocalStatic     uint64 = 0x75
 	tagWakeup          uint64 = 0x76
 	tagChurnDelta      uint64 = 0x77
 	tagEdgeMarkovDelta uint64 = 0x78
+	tagLocalStatic     uint64 = 0x79
+	// tagLocalStaticMirror is the retired LocalStatic section, which
+	// carried an inner-topology mirror; LoadState refuses it.
+	tagLocalStaticMirror uint64 = 0x75
 )
 
 // stateCap bounds per-collection element counts a checkpoint may
@@ -495,78 +498,54 @@ func loadInner(r *ckpt.Reader, inner Adversary) {
 }
 
 // SaveState implements Checkpointer. The frozen zone and its base edges
-// are derived from configuration (Base, Protected, Alpha) and rebuilt by
-// init() on restore; the only serialized wrapper state is the inner-
-// topology mirror, written with sorted keys for deterministic bytes
-// (it is a set — order never feeds behavior). The inner adversary's
-// state is delegated.
+// are derived from configuration (Base, Protected, Alpha) and rebuilt on
+// the first Step after a restore, so the section carries only the inner
+// adversary's state.
 func (l *LocalStatic) SaveState(w *ckpt.Writer) {
 	w.Section(tagLocalStatic)
-	w.Bool(l.started)
-	if l.started {
-		keys := make([]graph.EdgeKey, 0, len(l.innerSet))
-		for k := range l.innerSet {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		w.Int(len(keys))
-		for _, k := range keys {
-			w.Uvarint(uint64(k))
-		}
-	}
 	saveInner(w, l.Inner)
 }
 
-// LoadState implements Checkpointer. Safe for the repeated loads of a
-// chain restore: derived caches are built once, the mirror is replaced
-// wholesale each time.
+// LoadState implements Checkpointer. A section in the retired format,
+// which carried an inner-topology mirror, is refused by name.
 func (l *LocalStatic) LoadState(r *ckpt.Reader) {
-	r.Section(tagLocalStatic)
-	started := r.Bool()
-	if r.Err() != nil {
+	switch tag := r.Uvarint(); {
+	case r.Err() != nil:
 		return
-	}
-	if started {
-		if !l.started {
-			l.init()
-		}
-		n := r.Count(stateCap)
-		if r.Err() != nil {
-			return
-		}
-		clear(l.innerSet)
-		for i := 0; i < n; i++ {
-			l.innerSet[graph.EdgeKey(r.Uvarint())] = struct{}{}
-		}
-		if r.Err() != nil {
-			return
-		}
+	case tag == tagLocalStaticMirror:
+		r.Fail(fmt.Errorf("adversary: checkpoint LocalStatic section has the retired edge-mirror format (tag %#x); write the checkpoint again", tag))
+		return
+	case tag != tagLocalStatic:
+		r.Fail(fmt.Errorf("adversary: checkpoint section tag %#x, want LocalStatic's %#x", tag, tagLocalStatic))
+		return
 	}
 	loadInner(r, l.Inner)
 }
 
 // SaveState implements Checkpointer. The awake set is a pure function of
-// (Schedule, lastRound) and is rebuilt on restore; the resolver's
-// previous inner topology — which the next materialized-step diff runs
-// against — is written as its sorted edge-key list. The inner
-// adversary's state is delegated.
+// (Schedule, lastRound) and is rebuilt on restore; the inner topology —
+// which the wake-time edges are read from — is written as its sorted
+// edge-key list. The inner adversary's state is delegated.
 func (w *Wakeup) SaveState(cw *ckpt.Writer) {
 	cw.Section(tagWakeup)
 	cw.Bool(w.awake != nil)
 	if w.awake != nil {
 		cw.Int(w.lastRound)
-		keys := w.res.prev.EdgeKeys()
-		cw.Int(len(keys))
-		for _, k := range keys {
-			cw.Uvarint(uint64(k))
+		cw.Int(w.inner.M())
+		for x := range w.inner.N() {
+			for _, y := range w.inner.Neighbors(graph.NodeID(x)) {
+				if graph.NodeID(x) < y {
+					cw.Uvarint(uint64(graph.MakeEdgeKey(graph.NodeID(x), y)))
+				}
+			}
 		}
 	}
 	saveInner(cw, w.Inner)
 }
 
 // LoadState implements Checkpointer. Safe for the repeated loads of a
-// chain restore: awake set and resolver are rebuilt from scratch each
-// time.
+// chain restore: awake set and inner topology are rebuilt from scratch
+// each time.
 func (w *Wakeup) LoadState(r *ckpt.Reader) {
 	r.Section(tagWakeup)
 	started := r.Bool()
@@ -605,21 +584,22 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 				w.awake[id] = true
 			}
 		}
-		w.res = NewResolver(n)
-		w.res.Resolve(&Step{EdgeAdds: keys})
+		w.inner = graph.NewDynAdj(n)
+		w.inner.Apply(keys, nil)
 	}
 	loadInner(r, w.Inner)
 }
 
-// ErrNotCheckpointable is the checkpoint error of the adaptive
-// adversaries whose hidden state a resume cannot carry: their
-// Checkpointer methods refuse, so a checkpoint writer fails with it
-// instead of writing a record that would resume a different run.
-var ErrNotCheckpointable = errors.New("adversary: adaptive adversary is not checkpointable")
+// ErrNotCheckpointable is the checkpoint error of the adversaries whose
+// hidden state a resume cannot carry (the adaptive probes and the Graphs
+// adapter): their Checkpointer methods refuse, so a checkpoint writer
+// fails with it instead of writing a record that would resume a
+// different run.
+var ErrNotCheckpointable = errors.New("adversary: adversary state is not checkpointable")
 
-// SaveState implements Checkpointer by refusing: the injected-edge list,
-// its membership set and the resolver are hidden state that decides
-// future injections.
+// SaveState implements Checkpointer by refusing: the injected-edge set
+// and the inner-topology mirror are hidden state that decides future
+// injections.
 func (ci *ConflictInjector) SaveState(w *ckpt.Writer) {
 	w.Fail(fmt.Errorf("%w: ConflictInjector", ErrNotCheckpointable))
 }
@@ -640,10 +620,22 @@ func (a *LubyStaller) LoadState(r *ckpt.Reader) {
 	r.Fail(fmt.Errorf("%w: LubyStaller", ErrNotCheckpointable))
 }
 
+// SaveState implements Checkpointer by refusing: the previous graph,
+// which the next diff runs against, is not part of the record.
+func (a *Graphs) SaveState(w *ckpt.Writer) {
+	w.Fail(fmt.Errorf("%w: Graphs", ErrNotCheckpointable))
+}
+
+// LoadState implements Checkpointer by refusing, like SaveState.
+func (a *Graphs) LoadState(r *ckpt.Reader) {
+	r.Fail(fmt.Errorf("%w: Graphs", ErrNotCheckpointable))
+}
+
 // Interface conformance. P2PChurn, ScriptedStream and the wrappers stay
 // full-rewrite Checkpointers: P2P session state is O(live nodes) anyway,
-// trace replay already fast-forwards incrementally inside LoadState, and
-// the wrappers' inner-topology mirrors are what dominates their records.
+// trace replay already fast-forwards incrementally inside LoadState,
+// Wakeup's inner-topology list is what dominates its record, and
+// LocalStatic's section holds only its inner's state.
 var (
 	_ Checkpointer      = (*Churn)(nil)
 	_ Checkpointer      = (*EdgeMarkov)(nil)
@@ -653,6 +645,7 @@ var (
 	_ Checkpointer      = (*Wakeup)(nil)
 	_ Checkpointer      = (*ConflictInjector)(nil)
 	_ Checkpointer      = (*LubyStaller)(nil)
+	_ Checkpointer      = (*Graphs)(nil)
 	_ DeltaCheckpointer = (*Churn)(nil)
 	_ DeltaCheckpointer = (*EdgeMarkov)(nil)
 	_ EdgeMirror        = (*Churn)(nil)

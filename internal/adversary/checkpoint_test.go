@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/ckpt"
@@ -88,8 +89,7 @@ func TestDeltaFastForwardEquivalence(t *testing.T) {
 			// Future steps must coincide too: play both from k2.
 			vLive, vRes := v, newFakeView(n)
 			vRes.round = v.round
-			vRes.prev = v.prev
-			vRes.res.Resolve(&Step{EdgeAdds: v.prev.EdgeKeys()})
+			vRes.p.Reset(v.p.Current().Clone())
 			for r := 0; r < tail; r++ {
 				a := vLive.play(live)
 				b := vRes.play(resumed)
@@ -207,5 +207,41 @@ func TestChurnLoadStateRejectsBadKeys(t *testing.T) {
 				t.Fatal("valid section did not round-trip")
 			}
 		})
+	}
+}
+
+// TestLocalStaticRefusesMirrorSection pins the retired LocalStatic
+// section format, which carried the inner topology after its tag 0x75: a
+// record in it is refused with an error naming the format, never read as
+// the current section, while the current format round-trips.
+func TestLocalStaticRefusesMirrorSection(t *testing.T) {
+	base := graph.Path(6)
+	mk := func() *LocalStatic {
+		return &LocalStatic{Inner: &Churn{Base: base, Add: 1, Del: 1, Seed: 3}, Base: base, Protected: []graph.NodeID{0}, Alpha: 1}
+	}
+	old := ckpt.NewWriter(nil)
+	old.Section(0x75)
+	old.Bool(true) // started
+	old.Int(1)     // inner-topology mirror: one key
+	old.Uvarint(uint64(graph.MakeEdgeKey(3, 4)))
+	old.Bool(false) // no inner state
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := ckpt.NewReader(old.Bytes())
+	mk().LoadState(r)
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "retired edge-mirror format") {
+		t.Fatalf("old-format section: err %v, want the retired-format refusal", err)
+	}
+
+	live := mk()
+	v := newFakeView(6)
+	for r := 0; r < 4; r++ {
+		v.play(live)
+	}
+	resumed := mk()
+	loadState(t, resumed, stateBytes(t, live))
+	if !bytes.Equal(stateBytes(t, live), stateBytes(t, resumed)) {
+		t.Fatal("current-format LocalStatic section does not round-trip")
 	}
 }

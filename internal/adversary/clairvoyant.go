@@ -23,6 +23,9 @@ import (
 // undecided-undecided edge set H_r shrinks only by the adversary's own
 // deletions instead of by the 1/3 expected fraction of Lemma 5.2.
 // Experiment E13 measures the resulting stall.
+//
+// Round 1 adds the base edges that survive its own burning; every later
+// round removes the edges burned in it.
 type LubyStaller struct {
 	Base *graph.Graph
 	// Seed must equal the engine seed; Purpose must equal the purpose tag
@@ -32,6 +35,7 @@ type LubyStaller struct {
 	Purpose prf.Purpose
 
 	removed map[graph.EdgeKey]bool
+	burned  []graph.EdgeKey // this round's newly removed edges
 	// Deleted counts the edges burned so far (experiment metric).
 	Deleted int
 }
@@ -74,6 +78,7 @@ func (a *LubyStaller) Step(v View) Step {
 		}
 	})
 
+	a.burned = a.burned[:0]
 	// Fixpoint: delete the undecided-incident edges of every would-be
 	// winner; deletions can create new winners within the same round.
 	for {
@@ -104,6 +109,7 @@ func (a *LubyStaller) Step(v View) Step {
 				k := graph.MakeEdgeKey(x, y)
 				if !a.removed[k] {
 					a.removed[k] = true
+					a.burned = append(a.burned, k)
 					a.Deleted++
 				}
 				// Remove x from y's list.
@@ -120,13 +126,16 @@ func (a *LubyStaller) Step(v View) Step {
 		}
 	}
 
-	var keys []graph.EdgeKey
+	if v.Round() > 1 {
+		slices.Sort(a.burned)
+		st.EdgeRemoves = a.burned
+		return st
+	}
 	a.Base.EachEdge(func(x, y graph.NodeID) {
-		if !a.removed[graph.MakeEdgeKey(x, y)] {
-			keys = append(keys, graph.MakeEdgeKey(x, y))
+		if k := graph.MakeEdgeKey(x, y); !a.removed[k] {
+			st.EdgeAdds = append(st.EdgeAdds, k)
 		}
 	})
-	// EachEdge visits edges in canonical order, so keys is sorted.
-	st.G = graph.FromSortedEdges(n, keys)
+	// EachEdge visits edges in canonical order, so EdgeAdds is sorted.
 	return st
 }

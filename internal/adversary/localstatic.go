@@ -18,12 +18,9 @@ import (
 // ≤ α from a protected node run through frozen nodes, so N^α(v) is the
 // Base ball every round, and (b) all edges induced on it are Base edges.
 //
-// LocalStatic is delta-native and composes with either step kind from the
-// inner adversary: the frozen zone never changes after round 1, so the
-// wrapper's diff is simply the inner diff filtered to edges with no frozen
-// endpoint (inner diffs are taken as given from delta steps, or recovered
-// by a linear merge for materialized inner steps), plus the frozen base
-// edges once in round 1.
+// The frozen zone never changes after round 1, so the wrapper's diff is
+// the inner diff filtered to edges with no frozen endpoint, plus the
+// frozen base edges once in round 1.
 type LocalStatic struct {
 	Inner     Adversary
 	Base      *graph.Graph
@@ -32,14 +29,8 @@ type LocalStatic struct {
 
 	frozen   []bool // node in B
 	baseEdge []graph.EdgeKey
-	// innerSet mirrors the inner adversary's topology after its last
-	// step, so diffs stay exact even when the inner switches between
-	// delta and materialized steps mid-run (ConflictInjector does).
-	innerSet map[graph.EdgeKey]struct{}
 	addBuf   []graph.EdgeKey
 	remBuf   []graph.EdgeKey
-	diffAdd  []graph.EdgeKey
-	diffRem  []graph.EdgeKey
 	started  bool
 }
 
@@ -56,7 +47,6 @@ func (l *LocalStatic) init() {
 			l.baseEdge = append(l.baseEdge, k)
 		}
 	}
-	l.innerSet = make(map[graph.EdgeKey]struct{})
 	l.started = true
 }
 
@@ -74,67 +64,22 @@ func (l *LocalStatic) FrozenZone() []graph.NodeID {
 	return out
 }
 
-// innerDeltas returns the inner step's edge diff — passed through for
-// delta steps, synthesized for materialized steps — while keeping
-// innerSet an exact mirror of the inner topology, so the two step kinds
-// may alternate freely. Delta steps cost O(changes); materialized steps
-// cost O(|E_r|), which is what a materializing inner costs anyway.
-func (l *LocalStatic) innerDeltas(inner *Step) (adds, removes []graph.EdgeKey) {
-	if inner.G == nil {
-		for _, k := range inner.EdgeAdds {
-			l.innerSet[k] = struct{}{}
-		}
-		for _, k := range inner.EdgeRemoves {
-			delete(l.innerSet, k)
-		}
-		return inner.EdgeAdds, inner.EdgeRemoves
-	}
-	// Adds: edges of the graph missing from the mirror (sorted, being a
-	// subsequence of the sorted key view). Removes: mirror entries not
-	// consumed by the scan — deleted as cur edges match, what remains in
-	// the mirror afterwards is exactly the removed set.
-	adds = l.diffAdd[:0]
-	cur := inner.G.EdgeKeys()
-	for _, k := range cur {
-		if _, ok := l.innerSet[k]; ok {
-			delete(l.innerSet, k)
-		} else {
-			adds = append(adds, k)
-		}
-	}
-	removes = l.diffRem[:0]
-	for k := range l.innerSet {
-		removes = append(removes, k)
-	}
-	slices.Sort(removes)
-	l.diffAdd, l.diffRem = adds, removes
-	// Rebuild the mirror to the new topology.
-	clear(l.innerSet)
-	for _, k := range cur {
-		l.innerSet[k] = struct{}{}
-	}
-	return adds, removes
-}
-
 // Step implements Adversary.
 func (l *LocalStatic) Step(v View) Step {
 	if !l.started {
 		l.init()
 	}
 	inner := l.Inner.Step(v)
-	innerAdds, innerRemoves := l.innerDeltas(&inner)
-	// Surviving inner diff entries (no frozen endpoint); a delta step's
-	// inner additions within the frozen zone are dropped exactly as the
-	// materialized filter dropped the edges themselves.
+	// Surviving inner diff entries: no frozen endpoint.
 	adds := l.addBuf[:0]
-	for _, k := range innerAdds {
+	for _, k := range inner.EdgeAdds {
 		u, w := k.Nodes()
 		if !l.frozen[u] && !l.frozen[w] {
 			adds = append(adds, k)
 		}
 	}
 	removes := l.remBuf[:0]
-	for _, k := range innerRemoves {
+	for _, k := range inner.EdgeRemoves {
 		u, w := k.Nodes()
 		if !l.frozen[u] && !l.frozen[w] {
 			removes = append(removes, k)
@@ -204,19 +149,20 @@ func mergeWake(a, b []graph.NodeID) []graph.NodeID {
 //
 // Injected edges persist, so an unresolved conflict would eventually enter
 // the intersection graph and be flagged by the T-dynamic checker. The
-// wrapper resolves delta-native inner steps through a Resolver (it needs
-// the materialized inner graph for duplicate checks); before the first
-// injection it passes inner steps through unchanged.
+// played topology is the inner topology ∪ the injected edges; the wrapper
+// mirrors the inner topology in a graph.DynAdj for the duplicate check,
+// and its diff is the inner diff minus injected edges plus the round's
+// new injections.
 type ConflictInjector struct {
 	Inner    Adversary
 	Rate     int // injection attempts per round
 	MinRound int
 	Seed     uint64
 
-	res      *Resolver
-	injected []graph.EdgeKey
-	have     map[graph.EdgeKey]bool
-	scratch  []graph.EdgeKey
+	inner          *graph.DynAdj
+	have           map[graph.EdgeKey]bool
+	fresh          []graph.EdgeKey // this round's injections
+	addBuf, remBuf []graph.EdgeKey
 	// Injections records (round, edge) for experiment bookkeeping.
 	Injections []Injection
 }
@@ -231,10 +177,11 @@ type Injection struct {
 func (ci *ConflictInjector) Step(v View) Step {
 	if ci.have == nil {
 		ci.have = make(map[graph.EdgeKey]bool)
-		ci.res = NewResolver(v.N())
+		ci.inner = graph.NewDynAdj(v.N())
 	}
 	inner := ci.Inner.Step(v)
-	innerG, _, _ := ci.res.Resolve(&inner)
+	ci.inner.Apply(inner.EdgeAdds, inner.EdgeRemoves)
+	ci.fresh = ci.fresh[:0]
 	r := v.Round()
 	out := v.DelayedOutputs()
 	if r >= ci.MinRound && out != nil {
@@ -268,19 +215,35 @@ func (ci *ConflictInjector) Step(v View) Step {
 				continue
 			}
 			k := graph.MakeEdgeKey(a, b)
-			if ci.have[k] || innerG.HasEdge(a, b) {
+			if _, inInner := slices.BinarySearch(ci.inner.Neighbors(a), b); ci.have[k] || inInner {
 				continue
 			}
 			ci.have[k] = true
-			ci.injected = append(ci.injected, k)
+			ci.fresh = append(ci.fresh, k)
 			ci.Injections = append(ci.Injections, Injection{Round: r, Edge: k})
 		}
 	}
-	if len(ci.injected) == 0 {
-		return inner
+	// Inner changes to injected edges do not show; a fresh injection is
+	// an add unless the inner adversary removed that edge this round, in
+	// which case the edge simply stays.
+	adds := ci.addBuf[:0]
+	for _, k := range inner.EdgeAdds {
+		if !ci.have[k] {
+			adds = append(adds, k)
+		}
 	}
-	keys := innerG.AppendEdges(ci.scratch[:0])
-	keys = append(keys, ci.injected...)
-	ci.scratch = keys
-	return Step{G: graph.FromEdges(innerG.N(), keys), Wake: inner.Wake}
+	for _, k := range ci.fresh {
+		if _, removed := slices.BinarySearch(inner.EdgeRemoves, k); !removed {
+			adds = append(adds, k)
+		}
+	}
+	slices.Sort(adds)
+	removes := ci.remBuf[:0]
+	for _, k := range inner.EdgeRemoves {
+		if !ci.have[k] {
+			removes = append(removes, k)
+		}
+	}
+	ci.addBuf, ci.remBuf = adds, removes
+	return Step{Wake: inner.Wake, EdgeAdds: adds, EdgeRemoves: removes}
 }

@@ -86,9 +86,6 @@ func TestP2PChurnDeltaContract(t *testing.T) {
 	for r := 1; r <= rounds; r++ {
 		v.round = r
 		st := adv.Step(v)
-		if st.G != nil {
-			t.Fatalf("round %d: P2PChurn emitted a materialized graph", r)
-		}
 		for _, id := range st.Wake {
 			if id < 0 || int(id) >= n {
 				t.Fatalf("round %d: wake id %d outside [0,%d)", r, id, n)
@@ -230,7 +227,7 @@ func TestScriptedStreamReplaysRecording(t *testing.T) {
 	for r := rounds + 1; r <= rounds+4; r++ {
 		v.round = r
 		st := ss.Step(v)
-		if st.G != nil || len(st.Wake) != 0 || len(st.EdgeAdds) != 0 || len(st.EdgeRemoves) != 0 {
+		if len(st.Wake) != 0 || len(st.EdgeAdds) != 0 || len(st.EdgeRemoves) != 0 {
 			t.Fatalf("round %d past stream end: expected empty step, got %+v", r, st)
 		}
 	}
@@ -271,7 +268,7 @@ func TestScriptedStreamSurfacesDecodeError(t *testing.T) {
 		st := ss.Step(v)
 		if ss.Err() != nil {
 			sawError = true
-			if st.G != nil || len(st.Wake)+len(st.EdgeAdds)+len(st.EdgeRemoves) != 0 {
+			if len(st.Wake)+len(st.EdgeAdds)+len(st.EdgeRemoves) != 0 {
 				t.Fatalf("round %d: non-empty step after decode error", r)
 			}
 		}

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"slices"
+
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 )
@@ -11,18 +13,17 @@ import (
 // still-asleep nodes are suppressed. The inner adversary's own wake sets
 // are ignored — the schedule is authoritative.
 //
-// Wakeup materializes its filtered graph each round (a suppressed edge
-// must reappear when its second endpoint wakes, which is not a function
-// of the inner diff alone), resolving delta-native inner steps through a
-// Resolver. It is the package's reference "legacy" wrapper: the engine
-// synthesizes its topology diff by edge-list merge.
+// A suppressed edge must appear when its second endpoint wakes, which
+// the inner diff alone does not say, so Wakeup keeps the inner topology
+// in a graph.DynAdj. Its diff is the inner diff restricted to awake
+// endpoints, plus each waking node's inner edges to awake nodes.
 type Wakeup struct {
 	Inner    Adversary
 	Schedule []int
 
-	res     *Resolver
-	awake   []bool
-	scratch []graph.EdgeKey
+	inner          *graph.DynAdj
+	awake          []bool
+	addBuf, remBuf []graph.EdgeKey
 	// lastRound is the last round stepped — with Schedule it determines
 	// the awake set, which is how a checkpoint restore rebuilds it.
 	lastRound int
@@ -32,10 +33,20 @@ type Wakeup struct {
 func (w *Wakeup) Step(v View) Step {
 	if w.awake == nil {
 		w.awake = make([]bool, len(w.Schedule))
-		w.res = NewResolver(v.N())
+		w.inner = graph.NewDynAdj(len(w.Schedule))
 	}
 	r := v.Round()
 	w.lastRound = r
+	inner := w.Inner.Step(v)
+	w.inner.Apply(inner.EdgeAdds, inner.EdgeRemoves)
+	// Removes are filtered before this round's wake-ups: an edge was
+	// played only if both endpoints were already awake.
+	removes := w.remBuf[:0]
+	for _, k := range inner.EdgeRemoves {
+		if x, y := k.Nodes(); w.awake[x] && w.awake[y] {
+			removes = append(removes, k)
+		}
+	}
 	var wake []graph.NodeID
 	for id, wr := range w.Schedule {
 		if wr == r {
@@ -43,18 +54,27 @@ func (w *Wakeup) Step(v View) Step {
 			wake = append(wake, graph.NodeID(id))
 		}
 	}
-	inner := w.Inner.Step(v)
-	innerG, _, _ := w.res.Resolve(&inner)
-	keys := w.scratch[:0]
-	for _, k := range innerG.EdgeKeys() {
-		x, y := k.Nodes()
-		if w.awake[x] && w.awake[y] {
-			keys = append(keys, k)
+	adds := w.addBuf[:0]
+	for _, k := range inner.EdgeAdds {
+		if x, y := k.Nodes(); w.awake[x] && w.awake[y] {
+			adds = append(adds, k)
 		}
 	}
-	w.scratch = keys
-	// EdgeKeys is sorted, so the filtered subsequence is too.
-	return Step{G: graph.FromSortedEdges(innerG.N(), keys), Wake: wake}
+	if len(wake) > 0 {
+		for _, x := range wake {
+			for _, y := range w.inner.Neighbors(x) {
+				if w.awake[y] {
+					adds = append(adds, graph.MakeEdgeKey(x, y))
+				}
+			}
+		}
+		// An edge between two waking nodes, or one the inner adversary
+		// also added this round, is listed twice.
+		slices.Sort(adds)
+		adds = slices.Compact(adds)
+	}
+	w.addBuf, w.remBuf = adds, removes
+	return Step{Wake: wake, EdgeAdds: adds, EdgeRemoves: removes}
 }
 
 // StaggeredSchedule wakes perRound nodes per round in id order.

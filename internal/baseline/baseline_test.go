@@ -143,9 +143,8 @@ func TestGreedyRepairViolatesUnderConstantChurn(t *testing.T) {
 }
 
 // adversaryPhase plays the inner adversary until quietAfter, then repeats
-// the last topology forever. The quiet phase is an empty delta step —
-// "nothing changed" — which works over both materialized and delta-native
-// inners.
+// the last topology forever. The quiet phase is an empty diff — "nothing
+// changed".
 type adversaryPhase struct {
 	inner      adversary.Adversary
 	quietAfter int

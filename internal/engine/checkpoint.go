@@ -269,7 +269,7 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer, base bool) {
 	var adds, rems []graph.EdgeKey
 	activeMoved := e.activeDirty
 	if base {
-		adds = e.resolver.Materialize().EdgeKeys()
+		adds = e.topoFeed.materialize().EdgeKeys()
 		nodes = e.baseList(func(v int) bool { return e.awake[v] })
 		activeMoved = len(e.activeList) > 0
 	} else {
@@ -611,7 +611,7 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 	if !dense {
 		e.adj.Apply(adds, rems)
 	}
-	e.resolver.Observe(&adversary.Step{EdgeAdds: adds, EdgeRemoves: rems})
+	e.topoFeed.observe(adds, rems)
 	e.round = round
 	return base
 }
@@ -651,7 +651,7 @@ func (e *Engine) topology() (int, func(u, v graph.NodeID) bool) {
 			return found
 		}
 	}
-	g := e.resolver.Materialize()
+	g := e.topoFeed.materialize()
 	return g.M(), g.HasEdge
 }
 

@@ -328,13 +328,11 @@ func (b *beaconNode) Quiescent() bool        { return b.deg == 0 }
 // six rounds is long enough for the sparse plane to drop a node (one
 // detection round plus the OutputLag grace) before the edge returns.
 func flickerAdv(n, hubs int) adversary.Adversary {
-	return adversaryFunc(func(v adversary.View) adversary.Step {
+	return &adversary.Graphs{Next: func(v adversary.View) (*graph.Graph, []graph.NodeID) {
 		r := v.Round()
-		var st adversary.Step
+		var wake []graph.NodeID
 		if r == 1 {
-			for u := 0; u < n; u++ {
-				st.Wake = append(st.Wake, graph.NodeID(u))
-			}
+			wake = adversary.AllNodes(n)
 		}
 		var edges []graph.EdgeKey
 		for u := 0; u < hubs; u++ {
@@ -345,9 +343,8 @@ func flickerAdv(n, hubs int) adversary.Adversary {
 				edges = append(edges, graph.MakeEdgeKey(graph.NodeID(u), graph.NodeID(u-hubs)))
 			}
 		}
-		st.G = graph.FromEdges(n, edges)
-		return st
-	})
+		return graph.FromEdges(n, edges), wake
+	}}
 }
 
 // TestDeliveryGateHearsRevivedNodes pins the phase-2 delivery gate: the

@@ -16,8 +16,8 @@ import (
 // previous round's graph — all sorted ascending without duplicates, for
 // every worker count. These tests pin both planes against brute-force
 // diffs of copied snapshots/edge lists across the serial and sharded
-// paths, under full wake-up, staggered wake-up and churn, over
-// delta-native and materializing adversaries.
+// paths, under full wake-up, staggered wake-up and churn, over plain and
+// wrapper adversaries.
 
 func bruteDiff(prev, cur []problems.Value) []graph.NodeID {
 	var d []graph.NodeID
@@ -82,12 +82,10 @@ func TestChangedFeedMatchesBruteDiff(t *testing.T) {
 
 // TestTopologyDeltaFeedMatchesBruteDiff pins the topology side of the
 // round-delta plane: RoundInfo.EdgeAdds/EdgeRemoves must be exactly the
-// sorted edge diff of consecutive round graphs, and the graph itself —
-// patched for delta-native adversaries, adopted for materializing ones —
-// must equal the fold of the diffs. Covers the patcher path (churn,
-// edge-markov, local-static, scripted), the synthesis path (wakeup
-// wrapper, static) and the mixed path (conflict injector switching from
-// pass-through to materialized mid-run).
+// sorted edge diff of consecutive round graphs, and the graph itself must
+// equal the fold of the diffs. Covers the randomized adversaries (churn,
+// edge-markov), a fixed graph (static) and the three wrappers
+// (local-static, wakeup, conflict injector).
 func TestTopologyDeltaFeedMatchesBruteDiff(t *testing.T) {
 	const n = 96
 	base := func(seed uint64) *graph.Graph {

@@ -55,9 +55,8 @@
 // is the regime of the paper's highly dynamic P2P workloads (awake ≪ n).
 // The current topology lives in an incrementally patched adjacency
 // (graph.DynAdj, O(changes·Δ) per round); a CSR graph is only
-// materialized when an observer asks RoundInfo.Graph() or a wrapper
-// adversary asks View.PrevGraph(). Worker shards are cut by walking the
-// active list's degrees — O(active + workers), no per-round O(n) prefix
+// materialized when an observer asks RoundInfo.Graph(). Worker shards
+// are cut by walking the active list's degrees — O(active + workers), no per-round O(n) prefix
 // rebuild, and the cuts serve both phases of the round. Phase 2 reads
 // only active neighbors' outboxes, so a round's delivery costs the
 // senders' messages, not the degrees of silent dropped nodes.
@@ -72,9 +71,8 @@
 // RoundInfo.Changed is the sorted list of nodes whose output differs from
 // the previous round, folded from the per-worker shards at the phase-2
 // barrier. On the topology side, RoundInfo.EdgeAdds/EdgeRemoves are the
-// sorted edge diff against the previous round: taken verbatim from
-// delta-native adversaries, or synthesized by a linear edge-key merge for
-// adversaries that materialize. Observers that maintain per-round state
+// adversary step's sorted edge diff against the previous round, passed
+// through verbatim. Observers that maintain per-round state
 // (the checkers in internal/verify, violation trackers in
 // internal/problems, the sliding windows in internal/dyngraph) consume
 // the delta plane whole (verify.(*TDynamic).Feed) to do
@@ -284,10 +282,9 @@ type RoundInfo struct {
 	Changed []graph.NodeID
 	// EdgeAdds and EdgeRemoves are the topology side of the round-delta
 	// plane: the sorted edge diff of this round's graph against the
-	// previous round's (round 1 diffs against the empty G_0) — emitted
-	// natively by delta adversaries, synthesized by edge-list merge
-	// otherwise. Both slices are pooled and reused on the next Step — copy
-	// to retain. Do not modify.
+	// previous round's (round 1 diffs against the empty G_0), as the
+	// adversary emitted it. Both slices are pooled and reused on the next
+	// Step — copy to retain. Do not modify.
 	//dynlint:loan
 	//dynlint:sorted
 	EdgeAdds, EdgeRemoves []graph.EdgeKey
@@ -316,7 +313,7 @@ func (ri *RoundInfo) Graph() *graph.Graph {
 	if ri.eng == nil || ri.eng.round != ri.Round {
 		panic(fmt.Sprintf("engine: RoundInfo.Graph for round %d called after the engine moved on — call it during the round, or use Retain", ri.Round))
 	}
-	return ri.eng.resolver.Materialize()
+	return ri.eng.topoFeed.materialize()
 }
 
 // Delta returns the round's consolidated delta-plane view. The slices
@@ -356,7 +353,7 @@ type Engine struct {
 	sizer BitSizer
 
 	round    int
-	resolver *adversary.Resolver // lazy topology feed: per-round diffs, on-demand CSR
+	topoFeed *topoFeed // lazy topology feed: per-round diffs, on-demand CSR
 	states   []NodeProc
 	awake    []bool
 	wakeRnd  []int
@@ -443,7 +440,7 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		adv:      adv,
 		algo:     algo,
 		round:    0,
-		resolver: adversary.NewResolver(cfg.N),
+		topoFeed: newTopoFeed(cfg.N),
 		states:   make([]NodeProc, cfg.N),
 		awake:    make([]bool, cfg.N),
 		wakeRnd:  make([]int, cfg.N),
@@ -497,12 +494,8 @@ type view struct {
 	r int
 }
 
-func (v *view) Round() int { return v.r }
-func (v *view) N() int     { return v.e.cfg.N }
-
-// PrevGraph materializes G_{r-1} on demand. Delta-native adversaries
-// never call it, keeping their rounds free of the O(n + m) CSR build.
-func (v *view) PrevGraph() *graph.Graph    { return v.e.resolver.Materialize() }
+func (v *view) Round() int                 { return v.r }
+func (v *view) N() int                     { return v.e.cfg.N }
 func (v *view) Awake(id graph.NodeID) bool { return v.e.awake[id] }
 func (v *view) DelayedOutputs() []problems.Value {
 	seen := v.r - v.e.lag
@@ -518,13 +511,10 @@ func (e *Engine) Step() *RoundInfo {
 	r := e.round + 1
 	e.vw.r = r
 	st := e.adv.Step(&e.vw)
-	if st.G != nil && st.G.N() != e.cfg.N {
-		panic("engine: adversary returned graph with wrong node space")
-	}
-	// The round's topology as a sorted diff: passed through for delta
-	// steps, synthesized by one linear merge for materialized steps. No
-	// CSR graph is built here.
-	adds, removes := e.resolver.Observe(&st)
+	// The round's topology is the step's sorted diff; no CSR graph is
+	// built here.
+	adds, removes := st.EdgeAdds, st.EdgeRemoves
+	e.topoFeed.observe(adds, removes)
 	if e.ckptTrack {
 		for _, k := range adds {
 			e.markEdgeDirty(k, true)
@@ -563,6 +553,9 @@ func (e *Engine) Step() *RoundInfo {
 	// by induction over rounds.
 	for _, k := range adds {
 		u, v := k.Nodes()
+		if u < 0 || int(v) >= e.cfg.N {
+			panic(fmt.Sprintf("engine: round %d adds edge %v outside the %d-node universe", r, k, e.cfg.N))
+		}
 		if !e.awake[u] || !e.awake[v] {
 			panicSleepingEdge(r, u, v, e.awake[u])
 		}
@@ -988,7 +981,7 @@ func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 // plane is tested against, and the honest O(n + m) comparator of the
 // sparse-round benchmarks.
 func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.EdgeKey) *RoundInfo {
-	g := e.resolver.Materialize()
+	g := e.topoFeed.materialize()
 
 	// Phase 1: broadcast, with the same per-sender accounting as the
 	// sparse walk.

@@ -159,7 +159,7 @@ func TestAdversaryViewLag(t *testing.T) {
 	const n = 4
 	var lagSeen []problems.Value
 	probe := adversaryFunc(func(v adversary.View) adversary.Step {
-		st := adversary.Step{G: graph.Empty(n)}
+		var st adversary.Step
 		if v.Round() == 1 {
 			st.Wake = adversary.AllNodes(n)
 		}
@@ -186,7 +186,7 @@ func TestFullyAdaptiveLag(t *testing.T) {
 	const n = 2
 	var lagSeen []problems.Value
 	probe := adversaryFunc(func(v adversary.View) adversary.Step {
-		st := adversary.Step{G: graph.Empty(n)}
+		var st adversary.Step
 		if v.Round() == 1 {
 			st.Wake = adversary.AllNodes(n)
 		}
@@ -253,8 +253,8 @@ func TestEnginePanicsOnSleepingEdge(t *testing.T) {
 	bad := adversaryFunc(func(v adversary.View) adversary.Step {
 		// Edge between 0 and 1, but only 0 is awake.
 		return adversary.Step{
-			G:    graph.FromEdges(3, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}),
-			Wake: []graph.NodeID{0},
+			EdgeAdds: []graph.EdgeKey{graph.MakeEdgeKey(0, 1)},
+			Wake:     []graph.NodeID{0},
 		}
 	})
 	e := New(Config{N: 3, Seed: 1}, bad, degreeAlgo{})
@@ -268,7 +268,7 @@ func TestEnginePanicsOnSleepingEdge(t *testing.T) {
 
 func TestEnginePanicsOnWrongGraphSize(t *testing.T) {
 	bad := adversaryFunc(func(v adversary.View) adversary.Step {
-		return adversary.Step{G: graph.Empty(7)}
+		return adversary.Step{Wake: adversary.AllNodes(3), EdgeAdds: []graph.EdgeKey{graph.MakeEdgeKey(1, 6)}}
 	})
 	e := New(Config{N: 3, Seed: 1}, bad, degreeAlgo{})
 	defer func() {

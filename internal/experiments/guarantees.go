@@ -287,23 +287,29 @@ type WindowSweepResult struct {
 // T-th round after a storm the window contains only the new graph, so a
 // valid T-dynamic solution must be a from-scratch solution of the static
 // problem computed in T rounds; any T below the static solving time must
-// produce invalid rounds.
+// produce invalid rounds. The first hold round adds g's edges and the
+// first clear round after a hold removes them.
 type stormAdversary struct {
 	g     *graph.Graph
 	clear int
 	hold  int
 }
 
+func (s stormAdversary) holding(r int) bool {
+	return r >= 1 && (r-1)%(s.clear+s.hold) >= s.clear
+}
+
 func (s stormAdversary) Step(v adversary.View) adversary.Step {
 	st := adversary.Step{}
-	if v.Round() == 1 {
+	r := v.Round()
+	if r == 1 {
 		st.Wake = adversary.AllNodes(s.g.N())
 	}
-	phase := (v.Round() - 1) % (s.clear + s.hold)
-	if phase < s.clear {
-		st.G = graph.Empty(s.g.N())
-	} else {
-		st.G = s.g
+	switch now, before := s.holding(r), s.holding(r-1); {
+	case now && !before:
+		st.EdgeAdds = s.g.EdgeKeys()
+	case !now && before:
+		st.EdgeRemoves = s.g.EdgeKeys()
 	}
 	return st
 }

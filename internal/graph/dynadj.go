@@ -11,8 +11,8 @@ import (
 // Apply instead of the Patcher's O(n + m) offset-shift pass. It trades
 // the CSR's shared arena (and therefore CumDegree/EdgeKeys) for strictly
 // change-proportional updates: the engine walks rows and degrees of the
-// active set only, and a full CSR Graph is materialized lazily — via the
-// Resolver — only when an observer asks for one.
+// active set only, and a full CSR Graph is materialized lazily — via a
+// Patcher — only when an observer asks for one.
 //
 // Apply enforces the same delta contract as Patcher.Apply (strictly
 // ascending canonical keys, adds absent, removes present, endpoints in

@@ -82,9 +82,8 @@ func (p *Patcher) N() int { return p.n }
 // or the empty graph).
 func (p *Patcher) Current() *Graph { return p.cur }
 
-// Reset adopts g as the current graph, e.g. after a round in which the
-// topology source handed over a fully materialized graph instead of a
-// delta. g must stay valid until the next Apply reads it.
+// Reset adopts g as the current graph, e.g. a starting topology other
+// than the empty graph. g must stay valid until the next Apply reads it.
 func (p *Patcher) Reset(g *Graph) {
 	if g.N() != p.n {
 		panic(fmt.Sprintf("graph: Patcher.Reset node space %d, want %d", g.N(), p.n))

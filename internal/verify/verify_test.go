@@ -157,19 +157,15 @@ func TestTDynamicMIS(t *testing.T) {
 }
 
 // advView is a minimal adversary.View for driving adversaries without the
-// engine: it tracks the round, the previous graph and the awake set.
+// engine: it tracks the round and the awake set.
 type advView struct {
 	round int
 	n     int
-	// prev may alias a pooled resolver arena, exactly like Resolver.prev.
-	//dynlint:loan
-	prev  *graph.Graph
 	awake []bool
 }
 
 func (v *advView) Round() int                       { return v.round }
 func (v *advView) N() int                           { return v.n }
-func (v *advView) PrevGraph() *graph.Graph          { return v.prev }
 func (v *advView) Awake(id graph.NodeID) bool       { return v.awake[id] }
 func (v *advView) DelayedOutputs() []problems.Value { return nil }
 
@@ -191,7 +187,7 @@ func (t *tally) add(rep verify.TDynamicReport) {
 // adversarial schedules with violation-heavy random outputs (⊥ flips,
 // invalid values, conflicts) and asserts the per-round TDynamicReports
 // are bit-identical, including violation order and reason strings. Two
-// incremental checkers run: one is fed the resolver's edge diff with the
+// incremental checkers run: one is fed the adversary's edge diff with the
 // raw mutation log as its changed list — duplicates and no-op rewrites
 // included — pinning the documented tolerance for over-approximate feeds;
 // the other is fed exact deltas derived from the round graphs and output
@@ -242,18 +238,19 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 			t.Run(sc.name+"/"+pcase.name, func(t *testing.T) {
 				seed := uint64(17 + ci)
 				adv := sc.mk(seed)
-				res := adversary.NewResolver(n)
+				topo := graph.NewPatcher(n)
 				fdr := verify.NewTDynamic(pcase.pc, T, n)
 				gfd := newGraphChecker(pcase.pc, T, n)
 				orc := verifytest.NewOracle(pcase.pc, T, n)
 				var want tally // the oracle's reports, tallied
-				view := &advView{n: n, prev: graph.Empty(n), awake: make([]bool, n)}
+				view := &advView{n: n, awake: make([]bool, n)}
 				out := make([]problems.Value, n)
 				outStream := prf.NewStream(seed+99, 0, 0, prf.PurposeWorkload)
 				for r := 1; r <= rounds; r++ {
 					view.round = r
 					st := adv.Step(view)
-					g, adds, removes := res.Resolve(&st)
+					adds, removes := st.EdgeAdds, st.EdgeRemoves
+					g := topo.Apply(adds, removes)
 					for _, v := range st.Wake {
 						view.awake[v] = true
 					}
@@ -283,7 +280,6 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 						t.Fatalf("round %d: reports diverge\ngraph-feed %+v\noracle     %+v",
 							r, repGfd, repOrc)
 					}
-					view.prev = g
 				}
 				for _, c := range []*verify.TDynamic{fdr, gfd.TDynamic} {
 					var got tally
