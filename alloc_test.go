@@ -9,7 +9,8 @@ import (
 )
 
 // deltaRecordAllocs is TestDeltaRecordAllocs's bound on one delta
-// record, the most it measures.
+// record: a record allocates nothing itself, and the bound absorbs one
+// stray allocation by another goroutine, at most once per run.
 const deltaRecordAllocs = 1
 
 // TestStepAllocationGuard bounds the allocations of one steady-state
@@ -82,10 +83,12 @@ func TestFillAllocationGuard(t *testing.T) {
 // 16+16 at one worker, a base, then a delta every 8 rounds. The record
 // is encoded by the engine's reused writer, framed from the writer's own
 // storage, and the engine's edge diff lists and the window's span keys
-// are kept in reused storage, so once the first delta has grown them a
-// record allocates at most once: for the window's list of bucket rounds
-// when wake buckets moved (it measures 0 or 1). A writer, diff list or
-// length prefix allocated per record overshoots the bound.
+// and bucket rounds are kept in reused storage, so once the first delta
+// has grown them a record allocates nothing. MemStats counts the whole
+// process, so one delta may read 1 — a single stray allocation by
+// another goroutine — but no delta may read more, and a second delta
+// reading 1 fails too: a writer, diff list or length prefix allocated
+// per record reads at least 1 on every delta.
 func TestDeltaRecordAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -100,6 +103,7 @@ func TestDeltaRecordAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
+	atBound := 0
 	for i := 0; i < deltas; i++ {
 		e.Run(8)
 		runtime.ReadMemStats(&before)
@@ -110,8 +114,16 @@ func TestDeltaRecordAllocs(t *testing.T) {
 		}
 		allocs := after.Mallocs - before.Mallocs
 		t.Logf("delta %d at round %d: %d allocations", i+1, e.Round(), allocs)
-		if i > 0 && allocs > deltaRecordAllocs {
+		if i == 0 {
+			continue
+		}
+		if allocs > deltaRecordAllocs {
 			t.Fatalf("delta %d at round %d allocates %d times, bound %d", i+1, e.Round(), allocs, deltaRecordAllocs)
+		}
+		if allocs == deltaRecordAllocs {
+			if atBound++; atBound > 1 {
+				t.Fatalf("delta %d at round %d is the second delta allocating %d times; only one stray allocation is tolerated", i+1, e.Round(), allocs)
+			}
 		}
 	}
 }

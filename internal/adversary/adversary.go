@@ -124,14 +124,20 @@ func (s Static) Step(v View) Step {
 // rounds, then B for Period rounds, and so on. Period <= 0 behaves as 1
 // (strict alternation — the high-frequency worst case discussed in the
 // introduction, under which the window graphs become weak). Round 1 adds
-// A's edges; a switch round emits the diff between the two graphs.
+// A's edges; a switch round emits the diff between the two graphs, which
+// is computed once.
 type Alternator struct {
 	A, B   *graph.Graph
 	Period int
+
+	// diffs[ph] is the {adds, removes} diff into phase ph's graph
+	// (0: A, 1: B); ready once built.
+	diffs [2][2][]graph.EdgeKey
+	ready bool
 }
 
 // Step implements Adversary.
-func (a Alternator) Step(v View) Step {
+func (a *Alternator) Step(v View) Step {
 	p := max(a.Period, 1)
 	r := v.Round()
 	if r == 1 {
@@ -140,12 +146,13 @@ func (a Alternator) Step(v View) Step {
 	if (r-1)%p != 0 {
 		return Step{}
 	}
-	from, to := a.A, a.B
-	if ((r-1)/p)%2 == 0 {
-		from, to = a.B, a.A
+	if !a.ready {
+		adds, removes := graph.DiffSortedKeys(a.B.EdgeKeys(), a.A.EdgeKeys(), nil, nil)
+		a.diffs = [2][2][]graph.EdgeKey{{adds, removes}, {removes, adds}}
+		a.ready = true
 	}
-	adds, removes := graph.DiffSortedKeys(from.EdgeKeys(), to.EdgeKeys(), nil, nil)
-	return Step{EdgeAdds: adds, EdgeRemoves: removes}
+	d := a.diffs[((r-1)/p)%2]
+	return Step{EdgeAdds: d[0], EdgeRemoves: d[1]}
 }
 
 // Graphs adapts a caller that builds a whole graph each round (a

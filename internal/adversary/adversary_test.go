@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestStaticAdversary(t *testing.T) {
 
 func TestAlternator(t *testing.T) {
 	a, b := graph.Path(4), graph.Cycle(4)
-	adv := Alternator{A: a, B: b, Period: 2}
+	adv := &Alternator{A: a, B: b, Period: 2}
 	v := newFakeView(4)
 	want := []*graph.Graph{a, a, b, b, a, a, b}
 	for i, wg := range want {
@@ -80,7 +81,7 @@ func TestAlternator(t *testing.T) {
 		}
 	}
 	// Period 0 behaves as 1.
-	adv0 := Alternator{A: a, B: b}
+	adv0 := &Alternator{A: a, B: b}
 	v0 := newFakeView(4)
 	if st := v0.play(adv0); !st.G.Equal(a) {
 		t.Fatal("period-0 round 1 should play A")
@@ -497,7 +498,7 @@ func TestDeltaStepsAreExactDiffs(t *testing.T) {
 		"alternator": func() contractCase {
 			a, b := mkBase(11), mkBase(12)
 			return contractCase{
-				adv: Alternator{A: a, B: b, Period: 3},
+				adv: &Alternator{A: a, B: b, Period: 3},
 				ref: func(r int) []graph.EdgeKey {
 					if r <= 3 || (r >= 7 && r <= 9) {
 						return a.EdgeKeys()
@@ -587,6 +588,56 @@ func TestDeltaStepsAreExactDiffs(t *testing.T) {
 				prev = g
 			}
 			return contractCase{adv: NewScripted(tr), ref: func(r int) []graph.EdgeKey { return gs[min(r, len(gs))-1].EdgeKeys() }}
+		},
+		"scripted-stream": func() contractCase {
+			gs := gnps(17, 6)
+			var buf bytes.Buffer
+			enc, err := dyngraph.NewStreamEncoder(&buf, n, len(gs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prev []graph.EdgeKey
+			for r, g := range gs {
+				var wake []graph.NodeID
+				if r == 0 {
+					wake = AllNodes(n)
+				}
+				adds, removes := graph.DiffSortedKeys(prev, g.EdgeKeys(), nil, nil)
+				if err := enc.WriteRound(wake, adds, removes); err != nil {
+					t.Fatal(err)
+				}
+				prev = g.EdgeKeys()
+			}
+			if err := enc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := dyngraph.NewStreamDecoder(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return contractCase{adv: NewScriptedStream(dec), ref: func(r int) []graph.EdgeKey { return gs[min(r, len(gs))-1].EdgeKeys() }}
+		},
+		"conflict-injector": func() contractCase {
+			inner := &Churn{Base: mkBase(18), Add: 6, Del: 6, Seed: 10}
+			ci := &ConflictInjector{Inner: inner, Rate: 4, MinRound: 2, Seed: 11}
+			return contractCase{
+				adv: ci,
+				ref: func(int) []graph.EdgeKey {
+					keys := slices.Clone(inner.keys)
+					for _, inj := range ci.Injections {
+						keys = append(keys, inj.Edge)
+					}
+					return graph.FromEdges(n, keys).EdgeKeys()
+				},
+				// Four output classes keep injections coming.
+				delayed: func(r int) []problems.Value {
+					out := make([]problems.Value, n)
+					for v := range out {
+						out[v] = problems.Value(1 + (v+r)%4)
+					}
+					return out
+				},
+			}
 		},
 	}
 	for name, mk := range cases {

@@ -62,7 +62,7 @@ func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
 		for k := range w.spans {
 			keys = append(keys, k)
 		}
-		rounds = make([]int, 0, len(w.byWake))
+		rounds = slices.Grow(w.saveRounds[:0], len(w.byWake))
 		for r := range w.byWake {
 			rounds = append(rounds, r)
 		}
@@ -71,12 +71,12 @@ func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
 		for k := range w.dirtySpans {
 			keys = append(keys, k)
 		}
-		rounds = make([]int, 0, len(w.dirtyByWake))
+		rounds = slices.Grow(w.saveRounds[:0], len(w.dirtyByWake))
 		for r := range w.dirtyByWake {
 			rounds = append(rounds, r)
 		}
 	}
-	w.saveKeys = keys
+	w.saveKeys, w.saveRounds = keys, rounds
 	w.saveTmp = slices.Grow(w.saveTmp[:0], len(keys))[:len(keys)]
 	keys = graph.SortEdgeKeys(keys, w.saveTmp)
 	slices.Sort(rounds)

@@ -121,6 +121,7 @@ type Window struct {
 	dirtyByWake  map[int]struct{}
 	saveKeys     []graph.EdgeKey // SaveDelta's span keys and radix-sort
 	saveTmp      []graph.EdgeKey // buffer, reused across records
+	saveRounds   []int           // SaveDelta's bucket rounds, reused too
 }
 
 // NewWindow creates a window of size t >= 1 over a node universe of size n.

@@ -78,7 +78,7 @@ func checkpointAdversaries(n int) map[string]func() adversary.Adversary {
 			s := prf.NewStream(9, 0, 0, prf.PurposeWorkload)
 			a := graph.GNP(n, 5.0/float64(n), s)
 			b := graph.GNP(n, 2.0/float64(n), s)
-			return adversary.Alternator{A: a, B: b, Period: 3}
+			return &adversary.Alternator{A: a, B: b, Period: 3}
 		},
 		"p2p": func() adversary.Adversary {
 			return &adversary.P2PChurn{

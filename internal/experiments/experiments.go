@@ -125,7 +125,7 @@ func makeAdversary(kind AdversaryKind, base *graph.Graph, seed uint64) adversary
 	case AdvFlip:
 		s := workloadStream(seed)
 		other := graph.GNP(n, float64(base.M())*2/(float64(n)*float64(n-1)), s)
-		return adversary.Alternator{A: base, B: graph.Union(base, other), Period: 3}
+		return &adversary.Alternator{A: base, B: graph.Union(base, other), Period: 3}
 	default:
 		panic("unknown adversary kind: " + string(kind))
 	}
