@@ -56,8 +56,9 @@
 // The current topology lives in an incrementally patched adjacency
 // (graph.DynAdj, O(changes·Δ) per round); a CSR graph is only
 // materialized when an observer asks RoundInfo.Graph(). Worker shards
-// are cut by walking the active list's degrees — O(active + workers), no per-round O(n) prefix
-// rebuild, and the cuts serve both phases of the round. Phase 2 reads
+// are cut by walking the active list's degrees — O(active + workers), no
+// per-round O(n) prefix rebuild, and the cuts serve both phases of the
+// round. Phase 2 reads
 // only active neighbors' outboxes, so a round's delivery costs the
 // senders' messages, not the degrees of silent dropped nodes.
 // Config.Dense selects the pre-sparse reference walk over the full node
@@ -72,10 +73,9 @@
 // the previous round, folded from the per-worker shards at the phase-2
 // barrier. On the topology side, RoundInfo.EdgeAdds/EdgeRemoves are the
 // adversary step's sorted edge diff against the previous round, passed
-// through verbatim. Observers that maintain per-round state
-// (the checkers in internal/verify, violation trackers in
-// internal/problems, the sliding windows in internal/dyngraph) consume
-// the delta plane whole (verify.(*TDynamic).Feed) to do
+// through verbatim. Observers that maintain per-round state (the
+// checkers in internal/verify, violation trackers in internal/problems,
+// the sliding windows in internal/dyngraph) consume the delta plane whole (verify.(*TDynamic).Feed) to do
 // O(|changed| + |diff|) work per round instead of rescanning all n
 // outputs or all |E_r| edges. The model invariant that edges only touch
 // awake nodes is asserted on the delta too: each added edge is checked as
