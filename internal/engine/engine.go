@@ -77,10 +77,11 @@
 // checkers in internal/verify, violation trackers in internal/problems,
 // the sliding windows in internal/dyngraph) consume the delta plane
 // whole (verify.(*TDynamic).Feed) to do O(|changed| + |diff|) work per
-// round instead of rescanning all n outputs or all |E_r| edges. The model invariant that edges only touch
-// awake nodes is asserted on the delta too: each added edge is checked as
-// it enters — O(|adds|) per round, with persisting edges covered by
-// induction since wake-ups are monotone.
+// round instead of rescanning all n outputs or all |E_r| edges. The
+// model invariant that edges only touch awake nodes is asserted on the
+// delta too: each added edge is checked as it enters — O(|adds|) per
+// round, with persisting edges covered by induction since wake-ups are
+// monotone.
 //
 // # Buffer ownership
 //
