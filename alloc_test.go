@@ -3,6 +3,7 @@ package dynlocal
 import (
 	"io"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dynlocal/internal/algos/mis"
@@ -102,10 +103,17 @@ func TestDeltaRecordAllocs(t *testing.T) {
 	if err := WriteCheckpointChain(io.Discard, e, chk); err != nil {
 		t.Fatal(err)
 	}
+	// No GC cycle may start inside a measured record: its stop-the-world
+	// restart can make the runtime start a thread, which allocates.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	atBound := 0
 	for i := 0; i < deltas; i++ {
 		e.Run(8)
+		// A read's stop-the-world restart may start a thread, which
+		// allocates; the first read absorbs that, the second finds the
+		// thread idle.
+		runtime.ReadMemStats(&before)
 		runtime.ReadMemStats(&before)
 		err := AppendCheckpointDelta(io.Discard, e, chk)
 		runtime.ReadMemStats(&after)

@@ -333,16 +333,14 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer, base bool) {
 	// bit makes a restore onto a differently-capable reconstruction fail
 	// loudly instead of misparsing the section.
 	w.Section(tagAdversary)
-	ck, ok := e.adv.(adversary.Checkpointer)
-	w.Bool(ok)
-	if ok {
-		dc, isDelta := ck.(adversary.DeltaCheckpointer)
-		isDelta = isDelta && !base
+	w.Bool(e.advCk != nil)
+	if e.advCk != nil {
+		isDelta := e.advDelta != nil && !base
 		w.Bool(isDelta)
 		if isDelta {
-			dc.SaveDelta(w, pround, e.round)
+			e.advDelta.SaveDelta(w, pround, e.round)
 		} else {
-			ck.SaveState(w)
+			e.advCk.SaveState(w)
 		}
 	}
 }
@@ -561,8 +559,7 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 	if r.Err() != nil {
 		return false
 	}
-	ck, isCk := e.adv.(adversary.Checkpointer)
-	if hasAdv != isCk {
+	if isCk := e.advCk != nil; hasAdv != isCk {
 		r.Fail(fmt.Errorf("engine: record adversary state presence %v, engine adversary %T checkpointer %v", hasAdv, e.adv, isCk))
 		return false
 	}
@@ -571,15 +568,14 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 		if r.Err() != nil {
 			return false
 		}
-		dc, canDelta := ck.(adversary.DeltaCheckpointer)
-		if isDelta != (canDelta && !base) {
+		if canDelta := e.advDelta != nil; isDelta != (canDelta && !base) {
 			r.Fail(fmt.Errorf("engine: record adversary encoding delta=%v, engine adversary %T delta-capable=%v, base=%v", isDelta, e.adv, canDelta, base))
 			return false
 		}
 		if isDelta {
-			dc.LoadDelta(r, pround, round)
+			e.advDelta.LoadDelta(r, pround, round)
 		} else {
-			ck.LoadState(r)
+			e.advCk.LoadState(r)
 		}
 		if r.Err() != nil {
 			return false

@@ -352,6 +352,11 @@ type Engine struct {
 	adv   adversary.Adversary
 	algo  Algorithm
 	sizer BitSizer
+	// The adversary's checkpoint views, asserted once in New: an
+	// interface assertion may allocate when the runtime refreshes its
+	// per-site cache, which a delta record must not.
+	advCk    adversary.Checkpointer
+	advDelta adversary.DeltaCheckpointer
 
 	round    int
 	topoFeed *topoFeed // lazy topology feed: per-round diffs, on-demand CSR
@@ -466,6 +471,8 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		e.phase2Fn = e.sparseProcess
 	}
 	e.vw.e = e
+	e.advCk, _ = adv.(adversary.Checkpointer)
+	e.advDelta, _ = adv.(adversary.DeltaCheckpointer)
 	if s, ok := algo.(BitSizer); ok {
 		e.sizer = s
 	}
