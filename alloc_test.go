@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynlocal/internal/algos/mis"
+	"dynlocal/internal/prf"
 )
 
 // deltaRecordAllocs is TestDeltaRecordAllocs's bound on one delta
@@ -132,6 +133,48 @@ func TestDeltaRecordAllocs(t *testing.T) {
 			if atBound++; atBound > 1 {
 				t.Fatalf("delta %d at round %d is the second delta allocating %d times; only one stray allocation is tolerated", i+1, e.Round(), allocs)
 			}
+		}
+	}
+}
+
+// stallView is an adversary view with scripted delayed outputs.
+type stallView struct {
+	round int
+	n     int
+	out   []Value
+}
+
+func (v *stallView) Round() int              { return v.round }
+func (v *stallView) N() int                  { return v.n }
+func (v *stallView) Awake(NodeID) bool       { return true }
+func (v *stallView) DelayedOutputs() []Value { return v.out }
+
+// TestClairvoyantAllocationGuard checks that the clairvoyant adversary's
+// rounds allocate nothing after the first: the undecided set, the α
+// words, the undecided adjacency, the winners and the burned list live
+// in storage sized for the base graph in round 1. N = 2048 on
+// G(n, 10/n). Round 1 burns every edge between undecided nodes, so later
+// rounds rebuild an empty undecided adjacency; before the storage was
+// kept, each of them allocated it anew.
+func TestClairvoyantAllocationGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 2048
+	adv := &ClairvoyantAdversary{Base: GNP(n, 10.0/n, 3), Seed: 5, Purpose: prf.PurposeLubyAlpha}
+	view := &stallView{round: 1, n: n}
+	adv.Step(view)
+	view.out = make([]Value, n) // everyone still undecided
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	for r := 2; r <= 12; r++ {
+		view.round = r
+		runtime.ReadMemStats(&before)
+		runtime.ReadMemStats(&before)
+		adv.Step(view)
+		runtime.ReadMemStats(&after)
+		if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+			t.Fatalf("round %d allocates %d times", r, allocs)
 		}
 	}
 }

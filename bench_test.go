@@ -498,6 +498,53 @@ func BenchmarkCombinedMISFill(b *testing.B) {
 	}
 }
 
+// BenchmarkCombinedMISDeparted measures combined MIS under P2P session
+// churn once most awake ids belong to departed peers, which keep their
+// ids with no edges. One op is 8 rounds, from round 3·T1 of a fresh run
+// (N = 4096 ids, 256 initial peers, 8 joins per round, T1 = 49) at one
+// worker; building and warming the run is left out of the timing and
+// the allocation counts. departed_frac reports the share of awake nodes
+// that are isolated when the op starts. Concat parks a departed peer
+// once its instances settle, so its rounds cost O(1) instead of SAlg
+// plus T1-1 instances in both phases.
+func BenchmarkCombinedMISDeparted(b *testing.B) {
+	const n = 4096
+	b.ReportAllocs()
+	var departed float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		algo := NewMIS(n)
+		adv := &P2PChurnAdversary{N: n, Init: 256, JoinPerRound: 8, Seed: 6}
+		e := NewEngine(EngineConfig{N: n, Seed: 7, Workers: 1}, adv, algo)
+		deg := make([]int, n)
+		awake := 0
+		e.OnRound(func(info *RoundInfo) {
+			awake += len(info.Wake)
+			for _, k := range info.EdgeAdds {
+				u, v := k.Nodes()
+				deg[u]++
+				deg[v]++
+			}
+			for _, k := range info.EdgeRemoves {
+				u, v := k.Nodes()
+				deg[u]--
+				deg[v]--
+			}
+		})
+		e.Run(3 * algo.T1)
+		isolated := 0
+		for v := range n {
+			if e.Awake(NodeID(v)) && deg[v] == 0 {
+				isolated++
+			}
+		}
+		departed += float64(isolated) / float64(awake)
+		b.StartTimer()
+		e.Run(8)
+	}
+	b.ReportMetric(departed/float64(b.N), "departed_frac")
+}
+
 // BenchmarkTDynamicChecker measures the verification overhead per round at
 // N=4096 under steady churn, in two modes: the delta-fed checker driven by
 // the full round-delta plane as the engine supplies it via RoundInfo.Delta

@@ -34,16 +34,57 @@ type LubyStaller struct {
 	Seed    uint64
 	Purpose prf.Purpose
 
-	removed map[graph.EdgeKey]bool
+	// removed marks the burned base edges, by index in Base.EdgeKeys().
+	removed []bool
 	burned  []graph.EdgeKey // this round's newly removed edges
 	// Deleted counts the edges burned so far (experiment metric).
 	Deleted int
+
+	// Per-round scratch, kept so that a round allocates nothing. Node
+	// x's undecided neighbors over surviving edges are
+	// arcs[off[x]:off[x]+cnt[x]], in a row as long as x's base degree;
+	// live lists the nodes whose row is not empty, ascending.
+	undecided []bool
+	alpha     []uint64
+	off, cnt  []int32
+	arcs      []stallArc
+	live      []graph.NodeID
+	winners   []graph.NodeID
+}
+
+// stallArc is one undecided neighbor y of a node, over the base edge of
+// index e.
+type stallArc struct {
+	y graph.NodeID
+	e int32
+}
+
+// init sizes the storage for Base: every later round reuses it.
+func (a *LubyStaller) init() {
+	n, m := a.Base.N(), a.Base.M()
+	a.removed = make([]bool, m)
+	a.burned = make([]graph.EdgeKey, 0, m)
+	a.undecided = make([]bool, n)
+	a.alpha = make([]uint64, n)
+	a.off = make([]int32, n)
+	a.cnt = make([]int32, n)
+	a.arcs = make([]stallArc, 2*m)
+	for v := range n {
+		a.off[v] = int32(a.Base.CumDegree(v))
+	}
+	a.live = make([]graph.NodeID, 0, n)
+	a.winners = make([]graph.NodeID, 0, n)
+}
+
+// row returns x's undecided neighbors.
+func (a *LubyStaller) row(x graph.NodeID) []stallArc {
+	return a.arcs[a.off[x] : a.off[x]+a.cnt[x]]
 }
 
 // Step implements Adversary.
 func (a *LubyStaller) Step(v View) Step {
 	if a.removed == nil {
-		a.removed = make(map[graph.EdgeKey]bool)
+		a.init()
 	}
 	n := a.Base.N()
 	st := Step{}
@@ -51,78 +92,82 @@ func (a *LubyStaller) Step(v View) Step {
 		st.Wake = AllNodes(n)
 	}
 	out := v.DelayedOutputs()
-	undecided := make([]bool, n)
-	for id := 0; id < n; id++ {
-		if out == nil {
-			undecided[id] = true // round 1: everything is undecided
-		} else {
-			undecided[id] = out[id] == problems.Bot
-		}
+	for id := range a.undecided {
+		// Round 1: everything is undecided.
+		a.undecided[id] = out == nil || out[id] == problems.Bot
 	}
 
 	// Adjacency among undecided nodes in the surviving graph. The alpha
 	// words and the (word, id) tie-break replicate DMis's comparison
 	// bit-exactly.
-	alpha := make([]uint64, n)
 	for id := int32(0); id < int32(n); id++ {
-		alpha[id] = prf.AlphaWord(a.Seed, id, v.Round(), a.Purpose)
+		a.alpha[id] = prf.AlphaWord(a.Seed, id, v.Round(), a.Purpose)
 	}
-	adj := make(map[graph.NodeID][]graph.NodeID)
-	a.Base.EachEdge(func(x, y graph.NodeID) {
-		if a.removed[graph.MakeEdgeKey(x, y)] {
-			return
+	keys := a.Base.EdgeKeys()
+	clear(a.cnt)
+	for i, k := range keys {
+		x, y := k.Nodes()
+		if a.removed[i] || !a.undecided[x] || !a.undecided[y] {
+			continue
 		}
-		if undecided[x] && undecided[y] {
-			adj[x] = append(adj[x], y)
-			adj[y] = append(adj[y], x)
+		a.arcs[a.off[x]+a.cnt[x]] = stallArc{y, int32(i)}
+		a.cnt[x]++
+		a.arcs[a.off[y]+a.cnt[y]] = stallArc{x, int32(i)}
+		a.cnt[y]++
+	}
+	a.live = a.live[:0]
+	for x := range a.cnt {
+		if a.cnt[x] > 0 {
+			a.live = append(a.live, graph.NodeID(x))
 		}
-	})
+	}
 
 	a.burned = a.burned[:0]
 	// Fixpoint: delete the undecided-incident edges of every would-be
 	// winner; deletions can create new winners within the same round.
+	// Two winners are never adjacent, so the order in which a pass
+	// burns its winners' edges does not matter.
 	for {
-		var winners []graph.NodeID
-		for x, nbrs := range adj {
-			if len(nbrs) == 0 {
+		a.winners = a.winners[:0]
+		live := a.live[:0]
+		for _, x := range a.live {
+			if a.cnt[x] == 0 {
 				continue
 			}
+			live = append(live, x)
 			isMin := true
-			for _, y := range nbrs {
-				if alpha[y] < alpha[x] || (alpha[y] == alpha[x] && y < x) {
+			for _, arc := range a.row(x) {
+				if y := arc.y; a.alpha[y] < a.alpha[x] || (a.alpha[y] == a.alpha[x] && y < x) {
 					isMin = false
 					break
 				}
 			}
 			if isMin {
-				winners = append(winners, x)
+				a.winners = append(a.winners, x)
 			}
 		}
-		if len(winners) == 0 {
+		a.live = live
+		if len(a.winners) == 0 {
 			break
 		}
-		// winners was collected in map order; sort so edge deletions and
-		// the Deleted counter replay identically on every execution.
-		slices.Sort(winners)
-		for _, x := range winners {
-			for _, y := range adj[x] {
-				k := graph.MakeEdgeKey(x, y)
-				if !a.removed[k] {
-					a.removed[k] = true
-					a.burned = append(a.burned, k)
+		for _, x := range a.winners {
+			for _, arc := range a.row(x) {
+				if !a.removed[arc.e] {
+					a.removed[arc.e] = true
+					a.burned = append(a.burned, keys[arc.e])
 					a.Deleted++
 				}
-				// Remove x from y's list.
-				lst := adj[y]
-				for i, z := range lst {
-					if z == x {
+				// Remove x from y's row.
+				lst := a.row(arc.y)
+				for i := range lst {
+					if lst[i].y == x {
 						lst[i] = lst[len(lst)-1]
-						adj[y] = lst[:len(lst)-1]
+						a.cnt[arc.y]--
 						break
 					}
 				}
 			}
-			delete(adj, x)
+			a.cnt[x] = 0
 		}
 	}
 
@@ -131,11 +176,11 @@ func (a *LubyStaller) Step(v View) Step {
 		st.EdgeRemoves = a.burned
 		return st
 	}
-	a.Base.EachEdge(func(x, y graph.NodeID) {
-		if k := graph.MakeEdgeKey(x, y); !a.removed[k] {
+	for i, k := range keys {
+		if !a.removed[i] {
 			st.EdgeAdds = append(st.EdgeAdds, k)
 		}
-	})
-	// EachEdge visits edges in canonical order, so EdgeAdds is sorted.
+	}
+	// Base's keys are sorted, so EdgeAdds is sorted.
 	return st
 }

@@ -44,7 +44,11 @@ type DColorFactory struct {
 	// Window overrides the default window size T (0 = default).
 	Window int
 	// Probe, if set, receives one Event per node per round. It is called
-	// concurrently from engine workers and must be safe.
+	// concurrently from engine workers and must be safe. Under Concat, a
+	// parked node (see core.Settler) emits no events while parked, and
+	// emits the skipped rounds' events late if it replays them. Its
+	// instances are all colored, so those events would only have had
+	// WasUncolored = false.
 	Probe func(Event)
 }
 
@@ -246,6 +250,12 @@ func (e streakEntry) cmp(o streakEntry) int { return cmp.Compare(e.u, o.u) }
 
 // Output implements core.NodeInstance.
 func (d *dcolorNode) Output() problems.Value { return d.out }
+
+// Settled implements core.Settler: a colored DColor instance never
+// uncolors.
+func (d *dcolorNode) Settled() bool { return d.out != problems.Bot }
+
+var _ core.Settler = (*dcolorNode)(nil)
 
 // PaletteLen exposes |P_v| for the Lemma 4.2 invariant test (palette
 // never smaller than uncolored intersection neighbors + 1). Test-support

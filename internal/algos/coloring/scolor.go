@@ -113,3 +113,9 @@ func (s *scolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 
 // Output implements core.NodeInstance.
 func (s *scolorNode) Output() problems.Value { return s.out }
+
+// Settled implements core.Settler: an isolated node's palette resets to
+// {1}, so color 1 is kept and any other color is dropped.
+func (s *scolorNode) Settled() bool { return s.out == 1 }
+
+var _ core.Settler = (*scolorNode)(nil)

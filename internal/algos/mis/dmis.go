@@ -197,6 +197,16 @@ func (d *dmisNode) Quiescent() bool {
 	return d.out == problems.Dominated && !d.provD
 }
 
+// Settled implements core.Settler: an isolated instance hears no mark,
+// so an InMIS node stays in M, and decided nodes never revert — except a
+// provisional Dominated input, which reverts to ⊥ when its second round
+// brings no mark.
+func (d *dmisNode) Settled() bool {
+	return d.out == problems.InMIS || (d.out == problems.Dominated && !d.provD)
+}
+
+var _ core.Settler = (*dmisNode)(nil)
+
 // less compares (alpha, id) pairs lexicographically — the id breaks the
 // (probability ~2⁻⁶⁴) ties so that no two adjacent nodes can ever join M
 // in the same round, making the independence half of A.2 deterministic.

@@ -178,3 +178,10 @@ func (s *smisNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 
 // Output implements core.NodeInstance.
 func (s *smisNode) Output() problems.Value { return s.out }
+
+// Settled implements core.Settler: an isolated InMIS node hears no mark
+// and stays in M. An isolated Dominated node loses its dominator and
+// falls back to ⊥.
+func (s *smisNode) Settled() bool { return s.out == problems.InMIS }
+
+var _ core.Settler = (*smisNode)(nil)

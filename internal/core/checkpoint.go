@@ -127,8 +127,15 @@ func (p *pipeline) load(r *ckpt.Reader, size int, step int32, f nodeFactory, v g
 	p.inst, p.meta = inst, meta
 }
 
-// SaveState implements ckpt.Stater for the Concat processor.
+// SaveState implements ckpt.Stater for the Concat processor. A parked
+// node is unparked first, by replaying its skipped rounds, so it writes
+// the bytes of a run that never parked.
 func (p *concatProc) SaveState(w *ckpt.Writer) {
+	if p.parked != 0 {
+		p.c.replayMu.Lock()
+		p.c.replayBuf = p.unpark(p.c.replayBuf[:0])
+		p.c.replayMu.Unlock()
+	}
 	w.Section(tagConcat)
 	saveInstance(w, p.salg)
 	p.dal.save(w)
@@ -137,8 +144,9 @@ func (p *concatProc) SaveState(w *ckpt.Writer) {
 // LoadState implements ckpt.Stater: it rebuilds the static-algorithm
 // instance and the dynamic pipeline via their factories, then restores
 // each instance's state. ictx is per-call scratch and needs no
-// restoring.
+// restoring; the restored node is not parked, as a saved one never is.
 func (p *concatProc) LoadState(r *ckpt.Reader) {
+	p.parked = 0
 	r.Section(tagConcat)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
@@ -29,6 +30,11 @@ import (
 // channels span T1 at most however long the run lasts. The start round
 // is kept too (slotMeta.ch), for the instance's PRF purpose and for
 // checkpoints.
+//
+// A node that is isolated and whose instances have all settled is parked
+// (see Settler and the package comment): it skips its instance callbacks
+// until it regains an edge or is checkpointed, and then replays the
+// skipped rounds.
 type Concat struct {
 	D DynamicAlgorithm
 	S NetworkStaticAlgorithm
@@ -37,6 +43,12 @@ type Concat struct {
 	T1   int
 	T2   int
 	Bits func(m engine.SubMsg) int
+
+	// replayMu guards replayBuf, the outbox scratch of the replays that
+	// SaveState runs on parked nodes. A checkpoint writes its nodes one
+	// by one, but engines sharing this Concat may checkpoint at once.
+	replayMu  sync.Mutex
+	replayBuf []engine.SubMsg
 }
 
 // NewConcat builds the combined algorithm for a universe of n nodes.
@@ -86,16 +98,23 @@ func (c *Concat) NewNode(v graph.NodeID) engine.NodeProc {
 }
 
 type concatProc struct {
-	c    *Concat
-	v    graph.NodeID
-	salg NodeInstance
-	dal  pipeline // T1-1 slots
+	c *Concat
+	v graph.NodeID
+	// parked is nonzero while the node is parked (see tryPark): the last
+	// round it processed. It sits in v's padding, so parking costs a node
+	// no memory.
+	parked int32
+	salg   NodeInstance
+	dal    pipeline // T1-1 slots
 	// ictx is the reusable context handed to instance callbacks: passing
 	// a fresh stack copy through the NodeInstance interface would escape
 	// to the heap on every call — one allocation per instance per round.
 	// A callback copies the engine's context into it once and then sets
 	// only PurposeBase per instance, so instances must neither modify it
-	// nor retain the pointer beyond the call (see NodeInstance).
+	// nor retain the pointer beyond the call (see NodeInstance). While
+	// the node is parked, no callback runs, so ictx keeps the context of
+	// the round the node parked in: its Round is the park round r0 and
+	// its Seed the engine seed, which the replay needs (unpark).
 	ictx engine.Ctx
 }
 
@@ -158,7 +177,21 @@ func (p *concatProc) Start(ctx *engine.Ctx, input problems.Value) {
 	p.salg.Start(&sctx, input)
 }
 
+// Broadcast runs the node's round. A parked node that is still isolated
+// skips it: its messages would reach no neighbor. One that has an edge
+// again first replays the rounds it skipped, in the outbox's spare
+// capacity.
 func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
+	if p.parked != 0 {
+		if ctx.Isolated {
+			return buf
+		}
+		buf = p.unpark(buf)
+	}
+	return p.broadcast(ctx, buf)
+}
+
+func (p *concatProc) broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
 	// Line 1 of Algorithm 1: start a new DAlg instance on the current
 	// SAlg output. Lines 2-3: the pipeline holds at most T1-1 live
 	// instances, so once it is full the oldest one is discarded — and
@@ -195,7 +228,23 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 // wire is the channel of the instance of the given age.
 func (p *concatProc) wire(age int32) int32 { return int32(p.c.T1-1) - age }
 
+// Process runs the receive half of the node's round. A parked node only
+// notes the round; an isolated node that has settled parks (tryPark).
 func (p *concatProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
+	if p.parked != 0 {
+		if deg != 0 {
+			panic(fmt.Sprintf("core: node %d parked in round %d has degree %d in round %d, but broadcast as isolated", p.v, p.ictx.Round, deg, ctx.Round))
+		}
+		p.parked = int32(ctx.Round)
+		return
+	}
+	p.process(ctx, in, deg)
+	if deg == 0 {
+		p.tryPark(ctx)
+	}
+}
+
+func (p *concatProc) process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	// The inbox arrives sorted by channel, and channel 0 and the
 	// pipeline's channels ascend in slot order, so each instance's
 	// sub-inbox is the next contiguous run — sliced, not copied. An
@@ -222,7 +271,79 @@ func (p *concatProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 // Output implements line 7 of Algorithm 1: the output of the oldest live
 // DAlg instance once it has run its full T1-1 rounds; ⊥ while the pipeline
 // is still warming up after the node's wake round.
-func (p *concatProc) Output() problems.Value { return p.dal.output(p.c.T1) }
+func (p *concatProc) Output() problems.Value {
+	if p.parked != 0 {
+		return p.parkedOutput()
+	}
+	return p.dal.output(p.c.T1)
+}
+
+// tryPark parks the node at the end of an isolated round r0 if SAlg has
+// settled on an output x ≠ ⊥ and every live DAlg instance has settled,
+// the newest on x. Every instance the node starts from then on starts on
+// x while it stays isolated, and by A.1 outputs x from its start — as
+// the newest instance, settled on x, witnesses. While parked, the node
+// skips its instance callbacks, and the pipeline keeps its shape of
+// round r0.
+func (p *concatProc) tryPark(ctx *engine.Ctx) {
+	if s, ok := p.salg.(Settler); !ok || !s.Settled() {
+		return
+	}
+	x := p.salg.Output()
+	n := len(p.dal.meta)
+	if x == problems.Bot || n == 0 || p.dal.inst[n-1].Output() != x {
+		return
+	}
+	for _, inst := range p.dal.inst[:n] {
+		if s, ok := inst.(Settler); !ok || !s.Settled() {
+			return
+		}
+	}
+	p.parked = int32(ctx.Round)
+}
+
+// parkedOutput is the output of the pipeline an unparked node would hold
+// after the last round it processed, in O(1). The parked pipeline holds
+// the m live instances of round r0; in each of the k rounds since, one
+// instance started on SAlg's settled output x and, once the pipeline was
+// full, the oldest was evicted, e in all. If an instance of round r0 is
+// still live, the oldest is instance e, which has settled: its output
+// once it has run T1-1 rounds, ⊥ before. Otherwise the oldest started on
+// x while parked.
+func (p *concatProc) parkedOutput() problems.Value {
+	size := p.c.T1 - 1
+	m := len(p.dal.meta)
+	k := int(p.parked) - p.ictx.Round
+	e := max(0, m+k-size)
+	if e >= m {
+		return p.salg.Output()
+	}
+	if int(p.dal.meta[e].age)+k < size {
+		return problems.Bot
+	}
+	return p.dal.inst[e].Output()
+}
+
+// unpark leaves the parked state by replaying rounds r0+1 through the
+// last round processed as they would have run: the node's own Broadcast
+// and Process with an empty inbox and degree 0, under the contexts the
+// engine passed. By the
+// determinism contract the PRF streams depend only on (seed, node,
+// round, purpose), so the replay is exact. The replay's outboxes are
+// written past len(scratch) and dropped; unpark returns scratch,
+// possibly regrown, at its length.
+func (p *concatProc) unpark(scratch []engine.SubMsg) []engine.SubMsg {
+	r0, last := p.ictx.Round, int(p.parked)
+	p.parked = 0
+	n := len(scratch)
+	ctx := engine.Ctx{Node: p.v, Seed: p.ictx.Seed, Isolated: true}
+	for r := r0 + 1; r <= last; r++ {
+		ctx.Round = r
+		scratch = p.broadcast(&ctx, scratch)[:n]
+		p.process(&ctx, nil, 0)
+	}
+	return scratch
+}
 
 // pipelineBlock is the number of instances a filling pipeline takes from
 // one NewNodes call.

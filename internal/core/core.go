@@ -20,6 +20,23 @@
 // the rest of the run. NodeInstance.Start must therefore fully
 // reinitialize an instance (see NodeInstance); storage such as streak
 // tables and palettes may be kept for reuse.
+//
+// Concat parks settled isolated nodes. A node without edges has an
+// α-neighborhood as static as it gets (Theorem 1.1(2)), and a departed
+// P2P peer stays that way for the rest of the run, yet it would run SAlg
+// and all T1-1 DAlg instances in both phases of every round. A node
+// parks at the end of an isolated round in which SAlg has settled on an
+// output x ≠ ⊥ and every live DAlg instance has settled, the newest on x
+// (Settler). While parked and isolated it skips every instance callback:
+// Broadcast returns nothing, since no neighbor would hear it, Process
+// notes the round, and Output derives the output of the pipeline it
+// would hold in O(1). A parked node that gets an edge again, or is
+// checkpointed, first replays the skipped rounds through its own
+// callbacks with an empty inbox. The PRF streams depend only on (seed,
+// node, round, purpose), so the replay is exact, and outputs, message
+// counts and checkpoint bytes are those of a run that never parked. The
+// replay defers the skipped work rather than saving it, but departed
+// peers never get an edge again. Chain does not park.
 package core
 
 import (
@@ -51,6 +68,16 @@ type NodeInstance interface {
 	Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg
 	Process(ctx *engine.Ctx, in []engine.Incoming, deg int)
 	Output() problems.Value
+}
+
+// Settler is optionally implemented by a NodeInstance whose output can
+// settle while its node is isolated. Settled reports that the instance's
+// Output can no longer change in any run of rounds with an empty inbox
+// and degree 0. Concat parks an isolated node once its instances have
+// all settled (see the package comment); an instance without Settler
+// never lets its node park.
+type Settler interface {
+	Settled() bool
 }
 
 // DynamicAlgorithm is a T-dynamic algorithm factory (Definition 3.3):

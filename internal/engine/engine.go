@@ -53,6 +53,9 @@
 // algorithms without Quiescer stay active while awake, so for them a
 // round costs O(awake) — still independent of the universe size n, which
 // is the regime of the paper's highly dynamic P2P workloads (awake ≪ n).
+// Their callbacks need not cost much, though: Ctx.Isolated tells a node
+// it has no edge, and the Concat combiner parks a settled isolated node
+// (core.Settler), so a departed P2P peer costs O(1) per round.
 // The current topology lives in an incrementally patched adjacency
 // (graph.DynAdj, O(changes·Δ) per round); a CSR graph is only
 // materialized when an observer asks RoundInfo.Graph(). Worker shards
@@ -139,7 +142,16 @@ type Incoming struct {
 // model gives nodes no common round counter; local age must be tracked by
 // the algorithm itself.
 type Ctx struct {
-	Node        graph.NodeID
+	Node graph.NodeID
+	// Isolated reports that the node has no edge in G_r. The engine sets
+	// it for Broadcast and Process. Broadcast may read it only to skip
+	// work whose messages would reach no neighbor: the node's messages
+	// as delivered, its state and its later behavior must be the same
+	// whatever the field holds. (Process learns the same fact from its
+	// degree.) The Concat combiner reads it to keep a settled isolated
+	// node parked (see core.Settler). It sits in Node's padding, so a
+	// Ctx stays four words.
+	Isolated    bool
 	Round       int
 	Seed        uint64
 	PurposeBase prf.Purpose
@@ -783,10 +795,11 @@ func (e *Engine) sparseBroadcast(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 		e.outbox[v] = e.outbox[v][:0]
 		return 0, 0
 	}
-	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed}
+	deg := e.adj.Degree(v)
+	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed, Isolated: deg == 0}
 	out := e.states[v].Broadcast(ctx, e.outbox[v][:0])
 	e.outbox[v] = out
-	return e.sent(w, e.stepRound, v, out, e.adj.Degree(v))
+	return e.sent(w, e.stepRound, v, out, deg)
 }
 
 // sent accounts one sender's fresh outbox, delivered to its deg
@@ -958,7 +971,7 @@ func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 	}
 	nbrs := e.adj.Neighbors(v)
 	in := e.deliver(w, nbrs)
-	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed}
+	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed, Isolated: len(nbrs) == 0}
 	e.states[v].Process(ctx, in, len(nbrs))
 	val := e.states[v].Output()
 	e.snapCur[v] = val
@@ -994,10 +1007,11 @@ func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.Edge
 	// Phase 1: broadcast, with the same per-sender accounting as the
 	// sparse walk.
 	msgs, bits := e.parallelNodes(g, func(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
-		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
+		deg := g.Degree(v)
+		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed, Isolated: deg == 0}
 		out := e.states[v].Broadcast(ctx, e.outbox[v][:0])
 		e.outbox[v] = out
-		return e.sent(w, r, v, out, g.Degree(v))
+		return e.sent(w, r, v, out, deg)
 	})
 	e.foldChannels(r)
 
@@ -1008,9 +1022,10 @@ func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.Edge
 		e.chg[w] = e.chg[w][:0]
 	}
 	e.parallelNodes(g, func(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
-		in := e.deliver(w, g.Neighbors(v))
-		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
-		e.states[v].Process(ctx, in, g.Degree(v))
+		nbrs := g.Neighbors(v)
+		in := e.deliver(w, nbrs)
+		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed, Isolated: len(nbrs) == 0}
+		e.states[v].Process(ctx, in, len(nbrs))
 		val := e.states[v].Output()
 		snap[v] = val
 		old := problems.Bot
