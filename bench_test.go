@@ -769,15 +769,13 @@ func BenchmarkTopologyDelta(b *testing.B) {
 
 // BenchmarkSparseRound measures full engine rounds in the paper's highly
 // dynamic P2P regime — active ≪ n — crossing universe size, active
-// fraction and churn rate, with the sparse activity plane (the default)
-// against the Config{Dense: true} reference walk. The workload is
-// standalone DMis (the one algorithm with a Quiescer: its Dominated
-// majority leaves the active set) over a churned G(k, 8/k) on the first
-// k = N/frac nodes of an N-node universe; sparse and dense produce
-// bit-identical outputs (pinned by TestSparseMatchesDense), so the
-// timings compare equal work. Steady state is reached before timing:
-// wake, convergence and quiescent drops all happen during warm-up.
-// Recorded as BENCH_*-sparse.json via
+// fraction and churn rate. The workload is standalone DMis (the one
+// algorithm with a Quiescer: its Dominated majority leaves the active
+// set) over a churned G(k, 8/k) on the first k = N/frac nodes of an
+// N-node universe. Steady state is reached before timing: wake,
+// convergence and quiescent drops all happen during warm-up. The cells
+// keep their /sparse suffix, so they line up with the rows of earlier
+// BENCH_*-sparse.json files. Recorded as BENCH_*-sparse.json via
 // `BENCH=BenchmarkSparseRound LABEL=-sparse scripts/bench.sh`.
 func BenchmarkSparseRound(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
@@ -799,28 +797,20 @@ func BenchmarkSparseRound(b *testing.B) {
 				{"low", k / 128},
 				{"high", k / 16},
 			} {
-				for _, mode := range []struct {
-					name  string
-					dense bool
-				}{
-					{"sparse", false},
-					{"dense", true},
-				} {
-					name := fmt.Sprintf("N=%d/active=1of%d/churn=%s/%s", n, frac, churn.name, mode.name)
-					b.Run(name, func(b *testing.B) {
-						base := GNP(k, 8.0/float64(k), uint64(n+k))
-						adv := NewChurn(base, churn.rate, churn.rate, uint64(k+churn.rate))
-						e := engine.New(engine.Config{N: n, Seed: 7, Dense: mode.dense}, adv, mis.NewDynamic(n))
-						for r := 0; r < 48; r++ {
-							e.Step()
-						}
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							e.Step()
-						}
-					})
-				}
+				name := fmt.Sprintf("N=%d/active=1of%d/churn=%s/sparse", n, frac, churn.name)
+				b.Run(name, func(b *testing.B) {
+					base := GNP(k, 8.0/float64(k), uint64(n+k))
+					adv := NewChurn(base, churn.rate, churn.rate, uint64(k+churn.rate))
+					e := engine.New(engine.Config{N: n, Seed: 7}, adv, mis.NewDynamic(n))
+					for r := 0; r < 48; r++ {
+						e.Step()
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						e.Step()
+					}
+				})
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -375,6 +376,51 @@ func TestResealChainIdentity(t *testing.T) {
 			t.Fatalf("prefix %d changed when resealed", i)
 		}
 	}
+}
+
+// TestReadChainRefusesDenseFlag: a base record's configuration block
+// keeps the flag of the retired dense round walk, always written false.
+// A base with the flag set, resealed so its CRC holds, is refused by
+// name.
+func TestReadChainRefusesDenseFlag(t *testing.T) {
+	_, _, prefixes, _ := buildComposedChain(t)
+	chain := slices.Clone(prefixes[0])
+	_, k := binary.Uvarint(chain[len(ckpt.ChainMagic):])
+	start := len(ckpt.ChainMagic) + k
+	flag := start + denseFlagOffset(chain[start:])
+	if chain[flag] != 0 {
+		t.Fatalf("dense flag byte at %d is %d, want 0", flag, chain[flag])
+	}
+	chain[flag] = 1
+	eng, chk, _ := newComposedRun(1)
+	err := ReadCheckpointChain(bytes.NewReader(resealChain(chain)), eng, chk, nil)
+	if err == nil || !strings.Contains(err.Error(), "retired dense walk") {
+		t.Fatalf("base with the dense flag set read with err = %v", err)
+	}
+}
+
+// denseFlagOffset returns the offset of the dense flag in a base
+// record's payload. It follows the record magic, the header tag,
+// sequence number, parent fingerprint, parent round and round, then the
+// algorithm name, N, seed and output lag.
+func denseFlagOffset(payload []byte) int {
+	off := 0
+	skip := func(str bool) {
+		n, k := binary.Uvarint(payload[off:])
+		off += k
+		if str {
+			off += int(n)
+		}
+	}
+	skip(true)
+	for range 5 {
+		skip(false)
+	}
+	skip(true)
+	for range 3 {
+		skip(false)
+	}
+	return off
 }
 
 // resealChain re-frames the records of a chain: each keeps its framed

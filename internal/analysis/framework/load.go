@@ -135,9 +135,12 @@ func (l *Loader) goList(args ...string) error {
 			// list — adopt it as the plain entry. Only intermediate
 			// variants qualify: the tested package's own variant (ForTest
 			// == itself) merges _test.go files into GoFiles and must not
-			// shadow the plain entry.
+			// shadow the plain entry, and the external _test package is
+			// built by Load against that variant, since it may use
+			// identifiers the tested package declares in its _test.go
+			// files.
 			ip := trimTestVariant(e.ImportPath)
-			if ip == e.ForTest {
+			if ip == e.ForTest || ip == e.ForTest+"_test" {
 				continue
 			}
 			if _, ok := l.entries[ip]; !ok {

@@ -33,12 +33,12 @@ import (
 //   - header: sequence number, parent CRC-32, parent round and round, so
 //     a delta applied to the wrong base, out of order, or over a torn
 //     parent fails before touching any state; a base adds algorithm
-//     name, N, Seed, OutputLag, Dense and the input vector, validated
-//     against the restoring engine;
+//     name, N, Seed, OutputLag, the retired dense flag (always false)
+//     and the input vector, validated against the restoring engine;
 //   - topology: the net edge adds and removes since the parent;
-//   - nodes: every node whose wake round, quiescence counter (sparse) or
+//   - nodes: every node whose wake round, quiescence counter or
 //     ckpt.Stater payload may differ from the parent;
-//   - active set: the sorted active list (sparse), only when it moved;
+//   - active set: the sorted active list, only when it moved;
 //   - snapshot ring: the slots a future round may still read through
 //     DelayedOutputs or diff against, as the columns of the nodes whose
 //     output differs from the parent's latest slot;
@@ -254,7 +254,7 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer, base bool) {
 		w.Int(e.cfg.N)
 		w.Uvarint(e.cfg.Seed)
 		w.Int(e.lag)
-		w.Bool(e.cfg.Dense)
+		w.Bool(false) // the retired dense walk's flag (readConfig)
 		w.Bool(e.cfg.Input != nil)
 		for _, val := range e.cfg.Input {
 			w.Varint(int64(val))
@@ -287,9 +287,7 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer, base bool) {
 	for _, v := range nodes {
 		w.Varint(int64(v))
 		w.Int(e.wakeRnd[v])
-		if !e.cfg.Dense {
-			w.Varint(int64(e.quiet[v]))
-		}
+		w.Varint(int64(e.quiet[v]))
 		st, ok := e.states[v].(ckpt.Stater)
 		if !ok {
 			w.Fail(fmt.Errorf("engine: algorithm %q node state %T does not support checkpointing", e.algo.Name(), e.states[v]))
@@ -433,7 +431,6 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 		e.readConfig(r)
 	}
 	n := e.cfg.N
-	dense := e.cfg.Dense
 
 	r.Section(tagTopology)
 	adds := readEdgeList(r, n, "add")
@@ -473,17 +470,13 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 		}
 		e.awake[v] = true
 		e.wakeRnd[v] = wr
-		if !dense {
-			e.quiet[v] = int32(r.Varint())
-		}
+		e.quiet[v] = int32(r.Varint())
 		if r.Err() != nil {
 			return false
 		}
 		np := e.newRestoredNode(r, graph.NodeID(v))
 		e.states[v] = np
-		if !dense {
-			e.quiescer[v], _ = np.(Quiescer)
-		}
+		e.quiescer[v], _ = np.(Quiescer)
 		st, ok := np.(ckpt.Stater)
 		if !ok {
 			r.Fail(fmt.Errorf("engine: algorithm %q node state %T does not support checkpointing", e.algo.Name(), np))
@@ -501,10 +494,6 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 		return false
 	}
 	if activeMoved {
-		if dense {
-			r.Fail(errors.New("engine: dense record declares an active list"))
-			return false
-		}
 		list := e.readNodeList(r, "active")
 		if r.Err() != nil {
 			return false
@@ -604,9 +593,7 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 			return false
 		}
 	}
-	if !dense {
-		e.adj.Apply(adds, rems)
-	}
+	e.adj.Apply(adds, rems)
 	e.topoFeed.observe(adds, rems)
 	e.round = round
 	return base
@@ -641,19 +628,17 @@ func (e *Engine) checkMirrors(part ChainPart) error {
 // topology returns the edge count of the engine's current topology and
 // a membership test on it.
 func (e *Engine) topology() (int, func(u, v graph.NodeID) bool) {
-	if e.adj != nil {
-		return e.adj.M(), func(u, v graph.NodeID) bool {
-			_, found := slices.BinarySearch(e.adj.Neighbors(u), v)
-			return found
-		}
+	return e.adj.M(), func(u, v graph.NodeID) bool {
+		_, found := slices.BinarySearch(e.adj.Neighbors(u), v)
+		return found
 	}
-	g := e.topoFeed.materialize()
-	return g.M(), g.HasEdge
 }
 
 // readConfig reads a base record's configuration block and fails r on
 // any mismatch with the restoring engine: node state only replays
-// correctly under the exact same configuration.
+// correctly under the exact same configuration. The block's dense flag
+// belongs to a round walk the engine no longer has, so a record with it
+// set is refused by name.
 func (e *Engine) readConfig(r *ckpt.Reader) {
 	name := r.String()
 	n := r.Int()
@@ -673,8 +658,8 @@ func (e *Engine) readConfig(r *ckpt.Reader) {
 		r.Fail(fmt.Errorf("engine: checkpoint has seed %d, engine has seed %d", seed, e.cfg.Seed))
 	case lag != e.lag:
 		r.Fail(fmt.Errorf("engine: checkpoint has OutputLag=%d, engine has %d", lag, e.lag))
-	case dense != e.cfg.Dense:
-		r.Fail(fmt.Errorf("engine: checkpoint Dense=%v, engine Dense=%v", dense, e.cfg.Dense))
+	case dense:
+		r.Fail(errors.New("engine: checkpoint was written by the retired dense walk; rewrite it from a fresh run"))
 	case hasInput != (e.cfg.Input != nil):
 		r.Fail(fmt.Errorf("engine: checkpoint input presence %v, engine %v", hasInput, e.cfg.Input != nil))
 	}

@@ -179,18 +179,6 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeDense runs the equivalence check on the dense
-// reference walk.
-func TestCheckpointResumeDense(t *testing.T) {
-	const n = 64
-	const rounds = 16
-	const k = 6
-	cfg := Config{N: n, Seed: 7, Workers: 2, Dense: true}
-	ref, ck := runWithCheckpoint(t, cfg, churnAdv(n)(), ckAlgo{}, rounds, k)
-	res := resumeTrace(t, cfg, churnAdv(n)(), ckAlgo{}, ck, rounds)
-	diffTraces(t, "dense resumed", ref.tail(k), res)
-}
-
 // TestCheckpointResumeWithInput pins the input-vector round trip: inputs
 // affect only future wake-ups, and the header validates them.
 func TestCheckpointResumeWithInput(t *testing.T) {

@@ -144,8 +144,8 @@ func TestDeterminismAcrossSerialThreshold(t *testing.T) {
 }
 
 // TestEdgeBalancedShardsOnSkewedDegrees runs a star graph — the
-// worst-case degree skew for index sharding — plus churn, and checks both
-// the determinism contract and that shard bounds cover [0, n) exactly.
+// worst-case degree skew for index sharding — and checks the determinism
+// contract across the sharded and serial runs.
 func TestEdgeBalancedShardsOnSkewedDegrees(t *testing.T) {
 	const n = serialThreshold * 2
 	mk := func() adversary.Adversary {
@@ -156,22 +156,52 @@ func TestEdgeBalancedShardsOnSkewedDegrees(t *testing.T) {
 	diffTraces(t, "star", ref, got)
 }
 
-func TestShardBoundsPartitionNodeSpace(t *testing.T) {
-	for _, workers := range []int{2, 3, 8} {
+// TestListCutsPartitionActiveList pins the shard cutter. With more than
+// one worker and at least serialThreshold nodes on the list, the cuts
+// run from 0 to len(list) without decreasing, one range per worker, and
+// no range outweighs its share of the degree-weighted total by more than
+// the heaviest node. Otherwise the cutter returns nil and phases run
+// serially.
+func TestListCutsPartitionActiveList(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
 		for _, g := range []*graph.Graph{
 			graph.Star(1000),
 			graph.Empty(1000),
 			graph.Complete(60),
+			graph.Complete(serialThreshold),
 		} {
 			e := New(Config{N: g.N(), Seed: 1, Workers: workers},
 				adversary.Static{G: g}, degreeAlgo{})
-			bounds := e.shardBounds(g)
-			if len(bounds) != workers+1 || bounds[0] != 0 || bounds[len(bounds)-1] != g.N() {
-				t.Fatalf("workers=%d g=%v: bad bounds %v", workers, g, bounds)
+			e.Step()
+			list := e.activeList
+			if len(list) != g.N() {
+				t.Fatalf("workers=%d g=%v: %d nodes active, want all %d", workers, g, len(list), g.N())
 			}
-			for i := 1; i < len(bounds); i++ {
-				if bounds[i] < bounds[i-1] {
-					t.Fatalf("workers=%d g=%v: non-monotone bounds %v", workers, g, bounds)
+			cuts := e.listCuts(list)
+			if workers == 1 || len(list) < serialThreshold {
+				if cuts != nil {
+					t.Fatalf("workers=%d g=%v: cuts %v, want nil (serial)", workers, g, cuts)
+				}
+				continue
+			}
+			if len(cuts) != workers+1 || cuts[0] != 0 || cuts[workers] != len(list) {
+				t.Fatalf("workers=%d g=%v: bad cuts %v", workers, g, cuts)
+			}
+			total, heaviest := 0, 0
+			for _, v := range list {
+				total += g.Degree(v) + 1
+				heaviest = max(heaviest, g.Degree(v)+1)
+			}
+			for w := 1; w <= workers; w++ {
+				if cuts[w] < cuts[w-1] {
+					t.Fatalf("workers=%d g=%v: non-monotone cuts %v", workers, g, cuts)
+				}
+				weight := 0
+				for _, v := range list[cuts[w-1]:cuts[w]] {
+					weight += g.Degree(v) + 1
+				}
+				if weight > total/workers+heaviest+1 {
+					t.Fatalf("workers=%d g=%v: shard %d weighs %d of %d", workers, g, w-1, weight, total)
 				}
 			}
 		}

@@ -64,9 +64,6 @@
 // round. Phase 2 reads
 // only active neighbors' outboxes, so a round's delivery costs the
 // senders' messages, not the degrees of silent dropped nodes.
-// Config.Dense selects the pre-sparse reference walk over the full node
-// space (the equivalence baseline; bit-identical by construction and
-// pinned by tests).
 //
 // # Round-delta plane
 //
@@ -233,13 +230,6 @@ type Config struct {
 	OutputLag int
 	// Input provides per-node input values (nil = all Bot).
 	Input []problems.Value
-	// Dense selects the reference dense round walk: both phases iterate
-	// the full node space, the round graph is materialized eagerly and no
-	// node ever quiesces. Outputs and RoundInfo deltas are bit-identical
-	// to the default sparse activity plane (pinned by the equivalence
-	// tests); rounds cost O(n + m) instead of O(active + changes). Meant
-	// for differential tests and as the benchmark baseline.
-	Dense bool
 }
 
 // RoundDelta is the consolidated view of one round's delta plane: the
@@ -305,7 +295,7 @@ type RoundInfo struct {
 	Bits                  int64 // declared encoded bits (0 if no BitSizer)
 
 	eng *Engine      // source engine for lazy graph materialization
-	g   *graph.Graph // materialized graph (dense rounds, retained copies)
+	g   *graph.Graph // graph of a retained copy
 }
 
 // Graph returns the round's communication graph G_r, materializing it on
@@ -385,9 +375,8 @@ type Engine struct {
 	acc      []workerAcc      // per-worker accounting cells
 	chg      [][]graph.NodeID // per-worker changed-output shards
 	changed  []graph.NodeID   // folded changed-node list (pooled)
-	bounds   []int            // dense-mode shard-boundary scratch
 
-	// Sparse activity plane (nil/unused when cfg.Dense).
+	// Sparse activity plane.
 	adj        *graph.DynAdj    // incrementally patched round topology
 	active     []bool           // membership bitmap of activeList
 	activeList []graph.NodeID   // sorted active set, both phases walk this
@@ -411,11 +400,11 @@ type Engine struct {
 	// Incremental-checkpoint dirty tracking, disabled (and nil) until the
 	// first NoteCheckpoint — runs that never write checkpoint chains pay
 	// nothing. While enabled, each round marks the nodes whose serialized
-	// state may have changed (the phase-time active list under the sparse
-	// plane; all awake nodes under Dense), the nodes whose output changed,
-	// the net topology diff and whether the active list moved, all since
-	// the last persisted record. A delta record serializes exactly these
-	// marks; NoteCheckpoint resets them once a record survives.
+	// state may have changed (the phase-time active list), the nodes whose
+	// output changed, the net topology diff and whether the active list
+	// moved, all since the last persisted record. A delta record
+	// serializes exactly these marks; NoteCheckpoint resets them once a
+	// record survives.
 	ckptTrack    bool
 	ckptSeq      uint64                 // records persisted in the current chain
 	ckptSum      uint32                 // CRC-32 fingerprint of the last record
@@ -470,18 +459,15 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		workers:  workers,
 		acc:      make([]workerAcc, workers),
 		chg:      make([][]graph.NodeID, workers),
-		bounds:   make([]int, 0, workers+1),
+		adj:      graph.NewDynAdj(cfg.N),
+		active:   make([]bool, cfg.N),
+		quiet:    make([]int32, cfg.N),
+		quiescer: make([]Quiescer, cfg.N),
+		drops:    make([][]graph.NodeID, workers),
+		cuts:     make([]int, 0, workers+1),
 	}
-	if !cfg.Dense {
-		e.adj = graph.NewDynAdj(cfg.N)
-		e.active = make([]bool, cfg.N)
-		e.quiet = make([]int32, cfg.N)
-		e.quiescer = make([]Quiescer, cfg.N)
-		e.drops = make([][]graph.NodeID, workers)
-		e.cuts = make([]int, 0, workers+1)
-		e.phase1Fn = e.sparseBroadcast
-		e.phase2Fn = e.sparseProcess
-	}
+	e.phase1Fn = e.sparseBroadcast
+	e.phase2Fn = e.sparseProcess
 	e.vw.e = e
 	e.advCk, _ = adv.(adversary.Checkpointer)
 	e.advDelta, _ = adv.(adversary.DeltaCheckpointer)
@@ -553,13 +539,9 @@ func (e *Engine) Step() *RoundInfo {
 		e.awake[v] = true
 		e.wakeRnd[v] = r
 		e.states[v] = e.algo.NewNode(v)
-		if e.adj != nil {
-			if q, ok := e.states[v].(Quiescer); ok {
-				e.quiescer[v] = q
-			}
-			e.active[v] = true
-			e.newAct = append(e.newAct, v)
-		}
+		e.quiescer[v], _ = e.states[v].(Quiescer)
+		e.active[v] = true
+		e.newAct = append(e.newAct, v)
 		ctx := Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
 		input := problems.Bot
 		if e.cfg.Input != nil {
@@ -581,12 +563,7 @@ func (e *Engine) Step() *RoundInfo {
 		}
 	}
 
-	var info *RoundInfo
-	if e.adj != nil {
-		info = e.stepSparse(r, &st, adds, removes)
-	} else {
-		info = e.stepDense(r, &st, adds, removes)
-	}
+	info := e.stepSparse(r, &st, adds, removes)
 	for _, fn := range e.observers {
 		fn(info)
 	}
@@ -710,7 +687,7 @@ func (e *Engine) applyDrops() {
 
 // stepSparse plays the round over the active set: O(active + changes)
 // total, with accounting summed per sender so skipped quiescent receivers
-// cost nothing while Messages/Bits stay bit-identical to the dense walk.
+// cost nothing while Messages/Bits still count every delivery.
 func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.EdgeKey) *RoundInfo {
 	e.adj.Apply(adds, removes)
 	for _, k := range adds {
@@ -749,7 +726,7 @@ func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.Edg
 	// Fold the per-worker changed shards. Shards are contiguous ascending
 	// ranges of the active list, so concatenation in worker order yields
 	// the same sorted list for every worker count; quiescent-dropped
-	// nodes never change output, so the list matches the dense walk's.
+	// nodes never change output, so no change is missed.
 	changed := e.changed[:0]
 	for w := range e.chg {
 		changed = append(changed, e.chg[w]...)
@@ -883,20 +860,19 @@ type workerScratch struct {
 // order. The cost is O(deg + messages + span), and the barrier bounds
 // the span (foldChannels).
 //
-// Under the sparse plane only active neighbors are read: a node off the
-// active list is dropped, with its outbox emptied by applyDrops and kept
-// empty by the Quiescer contract, so it has nothing to deliver. The
-// check reads one byte of the active bitmap instead of an outbox header,
-// and the bitmap is written only serially between phases, so the gate is
-// exact; a node revived by this round's topology diff was marked active
-// before phase 1. Dense runs keep the ungated read (their bitmap is nil).
+// Only active neighbors are read: a node off the active list is
+// dropped, with its outbox emptied by applyDrops and kept empty by the
+// Quiescer contract, so it has nothing to deliver. The check reads one
+// byte of the active bitmap instead of an outbox header, and the bitmap
+// is written only serially between phases, so the gate is exact; a node
+// revived by this round's topology diff was marked active before phase 1.
 func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	sc := &e.scratch[w]
 	in := sc.inbox[:0]
 	act := e.active
 	if !e.multiCh {
 		for _, u := range nbrs {
-			if act != nil && !act[u] {
+			if !act[u] {
 				continue
 			}
 			run := e.outbox[u]
@@ -910,7 +886,7 @@ func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	total := 0
 	for _, u := range nbrs {
-		if act != nil && !act[u] {
+		if !act[u] {
 			continue
 		}
 		if run := e.outbox[u]; len(run) > 0 {
@@ -926,7 +902,7 @@ func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	count := slices.Grow(sc.count[:0], span)[:span]
 	clear(count)
 	for _, u := range nbrs {
-		if act != nil && !act[u] {
+		if !act[u] {
 			continue
 		}
 		for _, m := range e.outbox[u] {
@@ -940,7 +916,7 @@ func (e *Engine) deliver(w int, nbrs []graph.NodeID) []Incoming {
 	}
 	in = slices.Grow(in, total)[:total]
 	for _, u := range nbrs {
-		if act != nil && !act[u] {
+		if !act[u] {
 			continue
 		}
 		run := e.outbox[u]
@@ -994,78 +970,6 @@ func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 		e.quiet[v] = 0
 	}
 	return 0, 0
-}
-
-// stepDense plays the round as the pre-sparse reference walk: the graph
-// is materialized eagerly and both phases iterate the full node space,
-// gated on the awake bitmap. It is the differential baseline the sparse
-// plane is tested against, and the honest O(n + m) comparator of the
-// sparse-round benchmarks.
-func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.EdgeKey) *RoundInfo {
-	g := e.topoFeed.materialize()
-
-	// Phase 1: broadcast, with the same per-sender accounting as the
-	// sparse walk.
-	msgs, bits := e.parallelNodes(g, func(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
-		deg := g.Degree(v)
-		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed, Isolated: deg == 0}
-		out := e.states[v].Broadcast(ctx, e.outbox[v][:0])
-		e.outbox[v] = out
-		return e.sent(w, r, v, out, deg)
-	})
-	e.foldChannels(r)
-
-	// Phase 2: deliver, process, snapshot and diff — fused per node so no
-	// serial post-pass remains; delivery is the sparse walk's.
-	snap, prev := e.ringSlots(r)
-	for w := range e.chg {
-		e.chg[w] = e.chg[w][:0]
-	}
-	e.parallelNodes(g, func(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
-		nbrs := g.Neighbors(v)
-		in := e.deliver(w, nbrs)
-		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed, Isolated: len(nbrs) == 0}
-		e.states[v].Process(ctx, in, len(nbrs))
-		val := e.states[v].Output()
-		snap[v] = val
-		old := problems.Bot
-		if prev != nil {
-			old = prev[v]
-		}
-		if val != old {
-			e.chg[w] = append(e.chg[w], v)
-		}
-		return 0, 0
-	})
-
-	changed := e.changed[:0]
-	for w := range e.chg {
-		changed = append(changed, e.chg[w]...)
-	}
-	e.changed = changed
-	if e.ckptTrack {
-		// The dense walk runs Process on every awake node, so they are
-		// all dirty — deltas of Dense runs degenerate to full node
-		// sections by construction.
-		for v := 0; v < e.cfg.N; v++ {
-			if e.awake[v] {
-				e.markNodeDirty(graph.NodeID(v))
-			}
-		}
-		for _, v := range changed {
-			e.markOutDirty(v)
-		}
-	}
-
-	e.round = r
-	info := &e.infos[r%len(e.infos)]
-	*info = RoundInfo{
-		Round: r, Wake: st.Wake, Outputs: snap, Changed: changed,
-		EdgeAdds: adds, EdgeRemoves: removes,
-		Messages: msgs, Bits: bits,
-		eng: e, g: g,
-	}
-	return info
 }
 
 // panicSleepingEdge is the cold path for model violations, kept out of

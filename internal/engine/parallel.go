@@ -2,8 +2,6 @@ package engine
 
 import (
 	"runtime"
-	"sort"
-	"sync"
 
 	"dynlocal/internal/graph"
 )
@@ -32,74 +30,17 @@ type workerAcc struct {
 	_       [39]byte
 }
 
-// parallelNodes applies fn to every awake node and returns the summed
-// accounting, sharded across the engine's workers with an implicit barrier
-// on return. Shards are cut by cumulative degree in g (node v weighs
-// deg(v)+1), so skewed-degree graphs — stars, heavy-tailed churn — do not
-// pile their edge work onto one worker the way index-sharding does.
+// runPhase applies fn to every node of the sorted active list and returns
+// the summed accounting. Nodes on the list are awake by construction, so
+// there is no bitmap gate; the whole round does no work proportional to
+// n. Shards are the contiguous list ranges of cuts (listCuts; nil runs
+// the phase serially), run on the persistent phasePool workers.
 //
 // fn must only touch state owned by its node (plus read-only shared
-// state), which all engine phases guarantee. Accounting is summed
-// per-worker and folded at the barrier; integer addition is exact and
-// order-independent, so totals are bit-identical for every worker count.
-func (e *Engine) parallelNodes(g *graph.Graph, fn phaseFunc) (int, int64) {
-	n := e.cfg.N
-	if e.workers <= 1 || n < serialThreshold {
-		var ctx Ctx
-		var msgs int
-		var bits int64
-		for v := 0; v < n; v++ {
-			if e.awake[v] {
-				m, b := fn(&ctx, 0, graph.NodeID(v))
-				msgs += m
-				bits += b
-			}
-		}
-		return msgs, bits
-	}
-	bounds := e.shardBounds(g)
-	var wg sync.WaitGroup
-	for w := 0; w+1 < len(bounds); w++ {
-		lo, hi := bounds[w], bounds[w+1]
-		if lo >= hi {
-			e.acc[w] = workerAcc{}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var ctx Ctx
-			var msgs int
-			var bits int64
-			for v := lo; v < hi; v++ {
-				if e.awake[v] {
-					m, b := fn(&ctx, w, graph.NodeID(v))
-					msgs += m
-					bits += b
-				}
-			}
-			e.acc[w].msgs = msgs
-			e.acc[w].bits = bits
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var msgs int
-	var bits int64
-	for w := range e.acc {
-		msgs += e.acc[w].msgs
-		bits += e.acc[w].bits
-	}
-	return msgs, bits
-}
-
-// runPhase applies fn to every node of the sorted active list and returns
-// the summed accounting — the sparse counterpart of parallelNodes. Nodes
-// on the list are awake by construction, so there is no bitmap gate; the
-// whole round does no work proportional to n. Shards are the contiguous
-// list ranges of cuts (listCuts; nil runs the phase serially), run on the
-// persistent phasePool workers, and accounting folds at the barrier
-// exactly like parallelNodes, so outputs and totals are bit-identical for
-// every worker count.
+// state), which both engine phases guarantee. Accounting is summed
+// per worker and folded at the barrier; integer addition is exact and
+// order-independent, so outputs and totals are bit-identical for every
+// worker count.
 func (e *Engine) runPhase(list []graph.NodeID, cuts []int, fn phaseFunc) (int, int64) {
 	if cuts == nil {
 		// The scratch Ctx lives on the Engine, not the stack: fn is a
@@ -200,9 +141,10 @@ func (p *phasePool) worker(w int) {
 // listCuts cuts the active list into one contiguous index range per
 // worker with near-equal total weight, where node v weighs deg(v)+1 in
 // the current dynamic adjacency, or returns nil when the list is too
-// short to shard (or there is one worker) and phases run serially. One
-// pass over the list — O(active + workers) — replaces the dense path's
-// O(n)-prefix-backed binary searches. A round cuts once for both phases:
+// short to shard (or there is one worker) and phases run serially. It
+// costs one pass over the list, O(active + workers); weighing by degree
+// keeps skewed-degree graphs (stars, heavy-tailed churn) from piling
+// their edge work onto one worker. A round cuts once for both phases:
 // neither the list nor the adjacency changes between them. The cuts
 // slice is reused across rounds.
 func (e *Engine) listCuts(list []graph.NodeID) []int {
@@ -226,26 +168,4 @@ func (e *Engine) listCuts(list []graph.NodeID) []int {
 	cuts = append(cuts, len(list))
 	e.cuts = cuts
 	return cuts
-}
-
-// shardBounds cuts [0, n) into one contiguous node range per worker with
-// near-equal total weight, where node v weighs deg(v)+1. The graph's CSR
-// offset array is exactly the degree prefix sum, so every boundary is a
-// single binary search over an O(1) lookup. The bounds slice is reused
-// across rounds.
-func (e *Engine) shardBounds(g *graph.Graph) []int {
-	n := e.cfg.N
-	bounds := append(e.bounds[:0], 0)
-	total := 2*g.M() + n
-	for w := 1; w < e.workers; w++ {
-		target := total * w / e.workers
-		v := sort.Search(n, func(v int) bool { return g.CumDegree(v)+v >= target })
-		if prev := bounds[len(bounds)-1]; v < prev {
-			v = prev
-		}
-		bounds = append(bounds, v)
-	}
-	bounds = append(bounds, n)
-	e.bounds = bounds
-	return bounds
 }

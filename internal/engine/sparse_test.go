@@ -1,18 +1,21 @@
 package engine_test
 
-// Sparse ≡ dense equivalence: the sparse activity plane (the default) must
-// be observably indistinguishable from the Config{Dense: true} reference
-// walk — bit-identical outputs, changed feeds, topology deltas and
-// message/bit accounting, every round, for every worker count. The matrix
-// crosses the four adversary schedules used across the repo's tests with
-// the two combined framework algorithms (never quiescent: exercises the
-// pure active-set walk) and standalone DMis (terminally quiescent
-// Dominated nodes: exercises the drop/grace/revival machinery). The -race
-// CI job runs this file, so the sharded sparse phases are raced too.
+// Sparse ≡ reference equivalence: the engine's sparse activity plane
+// must be observably indistinguishable from RunReference, the dense walk
+// of the model over every awake node — bit-identical outputs, changed
+// feeds, topology deltas and message/bit accounting, every round, for
+// every worker count. The matrix crosses the four adversary schedules
+// used across the repo's tests, plus P2P session churn, with the two
+// combined framework algorithms (never quiescent: exercises the pure
+// active-set walk) and standalone DMis (terminally quiescent Dominated
+// nodes: exercises the drop/grace/revival machinery). The -race CI job
+// runs this file, so the sharded sparse phases are raced too.
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -24,90 +27,107 @@ import (
 	"dynlocal/internal/problems"
 )
 
-type fullTrace struct {
-	outputs  [][]problems.Value
-	changed  [][]graph.NodeID
-	adds     [][]graph.EdgeKey
-	removes  [][]graph.EdgeKey
-	messages []int
-	bits     []int64
-}
-
-func runTrace(n, workers, rounds int, dense bool, adv adversary.Adversary, algo engine.Algorithm) fullTrace {
-	e := engine.New(engine.Config{N: n, Seed: 77, Workers: workers, Dense: dense}, adv, algo)
-	var tr fullTrace
+// recordRun plays rounds on the engine and records each round the way
+// RunReference returns it.
+func recordRun(cfg engine.Config, adv adversary.Adversary, algo engine.Algorithm, rounds int) []engine.RefRound {
+	e := engine.New(cfg, adv, algo)
+	var tr []engine.RefRound
 	e.OnRound(func(info *engine.RoundInfo) {
-		tr.outputs = append(tr.outputs, append([]problems.Value(nil), info.Outputs...))
-		tr.changed = append(tr.changed, append([]graph.NodeID(nil), info.Changed...))
-		tr.adds = append(tr.adds, append([]graph.EdgeKey(nil), info.EdgeAdds...))
-		tr.removes = append(tr.removes, append([]graph.EdgeKey(nil), info.EdgeRemoves...))
-		tr.messages = append(tr.messages, info.Messages)
-		tr.bits = append(tr.bits, info.Bits)
+		tr = append(tr, engine.RefRound{
+			Wake:        slices.Clone(info.Wake),
+			Outputs:     slices.Clone(info.Outputs),
+			Changed:     slices.Clone(info.Changed),
+			EdgeAdds:    slices.Clone(info.EdgeAdds),
+			EdgeRemoves: slices.Clone(info.EdgeRemoves),
+			Messages:    info.Messages,
+			Bits:        info.Bits,
+		})
 	})
 	e.Run(rounds)
 	return tr
 }
 
-func diffFullTraces(t *testing.T, label string, dense, sparse fullTrace) {
+// diffRounds fails t at the first round where the engine's run differs
+// from the reference walk's.
+func diffRounds(t *testing.T, label string, ref, got []engine.RefRound) {
 	t.Helper()
-	for r := range dense.outputs {
-		if dense.messages[r] != sparse.messages[r] {
-			t.Fatalf("%s: round %d messages dense=%d sparse=%d", label, r+1, dense.messages[r], sparse.messages[r])
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d rounds, reference %d", label, len(got), len(ref))
+	}
+	for r := range ref {
+		w, g := ref[r], got[r]
+		if w.Messages != g.Messages || w.Bits != g.Bits {
+			t.Fatalf("%s: round %d messages/bits %d/%d, reference %d/%d", label, r+1, g.Messages, g.Bits, w.Messages, w.Bits)
 		}
-		if dense.bits[r] != sparse.bits[r] {
-			t.Fatalf("%s: round %d bits dense=%d sparse=%d", label, r+1, dense.bits[r], sparse.bits[r])
-		}
-		for v := range dense.outputs[r] {
-			if dense.outputs[r][v] != sparse.outputs[r][v] {
-				t.Fatalf("%s: round %d node %d output dense=%d sparse=%d",
-					label, r+1, v, dense.outputs[r][v], sparse.outputs[r][v])
-			}
-		}
-		for name, pair := range map[string][2][]graph.NodeID{
-			"changed": {dense.changed[r], sparse.changed[r]},
-		} {
-			if len(pair[0]) != len(pair[1]) {
-				t.Fatalf("%s: round %d %s dense=%v sparse=%v", label, r+1, name, pair[0], pair[1])
-			}
-			for i := range pair[0] {
-				if pair[0][i] != pair[1][i] {
-					t.Fatalf("%s: round %d %s dense=%v sparse=%v", label, r+1, name, pair[0], pair[1])
-				}
+		for v := range w.Outputs {
+			if w.Outputs[v] != g.Outputs[v] {
+				t.Fatalf("%s: round %d node %d output %d, reference %d", label, r+1, v, g.Outputs[v], w.Outputs[v])
 			}
 		}
-		for name, pair := range map[string][2][]graph.EdgeKey{
-			"adds":    {dense.adds[r], sparse.adds[r]},
-			"removes": {dense.removes[r], sparse.removes[r]},
-		} {
-			if len(pair[0]) != len(pair[1]) {
-				t.Fatalf("%s: round %d %s sizes diverge", label, r+1, name)
-			}
-			for i := range pair[0] {
-				if pair[0][i] != pair[1][i] {
-					t.Fatalf("%s: round %d %s diverge", label, r+1, name)
-				}
-			}
+		if !slices.Equal(w.Changed, g.Changed) {
+			t.Fatalf("%s: round %d changed %v, reference %v", label, r+1, g.Changed, w.Changed)
+		}
+		if !slices.Equal(w.Wake, g.Wake) || !slices.Equal(w.EdgeAdds, g.EdgeAdds) || !slices.Equal(w.EdgeRemoves, g.EdgeRemoves) {
+			t.Fatalf("%s: round %d wake set or edge diff differs from the reference", label, r+1)
 		}
 	}
+}
+
+// longestIsolation returns the most consecutive rounds any awake node
+// spent without an edge in a recorded run.
+func longestIsolation(n int, tr []engine.RefRound) int {
+	awake := make([]bool, n)
+	deg := make([]int, n)
+	streak := make([]int, n)
+	longest := 0
+	for _, rd := range tr {
+		for _, v := range rd.Wake {
+			awake[v] = true
+		}
+		for _, k := range rd.EdgeAdds {
+			u, v := k.Nodes()
+			deg[u]++
+			deg[v]++
+		}
+		for _, k := range rd.EdgeRemoves {
+			u, v := k.Nodes()
+			deg[u]--
+			deg[v]--
+		}
+		for v := range n {
+			if awake[v] && deg[v] == 0 {
+				streak[v]++
+			} else {
+				streak[v] = 0
+			}
+			longest = max(longest, streak[v])
+		}
+	}
+	return longest
 }
 
 func TestSparseMatchesDense(t *testing.T) {
 	const n = 1024 // above the serial threshold: Workers=4 really shards
 	const rounds = 20
+	// The p2p schedule runs for more than twice MIS's window T1 (43 at
+	// this n), and some peer must sit isolated for longer than T1.
+	const p2pRounds = 100
+	t1 := (&mis.DMisFactory{N: n}).WindowSize(n)
 	mkBase := func(seed uint64) *graph.Graph {
 		return graph.GNP(n, 6.0/float64(n), prf.NewStream(seed, 0, 0, prf.PurposeWorkload))
 	}
 	schedules := []struct {
-		name string
-		mk   func(seed uint64) adversary.Adversary
+		name   string
+		rounds int // 0 means the default
+		mk     func(seed uint64) adversary.Adversary
 	}{
-		{"churn", func(seed uint64) adversary.Adversary {
+		{"churn", 0, func(seed uint64) adversary.Adversary {
 			return &adversary.Churn{Base: mkBase(seed), Add: n / 24, Del: n / 24, Seed: seed + 1}
 		}},
-		{"edge-markov", func(seed uint64) adversary.Adversary {
+		{"edge-markov", 0, func(seed uint64) adversary.Adversary {
 			return &adversary.EdgeMarkov{Footprint: mkBase(seed), POn: 0.3, POff: 0.3, Seed: seed + 1}
 		}},
-		{"local-static", func(seed uint64) adversary.Adversary {
+		{"local-static", 0, func(seed uint64) adversary.Adversary {
 			base := mkBase(seed)
 			return &adversary.LocalStatic{
 				Inner:     &adversary.Churn{Base: base, Add: n / 24, Del: n / 24, Seed: seed + 1},
@@ -116,11 +136,18 @@ func TestSparseMatchesDense(t *testing.T) {
 				Alpha:     2,
 			}
 		}},
-		{"staggered-wake", func(seed uint64) adversary.Adversary {
+		{"staggered-wake", 0, func(seed uint64) adversary.Adversary {
 			return &adversary.Wakeup{
 				Inner:    &adversary.Churn{Base: mkBase(seed), Add: n / 24, Del: n / 24, Seed: seed + 1},
 				Schedule: adversary.StaggeredSchedule(n, n/8),
 			}
+		}},
+		// Short sessions and quick rejoins leave departed peers awake and
+		// isolated, which sets Ctx.Isolated from each walk's own
+		// adjacency. The run outlasts the combiners' window T1, so
+		// settled isolated nodes park in the Concat combiner.
+		{"p2p", p2pRounds, func(seed uint64) adversary.Adversary {
+			return &adversary.P2PChurn{N: n, Init: 128, JoinPerRound: 4, SessionMin: 4, RejoinDelay: 2, Seed: seed + 1}
 		}},
 	}
 	algos := []struct {
@@ -136,13 +163,20 @@ func TestSparseMatchesDense(t *testing.T) {
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for si, sc := range schedules {
+		rounds := cmp.Or(sc.rounds, rounds)
 		for _, ac := range algos {
 			t.Run(sc.name+"/"+ac.name, func(t *testing.T) {
 				seed := uint64(31 + si)
-				dense := runTrace(n, 1, rounds, true, sc.mk(seed), ac.mk())
+				cfg := engine.Config{N: n, Seed: 77}
+				ref := engine.RunReference(cfg, sc.mk(seed), ac.mk(), rounds)
+				if sc.name == "p2p" {
+					if got := longestIsolation(n, ref); got <= t1 {
+						t.Fatalf("longest isolation %d rounds, want more than T1 = %d", got, t1)
+					}
+				}
 				for _, w := range workerCounts {
-					sparse := runTrace(n, w, rounds, false, sc.mk(seed), ac.mk())
-					diffFullTraces(t, fmt.Sprintf("workers=%d", w), dense, sparse)
+					cfg.Workers = w
+					diffRounds(t, fmt.Sprintf("workers=%d", w), ref, recordRun(cfg, sc.mk(seed), ac.mk(), rounds))
 				}
 			})
 		}

@@ -8,11 +8,11 @@ import (
 
 // topoFeed is the engine's lazy topology feed: observe folds each round's
 // sorted edge diff into a pending net diff, and a CSR graph is built only
-// when materialize is called (RoundInfo.Graph, the dense walk, base
-// checkpoint records), so diff-only rounds never pay the patcher's
-// O(n + m) merge. The pending net diff is bounded by the symmetric
-// difference against the last materialized graph, i.e. O(m) however many
-// rounds pass between materializations.
+// when materialize is called (RoundInfo.Graph, base checkpoint records),
+// so diff-only rounds never pay the patcher's O(n + m) merge. The
+// pending net diff is bounded by the symmetric difference against the
+// last materialized graph, i.e. O(m) however many rounds pass between
+// materializations.
 type topoFeed struct {
 	p *graph.Patcher
 	// Net edge diff since the last materialization, with exact add/remove

@@ -84,14 +84,12 @@ type Scenario struct {
 	NewAdv func() adversary.Adversary
 	// Crashpoints are the rounds to checkpoint at (0 < k < Rounds).
 	Crashpoints []int
-	// Dense switches the engine to the dense round walk.
-	Dense bool
 	// Input is the optional per-node input vector.
 	Input []problems.Value
 }
 
 func (s Scenario) config(workers int) engine.Config {
-	return engine.Config{N: s.N, Seed: s.Seed, Workers: workers, Dense: s.Dense, Input: s.Input}
+	return engine.Config{N: s.N, Seed: s.Seed, Workers: workers, Input: s.Input}
 }
 
 // Record is one round of observable behavior: the retained RoundInfo

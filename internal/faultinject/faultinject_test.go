@@ -111,9 +111,9 @@ func TestCrashResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrashResumeDense covers the dense round walk and per-node inputs
-// once — the plane's other engine configuration axis.
-func TestCrashResumeDense(t *testing.T) {
+// TestCrashResumeInput covers per-node inputs once — the plane's other
+// engine configuration axis.
+func TestCrashResumeInput(t *testing.T) {
 	const n = 64
 	// MIS checkpoints validate every value against the problem domain, so
 	// the input vector sticks to {⊥, InMIS, Dominated}.
@@ -122,7 +122,7 @@ func TestCrashResumeDense(t *testing.T) {
 		input[i] = problems.Value(i % 3)
 	}
 	s := Scenario{
-		Name: "dense", N: n, Rounds: 20, Seed: 29, Workers: 2, Dense: true, Input: input,
+		Name: "input", N: n, Rounds: 20, Seed: 29, Workers: 2, Input: input,
 		NewAlgo: func(n int) *core.Concat { return mis.NewMIS(n) },
 		Problem: problems.MIS(),
 		NewAdv: func() adversary.Adversary {

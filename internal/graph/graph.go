@@ -163,8 +163,8 @@ func (g *Graph) M() int { return g.m }
 func (g *Graph) Degree(v NodeID) int { return int(g.offsets[v+1] - g.offsets[v]) }
 
 // CumDegree returns the sum of degrees of nodes [0, v) — the CSR offset
-// of v, an O(1) lookup with CumDegree(N()) == 2·M(). The engine uses it
-// to cut edge-balanced worker shards.
+// of v, an O(1) lookup with CumDegree(N()) == 2·M(). The clairvoyant
+// adversary carves its per-node rows at these offsets.
 func (g *Graph) CumDegree(v int) int { return int(g.offsets[v]) }
 
 // MaxDegree returns the maximum degree over all nodes (0 for edgeless).
