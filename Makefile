@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fmt fmt-check vet lint docscheck apicheck check
+.PHONY: all build test race bench fmt fmt-check vet lint docscheck apicheck examples benchmod check
 
 all: check
 
@@ -47,4 +47,14 @@ docscheck:
 apicheck:
 	$(GO) run ./scripts/apicheck
 
-check: build fmt-check vet lint docscheck apicheck test
+# Run every example; a non-zero exit (an example that finds a violated
+# guarantee exits 1) fails the target.
+examples:
+	@for ex in examples/*/; do echo "== $$ex"; $(GO) run "./$$ex" > /dev/null || exit 1; done
+
+# bench/ is its own module (not in the root's ./...): build, vet and
+# smoke-test it against this tree's sources.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: build fmt-check vet lint docscheck apicheck test examples benchmod

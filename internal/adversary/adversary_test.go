@@ -12,15 +12,16 @@ import (
 )
 
 // fakeView is a scriptable View for adversary unit tests. Its play helper
-// folds each step's diff through a graph.Patcher, so tests can assert on
-// the topology an adversary leads to. Folded graphs are pooled (valid for
-// the current and next play); tests that retain one longer Clone it.
+// folds each step's diff into a graph.DynAdj and builds its graph, so
+// tests can assert on the topology an adversary leads to. Built graphs are
+// pooled (valid for the current and next play); tests that retain one
+// longer Clone it.
 type fakeView struct {
 	round   int
 	n       int
 	awake   []bool
 	delayed []problems.Value
-	p       *graph.Patcher
+	adj     *graph.DynAdj
 }
 
 func (f *fakeView) Round() int { return f.round }
@@ -34,7 +35,7 @@ func (f *fakeView) Awake(v graph.NodeID) bool {
 func (f *fakeView) DelayedOutputs() []problems.Value { return f.delayed }
 
 func newFakeView(n int) *fakeView {
-	return &fakeView{round: 0, n: n, p: graph.NewPatcher(n)}
+	return &fakeView{round: 0, n: n, adj: graph.NewDynAdj(n)}
 }
 
 // played is one step together with the topology G_r it folds to.
@@ -44,12 +45,13 @@ type played struct {
 	G *graph.Graph
 }
 
-// play advances the adversary one round and folds its diff (the patcher
-// panics on an inexact one).
+// play advances the adversary one round and folds its diff (the
+// adjacency panics on an inexact one).
 func (f *fakeView) play(a Adversary) played {
 	f.round++
 	st := a.Step(f)
-	return played{Step: st, G: f.p.Apply(st.EdgeAdds, st.EdgeRemoves)}
+	f.adj.Apply(st.EdgeAdds, st.EdgeRemoves)
+	return played{Step: st, G: f.adj.Graph()}
 }
 
 func TestStaticAdversary(t *testing.T) {
@@ -146,7 +148,7 @@ func TestChurnActuallyChurns(t *testing.T) {
 	base := graph.GNP(30, 0.2, prf.NewStream(2, 0, 0, prf.PurposeWorkload))
 	adv := &Churn{Base: base, Add: 5, Del: 5, Seed: 7}
 	v := newFakeView(30)
-	first := v.play(adv).G.Clone() // retained past the patcher's pooling window
+	first := v.play(adv).G.Clone() // retained past the adjacency's pooling window
 	tenth := first
 	for r := 2; r <= 10; r++ {
 		tenth = v.play(adv).G

@@ -89,7 +89,7 @@ func TestDeltaFastForwardEquivalence(t *testing.T) {
 			// Future steps must coincide too: play both from k2.
 			vLive, vRes := v, newFakeView(n)
 			vRes.round = v.round
-			vRes.p.Reset(v.p.Current().Clone())
+			vRes.adj.Apply(v.adj.Graph().EdgeKeys(), nil)
 			for r := 0; r < tail; r++ {
 				a := vLive.play(live)
 				b := vRes.play(resumed)

@@ -1,6 +1,6 @@
 // Package loancheck enforces the buffer-ownership contract of the
 // ARCHITECTURE.md "Buffer ownership" rules at compile time: values marked
-// //dynlint:loan (pooled RoundInfo rounds and their slices, Patcher
+// //dynlint:loan (pooled RoundInfo rounds and their slices, DynAdj
 // graphs, Window delta slices, EdgeKeys views, ...) are only on loan from
 // an engine-owned pool and may not be stored anywhere that outlives the
 // observer callback — a struct field, a package variable, or a variable

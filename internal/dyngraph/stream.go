@@ -331,7 +331,7 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 		// present tracks the replayed edge set so the deltas are validated
 		// for consistency: every addition must be of an absent edge, every
 		// removal of a present one. Downstream delta consumers
-		// (adversary.ScriptedStream feeding the engine's graph patcher)
+		// (adversary.ScriptedStream feeding the engine's adjacency)
 		// treat inconsistent diffs as programming errors and panic, so
 		// hostile wire input must be rejected here with an error instead.
 		// Memory is bounded by the input size — every tracked edge costs

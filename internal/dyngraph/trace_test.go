@@ -219,7 +219,7 @@ func TestTraceDecodeValidTraceReplays(t *testing.T) {
 // folding ReplayDeltas' add/remove events must reconstruct exactly the
 // graphs Replay materializes, with identical wake sets, and the emitted
 // lists must be strictly ascending (the contract adversary.Scripted and
-// the engine's patcher rely on).
+// the engine's adjacency rely on).
 func TestTraceReplayDeltasMatchesReplay(t *testing.T) {
 	tr, history := buildSampleTrace(t, 21, 16, 10)
 	present := make(map[graph.EdgeKey]bool)

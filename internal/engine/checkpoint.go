@@ -269,7 +269,7 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer, base bool) {
 	var adds, rems []graph.EdgeKey
 	activeMoved := e.activeDirty
 	if base {
-		adds = e.topoFeed.materialize().EdgeKeys()
+		adds = e.adj.Graph().EdgeKeys()
 		nodes = e.baseList(func(v int) bool { return e.awake[v] })
 		activeMoved = len(e.activeList) > 0
 	} else {
@@ -594,7 +594,6 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 		}
 	}
 	e.adj.Apply(adds, rems)
-	e.topoFeed.observe(adds, rems)
 	e.round = round
 	return base
 }

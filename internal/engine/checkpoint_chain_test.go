@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +97,38 @@ func TestCheckpointChainResumeFromEveryPrefix(t *testing.T) {
 						}
 						diffTraces(t, fmt.Sprintf("chain prefix %d", i), ref.tail(recRounds[i]), res)
 					})
+				}
+			}
+		})
+	}
+}
+
+// TestResumedGraphMatchesUninterrupted checks the graph a restored engine
+// builds from its adjacency rows: in the first round after ReadChain, for
+// a base-only and a base+delta chain prefix, Graph().EdgeKeys() equals the
+// uninterrupted run's.
+func TestResumedGraphMatchesUninterrupted(t *testing.T) {
+	const n = 96
+	const rounds = 16
+	for name, mk := range checkpointAdversaries(n) {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{N: n, Seed: 42, Workers: 2}
+			_, chain, offsets, _ := buildChain(t, cfg, mk(), ckAlgo{}, rounds, 4, 3)
+			ref := New(cfg, mk(), ckAlgo{})
+			var want [][]graph.EdgeKey
+			ref.OnRound(func(info *RoundInfo) {
+				want = append(want, slices.Clone(info.Graph().EdgeKeys()))
+			})
+			ref.Run(rounds)
+			for i, prefix := range []string{"base", "base+delta"} {
+				e := New(cfg, mk(), ckAlgo{})
+				if err := e.ReadChain(bytes.NewReader(chain[:offsets[i]]), nil, nil); err != nil {
+					t.Fatalf("%s: restore: %v", prefix, err)
+				}
+				info := e.Step()
+				if got := info.Graph().EdgeKeys(); !slices.Equal(got, want[info.Round-1]) {
+					t.Fatalf("%s: round %d graph has %d edges, uninterrupted run %d (or differs)",
+						prefix, info.Round, len(got), len(want[info.Round-1]))
 				}
 			}
 		})

@@ -42,6 +42,20 @@ func TestOutputLagBoundary(t *testing.T) {
 	}
 }
 
+// TestRoundGraphBuiltOncePerRound pins that a round's graph is built at
+// most once: a second Graph call in the same round returns the same
+// pointer.
+func TestRoundGraphBuiltOncePerRound(t *testing.T) {
+	const n = 64
+	e := New(Config{N: n, Seed: 5}, churnAdv(n)(), degreeAlgo{})
+	for r := 1; r <= 6; r++ {
+		info := e.Step()
+		if g := info.Graph(); info.Graph() != g {
+			t.Fatalf("round %d: second Graph call rebuilt the graph", r)
+		}
+	}
+}
+
 // TestRetainOutlivesPooledBuffers verifies the sanctioned way to hold a
 // round: a Retained copy is unaffected by ten further rounds of pool
 // reuse — including its materialized graph — while the live RoundInfo of

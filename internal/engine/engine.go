@@ -56,12 +56,12 @@
 // Their callbacks need not cost much, though: Ctx.Isolated tells a node
 // it has no edge, and the Concat combiner parks a settled isolated node
 // (core.Settler), so a departed P2P peer costs O(1) per round.
-// The current topology lives in an incrementally patched adjacency
-// (graph.DynAdj, O(changes·Δ) per round); a CSR graph is only
-// materialized when an observer asks RoundInfo.Graph(). Worker shards
-// are cut by walking the active list's degrees — O(active + workers), no
-// per-round O(n) prefix rebuild, and the cuts serve both phases of the
-// round. Phase 2 reads
+// The current topology lives in one structure, an incrementally patched
+// adjacency (graph.DynAdj, O(changes·Δ) per round); a CSR graph is built
+// from its rows only when an observer asks RoundInfo.Graph() or a base
+// checkpoint record is written. Worker shards are cut by walking the
+// active list's degrees — O(active + workers), no per-round O(n) prefix
+// rebuild, and the cuts serve both phases of the round. Phase 2 reads
 // only active neighbors' outboxes, so a round's delivery costs the
 // senders' messages, not the degrees of silent dropped nodes.
 //
@@ -88,8 +88,8 @@
 // The engine pools aggressively; observers own nothing they are handed:
 // RoundInfo.Outputs is a snapshot ring slot reused OutputLag+1 rounds
 // later; RoundInfo.Wake, Changed, EdgeAdds and EdgeRemoves are reused on
-// the next Step. RoundInfo.Graph() returns an immutable graph that may
-// alias a pooled patcher arena recycled two materializations later: it
+// the next Step. RoundInfo.Graph() returns an immutable graph that
+// aliases a pooled graph.DynAdj arena recycled two builds later: it
 // may be read freely during its round and the next, and must be Cloned to
 // be retained longer. RoundInfo.Retain is the one sanctioned way to hold
 // a whole round past those lifetimes. Inside algorithm callbacks,
@@ -294,16 +294,17 @@ type RoundInfo struct {
 	Messages              int   // sub-messages delivered
 	Bits                  int64 // declared encoded bits (0 if no BitSizer)
 
-	eng *Engine      // source engine for lazy graph materialization
+	eng *Engine      // source engine for the on-demand graph build
 	g   *graph.Graph // graph of a retained copy
 }
 
-// Graph returns the round's communication graph G_r, materializing it on
-// demand: under the sparse activity plane no CSR graph exists unless an
-// observer asks for one, so rounds whose observers never call Graph never
-// pay the O(n + m) materialization. The returned graph is immutable but
-// may alias a pooled arena — it may be read during this round and the
-// next, and must be Cloned (or the round Retained) to be held longer.
+// Graph returns the round's communication graph G_r, built on demand from
+// the engine's adjacency rows (graph.DynAdj.Graph): no CSR graph exists
+// unless an observer asks for one, so rounds whose observers never call
+// Graph never pay the O(n + m) build, and a second call in the same round
+// returns the same graph. The returned graph is immutable but aliases a
+// pooled arena — it may be read during this round and the next, and must
+// be Cloned (or the round Retained) to be held longer.
 // For a live (non-retained) RoundInfo of a sparse engine, Graph must be
 // called before the next Step; afterwards it panics, since the engine's
 // topology has moved past this round.
@@ -316,7 +317,7 @@ func (ri *RoundInfo) Graph() *graph.Graph {
 	if ri.eng == nil || ri.eng.round != ri.Round {
 		panic(fmt.Sprintf("engine: RoundInfo.Graph for round %d called after the engine moved on — call it during the round, or use Retain", ri.Round))
 	}
-	return ri.eng.topoFeed.materialize()
+	return ri.eng.adj.Graph()
 }
 
 // Delta returns the round's consolidated delta-plane view. The slices
@@ -360,24 +361,23 @@ type Engine struct {
 	advCk    adversary.Checkpointer
 	advDelta adversary.DeltaCheckpointer
 
-	round    int
-	topoFeed *topoFeed // lazy topology feed: per-round diffs, on-demand CSR
-	states   []NodeProc
-	awake    []bool
-	wakeRnd  []int
-	outbox   [][]SubMsg
-	scratch  []workerScratch    // per-worker delivery buffers
-	multiCh  bool               // this round some outbox carries a nonzero channel
-	snaps    [][]problems.Value // ring of pooled output snapshots
-	infos    []RoundInfo        // ring of pooled RoundInfo headers, same lifetime
-	lag      int
-	workers  int
-	acc      []workerAcc      // per-worker accounting cells
-	chg      [][]graph.NodeID // per-worker changed-output shards
-	changed  []graph.NodeID   // folded changed-node list (pooled)
+	round   int
+	states  []NodeProc
+	awake   []bool
+	wakeRnd []int
+	outbox  [][]SubMsg
+	scratch []workerScratch    // per-worker delivery buffers
+	multiCh bool               // this round some outbox carries a nonzero channel
+	snaps   [][]problems.Value // ring of pooled output snapshots
+	infos   []RoundInfo        // ring of pooled RoundInfo headers, same lifetime
+	lag     int
+	workers int
+	acc     []workerAcc      // per-worker accounting cells
+	chg     [][]graph.NodeID // per-worker changed-output shards
+	changed []graph.NodeID   // folded changed-node list (pooled)
 
 	// Sparse activity plane.
-	adj        *graph.DynAdj    // incrementally patched round topology
+	adj        *graph.DynAdj    // the round topology; its Graph is built on demand
 	active     []bool           // membership bitmap of activeList
 	activeList []graph.NodeID   // sorted active set, both phases walk this
 	listBuf    []graph.NodeID   // ping-pong scratch for merge/compaction
@@ -447,7 +447,6 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		adv:      adv,
 		algo:     algo,
 		round:    0,
-		topoFeed: newTopoFeed(cfg.N),
 		states:   make([]NodeProc, cfg.N),
 		awake:    make([]bool, cfg.N),
 		wakeRnd:  make([]int, cfg.N),
@@ -520,7 +519,6 @@ func (e *Engine) Step() *RoundInfo {
 	// The round's topology is the step's sorted diff; no CSR graph is
 	// built here.
 	adds, removes := st.EdgeAdds, st.EdgeRemoves
-	e.topoFeed.observe(adds, removes)
 	if e.ckptTrack {
 		for _, k := range adds {
 			e.markEdgeDirty(k, true)

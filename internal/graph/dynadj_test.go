@@ -1,89 +1,269 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"testing"
+
+	"dynlocal/internal/prf"
 )
 
-// TestDynAdjTracksPatcher folds the same random diff schedule into a
-// DynAdj and a Patcher and checks rows, degrees and edge counts agree
-// every round.
-func TestDynAdjTracksPatcher(t *testing.T) {
-	const n = 64
-	const rounds = 40
-	adj := NewDynAdj(n)
-	p := NewPatcher(n)
-	cur := p.Current()
-	present := make(map[EdgeKey]bool)
-	rng := uint64(1)
-	next := func(m int) int { // tiny deterministic LCG, enough for a schedule
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int((rng >> 33) % uint64(m))
+// togglePlan drives a deterministic random add/remove schedule over a
+// node universe, tracking the exact edge set so every round's delta and
+// expected graph are known.
+type togglePlan struct {
+	n       int
+	present map[EdgeKey]bool
+	keys    []EdgeKey
+	s       *prf.Stream
+}
+
+func newTogglePlan(n int, seed uint64) *togglePlan {
+	return &togglePlan{n: n, present: make(map[EdgeKey]bool), s: prf.NewStream(seed, 0, 0, prf.PurposeWorkload)}
+}
+
+// round toggles c random pairs and returns the sorted (adds, removes) and
+// the full sorted edge list after the toggle.
+func (p *togglePlan) round(c int) (adds, removes, all []EdgeKey) {
+	seen := make(map[EdgeKey]bool)
+	for i := 0; i < c; i++ {
+		u := NodeID(p.s.Intn(p.n))
+		v := NodeID(p.s.Intn(p.n))
+		if u == v {
+			continue
+		}
+		k := MakeEdgeKey(u, v)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if p.present[k] {
+			delete(p.present, k)
+			removes = append(removes, k)
+		} else {
+			p.present[k] = true
+			adds = append(adds, k)
+		}
 	}
-	for r := 0; r < rounds; r++ {
-		var adds, removes []EdgeKey
-		picked := make(map[EdgeKey]bool)
-		for i := 0; i < 12; i++ {
-			u, v := NodeID(next(n)), NodeID(next(n))
-			if u == v {
-				continue
-			}
-			k := MakeEdgeKey(u, v)
-			if picked[k] { // an edge may appear on only one side of a diff
-				continue
-			}
-			picked[k] = true
-			if present[k] {
-				removes = append(removes, k)
-				delete(present, k)
-			} else {
-				adds = append(adds, k)
-				present[k] = true
-			}
+	slices.Sort(adds)
+	slices.Sort(removes)
+	p.keys = p.keys[:0]
+	for k := range p.present {
+		p.keys = append(p.keys, k)
+	}
+	slices.Sort(p.keys)
+	return adds, removes, p.keys
+}
+
+// TestDynAdjGraphMatchesRebuild folds a long toggle schedule into a DynAdj
+// and compares its rows and its built graph every round against the
+// FromSortedEdges rebuild of the plan's exact edge set, including the CSR
+// rows and the EdgeKeys view.
+func TestDynAdjGraphMatchesRebuild(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 33, 200} {
+		plan := newTogglePlan(n, uint64(300+n))
+		adj := NewDynAdj(n)
+		if !adj.Graph().Equal(Empty(n)) {
+			t.Fatalf("n=%d: fresh adjacency's graph not empty", n)
 		}
-		slices.Sort(adds)
-		adds = slices.Compact(adds)
-		slices.Sort(removes)
-		removes = slices.Compact(removes)
-		adj.Apply(adds, removes)
-		cur = p.Apply(adds, removes)
-		if adj.M() != cur.M() {
-			t.Fatalf("round %d: DynAdj m=%d, Patcher m=%d", r, adj.M(), cur.M())
-		}
-		for v := NodeID(0); int(v) < n; v++ {
-			if !slices.Equal(adj.Neighbors(v), cur.Neighbors(v)) {
-				t.Fatalf("round %d node %d: rows diverge: %v vs %v",
-					r, v, adj.Neighbors(v), cur.Neighbors(v))
+		for round := 1; round <= 60; round++ {
+			adds, removes, all := plan.round(1 + round%7)
+			adj.Apply(adds, removes)
+			got := adj.Graph()
+			want := FromSortedEdges(n, all)
+			if !got.Equal(want) || adj.M() != want.M() {
+				t.Fatalf("n=%d round %d: built graph diverged (m=%d)\ngot  %s\nwant %s",
+					n, round, adj.M(), got.DebugString(), want.DebugString())
 			}
-			if adj.Degree(v) != cur.Degree(v) {
-				t.Fatalf("round %d node %d: degree %d vs %d", r, v, adj.Degree(v), cur.Degree(v))
+			for v := NodeID(0); int(v) < n; v++ {
+				wr := want.Neighbors(v)
+				if !slices.Equal(got.Neighbors(v), wr) || !slices.Equal(adj.Neighbors(v), wr) {
+					t.Fatalf("n=%d round %d node %d: rows %v / %v want %v",
+						n, round, v, got.Neighbors(v), adj.Neighbors(v), wr)
+				}
+				if adj.Degree(v) != want.Degree(v) || got.CumDegree(int(v)) != want.CumDegree(int(v)) {
+					t.Fatalf("n=%d round %d node %d: degree or offset diverged", n, round, v)
+				}
+			}
+			if !slices.Equal(got.EdgeKeys(), all) {
+				t.Fatalf("n=%d round %d: EdgeKeys %v want %v", n, round, got.EdgeKeys(), all)
 			}
 		}
 	}
 }
 
-func TestDynAdjPanicsOnBadDeltas(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
+// TestDynAdjGraphArenaLifetime pins the double-buffer contract: the graph
+// of build k is still intact after build k+1.
+func TestDynAdjGraphArenaLifetime(t *testing.T) {
+	const n = 64
+	plan := newTogglePlan(n, 7)
+	adj := NewDynAdj(n)
+	var prevGraph, prevCopy *Graph
+	for round := 1; round <= 20; round++ {
+		adds, removes, _ := plan.round(5)
+		adj.Apply(adds, removes)
+		g := adj.Graph()
+		if prevGraph != nil && !prevGraph.Equal(prevCopy) {
+			t.Fatalf("round %d: previous build's graph corrupted while still in lifetime", round)
+		}
+		prevGraph, prevCopy = g, g.Clone()
 	}
+}
+
+// TestDynAdjGraphNoChangeReturnsCurrent pins the cached path: with no
+// edge change since the last build, Graph returns the same pointer.
+func TestDynAdjGraphNoChangeReturnsCurrent(t *testing.T) {
+	adj := NewDynAdj(8)
+	adj.Apply([]EdgeKey{MakeEdgeKey(0, 1)}, nil)
+	g1 := adj.Graph()
+	if adj.Graph() != g1 {
+		t.Fatal("a second Graph call should return the same graph")
+	}
+	adj.Apply(nil, nil)
+	if adj.Graph() != g1 {
+		t.Fatal("an empty diff should keep the built graph")
+	}
+	adj.RemoveEdge(0, 1)
+	if g2 := adj.Graph(); g2 == g1 || g2.M() != 0 {
+		t.Fatalf("an edge change should rebuild: same=%v m=%d", g2 == g1, g2.M())
+	}
+}
+
+// TestDynAdjSeededFromGraph seeds an adjacency with another graph's edge
+// set and diffs from it, leaving the source graph untouched.
+func TestDynAdjSeededFromGraph(t *testing.T) {
+	base := GNP(40, 0.2, prf.NewStream(5, 0, 0, prf.PurposeWorkload))
+	adj := NewDynAdj(40)
+	adj.Apply(base.EdgeKeys(), nil)
+	if !adj.Graph().Equal(base) {
+		t.Fatal("seeded adjacency does not build the source graph")
+	}
+	// Remove base's first edge, add a fresh one.
+	first := base.EdgeKeys()[0]
+	var add EdgeKey
+	for u := NodeID(0); add == 0; u++ {
+		for v := u + 1; int(v) < 40; v++ {
+			if !base.HasEdge(u, v) {
+				add = MakeEdgeKey(u, v)
+				break
+			}
+		}
+	}
+	adj.Apply([]EdgeKey{add}, []EdgeKey{first})
+	g := adj.Graph()
+	if g.M() != base.M() || g.HasEdge(first.Nodes()) || !g.HasEdge(add.Nodes()) {
+		t.Fatalf("graph diffed from the seed is wrong: %s", g)
+	}
+	if base.HasEdge(add.Nodes()) || !base.HasEdge(first.Nodes()) {
+		t.Fatal("seed graph was mutated")
+	}
+}
+
+// TestDynAdjGraphAllocs pins the steady state: once the rows and both
+// arenas have grown over a ping-pong diff cycle, a diff plus a build
+// allocates nothing.
+func TestDynAdjGraphAllocs(t *testing.T) {
+	const n = 512
+	adj, deltas := pingPong(n, 11)
+	i := 0
+	step := func() {
+		d := deltas[i%len(deltas)]
+		i++
+		adj.Apply(d.adds, d.removes)
+		adj.Graph()
+	}
+	for range deltas {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(2*len(deltas), step); allocs != 0 {
+		t.Fatalf("Apply+Graph allocates %.1f times per call after warm-up, want 0", allocs)
+	}
+}
+
+func TestDynAdjPanicsOnBadDeltas(t *testing.T) {
 	mk := func() *DynAdj {
 		a := NewDynAdj(8)
 		a.Apply([]EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(2, 3)}, nil)
 		return a
 	}
-	mustPanic("add present", func() { mk().Apply([]EdgeKey{MakeEdgeKey(0, 1)}, nil) })
-	mustPanic("remove absent", func() { mk().Apply(nil, []EdgeKey{MakeEdgeKey(0, 2)}) })
-	mustPanic("adds unsorted", func() {
-		mk().Apply([]EdgeKey{MakeEdgeKey(4, 5), MakeEdgeKey(1, 2)}, nil)
-	})
-	mustPanic("removes unsorted", func() {
-		mk().Apply(nil, []EdgeKey{MakeEdgeKey(2, 3), MakeEdgeKey(0, 1)})
-	})
-	mustPanic("out of universe", func() { mk().Apply([]EdgeKey{MakeEdgeKey(7, 8)}, nil) })
+	cases := []struct {
+		name string
+		run  func(a *DynAdj)
+	}{
+		{"add-present", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(0, 1)}, nil) }},
+		{"remove-absent", func(a *DynAdj) { a.Apply(nil, []EdgeKey{MakeEdgeKey(4, 5)}) }},
+		{"adds-unsorted", func(a *DynAdj) {
+			a.Apply([]EdgeKey{MakeEdgeKey(4, 5), MakeEdgeKey(1, 2)}, nil)
+		}},
+		{"removes-unsorted", func(a *DynAdj) {
+			a.Apply(nil, []EdgeKey{MakeEdgeKey(2, 3), MakeEdgeKey(0, 1)})
+		}},
+		{"out-of-range", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(1, 60)}, nil) }},
+		{"add-edge-present", func(a *DynAdj) { a.AddEdge(1, 0) }},
+		{"remove-edge-absent", func(a *DynAdj) { a.RemoveEdge(0, 2) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", tc.name)
+				}
+			}()
+			tc.run(mk())
+		})
+	}
+}
+
+// keyDelta is one sorted edge diff of a benchmark or allocation cycle.
+type keyDelta struct{ adds, removes []EdgeKey }
+
+// pingPong returns an adjacency holding about 4n random edges and a cycle
+// of 64-toggle diffs that plays forward and then back, so the edge set
+// and every row size stay bounded however often the cycle repeats.
+func pingPong(n int, seed uint64) (*DynAdj, []keyDelta) {
+	plan := newTogglePlan(n, seed)
+	adj := NewDynAdj(n)
+	adds, _, _ := plan.round(4 * n)
+	adj.Apply(adds, nil)
+	const cycle = 8
+	deltas := make([]keyDelta, 0, 2*cycle)
+	for i := 0; i < cycle; i++ {
+		adds, removes, _ := plan.round(64)
+		deltas = append(deltas, keyDelta{adds, removes})
+	}
+	for i := cycle - 1; i >= 0; i-- {
+		deltas = append(deltas, keyDelta{deltas[i].removes, deltas[i].adds})
+	}
+	return adj, deltas
+}
+
+// BenchmarkDynAdjGraph measures one graph build after a small diff: rows
+// builds the CSR from the DynAdj rows (the diff's Apply included), and
+// rebuild is the FromSortedEdges counting build of the same edge set.
+func BenchmarkDynAdjGraph(b *testing.B) {
+	for _, n := range []int{4096, 16384, 65536} {
+		b.Run(fmt.Sprintf("rows/N=%d", n), func(b *testing.B) {
+			adj, deltas := pingPong(n, 3)
+			for _, d := range deltas { // grow the rows and both arenas
+				adj.Apply(d.adds, d.removes)
+				adj.Graph()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := deltas[i%len(deltas)]
+				adj.Apply(d.adds, d.removes)
+				adj.Graph()
+			}
+		})
+		b.Run(fmt.Sprintf("rebuild/N=%d", n), func(b *testing.B) {
+			adj, _ := pingPong(n, 3)
+			keys := adj.Graph().Edges()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = FromSortedEdges(n, keys)
+			}
+		})
+	}
 }

@@ -19,12 +19,12 @@
 //
 // Every graph additionally carries its sorted edge-key list, exposed
 // zero-copy as EdgeKeys: diffing two rounds' topologies is one linear
-// merge (DiffSortedKeys), and Patcher maintains a current graph under
-// such sorted add/remove diffs through two ping-ponged arenas — one
-// block-copy merge per round instead of a counting rebuild — which is
-// what makes the simulator's delta-native topology plane (adversary →
-// engine → window → checker, see internal/engine) cost O(changes) per
-// round rather than O(n+m).
+// merge (DiffSortedKeys). DynAdj maintains a current topology under such
+// sorted add/remove diffs as per-node sorted rows, in O(changes·Δ) per
+// diff — which is what makes the simulator's delta-native topology plane
+// (adversary → engine → window → checker, see internal/engine) cost
+// O(changes) per round rather than O(n+m) — and builds a CSR graph from
+// its rows, into two arenas used in turn, only when one is asked for.
 package graph
 
 import (
@@ -202,9 +202,9 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 
 // EdgeKeys returns the graph's edge set as a strictly ascending edge-key
 // slice without copying. The slice aliases graph-owned storage and must
-// not be modified; for pooled graphs produced by a Patcher it shares the
-// arena's lifetime (see Patcher). Diffing the edge sets of two graphs is a
-// linear merge of their EdgeKeys views (DiffSortedKeys).
+// not be modified; for pooled graphs built by a DynAdj it shares the
+// arena's lifetime (see DynAdj.Graph). Diffing the edge sets of two
+// graphs is a linear merge of their EdgeKeys views (DiffSortedKeys).
 //
 //dynlint:loan
 //dynlint:view
@@ -233,7 +233,7 @@ func (g *Graph) EachEdge(fn func(u, v NodeID)) {
 }
 
 // Clone returns a deep copy of g, owning all of its storage — the escape
-// hatch for retaining a pooled Patcher graph beyond its arena lifetime.
+// hatch for retaining a pooled DynAdj graph beyond its arena lifetime.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		n:         g.n,

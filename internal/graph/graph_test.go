@@ -369,3 +369,32 @@ func TestSortEdgeKeysMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffSortedKeys pins the linear-merge diff.
+func TestDiffSortedKeys(t *testing.T) {
+	plan := newTogglePlan(30, 11)
+	_, _, a := plan.round(40)
+	prev := append([]EdgeKey(nil), a...)
+	adds, removes, cur := plan.round(15)
+	gotAdds, gotRems := DiffSortedKeys(prev, cur, nil, nil)
+	if len(gotAdds) != len(adds) || len(gotRems) != len(removes) {
+		t.Fatalf("diff sizes: %d/%d want %d/%d", len(gotAdds), len(gotRems), len(adds), len(removes))
+	}
+	for i := range adds {
+		if gotAdds[i] != adds[i] {
+			t.Fatalf("adds[%d] = %v want %v", i, gotAdds[i], adds[i])
+		}
+	}
+	for i := range removes {
+		if gotRems[i] != removes[i] {
+			t.Fatalf("removes[%d] = %v want %v", i, gotRems[i], removes[i])
+		}
+	}
+	// Self-diff is empty; diff against nil is all-adds/all-removes.
+	if a2, r2 := DiffSortedKeys(cur, cur, nil, nil); len(a2) != 0 || len(r2) != 0 {
+		t.Fatal("self diff not empty")
+	}
+	if a3, _ := DiffSortedKeys(nil, cur, nil, nil); len(a3) != len(cur) {
+		t.Fatal("diff from empty should be all adds")
+	}
+}

@@ -321,3 +321,30 @@ func SortEdgeKeys(keys, tmp []EdgeKey) []EdgeKey {
 	}
 	return keys
 }
+
+// DiffSortedKeys appends cur\prev to adds and prev\cur to removes and
+// returns both, a single linear merge over two strictly ascending edge-key
+// lists (typically two graphs' EdgeKeys views). Callers reuse the
+// destination buffers across rounds by passing them re-sliced to length 0.
+//
+//dynlint:sorted prev cur return
+func DiffSortedKeys(prev, cur, adds, removes []EdgeKey) ([]EdgeKey, []EdgeKey) {
+	i, j := 0, 0
+	for i < len(prev) && j < len(cur) {
+		switch {
+		case prev[i] < cur[j]:
+			removes = append(removes, prev[i])
+			i++
+		case prev[i] > cur[j]:
+			adds = append(adds, cur[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	removes = append(removes, prev[i:]...)
+	adds = append(adds, cur[j:]...)
+	//dynlint:ignore sortedcheck two-pointer merge over ascending inputs emits ascending output by construction
+	return adds, removes
+}

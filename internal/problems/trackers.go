@@ -27,6 +27,7 @@ import (
 //     problem). Nodes never deactivate — the paper's wake-ups are monotone
 //     and the window start only advances.
 //   - EdgeAdded/EdgeRemoved: the tracked graph gained/lost edge {u, v}.
+//     Adding a present edge or removing an absent one panics.
 //   - OutputChanged(v, val): node v's output is now val. Outputs start at
 //     Bot. Changes may be reported in any order within a round; the state
 //     converges once every changed node has been reported.
@@ -40,37 +41,6 @@ type Tracker interface {
 	EdgeRemoved(u, v graph.NodeID)
 	OutputChanged(v graph.NodeID, val Value)
 	Violations() []Violation
-}
-
-// dynAdj mirrors a dynamically maintained graph as mutable per-node
-// neighbor lists fed by edge events. Removal is a linear scan of the
-// endpoint's list — O(Δ) per event, and neighbor order is not meaningful.
-type dynAdj struct {
-	nbr [][]graph.NodeID
-}
-
-func newDynAdj(n int) dynAdj { return dynAdj{nbr: make([][]graph.NodeID, n)} }
-
-func (a *dynAdj) add(u, v graph.NodeID) {
-	a.nbr[u] = append(a.nbr[u], v)
-	a.nbr[v] = append(a.nbr[v], u)
-}
-
-func (a *dynAdj) remove(u, v graph.NodeID) {
-	a.removeHalf(u, v)
-	a.removeHalf(v, u)
-}
-
-func (a *dynAdj) removeHalf(u, v graph.NodeID) {
-	row := a.nbr[u]
-	for i, w := range row {
-		if w == v {
-			row[i] = row[len(row)-1]
-			a.nbr[u] = row[:len(row)-1]
-			return
-		}
-	}
-	panic(fmt.Sprintf("problems: removal of untracked edge {%d,%d}", u, v))
 }
 
 // nodeFlags is a boolean-per-node violation set with a popcount, so the
@@ -109,7 +79,7 @@ func sortedEdgeKeys(m map[graph.EdgeKey]struct{}, scratch []graph.EdgeKey) []gra
 type independentSetTracker struct {
 	vals      []Value
 	active    []bool
-	adj       dynAdj
+	adj       *graph.DynAdj
 	invalid   nodeFlags // active nodes with out-of-domain values
 	conflicts map[graph.EdgeKey]struct{}
 	scratch   []graph.EdgeKey
@@ -120,7 +90,7 @@ func (IndependentSet) NewTracker(n int) Tracker {
 	return &independentSetTracker{
 		vals:      make([]Value, n),
 		active:    make([]bool, n),
-		adj:       newDynAdj(n),
+		adj:       graph.NewDynAdj(n),
 		invalid:   newNodeFlags(n),
 		conflicts: make(map[graph.EdgeKey]struct{}),
 	}
@@ -143,25 +113,25 @@ func (t *independentSetTracker) evalPair(u, v graph.NodeID) {
 func (t *independentSetTracker) Activate(v graph.NodeID) {
 	t.active[v] = true
 	t.evalUnary(v)
-	for _, u := range t.adj.nbr[v] {
+	for _, u := range t.adj.Neighbors(v) {
 		t.evalPair(u, v)
 	}
 }
 
 func (t *independentSetTracker) EdgeAdded(u, v graph.NodeID) {
-	t.adj.add(u, v)
+	t.adj.AddEdge(u, v)
 	t.evalPair(u, v)
 }
 
 func (t *independentSetTracker) EdgeRemoved(u, v graph.NodeID) {
-	t.adj.remove(u, v)
+	t.adj.RemoveEdge(u, v)
 	delete(t.conflicts, graph.MakeEdgeKey(u, v))
 }
 
 func (t *independentSetTracker) OutputChanged(v graph.NodeID, val Value) {
 	t.vals[v] = val
 	t.evalUnary(v)
-	for _, u := range t.adj.nbr[v] {
+	for _, u := range t.adj.Neighbors(v) {
 		t.evalPair(u, v)
 	}
 }
@@ -192,7 +162,7 @@ func (t *independentSetTracker) Violations() []Violation {
 type dominatingSetTracker struct {
 	vals    []Value
 	active  []bool
-	adj     dynAdj
+	adj     *graph.DynAdj
 	misNbrs []int32 // neighbors with value InMIS, counted over all nodes
 	flags   nodeFlags
 }
@@ -202,7 +172,7 @@ func (DominatingSet) NewTracker(n int) Tracker {
 	return &dominatingSetTracker{
 		vals:    make([]Value, n),
 		active:  make([]bool, n),
-		adj:     newDynAdj(n),
+		adj:     graph.NewDynAdj(n),
 		misNbrs: make([]int32, n),
 		flags:   newNodeFlags(n),
 	}
@@ -228,7 +198,7 @@ func (t *dominatingSetTracker) Activate(v graph.NodeID) {
 }
 
 func (t *dominatingSetTracker) EdgeAdded(u, v graph.NodeID) {
-	t.adj.add(u, v)
+	t.adj.AddEdge(u, v)
 	if t.vals[u] == InMIS {
 		t.misNbrs[v]++
 		t.eval(v)
@@ -240,7 +210,7 @@ func (t *dominatingSetTracker) EdgeAdded(u, v graph.NodeID) {
 }
 
 func (t *dominatingSetTracker) EdgeRemoved(u, v graph.NodeID) {
-	t.adj.remove(u, v)
+	t.adj.RemoveEdge(u, v)
 	if t.vals[u] == InMIS {
 		t.misNbrs[v]--
 		t.eval(v)
@@ -259,7 +229,7 @@ func (t *dominatingSetTracker) OutputChanged(v graph.NodeID, val Value) {
 		if is {
 			d = 1
 		}
-		for _, u := range t.adj.nbr[v] {
+		for _, u := range t.adj.Neighbors(v) {
 			t.misNbrs[u] += d
 			t.eval(u)
 		}
@@ -293,7 +263,7 @@ func (t *dominatingSetTracker) Violations() []Violation {
 type properColoringTracker struct {
 	vals      []Value
 	active    []bool
-	adj       dynAdj
+	adj       *graph.DynAdj
 	invalid   nodeFlags // active nodes with negative colors
 	conflicts map[graph.EdgeKey]struct{}
 	scratch   []graph.EdgeKey
@@ -304,7 +274,7 @@ func (ProperColoring) NewTracker(n int) Tracker {
 	return &properColoringTracker{
 		vals:      make([]Value, n),
 		active:    make([]bool, n),
-		adj:       newDynAdj(n),
+		adj:       graph.NewDynAdj(n),
 		invalid:   newNodeFlags(n),
 		conflicts: make(map[graph.EdgeKey]struct{}),
 	}
@@ -322,18 +292,18 @@ func (t *properColoringTracker) evalPair(u, v graph.NodeID) {
 func (t *properColoringTracker) Activate(v graph.NodeID) {
 	t.active[v] = true
 	t.invalid.set(v, t.vals[v] < 0)
-	for _, u := range t.adj.nbr[v] {
+	for _, u := range t.adj.Neighbors(v) {
 		t.evalPair(u, v)
 	}
 }
 
 func (t *properColoringTracker) EdgeAdded(u, v graph.NodeID) {
-	t.adj.add(u, v)
+	t.adj.AddEdge(u, v)
 	t.evalPair(u, v)
 }
 
 func (t *properColoringTracker) EdgeRemoved(u, v graph.NodeID) {
-	t.adj.remove(u, v)
+	t.adj.RemoveEdge(u, v)
 	delete(t.conflicts, graph.MakeEdgeKey(u, v))
 }
 
@@ -342,7 +312,7 @@ func (t *properColoringTracker) OutputChanged(v graph.NodeID, val Value) {
 	if t.active[v] {
 		t.invalid.set(v, val < 0)
 	}
-	for _, u := range t.adj.nbr[v] {
+	for _, u := range t.adj.Neighbors(v) {
 		t.evalPair(u, v)
 	}
 }

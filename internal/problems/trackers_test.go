@@ -162,3 +162,31 @@ func TestTrackerActivationAfterEdges(t *testing.T) {
 		t.Fatalf("conflict after activation = %v", got)
 	}
 }
+
+// TestTrackerRejectsInexactEdgeEvents pins that the adjacency-keeping
+// trackers treat a duplicate add or an absent removal as a diverged feed
+// and panic, instead of tracking a multigraph.
+func TestTrackerRejectsInexactEdgeEvents(t *testing.T) {
+	mks := map[string]func() Tracker{
+		"mis":      func() Tracker { return IndependentSet{}.NewTracker(4) },
+		"domset":   func() Tracker { return DominatingSet{}.NewTracker(4) },
+		"coloring": func() Tracker { return ProperColoring{}.NewTracker(4) },
+	}
+	for name, mk := range mks {
+		for event, run := range map[string]func(Tracker){
+			"add-present":   func(tr Tracker) { tr.EdgeAdded(1, 0) },
+			"remove-absent": func(tr Tracker) { tr.EdgeRemoved(2, 3) },
+		} {
+			t.Run(name+"/"+event, func(t *testing.T) {
+				tr := mk()
+				tr.EdgeAdded(0, 1)
+				defer func() {
+					if recover() == nil {
+						t.Fatal("expected panic")
+					}
+				}()
+				run(tr)
+			})
+		}
+	}
+}

@@ -238,7 +238,7 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 			t.Run(sc.name+"/"+pcase.name, func(t *testing.T) {
 				seed := uint64(17 + ci)
 				adv := sc.mk(seed)
-				topo := graph.NewPatcher(n)
+				topo := graph.NewDynAdj(n)
 				fdr := verify.NewTDynamic(pcase.pc, T, n)
 				gfd := newGraphChecker(pcase.pc, T, n)
 				orc := verifytest.NewOracle(pcase.pc, T, n)
@@ -250,7 +250,8 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 					view.round = r
 					st := adv.Step(view)
 					adds, removes := st.EdgeAdds, st.EdgeRemoves
-					g := topo.Apply(adds, removes)
+					topo.Apply(adds, removes)
+					g := topo.Graph()
 					for _, v := range st.Wake {
 						view.awake[v] = true
 					}

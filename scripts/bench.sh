@@ -8,6 +8,7 @@
 #   BENCH='E06|E08' scripts/bench.sh # filter benches by regex
 #   LABEL=-pre scripts/bench.sh      # suffix the output file name
 #   BENCHTIME=1x scripts/bench.sh    # single iteration (smoke run)
+#   PKGS='. ./internal/graph' scripts/bench.sh  # packages to bench (default .)
 #
 # The full suite includes BenchmarkTDynamicChecker (delta-feed vs oracle
 # verification at N=4096), so the perf trajectory tracks checker cost;
@@ -24,12 +25,13 @@ LABEL="${LABEL:-}"
 # one-shot benches still run once if a single iteration exceeds 2s.
 BENCHTIME="${BENCHTIME:-2s}"
 COUNT="${COUNT:-1}"
+PKGS="${PKGS:-.}"
 OUT="BENCH_$(date +%F)${LABEL}.json"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" \
-	-count "$COUNT" -timeout 60m . | tee "$TMP"
+	-count "$COUNT" -timeout 60m $PKGS | tee "$TMP"
 
 # num_cpu/gomaxprocs make the scaling-matrix caveat machine-readable:
 # recordings from a 1-CPU box can be filtered out before comparing
