@@ -55,11 +55,39 @@ func (p *togglePlan) round(c int) (adds, removes, all []EdgeKey) {
 	return adds, removes, p.keys
 }
 
-// TestDynAdjGraphMatchesRebuild folds a long toggle schedule into a DynAdj
-// and compares its rows and its built graph every round against the
-// FromSortedEdges rebuild of the plan's exact edge set, including the CSR
-// rows and the EdgeKeys view.
-func TestDynAdjGraphMatchesRebuild(t *testing.T) {
+// TestDynAdjTracksPatcher folds a long toggle schedule into a DynAdj
+// through Apply and checks its rows, degrees and edge count every round
+// against the FromSortedEdges rebuild of the plan's exact edge set.
+func TestDynAdjTracksPatcher(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 33, 200} {
+		plan := newTogglePlan(n, uint64(300+n))
+		adj := NewDynAdj(n)
+		for round := 1; round <= 60; round++ {
+			adds, removes, all := plan.round(1 + round%7)
+			adj.Apply(adds, removes)
+			want := FromSortedEdges(n, all)
+			if adj.M() != want.M() {
+				t.Fatalf("n=%d round %d: m=%d want %d", n, round, adj.M(), want.M())
+			}
+			for v := NodeID(0); int(v) < n; v++ {
+				if !slices.Equal(adj.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("n=%d round %d node %d: row %v want %v",
+						n, round, v, adj.Neighbors(v), want.Neighbors(v))
+				}
+				if adj.Degree(v) != want.Degree(v) {
+					t.Fatalf("n=%d round %d node %d: degree %d want %d",
+						n, round, v, adj.Degree(v), want.Degree(v))
+				}
+			}
+		}
+	}
+}
+
+// TestPatcherMatchesRebuild checks the CSR graph DynAdj.Graph builds
+// after every diff of a long toggle schedule against the FromSortedEdges
+// rebuild of the plan's exact edge set: equality, the CSR rows and
+// offsets, and the EdgeKeys view.
+func TestPatcherMatchesRebuild(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 33, 200} {
 		plan := newTogglePlan(n, uint64(300+n))
 		adj := NewDynAdj(n)
@@ -71,18 +99,17 @@ func TestDynAdjGraphMatchesRebuild(t *testing.T) {
 			adj.Apply(adds, removes)
 			got := adj.Graph()
 			want := FromSortedEdges(n, all)
-			if !got.Equal(want) || adj.M() != want.M() {
-				t.Fatalf("n=%d round %d: built graph diverged (m=%d)\ngot  %s\nwant %s",
-					n, round, adj.M(), got.DebugString(), want.DebugString())
+			if !got.Equal(want) || got.M() != want.M() {
+				t.Fatalf("n=%d round %d: built graph diverged\ngot  %s\nwant %s",
+					n, round, got.DebugString(), want.DebugString())
 			}
 			for v := NodeID(0); int(v) < n; v++ {
-				wr := want.Neighbors(v)
-				if !slices.Equal(got.Neighbors(v), wr) || !slices.Equal(adj.Neighbors(v), wr) {
-					t.Fatalf("n=%d round %d node %d: rows %v / %v want %v",
-						n, round, v, got.Neighbors(v), adj.Neighbors(v), wr)
+				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("n=%d round %d node %d: CSR row %v want %v",
+						n, round, v, got.Neighbors(v), want.Neighbors(v))
 				}
-				if adj.Degree(v) != want.Degree(v) || got.CumDegree(int(v)) != want.CumDegree(int(v)) {
-					t.Fatalf("n=%d round %d node %d: degree or offset diverged", n, round, v)
+				if got.CumDegree(int(v)) != want.CumDegree(int(v)) {
+					t.Fatalf("n=%d round %d node %d: CSR offset diverged", n, round, v)
 				}
 			}
 			if !slices.Equal(got.EdgeKeys(), all) {
@@ -180,13 +207,31 @@ func TestDynAdjGraphAllocs(t *testing.T) {
 	}
 }
 
-func TestDynAdjPanicsOnBadDeltas(t *testing.T) {
-	mk := func() *DynAdj {
-		a := NewDynAdj(8)
-		a.Apply([]EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(2, 3)}, nil)
-		return a
+// mustPanicEach runs every case on a fresh adjacency holding {0,1} and
+// {2,3}, as a subtest that fails unless the case panics.
+func mustPanicEach(t *testing.T, cases []struct {
+	name string
+	run  func(a *DynAdj)
+}) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", tc.name)
+				}
+			}()
+			a := NewDynAdj(8)
+			a.Apply([]EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(2, 3)}, nil)
+			tc.run(a)
+		})
 	}
-	cases := []struct {
+}
+
+// TestPatcherPanicsOnBadDeltas feeds Apply, the sorted-diff patch of the
+// rows, every malformed diff it must reject.
+func TestPatcherPanicsOnBadDeltas(t *testing.T) {
+	mustPanicEach(t, []struct {
 		name string
 		run  func(a *DynAdj)
 	}{
@@ -199,19 +244,22 @@ func TestDynAdjPanicsOnBadDeltas(t *testing.T) {
 			a.Apply(nil, []EdgeKey{MakeEdgeKey(2, 3), MakeEdgeKey(0, 1)})
 		}},
 		{"out-of-range", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(1, 60)}, nil) }},
+	})
+}
+
+// TestDynAdjPanicsOnBadDeltas feeds the single-edge mutators and Apply
+// the changes they must reject.
+func TestDynAdjPanicsOnBadDeltas(t *testing.T) {
+	mustPanicEach(t, []struct {
+		name string
+		run  func(a *DynAdj)
+	}{
 		{"add-edge-present", func(a *DynAdj) { a.AddEdge(1, 0) }},
 		{"remove-edge-absent", func(a *DynAdj) { a.RemoveEdge(0, 2) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", tc.name)
-				}
-			}()
-			tc.run(mk())
-		})
-	}
+		{"add-edge-out-of-range", func(a *DynAdj) { a.AddEdge(7, 8) }},
+		{"apply-remove-absent-in-row", func(a *DynAdj) { a.Apply(nil, []EdgeKey{MakeEdgeKey(0, 2)}) }},
+		{"apply-out-of-universe", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(7, 8)}, nil) }},
+	})
 }
 
 // keyDelta is one sorted edge diff of a benchmark or allocation cycle.
