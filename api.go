@@ -111,10 +111,9 @@ type (
 	// MassDeparture schedules a targeted mass-departure event for
 	// P2PChurnAdversary.
 	MassDeparture = adversary.MassDeparture
-	// ScriptedAdversary replays a recorded Trace from memory.
-	ScriptedAdversary = adversary.Scripted
-	// ScriptedStreamAdversary replays a trace straight from a streaming
-	// decoder, one round per engine step, in constant memory.
+	// ScriptedStreamAdversary replays a recorded trace one round per
+	// engine step, from a streaming decoder (in constant memory) or from
+	// an in-memory Trace.
 	ScriptedStreamAdversary = adversary.ScriptedStream
 )
 
@@ -258,9 +257,11 @@ func NewEdgeMarkov(footprint *Graph, pOn, pOff float64, seed uint64) *EdgeMarkov
 	return &adversary.EdgeMarkov{Footprint: footprint, POn: pOn, POff: pOff, Seed: seed}
 }
 
-// NewScripted replays a recorded trace as an adversary (delta-natively —
-// no graph is materialized while replaying).
-func NewScripted(tr *Trace) *ScriptedAdversary { return adversary.NewScripted(tr) }
+// NewScripted replays an in-memory trace through the replay adversary
+// of NewScriptedStream, reading its rounds from a Trace cursor.
+func NewScripted(tr *Trace) *ScriptedStreamAdversary {
+	return adversary.NewScriptedStream(tr.Cursor())
+}
 
 // NewScriptedStream replays a trace straight from a streaming decoder:
 // one round is pulled per engine step, so traces far larger than memory

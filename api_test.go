@@ -103,7 +103,7 @@ func TestFacadeWindows(t *testing.T) {
 		t.Fatal("window observe failed")
 	}
 	fw := NewFracWindow(4, 8)
-	fw.Observe(Cycle(8), AllNodes(8))
+	fw.ObserveEdgeDelta(Cycle(8).EdgeKeys(), nil, AllNodes(8))
 	if fw.Graph(0.25).M() != 8 {
 		t.Fatal("frac window wrong")
 	}

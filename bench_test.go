@@ -877,7 +877,7 @@ func buildTraceWire(b *testing.B, n, rounds, rate int) []byte {
 }
 
 // BenchmarkTraceReplay compares the two trace replay paths on long
-// recorded schedules: DecodeTrace + ReplayDeltas materializes the whole
+// recorded schedules: DecodeTrace + a Trace cursor materializes the whole
 // trace in memory (allocations scale with trace length), while
 // StreamDecoder pulls one validated round at a time from reused buffers
 // (allocations independent of trace length — compare rounds=512 against
@@ -902,9 +902,14 @@ func BenchmarkTraceReplay(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tr.ReplayDeltas(func(_ int, adds, _ []graph.EdgeKey, _ []graph.NodeID) {
+				c := tr.Cursor()
+				for {
+					_, adds, _, err := c.NextDeltas()
+					if err == io.EOF {
+						break
+					}
 					edges += len(adds)
-				})
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.rounds), "ns/round")
 			_ = edges

@@ -249,9 +249,8 @@ func run(args []string, out io.Writer) (invalidRounds int, strict bool, err erro
 	// clean completion; a crash leaves a torn temporary for -recover.
 	var rec *dynlocal.TraceStreamEncoder
 	var recFile *os.File
-	recTmp := *recordPath + ".tmp"
 	if *recordPath != "" {
-		f, err := os.Create(recTmp)
+		f, err := os.Create(*recordPath + ".tmp")
 		if err != nil {
 			return 0, false, err
 		}
@@ -259,7 +258,7 @@ func run(args []string, out io.Writer) (invalidRounds int, strict bool, err erro
 		defer func() {
 			if recFile != nil {
 				recFile.Close()
-				os.Remove(recTmp)
+				os.Remove(recFile.Name())
 			}
 		}()
 		rec, err = dynlocal.NewTraceStreamEncoder(f, *n, *rounds-startRound)
@@ -315,20 +314,11 @@ func run(args []string, out io.Writer) (invalidRounds int, strict bool, err erro
 		}
 	}
 	if rec != nil {
-		err := rec.Close()
-		if err == nil {
-			err = recFile.Sync()
-		}
-		if cerr := recFile.Close(); err == nil {
-			err = cerr
-		}
+		err := commitAtomic(recFile, *recordPath, rec.Close())
+		recFile = nil
 		if err != nil {
 			return 0, false, fmt.Errorf("recording trace: %w", err)
 		}
-		if err := os.Rename(recTmp, *recordPath); err != nil {
-			return 0, false, err
-		}
-		recFile = nil
 	}
 	if streamed != nil {
 		if err := streamed.Err(); err != nil {
@@ -371,28 +361,36 @@ func chainCheckpoint(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecke
 	return nil
 }
 
-// startCheckpointChain atomically (re)creates path as a chain container
-// holding one base record: a same-directory temporary file, fsynced,
-// renamed over path — so a crash mid-checkpoint never clobbers the
-// previous good chain.
-func startCheckpointChain(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecker) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = dynlocal.WriteCheckpointChain(f, e, c)
+// commitAtomic finishes a file written as path+".tmp" beside its
+// target: unless err (the writer's outcome) is set, it fsyncs and closes
+// the file and renames it over path, so a crash or failure part way
+// never clobbers the previous file. On any failure the temporary file is
+// removed. The recorder, chain bases and trace recovery all use it.
+func commitAtomic(f *os.File, path string, err error) error {
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
 	if err != nil {
-		os.Remove(tmp)
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// startCheckpointChain atomically (re)creates path as a chain container
+// holding one base record, so a crash mid-checkpoint never clobbers the
+// previous good chain.
+func startCheckpointChain(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChecker) error {
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return commitAtomic(f, path, dynlocal.WriteCheckpointChain(f, e, c))
 }
 
 // appendCheckpointDelta appends one fsynced delta record to the chain
@@ -426,28 +424,20 @@ func readCheckpointFile(path string, e *dynlocal.Engine, c *dynlocal.TDynamicChe
 }
 
 // recoverTrace salvages the longest complete-round prefix of a torn
-// trace recording into dst, written with the same atomic pattern.
+// trace recording into dst, written atomically like the recording.
 func recoverTrace(src, dst string) (int, error) {
 	in, err := os.Open(src)
 	if err != nil {
 		return 0, err
 	}
 	defer in.Close()
-	tmp := dst + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.Create(dst + ".tmp")
 	if err != nil {
 		return 0, err
 	}
 	n, err := dynlocal.RecoverTrace(in, f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := commitAtomic(f, dst, err); err != nil {
 		return 0, err
 	}
-	return n, os.Rename(tmp, dst)
+	return n, nil
 }

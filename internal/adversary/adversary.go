@@ -181,57 +181,24 @@ func (a *Graphs) Step(v View) Step {
 	return Step{Wake: wake, EdgeAdds: a.addBuf, EdgeRemoves: a.remBuf}
 }
 
-// Scripted replays a recorded trace delta-natively: no graph is ever
-// materialized, each round is its recorded edge diff, and after the trace
-// is exhausted the final topology persists as empty diffs.
-type Scripted struct {
-	steps []Step
-}
-
-// DeltaSource is the delta-native replay surface of dyngraph.Trace,
-// declared locally to keep the package dependency-light.
-type DeltaSource interface {
-	ReplayDeltas(fn func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID))
-}
-
-// NewScripted copies a trace's recorded edge diffs into an adversary.
-func NewScripted(tr DeltaSource) *Scripted {
-	s := &Scripted{}
-	tr.ReplayDeltas(func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
-		s.steps = append(s.steps, Step{
-			Wake:        append([]graph.NodeID(nil), wake...),
-			EdgeAdds:    append([]graph.EdgeKey(nil), adds...),
-			EdgeRemoves: append([]graph.EdgeKey(nil), removes...),
-		})
-	})
-	return s
-}
-
-// Step implements Adversary.
-func (s *Scripted) Step(v View) Step {
-	if r := v.Round(); r <= len(s.steps) {
-		return s.steps[r-1]
-	}
-	return Step{}
-}
-
-// DeltaStreamSource is the streaming replay surface of
-// dyngraph.StreamDecoder (its NextDeltas method), declared locally to
-// keep the package dependency-light: one validated round of deltas per
-// call, io.EOF after the last. The returned slices may alias source-owned
-// buffers reused on the next call.
+// DeltaStreamSource is the replay surface of a recorded trace, declared
+// locally to keep the package dependency-light: one round of deltas per
+// call, io.EOF after the last. dyngraph.StreamDecoder implements it over
+// the wire format and dyngraph.TraceCursor over an in-memory Trace. The
+// returned slices may alias source-owned buffers reused on the next call.
 type DeltaStreamSource interface {
 	NextDeltas() (wake []graph.NodeID, adds, removes []graph.EdgeKey, err error)
 }
 
-// ScriptedStream replays a trace straight from a streaming decoder, one
-// round per engine step, without ever holding more than the current round
-// in memory — the constant-memory sibling of Scripted for traces too
-// large to materialize. The decoder's loaned slices pass through Step
-// unchanged (a sanctioned loan-to-loan handoff: the engine consumes a
-// step's slices within the round, and the source reuses them only on the
-// next pull). After the source reports io.EOF the final topology persists
-// as empty diffs, matching Scripted.
+// ScriptedStream is the replay adversary: it plays a recorded trace one
+// round per engine step, pulling each round's edge diff from its source
+// — a StreamDecoder, which never holds more than the current round in
+// memory, or a Trace's in-memory cursor. The source's loaned slices pass
+// through Step unchanged (a sanctioned loan-to-loan handoff: the engine
+// consumes a step's slices within the round, and the source reuses them
+// only on the next pull). After the source reports io.EOF the final
+// topology persists as empty diffs. Its checkpoint section is the number
+// of rounds consumed (see Checkpointer in checkpoint.go).
 //
 // A decode error mid-run cannot be reported through the Adversary
 // interface; the stream freezes the topology (empty diffs from then on)

@@ -109,7 +109,7 @@ func TestScriptedReplaysTrace(t *testing.T) {
 		graphs = append(graphs, g)
 		prev = g
 	}
-	adv := NewScripted(tr)
+	adv := NewScriptedStream(tr.Cursor())
 	v := newFakeView(n)
 	for r := 1; r <= 5; r++ {
 		st := v.play(adv)
@@ -595,7 +595,7 @@ func TestDeltaStepsAreExactDiffs(t *testing.T) {
 				tr.Append(prev, g, wake)
 				prev = g
 			}
-			return contractCase{adv: NewScripted(tr), ref: func(r int) []graph.EdgeKey { return gs[min(r, len(gs))-1].EdgeKeys() }}
+			return contractCase{adv: NewScriptedStream(tr.Cursor()), ref: func(r int) []graph.EdgeKey { return gs[min(r, len(gs))-1].EdgeKeys() }}
 		},
 		"scripted-stream": func() contractCase {
 			gs := gnps(17, 6)
@@ -762,7 +762,7 @@ func TestScriptedDeltaNativePersistsFinalTopology(t *testing.T) {
 	tr := dyngraph.NewTrace(n)
 	g1 := graph.Path(n)
 	tr.Append(nil, g1, AllNodes(n))
-	adv := NewScripted(tr)
+	adv := NewScriptedStream(tr.Cursor())
 	v := newFakeView(n)
 	if st := v.play(adv); !st.G.Equal(g1) {
 		t.Fatal("round 1 mismatch")

@@ -13,9 +13,10 @@ import (
 // topology sequence can be serialized into a checkpoint stream and
 // restored onto a freshly constructed adversary with the same
 // configuration, after which the restored adversary emits exactly the
-// steps the original would have. Stateless adversaries (Static,
-// Alternator, Scripted — their Step is a pure function of the round)
-// need no Checkpointer: the engine restores them by round number alone.
+// steps the original would have. Round-pure adversaries (Static and
+// Alternator — their Step is a pure function of the round) need no
+// Checkpointer: the engine restores them by round number alone. The
+// replay adversary, ScriptedStream, records how many rounds it consumed.
 //
 // The randomized adversaries draw from per-round PRF streams
 // (advStream), so their "position" is exactly their mutable state —
@@ -321,7 +322,12 @@ func (p *P2PChurn) SaveState(w *ckpt.Writer) {
 	saveRoundCounts(w, p.rejoins)
 }
 
-// LoadState implements Checkpointer.
+// LoadState implements Checkpointer. Ids come from the bump allocator,
+// so the next id must lie in [0, N] and every live id below it, once.
+// Each adjacency row must name only other live peers, each once, and the
+// rows must be symmetric: departID swap-deletes a departing peer from
+// every neighbor's row, and a row that does not name it back would index
+// out of range.
 func (p *P2PChurn) LoadState(r *ckpt.Reader) {
 	r.Section(tagP2PChurn)
 	if !r.Bool() {
@@ -330,32 +336,93 @@ func (p *P2PChurn) LoadState(r *ckpt.Reader) {
 	if !p.started {
 		p.init()
 	}
-	p.nextID = graph.NodeID(r.Varint())
-	n := r.Count(stateCap)
+	next := r.Varint()
+	if r.Err() != nil {
+		return
+	}
+	if next < 0 || next > int64(p.N) {
+		r.Fail(fmt.Errorf("adversary: checkpoint P2P next id %d outside [0,%d]", next, p.N))
+		return
+	}
+	p.nextID = graph.NodeID(next)
+	n := r.Count(int(next))
 	if r.Err() != nil {
 		return
 	}
 	p.live = make([]graph.NodeID, n)
 	p.liveIdx = make(map[graph.NodeID]int, n)
 	for i := range p.live {
-		v := graph.NodeID(r.Varint())
-		p.live[i] = v
-		p.liveIdx[v] = i
+		v := r.Varint()
+		if r.Err() != nil {
+			return
+		}
+		if _, dup := p.liveIdx[graph.NodeID(v)]; dup || v < 0 || v >= next {
+			r.Fail(fmt.Errorf("adversary: checkpoint P2P live id %d repeated or outside [0,%d)", v, next))
+			return
+		}
+		p.live[i] = graph.NodeID(v)
+		p.liveIdx[graph.NodeID(v)] = i
 	}
 	p.nbrs = make(map[graph.NodeID][]graph.NodeID, n)
+	// arcs holds v<<32|u for every entry u of v's row, sorted below to
+	// find duplicate entries and entries whose reverse is missing.
+	var arcs []uint64
 	for _, v := range p.live {
-		deg := r.Count(stateCap)
+		deg := r.Count(n)
 		if r.Err() != nil {
 			return
 		}
 		row := make([]graph.NodeID, deg)
 		for i := range row {
-			row[i] = graph.NodeID(r.Varint())
+			u := r.Varint()
+			if r.Err() != nil {
+				return
+			}
+			if _, live := p.liveIdx[graph.NodeID(u)]; !live || u < 0 || u >= next || graph.NodeID(u) == v {
+				r.Fail(fmt.Errorf("adversary: checkpoint P2P row of %d names %d, not another live peer", v, u))
+				return
+			}
+			row[i] = graph.NodeID(u)
+			arcs = append(arcs, uint64(v)<<32|uint64(u))
 		}
 		p.nbrs[v] = row
 	}
+	slices.Sort(arcs)
+	for i, a := range arcs {
+		v, u := a>>32, a&0xffffffff
+		if i > 0 && arcs[i-1] == a {
+			r.Fail(fmt.Errorf("adversary: checkpoint P2P row of %d names %d twice", v, u))
+			return
+		}
+		if _, ok := slices.BinarySearch(arcs, u<<32|v); !ok {
+			r.Fail(fmt.Errorf("adversary: checkpoint P2P row of %d names %d, whose row does not name it back", v, u))
+			return
+		}
+	}
 	p.sessEnd = loadRoundBuckets(r)
 	p.rejoins = loadRoundCounts(r)
+}
+
+// CheckEdges implements EdgeMirror: the edges of the adjacency rows
+// (symmetric and duplicate-free, as LoadState checks and Step keeps
+// them) must be exactly the topology's m edges.
+func (p *P2PChurn) CheckEdges(m int, has func(graph.EdgeKey) bool) error {
+	edges := 0
+	for _, v := range p.live {
+		for _, u := range p.nbrs[v] {
+			if u < v {
+				continue
+			}
+			if k := graph.MakeEdgeKey(v, u); !has(k) {
+				return fmt.Errorf("adversary: P2P edge %v is not in the topology", k)
+			}
+			edges++
+		}
+	}
+	if edges != m {
+		return fmt.Errorf("adversary: P2P churn holds %d edges, the topology %d", edges, m)
+	}
+	return nil
 }
 
 // saveRoundBuckets serializes a round-keyed id-bucket map with sorted
@@ -429,10 +496,10 @@ func loadRoundCounts(r *ckpt.Reader) map[int]int {
 
 // SaveState implements Checkpointer. Only the consumed-round count is
 // state; LoadState fast-forwards a freshly opened source by that many
-// rounds, re-validating the prefix and rebuilding the decoder's
-// present-set as a side effect. A stream that has already surfaced a
-// decode error refuses to checkpoint — resuming a failed replay would
-// silently freeze the topology.
+// rounds (a decoder re-validates the prefix and rebuilds its present-set
+// as a side effect; a Trace cursor just advances). A stream that has
+// already surfaced a decode error refuses to checkpoint — resuming a
+// failed replay would silently freeze the topology.
 func (s *ScriptedStream) SaveState(w *ckpt.Writer) {
 	w.Section(tagScriptedStream)
 	if s.err != nil {
@@ -650,4 +717,5 @@ var (
 	_ DeltaCheckpointer = (*EdgeMarkov)(nil)
 	_ EdgeMirror        = (*Churn)(nil)
 	_ EdgeMirror        = (*EdgeMarkov)(nil)
+	_ EdgeMirror        = (*P2PChurn)(nil)
 )

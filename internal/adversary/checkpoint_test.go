@@ -210,6 +210,75 @@ func TestChurnLoadStateRejectsBadKeys(t *testing.T) {
 	}
 }
 
+// TestP2PChurnLoadStateRejectsBadState feeds P2PChurn sections whose
+// ids or adjacency rows could not come from a run: a next id past the
+// universe, live ids at or past the next id or listed twice, and rows
+// that are asymmetric, name a self-loop, a duplicate or a departed peer.
+// Each must fail the read; before the checks, an asymmetric row made
+// the next departure index a row at -1 and panic.
+func TestP2PChurnLoadStateRejectsBadState(t *testing.T) {
+	const n = 8
+	section := func(next int64, live []int64, rows [][]int64) []byte {
+		w := ckpt.NewWriter(nil)
+		w.Section(tagP2PChurn)
+		w.Bool(true)
+		w.Varint(next)
+		w.Int(len(live))
+		for _, v := range live {
+			w.Varint(v)
+		}
+		for _, row := range rows {
+			w.Int(len(row))
+			for _, u := range row {
+				w.Varint(u)
+			}
+		}
+		w.Int(0) // session ends
+		w.Int(0) // rejoins
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return w.Bytes()
+	}
+	live := []int64{0, 1, 2, 3}
+	cases := []struct {
+		name  string
+		next  int64
+		live  []int64
+		rows  [][]int64
+		valid bool
+	}{
+		{"valid", 5, live, [][]int64{{1, 2}, {0}, {0}, {}}, true},
+		{"next-id-past-universe", n + 1, live, [][]int64{{1, 2}, {0}, {0}, {}}, false},
+		{"negative-next-id", -1, nil, nil, false},
+		{"live-id-past-next", 3, live, [][]int64{{1, 2}, {0}, {0}, {}}, false},
+		{"negative-live-id", 5, []int64{0, -1}, [][]int64{{}, {}}, false},
+		{"duplicate-live-id", 5, []int64{0, 1, 1}, [][]int64{{}, {}, {}}, false},
+		{"asymmetric-row", 5, live, [][]int64{{1, 2}, {0}, {}, {}}, false},
+		{"self-loop", 5, live, [][]int64{{1}, {0}, {}, {3}}, false},
+		{"duplicate-neighbor", 5, live, [][]int64{{1, 1}, {0, 0}, {}, {}}, false},
+		{"departed-neighbor", 5, live, [][]int64{{4}, {}, {}, {}}, false},
+		{"neighbor-past-id-space", 5, live, [][]int64{{1 << 40}, {}, {}, {}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &P2PChurn{N: n, Seed: 1}
+			r := ckpt.NewReader(section(tc.next, tc.live, tc.rows))
+			p.LoadState(r)
+			err := r.Err()
+			if err == nil {
+				err = r.Close()
+			}
+			if tc.valid != (err == nil) {
+				t.Fatalf("err = %v, want valid %v", err, tc.valid)
+			}
+			if tc.valid && !bytes.Equal(stateBytes(t, p), section(tc.next, tc.live, tc.rows)) {
+				t.Fatal("valid section did not round-trip")
+			}
+		})
+	}
+}
+
 // TestLocalStaticRefusesMirrorSection pins the retired LocalStatic
 // section format, which carried the inner topology after its tag 0x75: a
 // record in it is refused with an error naming the format, never read as

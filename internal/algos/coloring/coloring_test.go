@@ -377,7 +377,7 @@ func TestSColorUncolorsOnConflict(t *testing.T) {
 	// un-color by the end of the round (B.1 self-healing).
 	empty := graph.Empty(2)
 	joined := graph.FromEdges(2, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)})
-	adv := adversary.NewScripted(scriptedSeq(empty, empty, joined, joined, joined, joined, joined, joined))
+	adv := adversary.NewScriptedStream(scriptedSeq(empty, empty, joined, joined, joined, joined, joined, joined).Cursor())
 	e := engine.New(engine.Config{N: 2, Seed: 31}, adv, NewNetworkStatic(2))
 	e.Run(2) // both isolated: both take color 1
 	out := e.Outputs()
@@ -401,8 +401,8 @@ func TestSColorUncolorsOnRangeViolation(t *testing.T) {
 	// A node colored 2 whose degree drops to 0 must un-color (covering).
 	star := graph.Star(3)
 	empty := graph.Empty(3)
-	adv := adversary.NewScripted(scriptedSeq(star, star, star, star, star, star, star, star,
-		empty, empty, empty, empty))
+	adv := adversary.NewScriptedStream(scriptedSeq(star, star, star, star, star, star, star, star,
+		empty, empty, empty, empty).Cursor())
 	e := engine.New(engine.Config{N: 3, Seed: 37}, adv, NewNetworkStatic(3))
 	e.Run(8)
 	out := e.Outputs()

@@ -288,8 +288,8 @@ func TestSMisSelfHealsAdjacentMISNodes(t *testing.T) {
 	// the round.
 	empty := graph.Empty(2)
 	joined := graph.FromEdges(2, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)})
-	adv := adversary.NewScripted(seq(empty, empty, empty, joined, joined, joined, joined,
-		joined, joined, joined, joined, joined, joined, joined, joined))
+	adv := adversary.NewScriptedStream(seq(empty, empty, empty, joined, joined, joined, joined,
+		joined, joined, joined, joined, joined, joined, joined, joined).Cursor())
 	e := engine.New(engine.Config{N: 2, Seed: 41}, adv, NewNetworkStatic(2))
 	// Isolated undecided nodes become candidates eventually and join M.
 	if _, ok := e.RunUntil(3, func(info *engine.RoundInfo) bool {
@@ -320,7 +320,7 @@ func TestSMisDominationLossRecovers(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		gs = append(gs, empty)
 	}
-	adv := adversary.NewScripted(seq(gs...))
+	adv := adversary.NewScriptedStream(seq(gs...).Cursor())
 	e := engine.New(engine.Config{N: 2, Seed: 43}, adv, NewNetworkStatic(2))
 	if _, ok := e.RunUntil(8, func(info *engine.RoundInfo) bool {
 		a, b := info.Outputs[0], info.Outputs[1]

@@ -222,59 +222,75 @@ func TestWindowDeltaFeedExpiryBoundary(t *testing.T) {
 	}
 }
 
-// TestWindowDeltaFeedValidation pins the delta feed's input checks.
-func TestWindowDeltaFeedValidation(t *testing.T) {
-	mk := func() *Window {
-		w := NewWindow(2, 4)
-		w.ObserveEdgeDelta([]graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil, []graph.NodeID{0, 1})
-		return w
-	}
-	cases := []struct {
-		name string
-		run  func(w *Window)
-	}{
-		{"sleeping-endpoint", func(w *Window) {
-			w.ObserveEdgeDelta([]graph.EdgeKey{graph.MakeEdgeKey(2, 3)}, nil, nil)
-		}},
-		{"add-present", func(w *Window) {
-			w.ObserveEdgeDelta([]graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil, nil)
-		}},
-		{"remove-absent", func(w *Window) {
-			w.ObserveEdgeDelta(nil, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, nil)
-		}},
-		{"adds-unsorted", func(w *Window) {
-			w.ObserveEdgeDelta([]graph.EdgeKey{graph.MakeEdgeKey(0, 3), graph.MakeEdgeKey(0, 2)}, nil, []graph.NodeID{2, 3})
-		}},
-		{"key-out-of-range", func(w *Window) {
-			w.ObserveEdgeDelta([]graph.EdgeKey{graph.MakeEdgeKey(1, 9)}, nil, nil)
-		}},
-	}
-	for _, tc := range cases {
+// badDeltas are diffs that break the delta-feed contract once round 1
+// has added {0,1} with nodes 0 and 1 awake in a 4-node universe; both
+// windows must panic on each.
+var badDeltas = []struct {
+	name          string
+	adds, removes []graph.EdgeKey
+	wake          []graph.NodeID
+}{
+	{"sleeping-endpoint", []graph.EdgeKey{graph.MakeEdgeKey(2, 3)}, nil, nil},
+	{"add-present", []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil, nil},
+	{"remove-absent", nil, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, nil},
+	{"adds-unsorted", []graph.EdgeKey{graph.MakeEdgeKey(0, 3), graph.MakeEdgeKey(0, 2)}, nil, []graph.NodeID{2, 3}},
+	{"key-out-of-range", []graph.EdgeKey{graph.MakeEdgeKey(1, 9)}, nil, nil},
+}
+
+// checkBadDeltas runs every badDeltas case through observe on a fresh
+// window that has played round 1, and requires a panic.
+func checkBadDeltas(t *testing.T, observe func() func(adds, removes []graph.EdgeKey, wake []graph.NodeID)) {
+	for _, tc := range badDeltas {
 		t.Run(tc.name, func(t *testing.T) {
+			obs := observe()
+			obs([]graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil, []graph.NodeID{0, 1})
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("%s: expected panic", tc.name)
 				}
 			}()
-			tc.run(mk())
+			obs(tc.adds, tc.removes, tc.wake)
 		})
 	}
+}
+
+// TestWindowDeltaFeedValidation pins the delta feed's input checks.
+func TestWindowDeltaFeedValidation(t *testing.T) {
+	checkBadDeltas(t, func() func(adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+		w := NewWindow(2, 4)
+		return func(adds, removes []graph.EdgeKey, wake []graph.NodeID) { w.ObserveEdgeDelta(adds, removes, wake) }
+	})
+}
+
+// TestFracWindowDeltaFeedValidation pins that FracWindow's feed checks
+// its input exactly as Window's does.
+func TestFracWindowDeltaFeedValidation(t *testing.T) {
+	checkBadDeltas(t, func() func(adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+		return NewFracWindow(2, 4).ObserveEdgeDelta
+	})
 }
 
 // FuzzWindowDeltaFeed interprets fuzz bytes as a toggle/wake schedule over
 // a small universe and requires the delta feed to agree with the
 // Definition 2.1 reference on every emitted Delta and on the materialized
-// windows, for fuzzer-chosen window sizes.
+// windows, for fuzzer-chosen window sizes. A FracWindow fed the same
+// diffs must agree with the direct δ-fraction computation on every
+// pair's Count and on G^{δ,T} for a few δ.
 func FuzzWindowDeltaFeed(f *testing.F) {
 	f.Add(uint8(3), []byte{0x01, 0x12, 0x23, 0x05, 0x12, 0xff, 0x30})
 	f.Add(uint8(1), []byte{0x10, 0x10, 0x10})
 	f.Add(uint8(8), bytes.Repeat([]byte{0x21, 0x43, 0x07}, 20))
+	// Wakes nodes 0-3 in round 1, then adds, keeps and removes edges
+	// among them.
+	f.Add(uint8(4), []byte{0x00, 0x11, 0x22, 0x33, 0x01, 0x12, 0x23, 0x03, 0x01, 0x02, 0x13, 0x12, 0x01, 0x23})
 	f.Fuzz(func(t *testing.T, tRaw uint8, data []byte) {
 		const n = 8
 		T := int(tRaw%8) + 1
 		sched := newDeltaSchedule(n)
 		ref := newDefRef(T, n)
 		delta := NewWindow(T, n)
+		frac := NewFracWindow(T, n)
+		var history []*graph.Graph
 		pos := 0
 		for round := 1; round <= 24 && pos < len(data); round++ {
 			var wake []graph.NodeID
@@ -297,6 +313,36 @@ func FuzzWindowDeltaFeed(f *testing.F) {
 			adds, removes, g := sched.round(toggles)
 			want := ref.observe(g, wake)
 			ref.check(t, want, delta.ObserveEdgeDelta(adds, removes, wake), delta)
+			frac.ObserveEdgeDelta(adds, removes, wake)
+			history = append(history, g)
+			checkFracWindow(t, frac, history)
 		}
 	})
+}
+
+// checkFracWindow compares a FracWindow that observed history with the
+// direct computation: every pair's Count over the last T rounds, and
+// G^{δ,T} for δ ∈ {0.2, 0.5, 1}.
+func checkFracWindow(t *testing.T, w *FracWindow, history []*graph.Graph) {
+	t.Helper()
+	r := len(history)
+	n := history[0].N()
+	for u := graph.NodeID(0); int(u) < n; u++ {
+		for v := u + 1; int(v) < n; v++ {
+			want := 0
+			for _, g := range history[max(0, r-w.T()):] {
+				if g.HasEdge(u, v) {
+					want++
+				}
+			}
+			if got := w.Count(u, v); got != want {
+				t.Fatalf("round %d: Count(%d,%d) = %d, want %d", r, u, v, got, want)
+			}
+		}
+	}
+	for _, d := range []float64{0.2, 0.5, 1} {
+		if got, want := w.Graph(d), directFracGraph(history, w.T(), d); !got.Equal(want) {
+			t.Fatalf("round %d δ=%v: G^{δ,T} differs\ngot  %s\nwant %s", r, d, got.DebugString(), want.DebugString())
+		}
+	}
 }

@@ -15,9 +15,11 @@ import (
 // requirement "present in every round of the window" and δ → 0 approaches
 // the union graph (any single appearance suffices).
 //
-// Presence is tracked as a per-edge rolling bitmask; the window size is
-// limited to 64 rounds, which is not a practical restriction since the
-// paper's windows are T = O(log n).
+// Presence is tracked as a per-edge rolling bitmask: bit i is set iff the
+// edge was present i rounds ago, so bit 0 carries the current round's
+// presence into the next one unless the round's diff removes the edge.
+// The window size is limited to 64 rounds, which is not a practical
+// restriction since the paper's windows are T = O(log n).
 type FracWindow struct {
 	t       int
 	n       int
@@ -41,42 +43,62 @@ func (w *FracWindow) T() int { return w.t }
 // Round returns the last observed round.
 func (w *FracWindow) Round() int { return w.round }
 
-// Observe advances the window with the round graph g and newly awake nodes.
-// As for Window.ObserveEdgeDelta, edges incident to nodes that have never been woken
-// are rejected with a panic: the model only allows edges between awake
-// nodes.
-func (w *FracWindow) Observe(g *graph.Graph, wakeNow []graph.NodeID) {
-	if g.N() != w.n {
-		panic("dyngraph: graph node space does not match frac window")
-	}
+// ObserveEdgeDelta advances the window by one round's sorted topology
+// diff and newly awake nodes, with the contract of
+// Window.ObserveEdgeDelta: unsorted, out-of-range, sleeping-endpoint,
+// duplicate-add or absent-remove diffs panic. Aging the masks costs
+// O(|E^∪T|) per round.
+//
+//dynlint:sorted adds removes
+func (w *FracWindow) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph.NodeID) {
 	w.round++
+	r := w.round
 	for _, v := range wakeNow {
 		if w.wake[v] == 0 {
-			w.wake[v] = w.round
+			w.wake[v] = r
 		}
 	}
-	// Age all known edges by one round; drop the ones that left the window
-	// entirely. keep keeps the low t bits only.
+	// Age all known edges by one round, carrying bit 0 (presence in the
+	// previous round) into the new round's bit 0, and drop the ones that
+	// left the window entirely. keep keeps the low t bits only.
 	keep := ^uint64(0)
 	if w.t < 64 {
 		keep = (1 << uint(w.t)) - 1
 	}
 	for k, m := range w.mask {
-		m = (m << 1) & keep
+		m = (m<<1 | m&1) & keep
 		if m == 0 {
 			delete(w.mask, k)
 		} else {
 			w.mask[k] = m
 		}
 	}
-	// Panic formatting lives behind the branch in panicSleepingEdge so
-	// the per-edge loop stays free of fmt machinery.
-	for _, k := range g.EdgeKeys() {
-		u, v := k.Nodes()
-		if w.wake[u] == 0 || w.wake[v] == 0 {
-			panicSleepingEdge(u, v, w.round)
+	for i, k := range adds {
+		if i > 0 && adds[i-1] >= k {
+			panicUnsorted("adds")
 		}
-		w.mask[k] |= 1
+		u, v := k.Nodes()
+		if u < 0 || u >= v || int(v) >= w.n {
+			panicOutOfUniverse(k, w.n)
+		}
+		if w.wake[u] == 0 || w.wake[v] == 0 {
+			panicSleepingEdge(u, v, r)
+		}
+		m := w.mask[k]
+		if m&1 != 0 {
+			panicPresentAdd(k, r)
+		}
+		w.mask[k] = m | 1
+	}
+	for i, k := range removes {
+		if i > 0 && removes[i-1] >= k {
+			panicUnsorted("removes")
+		}
+		m := w.mask[k]
+		if m&1 == 0 {
+			panicAbsentRemove(k, r)
+		}
+		w.mask[k] = m &^ 1 // a zero mask is dropped by the next aging
 	}
 }
 

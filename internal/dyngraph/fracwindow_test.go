@@ -38,11 +38,28 @@ func directFracGraph(history []*graph.Graph, T int, delta float64) *graph.Graph 
 	return b.Graph()
 }
 
+// fracGraphFed drives a FracWindow from whole round graphs through the
+// one production feed, diffing consecutive graphs — the FracWindow
+// counterpart of graphFed.
+type fracGraphFed struct {
+	*FracWindow
+	prev []graph.EdgeKey
+}
+
+func newFracGraphFed(t, n int) *fracGraphFed { return &fracGraphFed{FracWindow: NewFracWindow(t, n)} }
+
+// Observe advances the window to the next round with graph g.
+func (f *fracGraphFed) Observe(g *graph.Graph, wake []graph.NodeID) {
+	adds, removes := graph.DiffSortedKeys(f.prev, g.EdgeKeys(), nil, nil)
+	f.prev = append(f.prev[:0], g.EdgeKeys()...)
+	f.ObserveEdgeDelta(adds, removes, wake)
+}
+
 func TestFracWindowMatchesDirect(t *testing.T) {
 	const n = 20
 	const T = 5
 	s := wstream(77)
-	w := NewFracWindow(T, n)
+	w := newFracGraphFed(T, n)
 	var history []*graph.Graph
 	for round := 1; round <= 18; round++ {
 		g := graph.GNP(n, 0.2, s)
@@ -68,7 +85,7 @@ func TestFracWindowDeltaOneEqualsIntersection(t *testing.T) {
 		const n = 14
 		const T = 4
 		s := wstream(uint64(seed))
-		fw := NewFracWindow(T, n)
+		fw := newFracGraphFed(T, n)
 		w := newGraphFed(T, n)
 		for round := 1; round <= 12; round++ {
 			g := graph.GNP(n, 0.25, s)
@@ -94,7 +111,7 @@ func TestFracWindowSmallDeltaEqualsUnion(t *testing.T) {
 	const n = 14
 	const T = 6
 	s := wstream(123)
-	fw := NewFracWindow(T, n)
+	fw := newFracGraphFed(T, n)
 	w := newGraphFed(T, n)
 	for round := 1; round <= 15; round++ {
 		g := graph.GNP(n, 0.2, s)
@@ -115,7 +132,7 @@ func TestFracWindowMonotoneInDelta(t *testing.T) {
 	const n = 16
 	const T = 5
 	s := wstream(321)
-	fw := NewFracWindow(T, n)
+	fw := newFracGraphFed(T, n)
 	for round := 1; round <= 10; round++ {
 		var wake []graph.NodeID
 		if round == 1 {
@@ -137,7 +154,7 @@ func TestFracWindowMonotoneInDelta(t *testing.T) {
 }
 
 func TestFracWindowCount(t *testing.T) {
-	w := NewFracWindow(4, 3)
+	w := newFracGraphFed(4, 3)
 	e := graph.FromEdges(3, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)})
 	empty := graph.Empty(3)
 	w.Observe(e, allNodes(3))
@@ -197,7 +214,7 @@ func TestFracWindowThreshold(t *testing.T) {
 func TestFracWindowExactProductKeepsEdges(t *testing.T) {
 	const T = 15
 	const n = 2
-	w := NewFracWindow(T, n)
+	w := newFracGraphFed(T, n)
 	e := graph.FromEdges(n, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)})
 	empty := graph.Empty(n)
 	w.Observe(empty, allNodes(n))
@@ -220,7 +237,7 @@ func TestFracWindowExactProductKeepsEdges(t *testing.T) {
 }
 
 func TestFracWindowRejectsSleepingEdges(t *testing.T) {
-	w := NewFracWindow(2, 3)
+	w := newFracGraphFed(2, 3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for edge touching sleeping node")

@@ -19,7 +19,7 @@ func FuzzDecodeTrace(f *testing.F) {
 	// the corrupt fixtures from the unit tests.
 	tr, _ := buildSampleTrace(f, 3, 10, 5)
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := tr.EncodeTraceTo(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -47,7 +47,7 @@ func FuzzDecodeTrace(f *testing.F) {
 		}
 		// Re-encode and re-decode: must succeed and agree step for step.
 		var out bytes.Buffer
-		if err := tr.Encode(&out); err != nil {
+		if err := tr.EncodeTraceTo(&out); err != nil {
 			t.Fatalf("re-encode of decoded trace: %v", err)
 		}
 		tr2, err := DecodeTrace(&out)
@@ -57,22 +57,15 @@ func FuzzDecodeTrace(f *testing.F) {
 		if tr2.N() != tr.N() || !reflect.DeepEqual(tr.rounds, tr2.rounds) {
 			t.Fatalf("round trip changed trace: n %d→%d", tr.N(), tr2.N())
 		}
-		// Replay/GraphAt must not panic on validated input. Both are
-		// O(rounds·n) by nature, so bound them: a hostile input can claim
-		// ~3 bytes per empty round and a large n, and unbounded replay
-		// would turn one fuzz exec quadratic and trip the hang detector.
+		// A cursor replay and GraphAt must not panic on validated input.
+		// Materializing graphs is O(rounds·n) by nature, so bound it: a
+		// hostile input can claim ~3 bytes per empty round and a large n,
+		// and unbounded replay would turn one fuzz exec quadratic and
+		// trip the hang detector.
 		if tr.Rounds() > 0 && tr.Rounds()*(tr.N()+1) <= 1<<22 {
-			rounds := 0
-			var last *graph.Graph
-			tr.Replay(func(r int, g *graph.Graph, wake []graph.NodeID) {
-				rounds++
-				last = g
-			})
-			if rounds != tr.Rounds() {
-				t.Fatalf("replayed %d of %d rounds", rounds, tr.Rounds())
-			}
-			if !tr.GraphAt(tr.Rounds()).Equal(last) {
-				t.Fatal("GraphAt(last) differs from final Replay graph")
+			graphs, _ := replayGraphs(t, tr)
+			if !tr.GraphAt(tr.Rounds()).Equal(graphs[len(graphs)-1]) {
+				t.Fatal("GraphAt(last) differs from the final replayed graph")
 			}
 		}
 	})
@@ -87,7 +80,7 @@ func FuzzDecodeTrace(f *testing.F) {
 func FuzzStreamDecoder(f *testing.F) {
 	tr, _ := buildSampleTrace(f, 3, 10, 5)
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := tr.EncodeTraceTo(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()

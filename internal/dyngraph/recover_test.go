@@ -37,7 +37,7 @@ func goldenRoundOffsets(t *testing.T) (offsets []int, tr *Trace) {
 		t.Fatal(err)
 	}
 	offsets = append(offsets, buf.Len()) // header extent
-	tr.ReplayDeltas(func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+	replayDeltas(t, tr, func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
 		if err := enc.WriteRound(wake, adds, removes); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
@@ -70,7 +70,7 @@ func assertRecoveredPrefix(t *testing.T, recovered []byte, tr *Trace, k int) {
 	if len(got) != k {
 		t.Fatalf("recovered trace streams %d rounds, want %d", len(got), k)
 	}
-	tr.ReplayDeltas(func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+	replayDeltas(t, tr, func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
 		if r > k {
 			return
 		}
@@ -222,7 +222,7 @@ func TestStreamEncoderSyncEvery(t *testing.T) {
 	}
 	enc.SyncEvery(3)
 	written := 0
-	tr.ReplayDeltas(func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+	replayDeltas(t, tr, func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
 		if err := enc.WriteRound(wake, adds, removes); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}

@@ -17,8 +17,8 @@ import (
 // memory independent of the trace length. StreamEncoder lets a recorder
 // spill an arbitrarily long run to disk as it happens; StreamDecoder
 // replays a multi-gigabyte trace without ever materializing it, yielding
-// each round's validated deltas from reused buffers. Trace.Encode and
-// DecodeTrace are thin wrappers over the two, so there is exactly one
+// each round's validated deltas from reused buffers. Trace.EncodeTraceTo
+// and DecodeTrace are thin wrappers over the two, so there is exactly one
 // implementation of the wire format.
 
 // decodePrealloc caps the capacity handed to make()/Grow while decoding,
@@ -30,12 +30,12 @@ import (
 const decodePrealloc = 1 << 16
 
 // MaxDecodeNodes bounds the node universe a decoded trace may declare.
-// Replaying a trace materializes O(n) graphs, so without this bound a
-// 14-byte hostile header claiming n = 2³¹−1 would defer a multi-gigabyte
-// allocation to the first Replay/GraphAt call. The bound is a decoder
-// sanity limit for untrusted input only — traces built in memory via
-// NewTrace are not restricted — and sits far above the simulator's
-// largest experiment sizes.
+// Replaying a trace sizes O(n) state — the engine's per-node arrays, a
+// GraphAt graph — so without this bound a 14-byte hostile header
+// claiming n = 2³¹−1 would defer a multi-gigabyte allocation to the
+// first consumer. The bound is a decoder sanity limit for untrusted
+// input only — traces built in memory via NewTrace are not restricted —
+// and sits far above the simulator's largest experiment sizes.
 const MaxDecodeNodes = 1 << 20
 
 // MaxDecodeRounds bounds the round count a decoded trace header may
@@ -250,8 +250,7 @@ func (e *StreamEncoder) validateEdgeList(r int, kind string, keys []graph.EdgeKe
 	return nil
 }
 
-// writeEdgeList emits a strictly ascending key list delta-encoded, the
-// streaming sibling of the sorting copy in Trace.Encode.
+// writeEdgeList emits a strictly ascending key list delta-encoded.
 func (e *StreamEncoder) writeEdgeList(keys []graph.EdgeKey) {
 	e.writeUvarint(uint64(len(keys)))
 	prev := uint64(0)

@@ -67,7 +67,7 @@ func TestStreamRoundTripMatchesDecodeTrace(t *testing.T) {
 		if len(streamed) != mem.Rounds() {
 			t.Fatalf("seed %d: streamed %d rounds, DecodeTrace %d", seed, len(streamed), mem.Rounds())
 		}
-		mem.ReplayDeltas(func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+		replayDeltas(t, mem, func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
 			got := streamed[r-1]
 			if got.Round != r {
 				t.Fatalf("seed %d round %d: streamed round number %d", seed, r, got.Round)
@@ -310,7 +310,7 @@ func TestGoldenTraceFixture(t *testing.T) {
 	if len(streamed) != tr.Rounds() {
 		t.Fatalf("golden fixture streams %d rounds, want %d", len(streamed), tr.Rounds())
 	}
-	tr.ReplayDeltas(func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+	replayDeltas(t, tr, func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
 		got := streamed[r-1]
 		if !slices.Equal(got.Wake, wake) || !slices.Equal(got.Adds, adds) || !slices.Equal(got.Removes, removes) {
 			t.Fatalf("golden fixture round %d differs from rebuilt trace", r)
@@ -335,8 +335,8 @@ func TestTraceZeroRounds(t *testing.T) {
 	if got.N() != 5 || got.Rounds() != 0 {
 		t.Fatalf("decoded n=%d rounds=%d, want 5/0", got.N(), got.Rounds())
 	}
-	got.ReplayDeltas(func(int, []graph.EdgeKey, []graph.EdgeKey, []graph.NodeID) {
-		t.Fatal("ReplayDeltas visited a round of an empty trace")
+	replayDeltas(t, got, func(int, []graph.EdgeKey, []graph.EdgeKey, []graph.NodeID) {
+		t.Fatal("the cursor visited a round of an empty trace")
 	})
 
 	d, err := NewStreamDecoder(bytes.NewReader(wire))
@@ -357,7 +357,7 @@ func TestTraceZeroRounds(t *testing.T) {
 
 // TestTraceTrailingEmptyDiffsPersistTopology pins that rounds recording
 // no change keep the prior topology: the wire carries empty diffs, and
-// GraphAt/Replay/ReplayDeltas all see the round-1 graph unchanged.
+// GraphAt and the cursor replay both see the round-1 graph unchanged.
 func TestTraceTrailingEmptyDiffsPersistTopology(t *testing.T) {
 	const n = 12
 	s := wstream(7)
@@ -378,7 +378,7 @@ func TestTraceTrailingEmptyDiffsPersistTopology(t *testing.T) {
 	if got.Rounds() != 3 {
 		t.Fatalf("decoded %d rounds, want 3", got.Rounds())
 	}
-	got.ReplayDeltas(func(r int, adds, removes []graph.EdgeKey, _ []graph.NodeID) {
+	replayDeltas(t, got, func(r int, adds, removes []graph.EdgeKey, _ []graph.NodeID) {
 		if r > 1 && (len(adds) != 0 || len(removes) != 0) {
 			t.Fatalf("round %d: expected empty diff, got %d adds %d removes", r, len(adds), len(removes))
 		}
@@ -388,11 +388,12 @@ func TestTraceTrailingEmptyDiffsPersistTopology(t *testing.T) {
 			t.Fatalf("GraphAt(%d) lost the persisted topology", r)
 		}
 	}
-	got.Replay(func(r int, rg *graph.Graph, _ []graph.NodeID) {
+	graphs, _ := replayGraphs(t, got)
+	for i, rg := range graphs {
 		if !rg.Equal(g) {
-			t.Fatalf("Replay round %d lost the persisted topology", r)
+			t.Fatalf("replayed round %d lost the persisted topology", i+1)
 		}
-	})
+	}
 }
 
 // TestDecodeNodesBoundary pins the MaxDecodeNodes limit exactly at the

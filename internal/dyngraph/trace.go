@@ -3,22 +3,22 @@ package dyngraph
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"dynlocal/internal/graph"
 )
 
-// Trace records a dynamic graph sequence (one communication graph plus a
-// wake set per round) in a delta-encoded binary format, so adversarial
+// Trace records a dynamic graph sequence in memory, as each round's wake
+// set and sorted edge diff against the previous round, so adversarial
 // schedules can be persisted, shipped with bug reports and replayed
-// deterministically (adversary.Scripted replays a Trace).
+// deterministically through a Cursor (adversary.ScriptedStream replays
+// one, as it replays a StreamDecoder).
 //
 // Wire format (all integers unsigned varints):
 //
 //	magic "DYNT" | version | n | rounds
 //	per round: |wake| wake… |added| addedEdgeKeys… |removed| removedEdgeKeys…
 //
-// Edge keys are delta-encoded within a round after sorting.
+// Edge keys are strictly ascending within each list and delta-encoded.
 type Trace struct {
 	n      int
 	rounds []step
@@ -42,57 +42,50 @@ func (t *Trace) Rounds() int { return len(t.rounds) }
 // Append records the next round. prev is the previous round's graph (nil
 // for the first round, meaning the empty graph); g the new graph. prev
 // must be the graph of the previously appended round — the stored deltas
-// are the diffs of the appended sequence, and ReplayDeltas hands them out
-// as such.
+// are the diffs of the appended sequence, and a Cursor hands them out as
+// such.
 func (t *Trace) Append(prev, g *graph.Graph, wake []graph.NodeID) {
 	if g.N() != t.n {
 		panic("dyngraph: trace node space mismatch")
 	}
-	var st step
-	st.wake = append(st.wake, wake...)
-	if prev == nil {
-		prev = graph.Empty(t.n)
+	var prevKeys []graph.EdgeKey
+	if prev != nil {
+		prevKeys = prev.EdgeKeys()
 	}
-	g.EachEdge(func(u, v graph.NodeID) {
-		if !prev.HasEdge(u, v) {
-			st.added = append(st.added, graph.MakeEdgeKey(u, v))
-		}
+	added, removed := graph.DiffSortedKeys(prevKeys, g.EdgeKeys(), nil, nil)
+	t.rounds = append(t.rounds, step{
+		wake:    append([]graph.NodeID(nil), wake...),
+		added:   added,
+		removed: removed,
 	})
-	prev.EachEdge(func(u, v graph.NodeID) {
-		if !g.HasEdge(u, v) {
-			st.removed = append(st.removed, graph.MakeEdgeKey(u, v))
-		}
-	})
-	t.rounds = append(t.rounds, st)
 }
 
-// Replay reconstructs the graph sequence, invoking fn for each round with
-// the round number (1-based), the graph and the wake set. The graph passed
-// to fn must not be retained across calls if modified.
-func (t *Trace) Replay(fn func(round int, g *graph.Graph, wake []graph.NodeID)) {
-	b := graph.NewBuilder(t.n)
-	for i, st := range t.rounds {
-		for _, k := range st.added {
-			b.AddEdgeKey(k)
-		}
-		for _, k := range st.removed {
-			u, v := k.Nodes()
-			b.RemoveEdge(u, v)
-		}
-		fn(i+1, b.Graph(), st.wake)
-	}
+// Cursor returns a replay cursor positioned before the first recorded
+// round. Each cursor replays the trace once, independently of others.
+func (t *Trace) Cursor() *TraceCursor { return &TraceCursor{t: t} }
+
+// TraceCursor walks a Trace's rounds in order with the contract of
+// StreamDecoder.NextDeltas: one round's wake set and sorted edge diff
+// per call, io.EOF after the last round. It is the in-memory delta
+// source for adversary.ScriptedStream.
+type TraceCursor struct {
+	t    *Trace
+	next int
 }
 
-// ReplayDeltas walks the recorded rounds without materializing any graph,
-// invoking fn with each round's sorted edge additions and removals and its
-// wake set — the delta-native replay surface consumed by
-// adversary.Scripted, under which a replayed schedule costs O(changes) per
-// round end to end. The slices alias trace-owned storage; callers must
-// copy anything they retain.
-func (t *Trace) ReplayDeltas(fn func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID)) {
-	for i, st := range t.rounds {
-		fn(i+1, st.added, st.removed, st.wake)
+// NextDeltas returns the next round's wake set and strictly ascending
+// edge additions and removals, or io.EOF once every recorded round has
+// been returned. The slices are loaned: they alias trace-owned storage
+// and must not be modified; copy anything retained.
+//
+//dynlint:loan
+func (c *TraceCursor) NextDeltas() (wake []graph.NodeID, adds, removes []graph.EdgeKey, err error) {
+	if c.next >= len(c.t.rounds) {
+		return nil, nil, nil, io.EOF
 	}
+	st := &c.t.rounds[c.next]
+	c.next++
+	return st.wake, st.added, st.removed, nil
 }
 
 // GraphAt materializes the graph of a single (1-based) round. Only the
@@ -119,30 +112,19 @@ const traceMagic = "DYNT"
 const traceVersion = 1
 
 // EncodeTraceTo streams the trace into w through a StreamEncoder — the
-// single implementation of the wire format — one round at a time. Encode
-// is the legacy name for the same operation.
+// single implementation of the wire format — one round at a time.
 func (t *Trace) EncodeTraceTo(w io.Writer) error {
 	enc, err := NewStreamEncoder(w, t.n, len(t.rounds))
 	if err != nil {
 		return err
 	}
-	var addBuf, remBuf []graph.EdgeKey
 	for _, st := range t.rounds {
-		// Steps built by Append or DecodeTrace are already ascending, but
-		// the wire format requires it, so sort scratch copies defensively.
-		addBuf = append(addBuf[:0], st.added...)
-		remBuf = append(remBuf[:0], st.removed...)
-		slices.Sort(addBuf)
-		slices.Sort(remBuf)
-		if err := enc.WriteRound(st.wake, addBuf, remBuf); err != nil {
+		if err := enc.WriteRound(st.wake, st.added, st.removed); err != nil {
 			return err
 		}
 	}
 	return enc.Close()
 }
-
-// Encode writes the trace in the binary wire format.
-func (t *Trace) Encode(w io.Writer) error { return t.EncodeTraceTo(w) }
 
 // DecodeTrace reads a whole trace from the binary wire format into
 // memory: a thin wrapper that drains a StreamDecoder, copying each
@@ -150,7 +132,7 @@ func (t *Trace) Encode(w io.Writer) error { return t.EncodeTraceTo(w) }
 // untrusted exactly as the decoder treats it — element counts, node ids,
 // edge keys and the delta encoding are validated round by round, and
 // corrupt input yields an error rather than an oversized allocation here
-// or a panic in a later Replay.
+// or a panic in a later replay.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	d, err := NewStreamDecoder(r)
 	if err != nil {

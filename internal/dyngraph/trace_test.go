@@ -3,7 +3,9 @@ package dyngraph
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"dynlocal/internal/graph"
@@ -28,16 +30,58 @@ func buildSampleTrace(t testing.TB, seed uint64, n, rounds int) (*Trace, []*grap
 	return tr, history
 }
 
+// replayDeltas walks tr through a fresh Cursor, calling fn with each
+// round's 1-based number, diff and wake set, and checks that the cursor
+// ends with io.EOF after exactly tr.Rounds() rounds and stays there.
+func replayDeltas(t testing.TB, tr *Trace, fn func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID)) {
+	t.Helper()
+	c := tr.Cursor()
+	for r := 1; ; r++ {
+		wake, adds, removes, err := c.NextDeltas()
+		if err == io.EOF {
+			if r-1 != tr.Rounds() {
+				t.Fatalf("cursor ended after %d of %d rounds", r-1, tr.Rounds())
+			}
+			if _, _, _, err := c.NextDeltas(); err != io.EOF {
+				t.Fatalf("cursor past the end returned %v, want io.EOF", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("cursor round %d: %v", r, err)
+		}
+		fn(r, adds, removes, wake)
+	}
+}
+
+// replayGraphs folds tr's diffs into one materialized graph per round,
+// with each round's wake set: the test-side reference a cursor replay is
+// compared with.
+func replayGraphs(t testing.TB, tr *Trace) (graphs []*graph.Graph, wakes [][]graph.NodeID) {
+	t.Helper()
+	b := graph.NewBuilder(tr.N())
+	replayDeltas(t, tr, func(_ int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+		for _, k := range adds {
+			b.AddEdgeKey(k)
+		}
+		for _, k := range removes {
+			b.RemoveEdge(k.Nodes())
+		}
+		graphs = append(graphs, b.Graph())
+		wakes = append(wakes, slices.Clone(wake))
+	})
+	return graphs, wakes
+}
+
 func TestTraceReplayReconstructsGraphs(t *testing.T) {
 	tr, history := buildSampleTrace(t, 9, 18, 12)
-	var replayed []*graph.Graph
+	replayed, wakes := replayGraphs(t, tr)
 	var wakeRounds []int
-	tr.Replay(func(round int, g *graph.Graph, wake []graph.NodeID) {
-		replayed = append(replayed, g)
+	for i, wake := range wakes {
 		if len(wake) > 0 {
-			wakeRounds = append(wakeRounds, round)
+			wakeRounds = append(wakeRounds, i+1)
 		}
-	})
+	}
 	if len(replayed) != len(history) {
 		t.Fatalf("replayed %d rounds, want %d", len(replayed), len(history))
 	}
@@ -73,7 +117,7 @@ func TestTraceGraphAtOutOfRangePanics(t *testing.T) {
 func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	tr, history := buildSampleTrace(t, 31, 25, 15)
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := tr.EncodeTraceTo(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	got, err := DecodeTrace(&buf)
@@ -83,13 +127,12 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	if got.N() != tr.N() || got.Rounds() != tr.Rounds() {
 		t.Fatalf("header mismatch: n=%d rounds=%d", got.N(), got.Rounds())
 	}
-	i := 0
-	got.Replay(func(round int, g *graph.Graph, _ []graph.NodeID) {
+	graphs, _ := replayGraphs(t, got)
+	for i, g := range graphs {
 		if !g.Equal(history[i]) {
-			t.Fatalf("decoded round %d graph mismatch", round)
+			t.Fatalf("decoded round %d graph mismatch", i+1)
 		}
-		i++
-	})
+	}
 }
 
 func TestTraceDecodeRejectsGarbage(t *testing.T) {
@@ -105,9 +148,9 @@ func TestTraceDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestTraceGraphAtMatchesReplay pins GraphAt/Replay equivalence on a
-// recorded churn-style schedule (random edge toggles on a base graph, the
-// kind of trace adversary.Scripted replays).
+// TestTraceGraphAtMatchesReplay pins that GraphAt equals the cursor
+// replay folded round by round on a recorded churn-style schedule (random
+// edge toggles on a base graph).
 func TestTraceGraphAtMatchesReplay(t *testing.T) {
 	const n = 32
 	const rounds = 20
@@ -140,12 +183,13 @@ func TestTraceGraphAtMatchesReplay(t *testing.T) {
 		}
 		cur = b.Graph()
 	}
-	tr.Replay(func(r int, g *graph.Graph, _ []graph.NodeID) {
-		if got := tr.GraphAt(r); !got.Equal(g) {
-			t.Fatalf("GraphAt(%d) differs from Replay:\ngot  %s\nwant %s",
-				r, got.DebugString(), g.DebugString())
+	graphs, _ := replayGraphs(t, tr)
+	for i, g := range graphs {
+		if got := tr.GraphAt(i + 1); !got.Equal(g) {
+			t.Fatalf("GraphAt(%d) differs from the replay:\ngot  %s\nwant %s",
+				i+1, got.DebugString(), g.DebugString())
 		}
-	})
+	}
 }
 
 // corruptTrace builds a syntactically valid header followed by the given
@@ -168,7 +212,7 @@ func TestTraceDecodeRejectsCorruptInput(t *testing.T) {
 		// version 1, n too large for int32 node ids.
 		{"n-overflow", corruptTrace(1, 1<<33, 0)},
 		// n above the decode sanity limit: a 14-byte header must not be
-		// able to schedule an O(n) allocation for the first Replay.
+		// able to schedule an O(n) allocation for the first replay.
 		{"n-over-decode-limit", corruptTrace(1, MaxDecodeNodes+1, 1, 0, 0, 0)},
 		// n=4, 1 round, wake count 1, wake id 9 >= n.
 		{"wake-out-of-range", corruptTrace(1, 4, 1, 1, 9)},
@@ -201,7 +245,7 @@ func TestTraceDecodeRejectsCorruptInput(t *testing.T) {
 func TestTraceDecodeValidTraceReplays(t *testing.T) {
 	tr, _ := buildSampleTrace(t, 8, 12, 6)
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := tr.EncodeTraceTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeTrace(&buf)
@@ -209,22 +253,22 @@ func TestTraceDecodeValidTraceReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := 0
-	got.Replay(func(int, *graph.Graph, []graph.NodeID) { rounds++ })
+	replayDeltas(t, got, func(int, []graph.EdgeKey, []graph.EdgeKey, []graph.NodeID) { rounds++ })
 	if rounds != 6 {
 		t.Fatalf("replayed %d rounds, want 6", rounds)
 	}
 }
 
-// TestTraceReplayDeltasMatchesReplay pins the delta-native replay surface:
-// folding ReplayDeltas' add/remove events must reconstruct exactly the
-// graphs Replay materializes, with identical wake sets, and the emitted
-// lists must be strictly ascending (the contract adversary.Scripted and
+// TestTraceReplayDeltasMatchesReplay pins the cursor, the trace's one
+// replay surface: folding its add/remove events must reconstruct exactly
+// the appended graphs, with the recorded wake sets, and the emitted lists
+// must be strictly ascending (the contract adversary.ScriptedStream and
 // the engine's adjacency rely on).
 func TestTraceReplayDeltasMatchesReplay(t *testing.T) {
 	tr, history := buildSampleTrace(t, 21, 16, 10)
 	present := make(map[graph.EdgeKey]bool)
 	round := 0
-	tr.ReplayDeltas(func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+	replayDeltas(t, tr, func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
 		round++
 		if r != round {
 			t.Fatalf("delta replay round %d, want %d", r, round)
@@ -253,7 +297,7 @@ func TestTraceReplayDeltasMatchesReplay(t *testing.T) {
 		}
 		for k := range present {
 			if !want.HasEdge(k.Nodes()) {
-				t.Fatalf("round %d: folded edge %v not in replayed graph", r, k)
+				t.Fatalf("round %d: folded edge %v not in the appended graph", r, k)
 			}
 		}
 		if r == 1 && len(wake) != 16 {
@@ -299,7 +343,7 @@ func TestTraceEncodingIsCompact(t *testing.T) {
 		prev = g
 	}
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := tr.EncodeTraceTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if changes > 0 && buf.Len() > 10*changes {

@@ -211,14 +211,14 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 		}
 		u, v := k.Nodes()
 		if u < 0 || u >= v || int(v) >= w.n {
-			panic(fmt.Sprintf("dyngraph: edge key %s outside universe [0,%d)", k, w.n))
+			panicOutOfUniverse(k, w.n)
 		}
 		if w.wake[u] == 0 || w.wake[v] == 0 {
 			panicSleepingEdge(u, v, r)
 		}
 		sp, ok := w.spans[k]
 		if ok && sp.present {
-			panic(fmt.Sprintf("dyngraph: add of already-present edge %s in round %d", k, r))
+			panicPresentAdd(k, r)
 		}
 		if !ok {
 			d.UnionAdded = append(d.UnionAdded, k)
@@ -246,7 +246,7 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 		}
 		sp, ok := w.spans[k]
 		if !ok || !sp.present {
-			panic(fmt.Sprintf("dyngraph: remove of absent edge %s in round %d", k, r))
+			panicAbsentRemove(k, r)
 		}
 		sp.present = false
 		sp.lastSeen = r - 1
@@ -338,6 +338,20 @@ func panicSleepingEdge(u, v graph.NodeID, r int) {
 // panicUnsorted is the cold path for unordered caller-supplied diffs.
 func panicUnsorted(which string) {
 	panic("dyngraph: ObserveEdgeDelta " + which + " not strictly ascending")
+}
+
+// panicOutOfUniverse, panicPresentAdd and panicAbsentRemove are the cold
+// paths for diffs that are not an edge change of the universe.
+func panicOutOfUniverse(k graph.EdgeKey, n int) {
+	panic(fmt.Sprintf("dyngraph: edge key %s outside universe [0,%d)", k, n))
+}
+
+func panicPresentAdd(k graph.EdgeKey, r int) {
+	panic(fmt.Sprintf("dyngraph: add of already-present edge %s in round %d", k, r))
+}
+
+func panicAbsentRemove(k graph.EdgeKey, r int) {
+	panic(fmt.Sprintf("dyngraph: remove of absent edge %s in round %d", k, r))
 }
 
 // AwakeSince reports the round node v woke up, or 0 if asleep.

@@ -43,8 +43,11 @@ import (
 //     DelayedOutputs or diff against, as the columns of the nodes whose
 //     output differs from the parent's latest slot;
 //   - adversary: its state via adversary.Checkpointer, with a presence
-//     flag so stateless-by-round adversaries (Static, Alternator,
-//     Scripted) restore by round number alone, and a delta/full bit.
+//     flag so round-pure adversaries (Static, Alternator) restore by
+//     round number alone, and a delta/full bit. The trace replay
+//     adversary (ScriptedStream, over a decoder or a Trace's cursor)
+//     writes its consumed-round count; a record without adversary state
+//     is refused onto it, naming its type.
 //
 // Not captured, by design: outboxes, inboxes, per-worker accounting
 // cells, changed/drop shards and the RoundInfo ring are per-round

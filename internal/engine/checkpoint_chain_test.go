@@ -385,12 +385,12 @@ func (f forgedAdv) Step(v adversary.View) adversary.Step {
 func (f forgedAdv) SaveState(w *ckpt.Writer) { f.forged.SaveState(w) }
 func (f forgedAdv) LoadState(r *ckpt.Reader) { f.forged.LoadState(r) }
 
-// TestCheckpointChainAdversaryMatchesTopology: Churn and EdgeMarkov keep
-// their own copy of the live edges, restored from the adversary section
-// while the engine's topology comes from the topology sections. A record
-// whose sections disagree must fail the read, before a later Step can
-// remove an edge the topology does not have; the honest record of the
-// same run must read and resume. The dense=false suffix keeps the
+// TestCheckpointChainAdversaryMatchesTopology: Churn, EdgeMarkov and
+// P2PChurn keep their own copy of the live edges, restored from the
+// adversary section while the engine's topology comes from the topology
+// sections. A record whose sections disagree must fail the read, before
+// a later Step can remove an edge the topology does not have; the honest
+// record of the same run must read and resume. The dense=false suffix keeps the
 // subtest IDs stable; the engine has no other round walk.
 func TestCheckpointChainAdversaryMatchesTopology(t *testing.T) {
 	const n = 48
@@ -401,6 +401,9 @@ func TestCheckpointChainAdversaryMatchesTopology(t *testing.T) {
 	}
 	markov := func(seed uint64) *adversary.EdgeMarkov {
 		return &adversary.EdgeMarkov{Footprint: base, POn: 0.3, POff: 0.3, Seed: seed}
+	}
+	p2p := func(seed uint64) *adversary.P2PChurn {
+		return &adversary.P2PChurn{N: n, Init: 12, JoinPerRound: 2, Degree: 3, SessionMin: 3, Seed: seed}
 	}
 	cases := []struct {
 		name    string
@@ -418,6 +421,10 @@ func TestCheckpointChainAdversaryMatchesTopology(t *testing.T) {
 			func() forgedAdv { return forgedAdv{markov(17), markov(17)} }, ""},
 		{"markov-other-edges", func() adversary.Adversary { return markov(17) },
 			func() forgedAdv { return forgedAdv{markov(17), markov(18)} }, "edge-Markov"},
+		{"p2p-honest", func() adversary.Adversary { return p2p(17) },
+			func() forgedAdv { return forgedAdv{p2p(17), p2p(17)} }, ""},
+		{"p2p-other-edges", func() adversary.Adversary { return p2p(17) },
+			func() forgedAdv { return forgedAdv{p2p(17), p2p(18)} }, "P2P"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"/dense=false", func(t *testing.T) {

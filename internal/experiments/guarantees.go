@@ -391,7 +391,7 @@ func E11DeltaWindows(p Params) []DeltaWindowResult {
 	rounds := 0
 	warmup := 2 * combined.T1
 	e.OnRound(func(info *engine.RoundInfo) {
-		fw.Observe(info.Graph(), info.Wake)
+		fw.ObserveEdgeDelta(info.EdgeAdds, info.EdgeRemoves, info.Wake)
 		if info.Round <= warmup {
 			return
 		}
