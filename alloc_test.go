@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dynlocal/internal/algos/mis"
+	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 )
 
@@ -115,24 +116,15 @@ func TestDeltaRecordAllocs(t *testing.T) {
 	// No GC cycle may start inside a measured record: its stop-the-world
 	// restart can make the runtime start a thread, which allocates.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	threads := pprof.Lookup("threadcreate")
-	var before, after runtime.MemStats
 	atBound, voided := 0, 0
 	for i := 0; i < deltas; {
 		e.Run(8)
-		// A read's stop-the-world restart may start a thread, which
-		// allocates; the first read absorbs that, the second finds the
-		// thread idle.
-		started := threads.Count()
-		runtime.ReadMemStats(&before)
-		runtime.ReadMemStats(&before)
-		err := AppendCheckpointDelta(io.Discard, e, chk)
-		runtime.ReadMemStats(&after)
+		var err error
+		allocs, threadStarted := threadFreeAllocs(func() { err = AppendCheckpointDelta(io.Discard, e, chk) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := after.Mallocs - before.Mallocs
-		if threads.Count() != started {
+		if threadStarted {
 			t.Logf("delta at round %d: %d allocations, voided: the runtime started a thread", e.Round(), allocs)
 			if voided++; voided > threadVoidCap {
 				t.Fatalf("%d deltas voided by thread starts, cap %d", voided, threadVoidCap)
@@ -151,6 +143,85 @@ func TestDeltaRecordAllocs(t *testing.T) {
 			if atBound++; atBound > 1 {
 				t.Fatalf("delta %d at round %d is the second delta allocating %d times; only one stray allocation is tolerated", i, e.Round(), allocs)
 			}
+		}
+	}
+}
+
+// threadFreeAllocs returns how many times fn allocates, read from the
+// process's MemStats around it, and whether the runtime started a thread
+// meanwhile: a thread start allocates several times on its own, so such
+// a count is void and the caller measures again. Callers turn the GC
+// off, since a cycle's stop-the-world restart can start a thread.
+func threadFreeAllocs(fn func()) (allocs uint64, threadStarted bool) {
+	threads := pprof.Lookup("threadcreate")
+	var before, after runtime.MemStats
+	started := threads.Count()
+	// A read's stop-the-world restart may start a thread, which
+	// allocates; the first read absorbs that, the second finds the thread
+	// idle.
+	runtime.ReadMemStats(&before)
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, threads.Count() != started
+}
+
+// TestWindowChurnAllocs checks that the sliding window allocates nothing
+// under steady churn once warmed up: N = 4096 on G(n, 8/n), T = 5, with
+// checkpoint tracking on and a record noted every 8 rounds. Each round
+// removes 64 base edges and adds 64 fresh ones for four rounds, then
+// plays those diffs back, so the edge set has period 8 and, after a few
+// multiples of lcm(8, T), every span table, ring slot and Delta list has
+// reached its working size. A 40-round batch is then measured, as
+// testing.AllocsPerRun does, but as a total with bound 0 and voided when
+// the runtime starts a thread.
+func TestWindowChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, window, cycle, churn = 4096, 5, 4, 64
+	base := GNP(n, 8.0/n, 5).EdgeKeys()
+	inBase := make(map[EdgeKey]bool, len(base))
+	for _, k := range base {
+		inBase[k] = true
+	}
+	var fresh []EdgeKey
+	for u := NodeID(0); len(fresh) < cycle*churn; u++ {
+		if k := graph.MakeEdgeKey(u, u+n/2); !inBase[k] {
+			fresh = append(fresh, k)
+		}
+	}
+	type diff struct{ adds, removes []EdgeKey }
+	steps := make([]diff, 2*cycle)
+	for i := 0; i < cycle; i++ {
+		d := diff{fresh[i*churn : (i+1)*churn], base[i*churn : (i+1)*churn]}
+		steps[i], steps[2*cycle-1-i] = d, diff{d.removes, d.adds}
+	}
+	w := NewSlidingWindow(window, n)
+	w.ObserveEdgeDelta(base, nil, AllNodes(n))
+	w.NoteCheckpoint()
+	r := 1
+	play := func(rounds int) {
+		for end := r + rounds; r < end; r++ {
+			d := steps[(r-1)%len(steps)]
+			w.ObserveEdgeDelta(d.adds, d.removes, nil)
+			if r%8 == 0 {
+				w.NoteCheckpoint()
+			}
+		}
+	}
+	play(3 * 40)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for voided := 0; ; voided++ {
+		allocs, threadStarted := threadFreeAllocs(func() { play(40) })
+		if !threadStarted {
+			if allocs != 0 {
+				t.Fatalf("40 churn rounds from round %d allocate %d times", r-40, allocs)
+			}
+			return
+		}
+		if voided == threadVoidCap {
+			t.Fatalf("%d batches voided by thread starts", voided+1)
 		}
 	}
 }

@@ -121,16 +121,16 @@ func (c *Churn) LoadState(r *ckpt.Reader) {
 	if !r.Bool() {
 		return
 	}
-	if !c.started {
-		c.init()
-	}
 	n := r.Count(stateCap)
 	if r.Err() != nil {
 		return
 	}
-	keys := make([]graph.EdgeKey, n)
-	keyIdx := make(map[graph.EdgeKey]int, n)
-	for i := range keys {
+	// The record replaces the base edge set, so it is not loaded first.
+	c.n, c.started = c.Base.N(), true
+	c.keys = slices.Grow(c.keys[:0], n)
+	c.keyIdx.Clear()
+	c.keyIdx.Reserve(n)
+	for i := 0; i < n; i++ {
 		k := graph.EdgeKey(r.Uvarint())
 		if r.Err() != nil {
 			return
@@ -143,14 +143,13 @@ func (c *Churn) LoadState(r *ckpt.Reader) {
 			r.Fail(fmt.Errorf("adversary: checkpoint churn edge %v outside universe [0,%d)", k, c.n))
 			return
 		}
-		if _, dup := keyIdx[k]; dup {
+		if c.keyIdx.Has(k) {
 			r.Fail(fmt.Errorf("adversary: checkpoint churn edge %v listed twice", k))
 			return
 		}
-		keys[i] = k
-		keyIdx[k] = i
+		c.keys = append(c.keys, k)
+		c.keyIdx.Put(k, i)
 	}
-	c.keys, c.keyIdx = keys, keyIdx
 }
 
 // CheckEdges implements EdgeMirror. The key list holds no duplicates

@@ -24,7 +24,7 @@ type Churn struct {
 
 	n       int
 	keys    []graph.EdgeKey
-	keyIdx  map[graph.EdgeKey]int
+	keyIdx  graph.EdgeTable[int] // position of each live key in keys
 	addBuf  []graph.EdgeKey
 	remBuf  []graph.EdgeKey
 	started bool
@@ -32,10 +32,11 @@ type Churn struct {
 
 func (c *Churn) init() {
 	c.n = c.Base.N()
-	c.keyIdx = make(map[graph.EdgeKey]int)
-	for _, k := range c.Base.EdgeKeys() {
-		c.keyIdx[k] = len(c.keys)
-		c.keys = append(c.keys, k)
+	base := c.Base.EdgeKeys()
+	c.keys = slices.Clone(base)
+	c.keyIdx.Reserve(len(base))
+	for i, k := range base {
+		c.keyIdx.Put(k, i)
 	}
 	c.started = true
 }
@@ -48,9 +49,9 @@ func (c *Churn) removeRandom(s *prf.Stream) (graph.EdgeKey, bool) {
 	k := c.keys[i]
 	last := len(c.keys) - 1
 	c.keys[i] = c.keys[last]
-	c.keyIdx[c.keys[i]] = i
+	c.keyIdx.Put(c.keys[i], i)
 	c.keys = c.keys[:last]
-	delete(c.keyIdx, k)
+	c.keyIdx.Delete(k)
 	return k, true
 }
 
@@ -62,10 +63,10 @@ func (c *Churn) addRandom(s *prf.Stream) (graph.EdgeKey, bool) {
 			continue
 		}
 		k := graph.MakeEdgeKey(u, v)
-		if _, ok := c.keyIdx[k]; ok {
+		if c.keyIdx.Has(k) {
 			continue
 		}
-		c.keyIdx[k] = len(c.keys)
+		c.keyIdx.Put(k, len(c.keys))
 		c.keys = append(c.keys, k)
 		return k, true
 	}

@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"dynlocal/internal/ckpt"
@@ -29,12 +30,11 @@ const tagWindow uint64 = 0x81
 func (w *Window) NoteCheckpoint() {
 	if !w.track {
 		w.track = true
-		w.dirtySpans = make(map[graph.EdgeKey]struct{})
 		w.dirtyExpiry = make([]bool, w.t)
 		w.dirtyPending = make([]bool, w.t)
 		w.dirtyByWake = make(map[int]struct{})
 	} else {
-		clear(w.dirtySpans)
+		w.dirtySpans.Clear()
 		clear(w.dirtyExpiry)
 		clear(w.dirtyPending)
 		clear(w.dirtyByWake)
@@ -58,27 +58,20 @@ func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
 	if base {
 		cw.Int(w.t)
 		cw.Int(w.n)
-		keys = slices.Grow(w.saveKeys[:0], len(w.spans))
-		for k := range w.spans {
-			keys = append(keys, k)
-		}
+		keys = w.sortedSpanKeys()
 		rounds = slices.Grow(w.saveRounds[:0], len(w.byWake))
 		for r := range w.byWake {
 			rounds = append(rounds, r)
 		}
 	} else {
-		keys = slices.Grow(w.saveKeys[:0], len(w.dirtySpans))
-		for k := range w.dirtySpans {
-			keys = append(keys, k)
-		}
+		w.scratch, w.sortTmp = w.dirtySpans.AppendSortedKeys(w.scratch[:0], w.sortTmp)
+		keys = w.scratch
 		rounds = slices.Grow(w.saveRounds[:0], len(w.dirtyByWake))
 		for r := range w.dirtyByWake {
 			rounds = append(rounds, r)
 		}
 	}
-	w.saveKeys, w.saveRounds = keys, rounds
-	w.saveTmp = slices.Grow(w.saveTmp[:0], len(keys))[:len(keys)]
-	keys = graph.SortEdgeKeys(keys, w.saveTmp)
+	w.saveRounds = rounds
 	slices.Sort(rounds)
 	cw.Int(w.round)
 
@@ -87,12 +80,12 @@ func (w *Window) SaveDelta(cw *ckpt.Writer, base bool) {
 	for _, k := range keys {
 		cw.Uvarint(uint64(k - prevKey))
 		prevKey = k
-		sp, ok := w.spans[k]
+		sp, ok := w.spans.Get(k)
 		cw.Bool(ok)
 		if ok {
 			cw.Bool(sp.present)
-			cw.Int(sp.lastSeen)
-			cw.Int(sp.streakStart)
+			cw.Int(int(sp.lastSeen))
+			cw.Int(int(sp.streakStart))
 			cw.Bool(sp.inInter)
 		}
 	}
@@ -158,8 +151,8 @@ func (w *Window) CheckTopology(m int, hasEdge func(graph.EdgeKey) bool, awake fu
 		}
 	}
 	present, shared := 0, 0
-	for k, sp := range w.spans {
-		if sp.present {
+	for _, k := range w.sortedSpanKeys() {
+		if sp, _ := w.spans.Get(k); sp.present {
 			present++
 			if hasEdge(k) {
 				shared++
@@ -197,8 +190,13 @@ func (w *Window) LoadDelta(cr *ckpt.Reader, base bool) {
 		}
 	}
 	round := cr.Int()
-	if cr.Err() == nil && round < w.round {
+	switch {
+	case cr.Err() != nil:
+	case round < w.round:
 		cr.Fail(fmt.Errorf("dyngraph: record round %d precedes window round %d", round, w.round))
+	case round > math.MaxInt32:
+		// Spans hold rounds as int32.
+		cr.Fail(fmt.Errorf("dyngraph: record round %d exceeds %d", round, math.MaxInt32))
 	}
 	if cr.Err() != nil {
 		return
@@ -227,18 +225,21 @@ func (w *Window) LoadDelta(cr *ckpt.Reader, base bool) {
 			return
 		}
 		if !exists {
-			delete(w.spans, k)
+			w.spans.Delete(k)
 			continue
 		}
-		sp := edgeSpan{}
-		sp.present = cr.Bool()
-		sp.lastSeen = cr.Int()
-		sp.streakStart = cr.Int()
-		sp.inInter = cr.Bool()
+		present := cr.Bool()
+		lastSeen := cr.Int()
+		streakStart := cr.Int()
+		inInter := cr.Bool()
 		if cr.Err() != nil {
 			return
 		}
-		w.spans[k] = sp
+		if lastSeen < 0 || lastSeen > round || streakStart < 0 || streakStart > round {
+			cr.Fail(fmt.Errorf("dyngraph: record span %v rounds (%d, %d) outside [0,%d]", k, lastSeen, streakStart, round))
+			return
+		}
+		w.spans.Put(k, edgeSpan{lastSeen: int32(lastSeen), streakStart: int32(streakStart), present: present, inInter: inInter})
 	}
 
 	nWake := cr.Count(w.n)

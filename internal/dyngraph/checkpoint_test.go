@@ -196,6 +196,25 @@ func TestWindowLoadStateRejects(t *testing.T) {
 		}
 	}
 
+	// Span rounds must lie in [0, record round] (round 5 here): spans
+	// hold them as int32.
+	key := w.sortedSpanKeys()[0]
+	for _, sp := range []edgeSpan{{lastSeen: -1}, {lastSeen: 6}, {streakStart: -1, present: true}, {streakStart: 6, present: true}} {
+		forged := NewWindow(3, n)
+		if err := load(forged, ck); err != nil {
+			t.Fatal(err)
+		}
+		forged.spans.Put(key, sp)
+		cw := ckpt.NewWriter(nil)
+		forged.SaveDelta(cw, true)
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := load(NewWindow(3, n), cw.Bytes()); err == nil || !strings.Contains(err.Error(), "outside [0,5]") {
+			t.Fatalf("span %+v restored with err = %v, want a rounds-range error", sp, err)
+		}
+	}
+
 	// A base only restores into a fresh window, and a delta only onto a
 	// restored base.
 	base := NewWindow(3, n)

@@ -235,6 +235,10 @@ var badDeltas = []struct {
 	{"remove-absent", nil, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, nil},
 	{"adds-unsorted", []graph.EdgeKey{graph.MakeEdgeKey(0, 3), graph.MakeEdgeKey(0, 2)}, nil, []graph.NodeID{2, 3}},
 	{"key-out-of-range", []graph.EdgeKey{graph.MakeEdgeKey(1, 9)}, nil, nil},
+	// An absent edge in both lists: an add-then-remove fold would put
+	// it in the union window although no round held it.
+	{"phantom", []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, []graph.NodeID{2}},
+	{"mirror", []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil},
 }
 
 // checkBadDeltas runs every badDeltas case through observe on a fresh

@@ -46,13 +46,16 @@ func (w *FracWindow) Round() int { return w.round }
 // ObserveEdgeDelta advances the window by one round's sorted topology
 // diff and newly awake nodes, with the contract of
 // Window.ObserveEdgeDelta: unsorted, out-of-range, sleeping-endpoint,
-// duplicate-add or absent-remove diffs panic. Aging the masks costs
-// O(|E^∪T|) per round.
+// duplicate-add, absent-remove or added-and-removed diffs panic. Aging
+// the masks costs O(|E^∪T|) per round.
 //
 //dynlint:sorted adds removes
 func (w *FracWindow) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph.NodeID) {
 	w.round++
 	r := w.round
+	if k, ok := graph.CommonKey(adds, removes); ok {
+		panicAddedAndRemoved(k, r)
+	}
 	for _, v := range wakeNow {
 		if w.wake[v] == 0 {
 			w.wake[v] = r

@@ -84,9 +84,12 @@ type StreamEncoder struct {
 	rounds    int
 	written   int
 	syncEvery int
-	present   map[graph.EdgeKey]struct{}
+	present   graph.EdgeTable[struct{}]
 	closed    bool
 	err       error
+	// varint is writeUvarint's scratch: a local array would escape to
+	// the heap through bufio's Write, one allocation per varint.
+	varint [binary.MaxVarintLen64]byte
 }
 
 // NewStreamEncoder starts a trace stream over an n-node universe holding
@@ -99,11 +102,10 @@ func NewStreamEncoder(w io.Writer, n, rounds int) (*StreamEncoder, error) {
 		return nil, fmt.Errorf("dyngraph: negative round count %d", rounds)
 	}
 	e := &StreamEncoder{
-		w:       w,
-		bw:      bufio.NewWriter(w),
-		n:       uint64(n),
-		rounds:  rounds,
-		present: make(map[graph.EdgeKey]struct{}),
+		w:      w,
+		bw:     bufio.NewWriter(w),
+		n:      uint64(n),
+		rounds: rounds,
 	}
 	if _, err := e.bw.WriteString(traceMagic); err != nil {
 		return nil, err
@@ -146,21 +148,8 @@ func (e *StreamEncoder) WriteRound(wake []graph.NodeID, adds, removes []graph.Ed
 	if err := e.validateEdgeList(r, "removed", removes); err != nil {
 		return e.fail(err)
 	}
-	for _, k := range adds {
-		if _, ok := e.present[k]; ok {
-			return e.fail(fmt.Errorf("dyngraph: trace round %d adds already-present edge %v", r, k))
-		}
-	}
-	for _, k := range removes {
-		if _, ok := e.present[k]; !ok {
-			return e.fail(fmt.Errorf("dyngraph: trace round %d removes absent edge %v", r, k))
-		}
-	}
-	for _, k := range adds {
-		e.present[k] = struct{}{}
-	}
-	for _, k := range removes {
-		delete(e.present, k)
+	if err := applyTraceDiff(&e.present, r, adds, removes); err != nil {
+		return e.fail(err)
 	}
 	e.writeUvarint(uint64(len(wake)))
 	for _, v := range wake {
@@ -250,6 +239,33 @@ func (e *StreamEncoder) validateEdgeList(r int, kind string, keys []graph.EdgeKe
 	return nil
 }
 
+// applyTraceDiff folds round r's diff into a codec's live edge set after
+// checking it against the set before the round: every added edge absent,
+// every removed edge present. Checking both lists first is what refuses
+// an absent edge listed in both, which an add-then-remove fold accepts.
+//
+//dynlint:sorted adds removes
+func applyTraceDiff(present *graph.EdgeTable[struct{}], r int, adds, removes []graph.EdgeKey) error {
+	for _, k := range adds {
+		if present.Has(k) {
+			return fmt.Errorf("dyngraph: trace round %d adds already-present edge %v", r, k)
+		}
+	}
+	for _, k := range removes {
+		if !present.Has(k) {
+			return fmt.Errorf("dyngraph: trace round %d removes absent edge %v", r, k)
+		}
+	}
+	present.Reserve(present.Len() + len(adds))
+	for _, k := range adds {
+		present.Put(k, struct{}{})
+	}
+	for _, k := range removes {
+		present.Delete(k)
+	}
+	return nil
+}
+
 // writeEdgeList emits a strictly ascending key list delta-encoded.
 func (e *StreamEncoder) writeEdgeList(keys []graph.EdgeKey) {
 	e.writeUvarint(uint64(len(keys)))
@@ -264,9 +280,8 @@ func (e *StreamEncoder) writeUvarint(v uint64) {
 	if e.err != nil {
 		return
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	if _, err := e.bw.Write(buf[:n]); err != nil {
+	n := binary.PutUvarint(e.varint[:], v)
+	if _, err := e.bw.Write(e.varint[:n]); err != nil {
 		e.err = err
 	}
 }
@@ -286,7 +301,7 @@ type StreamDecoder struct {
 	n       uint64
 	rounds  uint64
 	next    uint64
-	present map[graph.EdgeKey]struct{}
+	present graph.EdgeTable[struct{}]
 	cur     TraceRound
 	err     error
 }
@@ -323,20 +338,15 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	if rounds > MaxDecodeRounds {
 		return nil, fmt.Errorf("dyngraph: trace round count %d exceeds decode limit %d", rounds, MaxDecodeRounds)
 	}
-	return &StreamDecoder{
-		br:     br,
-		n:      n64,
-		rounds: rounds,
-		// present tracks the replayed edge set so the deltas are validated
-		// for consistency: every addition must be of an absent edge, every
-		// removal of a present one. Downstream delta consumers
-		// (adversary.ScriptedStream feeding the engine's adjacency)
-		// treat inconsistent diffs as programming errors and panic, so
-		// hostile wire input must be rejected here with an error instead.
-		// Memory is bounded by the input size — every tracked edge costs
-		// at least one encoded byte.
-		present: make(map[graph.EdgeKey]struct{}),
-	}, nil
+	// present tracks the replayed edge set so the deltas are validated
+	// for consistency: every addition must be of an absent edge, every
+	// removal of a present one. Downstream delta consumers
+	// (adversary.ScriptedStream feeding the engine's adjacency) treat
+	// inconsistent diffs as programming errors and panic, so hostile wire
+	// input must be rejected here with an error instead. Memory is
+	// bounded by the input size — every tracked edge costs at least one
+	// encoded byte.
+	return &StreamDecoder{br: br, n: n64, rounds: rounds}, nil
 }
 
 // N returns the declared node-universe size.
@@ -386,17 +396,8 @@ func (d *StreamDecoder) Next() (*TraceRound, error) {
 	if d.cur.Removes, err = d.readEdgeList(d.cur.Removes[:0]); err != nil {
 		return nil, d.fail(fmt.Errorf("dyngraph: trace round %d removed edges: %w", r, err))
 	}
-	for _, k := range d.cur.Adds {
-		if _, ok := d.present[k]; ok {
-			return nil, d.fail(fmt.Errorf("dyngraph: trace round %d adds already-present edge %v", r, k))
-		}
-		d.present[k] = struct{}{}
-	}
-	for _, k := range d.cur.Removes {
-		if _, ok := d.present[k]; !ok {
-			return nil, d.fail(fmt.Errorf("dyngraph: trace round %d removes absent edge %v", r, k))
-		}
-		delete(d.present, k)
+	if err := applyTraceDiff(&d.present, r, d.cur.Adds, d.cur.Removes); err != nil {
+		return nil, d.fail(err)
 	}
 	d.next++
 	d.cur.Round = r

@@ -310,9 +310,9 @@ func TestTraceReplayDeltasMatchesReplay(t *testing.T) {
 }
 
 // TestTraceDecodeRejectsInconsistentDeltas pins the decoder's delta
-// consistency validation: wire input whose rounds add a present edge or
-// remove an absent one must error out, since downstream delta consumers
-// treat such diffs as panics.
+// consistency validation: wire input whose rounds add a present edge,
+// remove an absent one or list one edge as both must error out, since
+// downstream delta consumers treat such diffs as panics.
 func TestTraceDecodeRejectsInconsistentDeltas(t *testing.T) {
 	cases := []struct {
 		name string
@@ -322,6 +322,9 @@ func TestTraceDecodeRejectsInconsistentDeltas(t *testing.T) {
 		{"re-add-present", corruptTrace(1, 4, 2, 0, 1, 1, 0, 0, 1, 1, 0)},
 		// n=4, 1 round: removes {0,1} which was never added.
 		{"remove-absent", corruptTrace(1, 4, 1, 0, 0, 1, 1)},
+		// n=4, 1 round: adds and removes the absent {0,1} (a phantom
+		// diff, which an add-then-remove fold would accept).
+		{"phantom", corruptTrace(1, 4, 1, 0, 1, 1, 1, 1)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -48,11 +48,13 @@ import (
 // round graph, when its current/most recent streak started, when it was
 // last present (maintained only while absent — for a present edge the last
 // round seen is implicitly the current round), and whether it is currently
-// a member of the intersection graph E^∩T.
+// a member of the intersection graph E^∩T. The rounds are int32 so a span
+// packs into 12 bytes; records write them as varints, and LoadDelta
+// refuses rounds outside [0, record round].
 type edgeSpan struct {
+	lastSeen    int32
+	streakStart int32
 	present     bool
-	lastSeen    int
-	streakStart int
 	inInter     bool
 }
 
@@ -83,16 +85,17 @@ type Delta struct {
 // sequence. Rounds are 1-based: the first observation is round 1 and
 // round 0 is the empty graph G_0 = (∅, ∅) of the model.
 //
-// Invariant: after every observation, the spans map holds exactly the
+// Invariant: after every observation, the spans table holds exactly the
 // edges of E^∪T_r (present edges are always union members), and an
 // edgeSpan's inInter flag holds exactly for E^∩T_r.
 type Window struct {
 	t       int
 	n       int
 	round   int
-	spans   map[graph.EdgeKey]edgeSpan
+	spans   graph.EdgeTable[edgeSpan]
 	wake    []int           // wake[v] = round v woke up, 0 if still asleep
-	scratch []graph.EdgeKey // reused by graph materialization
+	scratch []graph.EdgeKey // sorted span keys of the walks, and the radix
+	sortTmp []graph.EdgeKey // sort's buffer, reused across walks and records
 
 	// Ring buffers, both with one slot per window offset. expiry[j%t]
 	// holds edges whose presence streak ended in round j — pushed when the
@@ -114,14 +117,12 @@ type Window struct {
 	// never join a checkpoint chain pay nothing — every mark site is
 	// guarded by track.
 	track        bool
-	dirtySpans   map[graph.EdgeKey]struct{}
+	dirtySpans   graph.EdgeTable[struct{}]
 	dirtyWake    []graph.NodeID
 	dirtyExpiry  []bool
 	dirtyPending []bool
 	dirtyByWake  map[int]struct{}
-	saveKeys     []graph.EdgeKey // SaveDelta's span keys and radix-sort
-	saveTmp      []graph.EdgeKey // buffer, reused across records
-	saveRounds   []int           // SaveDelta's bucket rounds, reused too
+	saveRounds   []int // SaveDelta's bucket rounds, reused across records
 }
 
 // NewWindow creates a window of size t >= 1 over a node universe of size n.
@@ -132,7 +133,6 @@ func NewWindow(t, n int) *Window {
 	return &Window{
 		t:       t,
 		n:       n,
-		spans:   make(map[graph.EdgeKey]edgeSpan),
 		wake:    make([]int, n),
 		expiry:  make([][]graph.EdgeKey, t),
 		pending: make([][]graph.EdgeKey, t),
@@ -172,7 +172,8 @@ func (w *Window) windowStart() int {
 // newly awake nodes. Per-round cost is O(|adds| + |removes| + |wakeNow|),
 // independent of |E_r|. Added edges must only touch awake nodes (after
 // wakeNow is applied) — the model only allows edges between awake nodes —
-// and unsorted, out-of-range, duplicate-add or absent-remove diffs panic.
+// and unsorted, out-of-range, duplicate-add or absent-remove diffs panic,
+// as do diffs listing one edge in both adds and removes.
 // The returned Delta aliases buffers reused by the next call; copy
 // anything retained beyond the round.
 //
@@ -188,6 +189,9 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 	d.InterRemoved = d.InterRemoved[:0]
 	d.UnionAdded = d.UnionAdded[:0]
 	d.UnionRemoved = d.UnionRemoved[:0]
+	if k, ok := graph.CommonKey(adds, removes); ok {
+		panicAddedAndRemoved(k, r)
+	}
 
 	for _, v := range wakeNow {
 		if w.wake[v] == 0 {
@@ -201,10 +205,16 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 	}
 
 	// Edges entering G_r: fresh streak, union membership (spans holds
-	// exactly E^∪T, so presence in the map is the membership test), and a
+	// exactly E^∪T, so presence in the table is the membership test), and a
 	// scheduled intersection arrival t-1 rounds out. Edges that persist
 	// from G_{r-1} are never touched — that is the whole point.
-	pend := w.pending[(r+w.t-1)%w.t]
+	//
+	// Each output list grows at most by its input list, so growing it
+	// once up front spares a large diff (round 1's whole edge set) the
+	// doubling copies.
+	pend := slices.Grow(w.pending[(r+w.t-1)%w.t], len(adds))
+	d.UnionAdded = slices.Grow(d.UnionAdded, len(adds))
+	w.spans.Reserve(w.spans.Len() + len(adds))
 	for i, k := range adds {
 		if i > 0 && adds[i-1] >= k {
 			panicUnsorted("adds")
@@ -216,7 +226,7 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 		if w.wake[u] == 0 || w.wake[v] == 0 {
 			panicSleepingEdge(u, v, r)
 		}
-		sp, ok := w.spans[k]
+		sp, ok := w.spans.Get(k)
 		if ok && sp.present {
 			panicPresentAdd(k, r)
 		}
@@ -224,11 +234,11 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 			d.UnionAdded = append(d.UnionAdded, k)
 		}
 		sp.present = true
-		sp.streakStart = r
-		w.spans[k] = sp
+		sp.streakStart = int32(r)
+		w.spans.Put(k, sp)
 		pend = append(pend, k)
 		if w.track {
-			w.dirtySpans[k] = struct{}{}
+			w.dirtySpans.Put(k, struct{}{})
 		}
 	}
 	w.pending[(r+w.t-1)%w.t] = pend
@@ -239,25 +249,26 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 	// Edges leaving G_r: the streak ended in round r-1, which breaks
 	// intersection membership now and schedules union expiry for round
 	// r-1+t.
-	push := w.expiry[(r-1)%w.t]
+	push := slices.Grow(w.expiry[(r-1)%w.t], len(removes))
+	d.InterRemoved = slices.Grow(d.InterRemoved, len(removes))
 	for i, k := range removes {
 		if i > 0 && removes[i-1] >= k {
 			panicUnsorted("removes")
 		}
-		sp, ok := w.spans[k]
+		sp, ok := w.spans.Get(k)
 		if !ok || !sp.present {
 			panicAbsentRemove(k, r)
 		}
 		sp.present = false
-		sp.lastSeen = r - 1
+		sp.lastSeen = int32(r - 1)
 		if sp.inInter {
 			sp.inInter = false
 			d.InterRemoved = append(d.InterRemoved, k)
 		}
-		w.spans[k] = sp
+		w.spans.Put(k, sp)
 		push = append(push, k)
 		if w.track {
-			w.dirtySpans[k] = struct{}{}
+			w.dirtySpans.Put(k, struct{}{})
 		}
 	}
 	w.expiry[(r-1)%w.t] = push
@@ -272,12 +283,13 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 	// sorted.
 	slot := w.expiry[r%w.t]
 	if len(slot) > 0 {
+		d.UnionRemoved = slices.Grow(d.UnionRemoved, len(slot))
 		for _, k := range slot {
-			if sp, ok := w.spans[k]; ok && !sp.present && sp.lastSeen == r-w.t {
-				delete(w.spans, k)
+			if sp, ok := w.spans.Get(k); ok && !sp.present && int(sp.lastSeen) == r-w.t {
+				w.spans.Delete(k)
 				d.UnionRemoved = append(d.UnionRemoved, k)
 				if w.track {
-					w.dirtySpans[k] = struct{}{}
+					w.dirtySpans.Put(k, struct{}{})
 				}
 			}
 		}
@@ -296,13 +308,14 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 	pslot := w.pending[r%w.t]
 	if len(pslot) > 0 {
 		a0 := r - w.t + 1
+		d.InterAdded = slices.Grow(d.InterAdded, len(pslot))
 		for _, k := range pslot {
-			if sp, ok := w.spans[k]; ok && sp.present && sp.streakStart == a0 && !sp.inInter {
+			if sp, ok := w.spans.Get(k); ok && sp.present && int(sp.streakStart) == a0 && !sp.inInter {
 				sp.inInter = true
-				w.spans[k] = sp
+				w.spans.Put(k, sp)
 				d.InterAdded = append(d.InterAdded, k)
 				if w.track {
-					w.dirtySpans[k] = struct{}{}
+					w.dirtySpans.Put(k, struct{}{})
 				}
 			}
 		}
@@ -340,8 +353,9 @@ func panicUnsorted(which string) {
 	panic("dyngraph: ObserveEdgeDelta " + which + " not strictly ascending")
 }
 
-// panicOutOfUniverse, panicPresentAdd and panicAbsentRemove are the cold
-// paths for diffs that are not an edge change of the universe.
+// panicOutOfUniverse, panicPresentAdd, panicAbsentRemove and
+// panicAddedAndRemoved are the cold paths for diffs that are not an edge
+// change of the universe.
 func panicOutOfUniverse(k graph.EdgeKey, n int) {
 	panic(fmt.Sprintf("dyngraph: edge key %s outside universe [0,%d)", k, n))
 }
@@ -352,6 +366,10 @@ func panicPresentAdd(k graph.EdgeKey, r int) {
 
 func panicAbsentRemove(k graph.EdgeKey, r int) {
 	panic(fmt.Sprintf("dyngraph: remove of absent edge %s in round %d", k, r))
+}
+
+func panicAddedAndRemoved(k graph.EdgeKey, r int) {
+	panic(fmt.Sprintf("dyngraph: edge %s both added and removed in round %d", k, r))
 }
 
 // AwakeSince reports the round node v woke up, or 0 if asleep.
@@ -386,7 +404,8 @@ func (w *Window) InIntersection(u, v graph.NodeID) bool {
 	if u == v {
 		return false
 	}
-	return w.spans[graph.MakeEdgeKey(u, v)].inInter
+	sp, _ := w.spans.Get(graph.MakeEdgeKey(u, v))
+	return sp.inInter
 }
 
 // InUnion reports whether {u,v} ∈ E^∪T_r.
@@ -394,33 +413,43 @@ func (w *Window) InUnion(u, v graph.NodeID) bool {
 	if u == v {
 		return false
 	}
-	_, ok := w.spans[graph.MakeEdgeKey(u, v)]
-	return ok
+	return w.spans.Has(graph.MakeEdgeKey(u, v))
+}
+
+// sortedSpanKeys returns the keys of E^∪T_r ascending, in the window's
+// scratch (valid until the next walk).
+func (w *Window) sortedSpanKeys() []graph.EdgeKey {
+	w.scratch, w.sortTmp = w.spans.AppendSortedKeys(w.scratch[:0], w.sortTmp)
+	return w.scratch
+}
+
+// WalkUnion calls fn for every edge of E^∪T_r in ascending key order,
+// with whether the edge is also in E^∩T_r.
+func (w *Window) WalkUnion(fn func(k graph.EdgeKey, inInter bool)) {
+	for _, k := range w.sortedSpanKeys() {
+		sp, _ := w.spans.Get(k)
+		fn(k, sp.inInter)
+	}
 }
 
 // IntersectionGraph materializes G^∩T_r (empty before round T). The key
 // scratch buffer is reused across calls; the returned graph is fresh.
 func (w *Window) IntersectionGraph() *graph.Graph {
-	keys := w.scratch[:0]
-	for k, sp := range w.spans {
-		if sp.inInter {
-			keys = append(keys, k)
+	keys := w.sortedSpanKeys()
+	inter := keys[:0]
+	for _, k := range keys {
+		if sp, _ := w.spans.Get(k); sp.inInter {
+			inter = append(inter, k)
 		}
 	}
-	w.scratch = keys
-	return graph.FromEdges(w.n, keys)
+	return graph.FromSortedEdges(w.n, inter)
 }
 
 // UnionGraph materializes G^∪T_r (all edges seen within the window; the
 // covering checker evaluates it on CoreNodes, matching Definition 2.1's
 // vertex set V^∩T_r).
 func (w *Window) UnionGraph() *graph.Graph {
-	keys := w.scratch[:0]
-	for k := range w.spans {
-		keys = append(keys, k)
-	}
-	w.scratch = keys
-	return graph.FromEdges(w.n, keys)
+	return graph.FromSortedEdges(w.n, w.sortedSpanKeys())
 }
 
 // Full reports whether the window spans t observed rounds, i.e. whether
@@ -437,12 +466,12 @@ type Stats struct {
 
 // Stats computes the current summary.
 func (w *Window) Stats() Stats {
-	st := Stats{Round: w.round, UnionEdges: len(w.spans)}
-	for _, sp := range w.spans {
-		if sp.inInter {
+	st := Stats{Round: w.round, UnionEdges: w.spans.Len()}
+	w.WalkUnion(func(_ graph.EdgeKey, inInter bool) {
+		if inInter {
 			st.IntersectionEdges++
 		}
-	}
+	})
 	st.CoreNodes = len(w.CoreNodes())
 	return st
 }

@@ -221,8 +221,8 @@ func TestWindowPurgeKeepsSemantics(t *testing.T) {
 	if !w.UnionGraph().Equal(wantUnion) {
 		t.Fatal("union wrong after purges")
 	}
-	if len(w.spans) > 4*wantUnion.M()+4*T {
-		t.Fatalf("span map not purged: %d entries for %d union edges", len(w.spans), wantUnion.M())
+	if w.spans.Len() > 4*wantUnion.M()+4*T {
+		t.Fatalf("span table not purged: %d entries for %d union edges", w.spans.Len(), wantUnion.M())
 	}
 }
 

@@ -123,7 +123,6 @@ func (e *Engine) NoteCheckpoint(base bool, sum uint32) {
 		e.ckptTrack = true
 		e.dirtyNode = make([]bool, e.cfg.N)
 		e.dirtyOut = make([]bool, e.cfg.N)
-		e.topDirty = make(map[graph.EdgeKey]bool)
 	} else {
 		for _, v := range e.dirtyList {
 			e.dirtyNode[v] = false
@@ -131,7 +130,7 @@ func (e *Engine) NoteCheckpoint(base bool, sum uint32) {
 		for _, v := range e.dirtyOutList {
 			e.dirtyOut[v] = false
 		}
-		clear(e.topDirty)
+		e.topDirty.Clear()
 	}
 	e.dirtyList = e.dirtyList[:0]
 	e.dirtyOutList = e.dirtyOutList[:0]
@@ -364,17 +363,15 @@ func (e *Engine) baseList(keep func(v int) bool) []graph.NodeID {
 // as ascending adds and removes, in the engine's record scratch (valid
 // until the next call).
 func (e *Engine) topologyDiff() (adds, rems []graph.EdgeKey) {
-	adds = slices.Grow(e.diffAdds[:0], len(e.topDirty))
-	rems = slices.Grow(e.diffRems[:0], len(e.topDirty))
-	for k, added := range e.topDirty {
-		if added {
+	e.diffKeys, e.diffTmp = e.topDirty.AppendSortedKeys(e.diffKeys[:0], e.diffTmp)
+	adds, rems = e.diffAdds[:0], e.diffRems[:0]
+	for _, k := range e.diffKeys {
+		if added, _ := e.topDirty.Get(k); added {
 			adds = append(adds, k)
 		} else {
 			rems = append(rems, k)
 		}
 	}
-	slices.Sort(adds)
-	slices.Sort(rems)
 	e.diffAdds, e.diffRems = adds, rems
 	return adds, rems
 }

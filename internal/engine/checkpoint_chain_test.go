@@ -488,8 +488,8 @@ func TestCheckpointChainRejectsBadTopologyDiff(t *testing.T) {
 			for u := graph.NodeID(0); u < n && !forged; u++ {
 				for v := u + 1; v < n && !forged; v++ {
 					k := graph.MakeEdgeKey(u, v)
-					if _, moved := e.topDirty[k]; !moved && e.awake[u] && e.awake[v] && has(u, v) == tc.added {
-						e.topDirty[k] = tc.added
+					if !e.topDirty.Has(k) && e.awake[u] && e.awake[v] && has(u, v) == tc.added {
+						e.topDirty.Put(k, tc.added)
 						forged = true
 					}
 				}

@@ -406,19 +406,21 @@ type Engine struct {
 	// serializes exactly these marks; NoteCheckpoint resets them once a
 	// record survives.
 	ckptTrack    bool
-	ckptSeq      uint64                 // records persisted in the current chain
-	ckptSum      uint32                 // CRC-32 fingerprint of the last record
-	ckptRound    int                    // round the last record captured
-	dirtyNode    []bool                 // node state touched since last record
-	dirtyList    []graph.NodeID         // set bits of dirtyNode, unsorted
-	dirtyOut     []bool                 // output changed since last record
-	dirtyOutList []graph.NodeID         // set bits of dirtyOut, unsorted
-	topDirty     map[graph.EdgeKey]bool // net edge diff: true=added, false=removed
-	activeDirty  bool                   // active list changed since last record
-	ckptScratch  []graph.NodeID         // a base record's node lists (checkpoint.go)
-	diffAdds     []graph.EdgeKey        // a delta record's added edges (topologyDiff)
-	diffRems     []graph.EdgeKey        // a delta record's removed edges (topologyDiff)
-	recW         ckpt.Writer            // record encoder; its buffer is kept across records
+	ckptSeq      uint64                // records persisted in the current chain
+	ckptSum      uint32                // CRC-32 fingerprint of the last record
+	ckptRound    int                   // round the last record captured
+	dirtyNode    []bool                // node state touched since last record
+	dirtyList    []graph.NodeID        // set bits of dirtyNode, unsorted
+	dirtyOut     []bool                // output changed since last record
+	dirtyOutList []graph.NodeID        // set bits of dirtyOut, unsorted
+	topDirty     graph.EdgeTable[bool] // net edge diff: true=added, false=removed
+	activeDirty  bool                  // active list changed since last record
+	ckptScratch  []graph.NodeID        // a base record's node lists (checkpoint.go)
+	diffKeys     []graph.EdgeKey       // a delta record's diff keys, sorted (topologyDiff)
+	diffTmp      []graph.EdgeKey       // their radix sort's buffer
+	diffAdds     []graph.EdgeKey       // a delta record's added edges (topologyDiff)
+	diffRems     []graph.EdgeKey       // a delta record's removed edges (topologyDiff)
+	recW         ckpt.Writer           // record encoder; its buffer is kept across records
 
 	observers []func(*RoundInfo)
 }
@@ -519,6 +521,9 @@ func (e *Engine) Step() *RoundInfo {
 	// The round's topology is the step's sorted diff; no CSR graph is
 	// built here.
 	adds, removes := st.EdgeAdds, st.EdgeRemoves
+	if k, ok := graph.CommonKey(adds, removes); ok {
+		panic(fmt.Sprintf("engine: round %d lists edge %v as both added and removed", r, k))
+	}
 	if e.ckptTrack {
 		for _, k := range adds {
 			e.markEdgeDirty(k, true)
@@ -609,11 +614,11 @@ func (e *Engine) markOutDirty(v graph.NodeID) {
 // the last record, with exact cancellation: an edge added and then
 // removed (or vice versa) between two records vanishes from the delta.
 func (e *Engine) markEdgeDirty(k graph.EdgeKey, added bool) {
-	if prev, ok := e.topDirty[k]; ok && prev != added {
-		delete(e.topDirty, k)
+	if prev, ok := e.topDirty.Get(k); ok && prev != added {
+		e.topDirty.Delete(k)
 		return
 	}
-	e.topDirty[k] = added
+	e.topDirty.Put(k, added)
 }
 
 // touch marks a node hit by the round's topology diff: it re-enters the

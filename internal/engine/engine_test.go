@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -264,6 +265,40 @@ func TestEnginePanicsOnSleepingEdge(t *testing.T) {
 		}
 	}()
 	e.Step()
+}
+
+// TestEnginePanicsOnAddedAndRemovedEdge feeds the engine a round-2 diff
+// listing {0,1} in both lists, once absent before the round (a phantom:
+// an add-then-remove fold would accept it) and once present (the
+// mirror). The engine must refuse both at the adversary seat, naming the
+// round and the edge.
+func TestEnginePanicsOnAddedAndRemovedEdge(t *testing.T) {
+	k := graph.MakeEdgeKey(0, 1)
+	for _, tc := range []struct {
+		name   string
+		round1 []graph.EdgeKey
+	}{
+		{"phantom", nil},
+		{"mirror", []graph.EdgeKey{k}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			adv := adversaryFunc(func(v adversary.View) adversary.Step {
+				if v.Round() == 1 {
+					return adversary.Step{Wake: adversary.AllNodes(3), EdgeAdds: tc.round1}
+				}
+				return adversary.Step{EdgeAdds: []graph.EdgeKey{k}, EdgeRemoves: []graph.EdgeKey{k}}
+			})
+			e := New(Config{N: 3, Seed: 1}, adv, degreeAlgo{})
+			e.Step()
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "engine: round 2 ") || !strings.Contains(msg, k.String()) {
+					t.Fatalf("panic %q, want the engine naming round 2 and edge %v", msg, k)
+				}
+			}()
+			e.Step()
+		})
+	}
 }
 
 func TestEnginePanicsOnWrongGraphSize(t *testing.T) {

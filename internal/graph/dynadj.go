@@ -12,9 +12,9 @@ import (
 // from the rows (Graph) only when an observer asks for one.
 //
 // Apply enforces the delta contract (strictly ascending canonical keys,
-// adds absent, removes present, endpoints in the universe) and panics on
-// violations, so a diverged topology source is caught at the round it
-// diverges even when no graph is ever built.
+// adds and removes disjoint, adds absent, removes present, endpoints in
+// the universe) and panics on violations, so a diverged topology source
+// is caught at the round it diverges even when no graph is ever built.
 type DynAdj struct {
 	n    int
 	m    int
@@ -98,13 +98,16 @@ func (a *DynAdj) remove(v, u NodeID) {
 
 // Apply folds one sorted edge diff into the adjacency. adds and removes
 // must be strictly ascending canonical edge keys with endpoints inside
-// the universe; every added edge must be absent and every removed edge
-// present. Cost is O(Σ deg(endpoint)) over the diff's endpoints, and zero
+// the universe, and disjoint; every added edge must be absent and every
+// removed edge present. Cost is O(Σ deg(endpoint)) over the diff's endpoints, and zero
 // steady-state allocations once rows have grown to their working
 // capacity.
 //
 //dynlint:sorted adds removes
 func (a *DynAdj) Apply(adds, removes []EdgeKey) {
+	if k, ok := CommonKey(adds, removes); ok {
+		panic(fmt.Sprintf("graph: DynAdj.Apply lists edge %s as both added and removed", k))
+	}
 	var last EdgeKey
 	for i, k := range adds {
 		if i > 0 && k <= last {
@@ -128,6 +131,28 @@ func (a *DynAdj) Apply(adds, removes []EdgeKey) {
 		}
 		a.RemoveEdge(u, v)
 	}
+}
+
+// CommonKey returns the smallest key in both of two strictly ascending
+// lists, in one merge walk: O(len(a) + len(b)). An edge diff whose adds
+// and removes share a key is no diff of two graphs — an absent edge in
+// both would pass an add-then-remove fold while no round held it — so
+// every consumer of a caller's diff refuses one.
+//
+//dynlint:sorted a b
+func CommonKey(a, b []EdgeKey) (EdgeKey, bool) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return a[i], true
+		}
+	}
+	return 0, false
 }
 
 // Graph returns the current topology as a CSR graph built straight from

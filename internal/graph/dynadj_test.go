@@ -259,7 +259,34 @@ func TestDynAdjPanicsOnBadDeltas(t *testing.T) {
 		{"add-edge-out-of-range", func(a *DynAdj) { a.AddEdge(7, 8) }},
 		{"apply-remove-absent-in-row", func(a *DynAdj) { a.Apply(nil, []EdgeKey{MakeEdgeKey(0, 2)}) }},
 		{"apply-out-of-universe", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(7, 8)}, nil) }},
+		// An absent edge in both lists would pass an add-then-remove fold
+		// and leave M at 2, though no round held the edge.
+		{"apply-phantom", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(0, 2)}, []EdgeKey{MakeEdgeKey(0, 2)}) }},
+		{"apply-mirror", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(0, 1)}, []EdgeKey{MakeEdgeKey(0, 1)}) }},
 	})
+}
+
+// TestCommonKey checks the disjointness walk against a pairwise scan.
+func TestCommonKey(t *testing.T) {
+	k := func(u, v NodeID) EdgeKey { return MakeEdgeKey(u, v) }
+	for _, tc := range []struct {
+		a, b []EdgeKey
+		want EdgeKey
+		ok   bool
+	}{
+		{nil, nil, 0, false},
+		{[]EdgeKey{k(0, 1)}, nil, 0, false},
+		{[]EdgeKey{k(0, 1), k(2, 3)}, []EdgeKey{k(0, 2), k(1, 3)}, 0, false},
+		{[]EdgeKey{k(0, 1), k(2, 3)}, []EdgeKey{k(0, 2), k(2, 3)}, k(2, 3), true},
+		{[]EdgeKey{k(0, 3), k(1, 2), k(4, 5)}, []EdgeKey{k(1, 2), k(4, 5)}, k(1, 2), true},
+	} {
+		if got, ok := CommonKey(tc.a, tc.b); got != tc.want || ok != tc.ok {
+			t.Errorf("CommonKey(%v, %v) = (%v, %v), want (%v, %v)", tc.a, tc.b, got, ok, tc.want, tc.ok)
+		}
+		if got, ok := CommonKey(tc.b, tc.a); got != tc.want || ok != tc.ok {
+			t.Errorf("CommonKey(%v, %v) = (%v, %v), want (%v, %v)", tc.b, tc.a, got, ok, tc.want, tc.ok)
+		}
+	}
 }
 
 // keyDelta is one sorted edge diff of a benchmark or allocation cycle.

@@ -2,7 +2,6 @@ package problems
 
 import (
 	"fmt"
-	"slices"
 
 	"dynlocal/internal/graph"
 )
@@ -64,16 +63,6 @@ func (f *nodeFlags) set(v graph.NodeID, bad bool) {
 	}
 }
 
-// sortedEdgeKeys returns the map's keys ascending, reusing scratch.
-func sortedEdgeKeys(m map[graph.EdgeKey]struct{}, scratch []graph.EdgeKey) []graph.EdgeKey {
-	keys := scratch[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // --- Independent set (packing M_P) ---------------------------------------
 
 type independentSetTracker struct {
@@ -81,18 +70,18 @@ type independentSetTracker struct {
 	active    []bool
 	adj       *graph.DynAdj
 	invalid   nodeFlags // active nodes with out-of-domain values
-	conflicts map[graph.EdgeKey]struct{}
-	scratch   []graph.EdgeKey
+	conflicts graph.EdgeTable[struct{}]
+	scratch   []graph.EdgeKey // sorted conflicts, and their sort buffer
+	sortTmp   []graph.EdgeKey
 }
 
 // NewTracker returns the incremental checker for M_P.
 func (IndependentSet) NewTracker(n int) Tracker {
 	return &independentSetTracker{
-		vals:      make([]Value, n),
-		active:    make([]bool, n),
-		adj:       graph.NewDynAdj(n),
-		invalid:   newNodeFlags(n),
-		conflicts: make(map[graph.EdgeKey]struct{}),
+		vals:    make([]Value, n),
+		active:  make([]bool, n),
+		adj:     graph.NewDynAdj(n),
+		invalid: newNodeFlags(n),
 	}
 }
 
@@ -104,9 +93,9 @@ func (t *independentSetTracker) evalUnary(v graph.NodeID) {
 func (t *independentSetTracker) evalPair(u, v graph.NodeID) {
 	k := graph.MakeEdgeKey(u, v)
 	if t.active[u] && t.active[v] && t.vals[u] == InMIS && t.vals[v] == InMIS {
-		t.conflicts[k] = struct{}{}
+		t.conflicts.Put(k, struct{}{})
 	} else {
-		delete(t.conflicts, k)
+		t.conflicts.Delete(k)
 	}
 }
 
@@ -125,7 +114,7 @@ func (t *independentSetTracker) EdgeAdded(u, v graph.NodeID) {
 
 func (t *independentSetTracker) EdgeRemoved(u, v graph.NodeID) {
 	t.adj.RemoveEdge(u, v)
-	delete(t.conflicts, graph.MakeEdgeKey(u, v))
+	t.conflicts.Delete(graph.MakeEdgeKey(u, v))
 }
 
 func (t *independentSetTracker) OutputChanged(v graph.NodeID, val Value) {
@@ -137,7 +126,7 @@ func (t *independentSetTracker) OutputChanged(v graph.NodeID, val Value) {
 }
 
 func (t *independentSetTracker) Violations() []Violation {
-	if t.invalid.count == 0 && len(t.conflicts) == 0 {
+	if t.invalid.count == 0 && t.conflicts.Len() == 0 {
 		return nil
 	}
 	var bad []Violation
@@ -149,7 +138,7 @@ func (t *independentSetTracker) Violations() []Violation {
 			}
 		}
 	}
-	t.scratch = sortedEdgeKeys(t.conflicts, t.scratch)
+	t.scratch, t.sortTmp = t.conflicts.AppendSortedKeys(t.scratch[:0], t.sortTmp)
 	for _, k := range t.scratch {
 		u, v := k.Nodes()
 		bad = append(bad, Violation{Node: u, Peer: v, Reason: "adjacent MIS nodes"})
@@ -265,27 +254,27 @@ type properColoringTracker struct {
 	active    []bool
 	adj       *graph.DynAdj
 	invalid   nodeFlags // active nodes with negative colors
-	conflicts map[graph.EdgeKey]struct{}
-	scratch   []graph.EdgeKey
+	conflicts graph.EdgeTable[struct{}]
+	scratch   []graph.EdgeKey // sorted conflicts, and their sort buffer
+	sortTmp   []graph.EdgeKey
 }
 
 // NewTracker returns the incremental checker for C_P.
 func (ProperColoring) NewTracker(n int) Tracker {
 	return &properColoringTracker{
-		vals:      make([]Value, n),
-		active:    make([]bool, n),
-		adj:       graph.NewDynAdj(n),
-		invalid:   newNodeFlags(n),
-		conflicts: make(map[graph.EdgeKey]struct{}),
+		vals:    make([]Value, n),
+		active:  make([]bool, n),
+		adj:     graph.NewDynAdj(n),
+		invalid: newNodeFlags(n),
 	}
 }
 
 func (t *properColoringTracker) evalPair(u, v graph.NodeID) {
 	k := graph.MakeEdgeKey(u, v)
 	if t.active[u] && t.active[v] && t.vals[u] != Bot && t.vals[u] == t.vals[v] {
-		t.conflicts[k] = struct{}{}
+		t.conflicts.Put(k, struct{}{})
 	} else {
-		delete(t.conflicts, k)
+		t.conflicts.Delete(k)
 	}
 }
 
@@ -304,7 +293,7 @@ func (t *properColoringTracker) EdgeAdded(u, v graph.NodeID) {
 
 func (t *properColoringTracker) EdgeRemoved(u, v graph.NodeID) {
 	t.adj.RemoveEdge(u, v)
-	delete(t.conflicts, graph.MakeEdgeKey(u, v))
+	t.conflicts.Delete(graph.MakeEdgeKey(u, v))
 }
 
 func (t *properColoringTracker) OutputChanged(v graph.NodeID, val Value) {
@@ -318,7 +307,7 @@ func (t *properColoringTracker) OutputChanged(v graph.NodeID, val Value) {
 }
 
 func (t *properColoringTracker) Violations() []Violation {
-	if t.invalid.count == 0 && len(t.conflicts) == 0 {
+	if t.invalid.count == 0 && t.conflicts.Len() == 0 {
 		return nil
 	}
 	var bad []Violation
@@ -330,7 +319,7 @@ func (t *properColoringTracker) Violations() []Violation {
 			}
 		}
 	}
-	t.scratch = sortedEdgeKeys(t.conflicts, t.scratch)
+	t.scratch, t.sortTmp = t.conflicts.AppendSortedKeys(t.scratch[:0], t.sortTmp)
 	for _, k := range t.scratch {
 		u, v := k.Nodes()
 		bad = append(bad, Violation{Node: u, Peer: v,

@@ -156,14 +156,15 @@ func (c *TDynamic) FinishChain() error {
 			c.ct.OutputChanged(graph.NodeID(i), val)
 		}
 	}
-	for _, k := range c.window.IntersectionGraph().EdgeKeys() {
+	// One ascending walk of the spans feeds both trackers: the packing
+	// tracker the edges of G^∩T, the covering tracker those of G^∪T.
+	c.window.WalkUnion(func(k graph.EdgeKey, inInter bool) {
 		u, v := k.Nodes()
-		c.pt.EdgeAdded(u, v)
-	}
-	for _, k := range c.window.UnionGraph().EdgeKeys() {
-		u, v := k.Nodes()
+		if inInter {
+			c.pt.EdgeAdded(u, v)
+		}
 		c.ct.EdgeAdded(u, v)
-	}
+	})
 	core := c.window.CoreNodes()
 	for _, v := range core {
 		c.pt.Activate(v)
