@@ -36,8 +36,8 @@
 //     universe and edges only touch awake nodes (the engine asserts this
 //     on every added edge); wake-ups are monotone, V_{r-1} ⊆ V_r.
 //   - Diffs describe the change against the adversary's previous round
-//     exactly (strictly ascending keys, adds absent before, removes
-//     present before); the engine panics on any divergence.
+//     exactly, as graph.CheckDiff defines it; the engine panics on any
+//     divergence, naming the round.
 //   - Diff slices may alias adversary-owned buffers (or immutable graphs'
 //     key views) that are reused on the next Step — consumers must finish
 //     with them within the round.
@@ -61,10 +61,9 @@ import (
 // previous round (round 1 diffs against the empty graph G_0).
 type Step struct {
 	Wake []graph.NodeID // nodes waking up at the start of round r
-	// EdgeAdds and EdgeRemoves are strictly ascending canonical keys,
-	// every added edge absent from and every removed edge present in the
-	// previous round's topology. The slices may alias adversary-owned
-	// buffers reused on the next Step.
+	// EdgeAdds and EdgeRemoves are an exact diff against the previous
+	// round's topology, as graph.CheckDiff defines it. The slices may
+	// alias adversary-owned buffers reused on the next Step.
 	//dynlint:loan
 	//dynlint:sorted
 	EdgeAdds, EdgeRemoves []graph.EdgeKey

@@ -2,11 +2,13 @@ package adversary
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
 	"dynlocal/internal/dyngraph"
 	"dynlocal/internal/graph"
+	"dynlocal/internal/graph/graphtest"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
 )
@@ -45,12 +47,14 @@ type played struct {
 	G *graph.Graph
 }
 
-// play advances the adversary one round and folds its diff (the
-// adjacency panics on an inexact one).
+// play advances the adversary one round and folds its diff, panicking
+// on one the adjacency refuses.
 func (f *fakeView) play(a Adversary) played {
 	f.round++
 	st := a.Step(f)
-	f.adj.Apply(st.EdgeAdds, st.EdgeRemoves)
+	if err := f.adj.Apply(st.EdgeAdds, st.EdgeRemoves); err != nil {
+		panic(fmt.Sprintf("round %d: %v", f.round, err))
+	}
 	return played{Step: st, G: f.adj.Graph()}
 }
 
@@ -656,43 +660,31 @@ func TestDeltaStepsAreExactDiffs(t *testing.T) {
 }
 
 // checkStepContract plays c.adv for the given rounds and checks the Step
-// contract and the reference topology every round.
+// contract (graphtest.DiffModel: each diff exact against the topology
+// before the round), that added edges touch only woken nodes, and the
+// folded topology against the reference every round.
 func checkStepContract(t *testing.T, n, rounds int, c contractCase) {
 	t.Helper()
 	v := newFakeView(n)
-	present := make(map[graph.EdgeKey]bool)
+	m := graphtest.NewDiffModel(n)
 	woken := make([]bool, n)
 	for r := 1; r <= rounds; r++ {
 		if c.delayed != nil {
 			v.delayed = c.delayed(r)
 		}
-		st := v.play(c.adv)
+		v.round++
+		st := c.adv.Step(v)
+		m.Step(t, st.EdgeAdds, st.EdgeRemoves)
 		for _, id := range st.Wake {
 			woken[id] = true
 		}
-		for i, k := range st.EdgeAdds {
-			if i > 0 && st.EdgeAdds[i-1] >= k {
-				t.Fatalf("round %d: adds not strictly ascending", r)
-			}
-			if present[k] {
-				t.Fatalf("round %d: add of present edge %v", r, k)
-			}
+		for _, k := range st.EdgeAdds {
 			if x, y := k.Nodes(); !woken[x] || !woken[y] {
 				t.Fatalf("round %d: added edge %v touches a sleeping node", r, k)
 			}
-			present[k] = true
-		}
-		for i, k := range st.EdgeRemoves {
-			if i > 0 && st.EdgeRemoves[i-1] >= k {
-				t.Fatalf("round %d: removes not strictly ascending", r)
-			}
-			if !present[k] {
-				t.Fatalf("round %d: remove of absent edge %v", r, k)
-			}
-			delete(present, k)
 		}
 		want := c.ref(r)
-		if got := st.G.EdgeKeys(); !slices.Equal(got, want) {
+		if got := m.Keys(); !slices.Equal(got, want) {
 			t.Fatalf("round %d: folded topology %v, reference %v", r, got, want)
 		}
 	}

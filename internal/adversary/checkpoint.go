@@ -626,22 +626,16 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 			return
 		}
 		keys := make([]graph.EdgeKey, nKeys)
-		var prev graph.EdgeKey
 		for i := range keys {
-			k := graph.EdgeKey(r.Uvarint())
-			if r.Err() != nil {
-				return
-			}
-			if i > 0 && k <= prev {
-				r.Fail(fmt.Errorf("adversary: checkpoint wakeup edge keys not strictly ascending"))
-				return
-			}
-			if x, y := k.Nodes(); x < 0 || x >= y || int(y) >= n {
-				r.Fail(fmt.Errorf("adversary: checkpoint wakeup edge %v outside universe [0,%d)", k, n))
-				return
-			}
-			keys[i] = k
-			prev = k
+			keys[i] = graph.EdgeKey(r.Uvarint())
+		}
+		if r.Err() != nil {
+			return
+		}
+		w.inner = graph.NewDynAdj(n)
+		if err := w.inner.Apply(keys, nil); err != nil {
+			r.Fail(fmt.Errorf("adversary: checkpoint wakeup inner topology %w", err))
+			return
 		}
 		w.lastRound = lastRound
 		w.awake = make([]bool, n)
@@ -650,8 +644,6 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 				w.awake[id] = true
 			}
 		}
-		w.inner = graph.NewDynAdj(n)
-		w.inner.Apply(keys, nil)
 	}
 	loadInner(r, w.Inner)
 }

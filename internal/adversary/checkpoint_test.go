@@ -89,7 +89,9 @@ func TestDeltaFastForwardEquivalence(t *testing.T) {
 			// Future steps must coincide too: play both from k2.
 			vLive, vRes := v, newFakeView(n)
 			vRes.round = v.round
-			vRes.adj.Apply(v.adj.Graph().EdgeKeys(), nil)
+			if err := vRes.adj.Apply(v.adj.Graph().EdgeKeys(), nil); err != nil {
+				t.Fatal(err)
+			}
 			for r := 0; r < tail; r++ {
 				a := vLive.play(live)
 				b := vRes.play(resumed)

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"slices"
 
 	"dynlocal/internal/graph"
@@ -160,7 +161,7 @@ type ConflictInjector struct {
 	Seed     uint64
 
 	inner          *graph.DynAdj
-	have           map[graph.EdgeKey]bool
+	have           graph.EdgeTable[struct{}]
 	fresh          []graph.EdgeKey // this round's injections
 	addBuf, remBuf []graph.EdgeKey
 	// Injections records (round, edge) for experiment bookkeeping.
@@ -175,14 +176,15 @@ type Injection struct {
 
 // Step implements Adversary.
 func (ci *ConflictInjector) Step(v View) Step {
-	if ci.have == nil {
-		ci.have = make(map[graph.EdgeKey]bool)
+	if ci.inner == nil {
 		ci.inner = graph.NewDynAdj(v.N())
 	}
-	inner := ci.Inner.Step(v)
-	ci.inner.Apply(inner.EdgeAdds, inner.EdgeRemoves)
-	ci.fresh = ci.fresh[:0]
 	r := v.Round()
+	inner := ci.Inner.Step(v)
+	if err := ci.inner.Apply(inner.EdgeAdds, inner.EdgeRemoves); err != nil {
+		panic(fmt.Sprintf("adversary: ConflictInjector round %d inner step %v", r, err))
+	}
+	ci.fresh = ci.fresh[:0]
 	out := v.DelayedOutputs()
 	if r >= ci.MinRound && out != nil {
 		s := advStream(ci.Seed, r)
@@ -215,10 +217,10 @@ func (ci *ConflictInjector) Step(v View) Step {
 				continue
 			}
 			k := graph.MakeEdgeKey(a, b)
-			if _, inInner := slices.BinarySearch(ci.inner.Neighbors(a), b); ci.have[k] || inInner {
+			if _, inInner := slices.BinarySearch(ci.inner.Neighbors(a), b); ci.have.Has(k) || inInner {
 				continue
 			}
-			ci.have[k] = true
+			ci.have.Put(k, struct{}{})
 			ci.fresh = append(ci.fresh, k)
 			ci.Injections = append(ci.Injections, Injection{Round: r, Edge: k})
 		}
@@ -228,7 +230,7 @@ func (ci *ConflictInjector) Step(v View) Step {
 	// which case the edge simply stays.
 	adds := ci.addBuf[:0]
 	for _, k := range inner.EdgeAdds {
-		if !ci.have[k] {
+		if !ci.have.Has(k) {
 			adds = append(adds, k)
 		}
 	}
@@ -240,7 +242,7 @@ func (ci *ConflictInjector) Step(v View) Step {
 	slices.Sort(adds)
 	removes := ci.remBuf[:0]
 	for _, k := range inner.EdgeRemoves {
-		if !ci.have[k] {
+		if !ci.have.Has(k) {
 			removes = append(removes, k)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dynlocal/internal/dyngraph"
 	"dynlocal/internal/graph"
+	"dynlocal/internal/graph/graphtest"
 )
 
 func testP2P(n int) *P2PChurn {
@@ -79,7 +80,7 @@ func TestP2PChurnDeltaContract(t *testing.T) {
 	const n, rounds = 256, 60
 	adv := testP2P(n)
 	v := newFakeView(n)
-	present := make(map[graph.EdgeKey]bool)
+	m := graphtest.NewDiffModel(n)
 	woken := make(map[graph.NodeID]bool)
 	maxWake := graph.NodeID(-1)
 	joins, departs := 0, 0
@@ -100,27 +101,11 @@ func TestP2PChurnDeltaContract(t *testing.T) {
 			maxWake = id
 			joins++
 		}
-		for i, k := range st.EdgeAdds {
-			if i > 0 && st.EdgeAdds[i-1] >= k {
-				t.Fatalf("round %d: adds not strictly ascending", r)
-			}
-			if present[k] {
-				t.Fatalf("round %d: add of present edge %v", r, k)
-			}
-			u, w := k.Nodes()
-			if !woken[u] || !woken[w] {
+		m.Step(t, st.EdgeAdds, st.EdgeRemoves)
+		for _, k := range st.EdgeAdds {
+			if u, w := k.Nodes(); !woken[u] || !woken[w] {
 				t.Fatalf("round %d: edge %v touches a node that never woke", r, k)
 			}
-			present[k] = true
-		}
-		for i, k := range st.EdgeRemoves {
-			if i > 0 && st.EdgeRemoves[i-1] >= k {
-				t.Fatalf("round %d: removes not strictly ascending", r)
-			}
-			if !present[k] {
-				t.Fatalf("round %d: remove of absent edge %v", r, k)
-			}
-			delete(present, k)
 		}
 		departs += len(st.EdgeRemoves)
 	}

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"slices"
 
 	"dynlocal/internal/graph"
@@ -38,7 +39,9 @@ func (w *Wakeup) Step(v View) Step {
 	r := v.Round()
 	w.lastRound = r
 	inner := w.Inner.Step(v)
-	w.inner.Apply(inner.EdgeAdds, inner.EdgeRemoves)
+	if err := w.inner.Apply(inner.EdgeAdds, inner.EdgeRemoves); err != nil {
+		panic(fmt.Sprintf("adversary: Wakeup round %d inner step %v", r, err))
+	}
 	// Removes are filtered before this round's wake-ups: an edge was
 	// played only if both endpoints were already awake.
 	removes := w.remBuf[:0]

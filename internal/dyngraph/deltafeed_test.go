@@ -224,33 +224,41 @@ func TestWindowDeltaFeedExpiryBoundary(t *testing.T) {
 
 // badDeltas are diffs that break the delta-feed contract once round 1
 // has added {0,1} with nodes 0 and 1 awake in a 4-node universe; both
-// windows must panic on each.
+// windows must panic on each with the message want.
 var badDeltas = []struct {
 	name          string
 	adds, removes []graph.EdgeKey
 	wake          []graph.NodeID
+	want          string
 }{
-	{"sleeping-endpoint", []graph.EdgeKey{graph.MakeEdgeKey(2, 3)}, nil, nil},
-	{"add-present", []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil, nil},
-	{"remove-absent", nil, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, nil},
-	{"adds-unsorted", []graph.EdgeKey{graph.MakeEdgeKey(0, 3), graph.MakeEdgeKey(0, 2)}, nil, []graph.NodeID{2, 3}},
-	{"key-out-of-range", []graph.EdgeKey{graph.MakeEdgeKey(1, 9)}, nil, nil},
+	{"sleeping-endpoint", []graph.EdgeKey{graph.MakeEdgeKey(2, 3)}, nil, nil,
+		"dyngraph: edge {2,3} touches a sleeping node in round 2"},
+	{"add-present", []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil, nil,
+		"dyngraph: round 2 adds edge {0,1}, which is present"},
+	{"remove-absent", nil, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, nil,
+		"dyngraph: round 2 removes edge {0,2}, which is absent"},
+	{"adds-unsorted", []graph.EdgeKey{graph.MakeEdgeKey(0, 3), graph.MakeEdgeKey(0, 2)}, nil, []graph.NodeID{2, 3},
+		"dyngraph: round 2 adds not strictly ascending at {0,2}"},
+	{"key-out-of-range", []graph.EdgeKey{graph.MakeEdgeKey(1, 9)}, nil, nil,
+		"dyngraph: round 2 adds edge {1,9} outside universe [0,4)"},
 	// An absent edge in both lists: an add-then-remove fold would put
 	// it in the union window although no round held it.
-	{"phantom", []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, []graph.NodeID{2}},
-	{"mirror", []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil},
+	{"phantom", []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}, []graph.NodeID{2},
+		"dyngraph: round 2 lists edge {0,2} as both added and removed"},
+	{"mirror", []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil,
+		"dyngraph: round 2 lists edge {0,1} as both added and removed"},
 }
 
 // checkBadDeltas runs every badDeltas case through observe on a fresh
-// window that has played round 1, and requires a panic.
+// window that has played round 1, and requires the case's panic.
 func checkBadDeltas(t *testing.T, observe func() func(adds, removes []graph.EdgeKey, wake []graph.NodeID)) {
 	for _, tc := range badDeltas {
 		t.Run(tc.name, func(t *testing.T) {
 			obs := observe()
 			obs([]graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil, []graph.NodeID{0, 1})
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", tc.name)
+				if msg := recover(); msg != tc.want {
+					t.Fatalf("panic %v, want %q", msg, tc.want)
 				}
 			}()
 			obs(tc.adds, tc.removes, tc.wake)

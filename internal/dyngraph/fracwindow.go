@@ -45,16 +45,16 @@ func (w *FracWindow) Round() int { return w.round }
 
 // ObserveEdgeDelta advances the window by one round's sorted topology
 // diff and newly awake nodes, with the contract of
-// Window.ObserveEdgeDelta: unsorted, out-of-range, sleeping-endpoint,
-// duplicate-add, absent-remove or added-and-removed diffs panic. Aging
-// the masks costs O(|E^∪T|) per round.
+// Window.ObserveEdgeDelta: a diff graph.CheckDiff refuses, or an added
+// edge touching a sleeping node, panics. Aging the masks costs
+// O(|E^∪T|) per round.
 //
 //dynlint:sorted adds removes
 func (w *FracWindow) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph.NodeID) {
 	w.round++
 	r := w.round
-	if k, ok := graph.CommonKey(adds, removes); ok {
-		panicAddedAndRemoved(k, r)
+	if err := graph.CheckDiff(w.n, adds, removes, func(k graph.EdgeKey) bool { return w.mask[k]&1 != 0 }); err != nil {
+		panic(fmt.Sprintf("dyngraph: round %d %v", r, err))
 	}
 	for _, v := range wakeNow {
 		if w.wake[v] == 0 {
@@ -76,32 +76,14 @@ func (w *FracWindow) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []g
 			w.mask[k] = m
 		}
 	}
-	for i, k := range adds {
-		if i > 0 && adds[i-1] >= k {
-			panicUnsorted("adds")
-		}
-		u, v := k.Nodes()
-		if u < 0 || u >= v || int(v) >= w.n {
-			panicOutOfUniverse(k, w.n)
-		}
-		if w.wake[u] == 0 || w.wake[v] == 0 {
+	for _, k := range adds {
+		if u, v := k.Nodes(); w.wake[u] == 0 || w.wake[v] == 0 {
 			panicSleepingEdge(u, v, r)
 		}
-		m := w.mask[k]
-		if m&1 != 0 {
-			panicPresentAdd(k, r)
-		}
-		w.mask[k] = m | 1
+		w.mask[k] |= 1
 	}
-	for i, k := range removes {
-		if i > 0 && removes[i-1] >= k {
-			panicUnsorted("removes")
-		}
-		m := w.mask[k]
-		if m&1 == 0 {
-			panicAbsentRemove(k, r)
-		}
-		w.mask[k] = m &^ 1 // a zero mask is dropped by the next aging
+	for _, k := range removes {
+		w.mask[k] &^= 1 // a zero mask is dropped by the next aging
 	}
 }
 

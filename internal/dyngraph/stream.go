@@ -59,9 +59,8 @@ type TraceRound struct {
 	// Wake lists the nodes waking this round.
 	//dynlint:loan
 	Wake []graph.NodeID
-	// Adds and Removes are the round's edge diff: strictly ascending
-	// canonical keys, every added edge absent before and every removed
-	// edge present before (validated on decode).
+	// Adds and Removes are the round's edge diff against the round
+	// before, which Next checks with graph.CheckDiff.
 	//dynlint:loan
 	//dynlint:sorted
 	Adds, Removes []graph.EdgeKey
@@ -73,10 +72,10 @@ type TraceRound struct {
 // rounds go into the header up front; Close fails if the declared round
 // count was not written, since a short stream would decode as truncated.
 //
-// WriteRound validates each round exactly as the decoder will — id
-// bounds, strict ascending order, add-absent/remove-present against the
-// replayed edge set — so an encoded stream is always decodable and
-// encoder misuse surfaces at the write site, not in a later replay.
+// WriteRound validates each round exactly as the decoder will — wake id
+// bounds, and graph.CheckDiff against the replayed edge set — so an
+// encoded stream is always decodable and encoder misuse surfaces at the
+// write site, not in a later replay.
 type StreamEncoder struct {
 	w         io.Writer // underlying sink, for Sync's durability barrier
 	bw        *bufio.Writer
@@ -119,8 +118,9 @@ func NewStreamEncoder(w io.Writer, n, rounds int) (*StreamEncoder, error) {
 	return e, nil
 }
 
-// WriteRound appends the next round: its wake set and its sorted edge
-// diff against the previous round. The slices are read, not retained.
+// WriteRound appends the next round: its wake set and its edge diff
+// against the previous round, which must pass graph.CheckDiff. The
+// slices are read, not retained.
 // Validation errors and write errors are both sticky — after either, the
 // stream is unusable and Close reports the first error.
 func (e *StreamEncoder) WriteRound(wake []graph.NodeID, adds, removes []graph.EdgeKey) error {
@@ -142,13 +142,7 @@ func (e *StreamEncoder) WriteRound(wake []graph.NodeID, adds, removes []graph.Ed
 			return e.fail(fmt.Errorf("dyngraph: trace round %d: wake id %d outside [0,%d)", r, v, e.n))
 		}
 	}
-	if err := e.validateEdgeList(r, "added", adds); err != nil {
-		return e.fail(err)
-	}
-	if err := e.validateEdgeList(r, "removed", removes); err != nil {
-		return e.fail(err)
-	}
-	if err := applyTraceDiff(&e.present, r, adds, removes); err != nil {
+	if err := applyTraceDiff(&e.present, int(e.n), r, adds, removes); err != nil {
 		return e.fail(err)
 	}
 	e.writeUvarint(uint64(len(wake)))
@@ -224,37 +218,11 @@ func (e *StreamEncoder) fail(err error) error {
 	return e.err
 }
 
-func (e *StreamEncoder) validateEdgeList(r int, kind string, keys []graph.EdgeKey) error {
-	prev := graph.EdgeKey(0)
-	for i, k := range keys {
-		if i > 0 && k <= prev {
-			return fmt.Errorf("dyngraph: trace round %d %s edges: keys not strictly ascending at %#x", r, kind, uint64(k))
-		}
-		u, v := uint64(k)>>32, uint64(k)&0xffffffff
-		if u >= v || v >= e.n {
-			return fmt.Errorf("dyngraph: trace round %d %s edges: edge key %#x invalid for %d nodes", r, kind, uint64(k), e.n)
-		}
-		prev = k
-	}
-	return nil
-}
-
-// applyTraceDiff folds round r's diff into a codec's live edge set after
-// checking it against the set before the round: every added edge absent,
-// every removed edge present. Checking both lists first is what refuses
-// an absent edge listed in both, which an add-then-remove fold accepts.
-//
-//dynlint:sorted adds removes
-func applyTraceDiff(present *graph.EdgeTable[struct{}], r int, adds, removes []graph.EdgeKey) error {
-	for _, k := range adds {
-		if present.Has(k) {
-			return fmt.Errorf("dyngraph: trace round %d adds already-present edge %v", r, k)
-		}
-	}
-	for _, k := range removes {
-		if !present.Has(k) {
-			return fmt.Errorf("dyngraph: trace round %d removes absent edge %v", r, k)
-		}
+// applyTraceDiff checks round r's diff against a codec's live edge set
+// (graph.CheckDiff) and folds it in.
+func applyTraceDiff(present *graph.EdgeTable[struct{}], n, r int, adds, removes []graph.EdgeKey) error {
+	if err := graph.CheckDiff(n, adds, removes, present.Has); err != nil {
+		return fmt.Errorf("dyngraph: trace round %d %w", r, err)
 	}
 	present.Reserve(present.Len() + len(adds))
 	for _, k := range adds {
@@ -292,10 +260,10 @@ func (e *StreamEncoder) writeUvarint(v uint64) {
 // far larger than memory replay fine. The input is treated as untrusted
 // and every check DecodeTrace performs is applied incrementally as each
 // round is pulled: element counts cannot force oversized allocations,
-// node ids and edge keys are bounds-checked, the delta encoding enforces
-// strict ascending order, and the add-absent/remove-present consistency
-// of the diff sequence is tracked across rounds — corrupt input yields an
-// error from Next, never a panic in a downstream consumer.
+// node ids are bounds-checked, the delta encoding refuses duplicates,
+// and each round's diff passes graph.CheckDiff against the replayed edge
+// set — corrupt input yields an error from Next, never a panic in a
+// downstream consumer.
 type StreamDecoder struct {
 	br      *bufio.Reader
 	n       uint64
@@ -338,9 +306,8 @@ func NewStreamDecoder(r io.Reader) (*StreamDecoder, error) {
 	if rounds > MaxDecodeRounds {
 		return nil, fmt.Errorf("dyngraph: trace round count %d exceeds decode limit %d", rounds, MaxDecodeRounds)
 	}
-	// present tracks the replayed edge set so the deltas are validated
-	// for consistency: every addition must be of an absent edge, every
-	// removal of a present one. Downstream delta consumers
+	// present tracks the replayed edge set, which graph.CheckDiff checks
+	// each round's diff against. Downstream delta consumers
 	// (adversary.ScriptedStream feeding the engine's adjacency) treat
 	// inconsistent diffs as programming errors and panic, so hostile wire
 	// input must be rejected here with an error instead. Memory is
@@ -396,7 +363,7 @@ func (d *StreamDecoder) Next() (*TraceRound, error) {
 	if d.cur.Removes, err = d.readEdgeList(d.cur.Removes[:0]); err != nil {
 		return nil, d.fail(fmt.Errorf("dyngraph: trace round %d removed edges: %w", r, err))
 	}
-	if err := applyTraceDiff(&d.present, r, d.cur.Adds, d.cur.Removes); err != nil {
+	if err := applyTraceDiff(&d.present, int(d.n), r, d.cur.Adds, d.cur.Removes); err != nil {
 		return nil, d.fail(err)
 	}
 	d.next++
@@ -436,9 +403,9 @@ func noEOF(err error) error {
 	return err
 }
 
-// readEdgeList appends one delta-encoded key list into dst, validating
-// bounds, duplicates and overflow. The zero-delta duplicate check doubles
-// as the sortedness guarantee: surviving lists are strictly ascending.
+// readEdgeList appends one delta-encoded key list into dst, refusing
+// what the wire format alone rules out: a short read, a zero delta (a
+// duplicate) and overflow. Key bounds are graph.CheckDiff's, in Next.
 func (d *StreamDecoder) readEdgeList(dst []graph.EdgeKey) ([]graph.EdgeKey, error) {
 	cnt, err := binary.ReadUvarint(d.br)
 	if err != nil {
@@ -460,10 +427,6 @@ func (d *StreamDecoder) readEdgeList(dst []graph.EdgeKey) ([]graph.EdgeKey, erro
 			return dst, errors.New("dyngraph: edge-key delta overflows")
 		}
 		prev += delta
-		u, v := prev>>32, prev&0xffffffff
-		if u >= v || v >= d.n {
-			return dst, fmt.Errorf("dyngraph: edge key %#x invalid for %d nodes", prev, d.n)
-		}
 		dst = append(dst, graph.EdgeKey(prev))
 	}
 	return dst, nil

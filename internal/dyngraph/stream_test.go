@@ -100,37 +100,50 @@ func TestStreamRoundTripMatchesDecodeTrace(t *testing.T) {
 }
 
 // TestStreamEncoderRejectsInvalidRounds pins that encoder misuse fails at
-// the write site with a sticky error, mirroring every decoder check.
+// the write site with a sticky error, mirroring every decoder check, and
+// pins its wording.
 func TestStreamEncoderRejectsInvalidRounds(t *testing.T) {
 	k := func(u, v graph.NodeID) graph.EdgeKey { return graph.MakeEdgeKey(u, v) }
+	// round1 writes {0,1} as the first round.
+	round1 := func(e *StreamEncoder) error { return e.WriteRound(nil, []graph.EdgeKey{k(0, 1)}, nil) }
 	cases := []struct {
 		name  string
 		write func(e *StreamEncoder) error
+		want  string
 	}{
 		{"wake-out-of-range", func(e *StreamEncoder) error {
 			return e.WriteRound([]graph.NodeID{9}, nil, nil)
-		}},
+		}, "dyngraph: trace round 1: wake id 9 outside [0,4)"},
 		{"adds-unsorted", func(e *StreamEncoder) error {
 			return e.WriteRound(nil, []graph.EdgeKey{k(1, 2), k(0, 1)}, nil)
-		}},
+		}, "dyngraph: trace round 1 adds not strictly ascending at {0,1}"},
 		{"adds-duplicate", func(e *StreamEncoder) error {
 			return e.WriteRound(nil, []graph.EdgeKey{k(0, 1), k(0, 1)}, nil)
-		}},
+		}, "dyngraph: trace round 1 adds not strictly ascending at {0,1}"},
 		{"self-loop-key", func(e *StreamEncoder) error {
 			return e.WriteRound(nil, []graph.EdgeKey{graph.EdgeKey(2<<32 | 2)}, nil)
-		}},
+		}, "dyngraph: trace round 1 adds key {2,2}, which is not a canonical edge"},
 		{"endpoint-out-of-range", func(e *StreamEncoder) error {
 			return e.WriteRound(nil, []graph.EdgeKey{graph.EdgeKey(1<<32 | 7)}, nil)
-		}},
+		}, "dyngraph: trace round 1 adds edge {1,7} outside universe [0,4)"},
 		{"add-present", func(e *StreamEncoder) error {
-			if err := e.WriteRound(nil, []graph.EdgeKey{k(0, 1)}, nil); err != nil {
+			if err := round1(e); err != nil {
 				return err
 			}
 			return e.WriteRound(nil, []graph.EdgeKey{k(0, 1)}, nil)
-		}},
+		}, "dyngraph: trace round 2 adds edge {0,1}, which is present"},
 		{"remove-absent", func(e *StreamEncoder) error {
 			return e.WriteRound(nil, nil, []graph.EdgeKey{k(0, 1)})
-		}},
+		}, "dyngraph: trace round 1 removes edge {0,1}, which is absent"},
+		{"phantom", func(e *StreamEncoder) error {
+			return e.WriteRound(nil, []graph.EdgeKey{k(0, 1)}, []graph.EdgeKey{k(0, 1)})
+		}, "dyngraph: trace round 1 lists edge {0,1} as both added and removed"},
+		{"mirror", func(e *StreamEncoder) error {
+			if err := round1(e); err != nil {
+				return err
+			}
+			return e.WriteRound(nil, []graph.EdgeKey{k(0, 1)}, []graph.EdgeKey{k(0, 1)})
+		}, "dyngraph: trace round 2 lists edge {0,1} as both added and removed"},
 		{"rounds-overrun", func(e *StreamEncoder) error {
 			for i := 0; i < 3; i++ {
 				if err := e.WriteRound(nil, nil, nil); err != nil {
@@ -138,7 +151,7 @@ func TestStreamEncoderRejectsInvalidRounds(t *testing.T) {
 				}
 			}
 			return nil
-		}},
+		}, "dyngraph: round 3 exceeds declared count 2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -147,12 +160,12 @@ func TestStreamEncoderRejectsInvalidRounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.write(e); err == nil {
-				t.Fatal("invalid round accepted")
+			if err := c.write(e); err == nil || err.Error() != c.want {
+				t.Fatalf("invalid round: err = %v, want %q", err, c.want)
 			}
 			// The error is sticky: Close must report it too.
-			if err := e.Close(); err == nil {
-				t.Fatal("Close succeeded after rejected round")
+			if err := e.Close(); err == nil || err.Error() != c.want {
+				t.Fatalf("Close after rejected round: err = %v, want %q", err, c.want)
 			}
 		})
 	}

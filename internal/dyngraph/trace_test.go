@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dynlocal/internal/graph"
+	"dynlocal/internal/graph/graphtest"
 )
 
 func buildSampleTrace(t testing.TB, seed uint64, n, rounds int) (*Trace, []*graph.Graph) {
@@ -266,36 +267,19 @@ func TestTraceDecodeValidTraceReplays(t *testing.T) {
 // the engine's adjacency rely on).
 func TestTraceReplayDeltasMatchesReplay(t *testing.T) {
 	tr, history := buildSampleTrace(t, 21, 16, 10)
-	present := make(map[graph.EdgeKey]bool)
+	m := graphtest.NewDiffModel(tr.N())
 	round := 0
 	replayDeltas(t, tr, func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
 		round++
 		if r != round {
 			t.Fatalf("delta replay round %d, want %d", r, round)
 		}
-		for i, k := range adds {
-			if i > 0 && adds[i-1] >= k {
-				t.Fatalf("round %d: adds not strictly ascending", r)
-			}
-			if present[k] {
-				t.Fatalf("round %d: add of present edge %v", r, k)
-			}
-			present[k] = true
-		}
-		for i, k := range removes {
-			if i > 0 && removes[i-1] >= k {
-				t.Fatalf("round %d: removes not strictly ascending", r)
-			}
-			if !present[k] {
-				t.Fatalf("round %d: remove of absent edge %v", r, k)
-			}
-			delete(present, k)
-		}
+		m.Step(t, adds, removes)
 		want := history[r-1]
-		if len(present) != want.M() {
-			t.Fatalf("round %d: folded %d edges, want %d", r, len(present), want.M())
+		if m.Len() != want.M() {
+			t.Fatalf("round %d: folded %d edges, want %d", r, m.Len(), want.M())
 		}
-		for k := range present {
+		for _, k := range m.Keys() {
 			if !want.HasEdge(k.Nodes()) {
 				t.Fatalf("round %d: folded edge %v not in the appended graph", r, k)
 			}
@@ -311,25 +295,37 @@ func TestTraceReplayDeltasMatchesReplay(t *testing.T) {
 
 // TestTraceDecodeRejectsInconsistentDeltas pins the decoder's delta
 // consistency validation: wire input whose rounds add a present edge,
-// remove an absent one or list one edge as both must error out, since
-// downstream delta consumers treat such diffs as panics.
+// remove an absent one, list one edge as both or name an edge outside
+// the universe must error out with graph.CheckDiff's wording, since
+// downstream delta consumers treat such diffs as panics. (An unsorted
+// list has no wire form: a zero key delta is refused as a duplicate.)
 func TestTraceDecodeRejectsInconsistentDeltas(t *testing.T) {
 	cases := []struct {
 		name string
 		data []byte
+		want string
 	}{
 		// n=4, 2 rounds: round 1 adds {0,1}; round 2 adds {0,1} again.
-		{"re-add-present", corruptTrace(1, 4, 2, 0, 1, 1, 0, 0, 1, 1, 0)},
+		{"re-add-present", corruptTrace(1, 4, 2, 0, 1, 1, 0, 0, 1, 1, 0),
+			"dyngraph: trace round 2 adds edge {0,1}, which is present"},
 		// n=4, 1 round: removes {0,1} which was never added.
-		{"remove-absent", corruptTrace(1, 4, 1, 0, 0, 1, 1)},
+		{"remove-absent", corruptTrace(1, 4, 1, 0, 0, 1, 1),
+			"dyngraph: trace round 1 removes edge {0,1}, which is absent"},
 		// n=4, 1 round: adds and removes the absent {0,1} (a phantom
 		// diff, which an add-then-remove fold would accept).
-		{"phantom", corruptTrace(1, 4, 1, 0, 1, 1, 1, 1)},
+		{"phantom", corruptTrace(1, 4, 1, 0, 1, 1, 1, 1),
+			"dyngraph: trace round 1 lists edge {0,1} as both added and removed"},
+		// n=4, 2 rounds: round 1 adds {0,1}; round 2 adds and removes it.
+		{"mirror", corruptTrace(1, 4, 2, 0, 1, 1, 0, 0, 1, 1, 1, 1),
+			"dyngraph: trace round 2 lists edge {0,1} as both added and removed"},
+		// n=4, 1 round: removes {1,7}, whose endpoint 7 >= n.
+		{"remove-out-of-universe", corruptTrace(1, 4, 1, 0, 0, 1, 1<<32|7),
+			"dyngraph: trace round 1 removes edge {1,7} outside universe [0,4)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if tr, err := DecodeTrace(bytes.NewReader(c.data)); err == nil {
-				t.Fatalf("inconsistent trace accepted: %+v", tr)
+			if tr, err := DecodeTrace(bytes.NewReader(c.data)); err == nil || err.Error() != c.want {
+				t.Fatalf("inconsistent trace: err = %v, want %q (trace %+v)", err, c.want, tr)
 			}
 		})
 	}

@@ -170,10 +170,10 @@ func (w *Window) windowStart() int {
 // leaving the round graph relative to the previous round (for the first
 // observation, adds is the entire round-1 edge set); wakeNow lists the
 // newly awake nodes. Per-round cost is O(|adds| + |removes| + |wakeNow|),
-// independent of |E_r|. Added edges must only touch awake nodes (after
-// wakeNow is applied) — the model only allows edges between awake nodes —
-// and unsorted, out-of-range, duplicate-add or absent-remove diffs panic,
-// as do diffs listing one edge in both adds and removes.
+// independent of |E_r|. A diff that breaks the edge-diff contract
+// (graph.CheckDiff, against G_{r-1}) panics naming the round, as does an
+// added edge touching a node still asleep after wakeNow is applied — the
+// model only allows edges between awake nodes.
 // The returned Delta aliases buffers reused by the next call; copy
 // anything retained beyond the round.
 //
@@ -189,8 +189,11 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 	d.InterRemoved = d.InterRemoved[:0]
 	d.UnionAdded = d.UnionAdded[:0]
 	d.UnionRemoved = d.UnionRemoved[:0]
-	if k, ok := graph.CommonKey(adds, removes); ok {
-		panicAddedAndRemoved(k, r)
+	if err := graph.CheckDiff(w.n, adds, removes, func(k graph.EdgeKey) bool {
+		sp, ok := w.spans.Get(k)
+		return ok && sp.present
+	}); err != nil {
+		panic(fmt.Sprintf("dyngraph: round %d %v", r, err))
 	}
 
 	for _, v := range wakeNow {
@@ -215,21 +218,12 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 	pend := slices.Grow(w.pending[(r+w.t-1)%w.t], len(adds))
 	d.UnionAdded = slices.Grow(d.UnionAdded, len(adds))
 	w.spans.Reserve(w.spans.Len() + len(adds))
-	for i, k := range adds {
-		if i > 0 && adds[i-1] >= k {
-			panicUnsorted("adds")
-		}
+	for _, k := range adds {
 		u, v := k.Nodes()
-		if u < 0 || u >= v || int(v) >= w.n {
-			panicOutOfUniverse(k, w.n)
-		}
 		if w.wake[u] == 0 || w.wake[v] == 0 {
 			panicSleepingEdge(u, v, r)
 		}
 		sp, ok := w.spans.Get(k)
-		if ok && sp.present {
-			panicPresentAdd(k, r)
-		}
 		if !ok {
 			d.UnionAdded = append(d.UnionAdded, k)
 		}
@@ -251,14 +245,8 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 	// r-1+t.
 	push := slices.Grow(w.expiry[(r-1)%w.t], len(removes))
 	d.InterRemoved = slices.Grow(d.InterRemoved, len(removes))
-	for i, k := range removes {
-		if i > 0 && removes[i-1] >= k {
-			panicUnsorted("removes")
-		}
-		sp, ok := w.spans.Get(k)
-		if !ok || !sp.present {
-			panicAbsentRemove(k, r)
-		}
+	for _, k := range removes {
+		sp, _ := w.spans.Get(k)
 		sp.present = false
 		sp.lastSeen = int32(r - 1)
 		if sp.inInter {
@@ -346,30 +334,6 @@ func (w *Window) ObserveEdgeDelta(adds, removes []graph.EdgeKey, wakeNow []graph
 // the add loop so the hot path carries no fmt machinery.
 func panicSleepingEdge(u, v graph.NodeID, r int) {
 	panic(fmt.Sprintf("dyngraph: edge {%d,%d} touches a sleeping node in round %d", u, v, r))
-}
-
-// panicUnsorted is the cold path for unordered caller-supplied diffs.
-func panicUnsorted(which string) {
-	panic("dyngraph: ObserveEdgeDelta " + which + " not strictly ascending")
-}
-
-// panicOutOfUniverse, panicPresentAdd, panicAbsentRemove and
-// panicAddedAndRemoved are the cold paths for diffs that are not an edge
-// change of the universe.
-func panicOutOfUniverse(k graph.EdgeKey, n int) {
-	panic(fmt.Sprintf("dyngraph: edge key %s outside universe [0,%d)", k, n))
-}
-
-func panicPresentAdd(k graph.EdgeKey, r int) {
-	panic(fmt.Sprintf("dyngraph: add of already-present edge %s in round %d", k, r))
-}
-
-func panicAbsentRemove(k graph.EdgeKey, r int) {
-	panic(fmt.Sprintf("dyngraph: remove of absent edge %s in round %d", k, r))
-}
-
-func panicAddedAndRemoved(k graph.EdgeKey, r int) {
-	panic(fmt.Sprintf("dyngraph: edge %s both added and removed in round %d", k, r))
 }
 
 // AwakeSince reports the round node v woke up, or 0 if asleep.

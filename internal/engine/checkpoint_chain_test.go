@@ -458,9 +458,9 @@ func TestCheckpointChainAdversaryMatchesTopology(t *testing.T) {
 
 // TestCheckpointChainRejectsBadTopologyDiff forges deltas whose edge
 // diff adds an edge the parent record already has, or removes one it
-// lacks. The read must fail with an error before the diff reaches the
-// adjacency, which would panic on it. The dense=false suffix keeps the
-// subtest IDs stable; the engine has no other round walk.
+// lacks. The read must fail with the adjacency's refusal, naming the
+// edge. The dense=false suffix keeps the subtest IDs stable; the engine
+// has no other round walk.
 func TestCheckpointChainRejectsBadTopologyDiff(t *testing.T) {
 	const n = 48
 	mk := churnAdv(n)
@@ -469,8 +469,8 @@ func TestCheckpointChainRejectsBadTopologyDiff(t *testing.T) {
 		added bool
 		want  string
 	}{
-		{"add-present", true, "which is present"},
-		{"remove-absent", false, "which is absent"},
+		{"add-present", true, "engine: checkpoint adds edge %v, which is present"},
+		{"remove-absent", false, "engine: checkpoint removes edge %v, which is absent"},
 	} {
 		t.Run(tc.name+"/dense=false", func(t *testing.T) {
 			cfg := Config{N: n, Seed: 5, Workers: 1}
@@ -484,25 +484,25 @@ func TestCheckpointChainRejectsBadTopologyDiff(t *testing.T) {
 			// The forged entry claims the opposite of the edge's
 			// state at the last record.
 			_, has := e.topology()
-			forged := false
-			for u := graph.NodeID(0); u < n && !forged; u++ {
-				for v := u + 1; v < n && !forged; v++ {
+			var forged graph.EdgeKey
+			for u := graph.NodeID(0); u < n && forged == 0; u++ {
+				for v := u + 1; v < n && forged == 0; v++ {
 					k := graph.MakeEdgeKey(u, v)
 					if !e.topDirty.Has(k) && e.awake[u] && e.awake[v] && has(u, v) == tc.added {
 						e.topDirty.Put(k, tc.added)
-						forged = true
+						forged = k
 					}
 				}
 			}
-			if !forged {
+			if forged == 0 {
 				t.Fatal("no edge to forge")
 			}
 			if err := e.WriteRecord(&chain, false, nil); err != nil {
 				t.Fatal(err)
 			}
 			err := New(cfg, mk(), ckAlgo{}).ReadChain(bytes.NewReader(chain.Bytes()), nil, nil)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("forged diff read with err = %v, want one saying %q", err, tc.want)
+			if want := fmt.Sprintf(tc.want, forged); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("forged diff read with err = %v, want one saying %q", err, want)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dynlocal/internal/adversary"
 	"dynlocal/internal/graph"
+	"dynlocal/internal/graph/graphtest"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
 )
@@ -129,7 +130,7 @@ func TestTopologyDeltaFeedMatchesBruteDiff(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				e := New(Config{N: n, Seed: 42, Workers: workers}, mk(), degreeAlgo{})
-				present := make(map[graph.EdgeKey]bool)
+				m := graphtest.NewDiffModel(n)
 				var prevG *graph.Graph = graph.Empty(n)
 				e.OnRound(func(info *RoundInfo) {
 					wantAdds, wantRems := graph.DiffSortedKeys(
@@ -140,21 +141,10 @@ func TestTopologyDeltaFeedMatchesBruteDiff(t *testing.T) {
 					if fmt.Sprint(wantRems) != fmt.Sprint(info.EdgeRemoves) {
 						t.Fatalf("round %d removes: got %v want %v", info.Round, info.EdgeRemoves, wantRems)
 					}
-					for _, k := range info.EdgeAdds {
-						if present[k] {
-							t.Fatalf("round %d: add of present edge %v", info.Round, k)
-						}
-						present[k] = true
-					}
-					for _, k := range info.EdgeRemoves {
-						if !present[k] {
-							t.Fatalf("round %d: remove of absent edge %v", info.Round, k)
-						}
-						delete(present, k)
-					}
-					if len(present) != info.Graph().M() {
+					m.Step(t, info.EdgeAdds, info.EdgeRemoves)
+					if m.Len() != info.Graph().M() {
 						t.Fatalf("round %d: folded %d edges, graph has %d",
-							info.Round, len(present), info.Graph().M())
+							info.Round, m.Len(), info.Graph().M())
 					}
 					//dynlint:ignore loancheck prevG is read next round only, within the pooled graph's two-round lifetime
 					prevG = info.Graph()

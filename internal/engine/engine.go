@@ -518,11 +518,12 @@ func (e *Engine) Step() *RoundInfo {
 	r := e.round + 1
 	e.vw.r = r
 	st := e.adv.Step(&e.vw)
-	// The round's topology is the step's sorted diff; no CSR graph is
-	// built here.
+	// The round's topology is the step's sorted diff, folded into the
+	// adjacency before any other state changes; no CSR graph is built
+	// here.
 	adds, removes := st.EdgeAdds, st.EdgeRemoves
-	if k, ok := graph.CommonKey(adds, removes); ok {
-		panic(fmt.Sprintf("engine: round %d lists edge %v as both added and removed", r, k))
+	if err := e.adj.Apply(adds, removes); err != nil {
+		panic(fmt.Sprintf("engine: round %d %v", r, err))
 	}
 	if e.ckptTrack {
 		for _, k := range adds {
@@ -557,11 +558,7 @@ func (e *Engine) Step() *RoundInfo {
 	// checking each added edge — O(|adds|), not O(n) — covers every edge
 	// by induction over rounds.
 	for _, k := range adds {
-		u, v := k.Nodes()
-		if u < 0 || int(v) >= e.cfg.N {
-			panic(fmt.Sprintf("engine: round %d adds edge %v outside the %d-node universe", r, k, e.cfg.N))
-		}
-		if !e.awake[u] || !e.awake[v] {
+		if u, v := k.Nodes(); !e.awake[u] || !e.awake[v] {
 			panicSleepingEdge(r, u, v, e.awake[u])
 		}
 	}
@@ -692,7 +689,6 @@ func (e *Engine) applyDrops() {
 // total, with accounting summed per sender so skipped quiescent receivers
 // cost nothing while Messages/Bits still count every delivery.
 func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.EdgeKey) *RoundInfo {
-	e.adj.Apply(adds, removes)
 	for _, k := range adds {
 		u, v := k.Nodes()
 		e.touch(u)

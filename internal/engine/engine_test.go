@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -282,23 +281,58 @@ func TestEnginePanicsOnAddedAndRemovedEdge(t *testing.T) {
 		{"mirror", []graph.EdgeKey{k}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			adv := adversaryFunc(func(v adversary.View) adversary.Step {
-				if v.Round() == 1 {
-					return adversary.Step{Wake: adversary.AllNodes(3), EdgeAdds: tc.round1}
-				}
-				return adversary.Step{EdgeAdds: []graph.EdgeKey{k}, EdgeRemoves: []graph.EdgeKey{k}}
-			})
-			e := New(Config{N: 3, Seed: 1}, adv, degreeAlgo{})
-			e.Step()
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "engine: round 2 ") || !strings.Contains(msg, k.String()) {
-					t.Fatalf("panic %q, want the engine naming round 2 and edge %v", msg, k)
-				}
-			}()
-			e.Step()
+			expectRound2Panic(t, tc.round1, []graph.EdgeKey{k}, []graph.EdgeKey{k},
+				"engine: round 2 lists edge {0,1} as both added and removed")
 		})
 	}
+}
+
+// TestEnginePanicsOnBadDiff feeds the engine round-2 diffs that break the
+// edge-diff contract after round 1 added {0,1} with nodes 0–2 awake. Each
+// must panic with graph.CheckDiff's wording behind the round.
+func TestEnginePanicsOnBadDiff(t *testing.T) {
+	k := graph.MakeEdgeKey
+	for _, tc := range []struct {
+		name          string
+		adds, removes []graph.EdgeKey
+		want          string
+	}{
+		{"adds-unsorted", []graph.EdgeKey{k(1, 2), k(0, 2)}, nil,
+			"engine: round 2 adds not strictly ascending at {0,2}"},
+		{"out-of-universe", []graph.EdgeKey{k(1, 5)}, nil,
+			"engine: round 2 adds edge {1,5} outside universe [0,3)"},
+		{"non-canonical", []graph.EdgeKey{graph.EdgeKey(2<<32 | 1)}, nil,
+			"engine: round 2 adds key {2,1}, which is not a canonical edge"},
+		{"add-present", []graph.EdgeKey{k(0, 1)}, nil,
+			"engine: round 2 adds edge {0,1}, which is present"},
+		{"remove-absent", nil, []graph.EdgeKey{k(0, 2)},
+			"engine: round 2 removes edge {0,2}, which is absent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			expectRound2Panic(t, []graph.EdgeKey{k(0, 1)}, tc.adds, tc.removes, tc.want)
+		})
+	}
+}
+
+// expectRound2Panic runs a 3-node engine whose adversary wakes every node
+// with round1 as the edges of round 1, then plays adds and removes in
+// round 2, which must panic with want.
+func expectRound2Panic(t *testing.T, round1, adds, removes []graph.EdgeKey, want string) {
+	t.Helper()
+	adv := adversaryFunc(func(v adversary.View) adversary.Step {
+		if v.Round() == 1 {
+			return adversary.Step{Wake: adversary.AllNodes(3), EdgeAdds: round1}
+		}
+		return adversary.Step{EdgeAdds: adds, EdgeRemoves: removes}
+	})
+	e := New(Config{N: 3, Seed: 1}, adv, degreeAlgo{})
+	e.Step()
+	defer func() {
+		if msg := recover(); msg != want {
+			t.Fatalf("panic %v, want %q", msg, want)
+		}
+	}()
+	e.Step()
 }
 
 func TestEnginePanicsOnWrongGraphSize(t *testing.T) {
@@ -307,8 +341,8 @@ func TestEnginePanicsOnWrongGraphSize(t *testing.T) {
 	})
 	e := New(Config{N: 3, Seed: 1}, bad, degreeAlgo{})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for wrong node space")
+		if msg, want := recover(), "engine: round 1 adds edge {1,6} outside universe [0,3)"; msg != want {
+			t.Fatalf("panic %v, want %q", msg, want)
 		}
 	}()
 	e.Step()

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -11,10 +12,9 @@ import (
 // walks rows and degrees of the active set only, and a CSR Graph is built
 // from the rows (Graph) only when an observer asks for one.
 //
-// Apply enforces the delta contract (strictly ascending canonical keys,
-// adds and removes disjoint, adds absent, removes present, endpoints in
-// the universe) and panics on violations, so a diverged topology source
-// is caught at the round it diverges even when no graph is ever built.
+// Apply refuses any diff that breaks the edge-diff contract (CheckDiff)
+// with an error and no change, so a diverged topology source is caught
+// at the round it diverges even when no graph is ever built.
 type DynAdj struct {
 	n    int
 	m    int
@@ -96,41 +96,115 @@ func (a *DynAdj) remove(v, u NodeID) {
 	a.rows[v] = row[:len(row)-1]
 }
 
-// Apply folds one sorted edge diff into the adjacency. adds and removes
-// must be strictly ascending canonical edge keys with endpoints inside
-// the universe, and disjoint; every added edge must be absent and every
-// removed edge present. Cost is O(Σ deg(endpoint)) over the diff's endpoints, and zero
-// steady-state allocations once rows have grown to their working
-// capacity.
+// Apply folds one sorted edge diff into the adjacency after CheckDiff
+// has accepted the whole diff against the rows, so a refused diff
+// leaves the adjacency unchanged. Cost is O(Σ deg(endpoint)) over the
+// diff's endpoints, and zero steady-state allocations once rows have
+// grown to their working capacity.
 //
 //dynlint:sorted adds removes
-func (a *DynAdj) Apply(adds, removes []EdgeKey) {
-	if k, ok := CommonKey(adds, removes); ok {
-		panic(fmt.Sprintf("graph: DynAdj.Apply lists edge %s as both added and removed", k))
+func (a *DynAdj) Apply(adds, removes []EdgeKey) error {
+	if err := CheckDiff(a.n, adds, removes, a.Has); err != nil {
+		return err
 	}
-	var last EdgeKey
-	for i, k := range adds {
-		if i > 0 && k <= last {
-			panic("graph: DynAdj.Apply adds not strictly ascending")
-		}
-		last = k
+	for _, k := range adds {
 		u, v := k.Nodes()
-		if u < 0 || u >= v || int(v) >= a.n {
-			panic(fmt.Sprintf("graph: DynAdj.Apply add %s outside universe [0,%d)", k, a.n))
-		}
 		a.AddEdge(u, v)
 	}
-	for i, k := range removes {
-		if i > 0 && k <= last {
-			panic("graph: DynAdj.Apply removes not strictly ascending")
-		}
-		last = k
+	for _, k := range removes {
 		u, v := k.Nodes()
-		if u < 0 || u >= v || int(v) >= a.n {
-			panic(fmt.Sprintf("graph: DynAdj.Apply remove %s outside universe [0,%d)", k, a.n))
-		}
 		a.RemoveEdge(u, v)
 	}
+	return nil
+}
+
+// Has reports whether the canonical in-universe edge k is present.
+func (a *DynAdj) Has(k EdgeKey) bool {
+	u, v := k.Nodes()
+	_, found := slices.BinarySearch(a.rows[u], v)
+	return found
+}
+
+// DiffKind names the rule of the edge-diff contract a diff breaks.
+type DiffKind uint8
+
+// The rules, in the order CheckDiff checks them.
+const (
+	DiffUnsorted     DiffKind = iota + 1 // a key not above the one before it
+	DiffNotCanonical                     // a key {u,v} with u >= v
+	DiffOutside                          // an endpoint outside [0,n)
+	DiffBoth                             // a key in both lists
+	DiffPresentAdd                       // an added edge present before the round
+	DiffAbsentRemove                     // a removed edge absent before the round
+)
+
+// DiffError is CheckDiff's verdict on a refused diff: the rule, the
+// first key breaking it, whether a list-level fault lies in removes, and
+// the universe size. Callers prefix it with their site and round.
+type DiffError struct {
+	Kind    DiffKind
+	Key     EdgeKey
+	Removes bool
+	N       int
+}
+
+func (e *DiffError) Error() string {
+	list := "adds"
+	if e.Removes {
+		list = "removes"
+	}
+	switch e.Kind {
+	case DiffUnsorted:
+		return fmt.Sprintf("%s not strictly ascending at %v", list, e.Key)
+	case DiffNotCanonical:
+		return fmt.Sprintf("%s key %v, which is not a canonical edge", list, e.Key)
+	case DiffOutside:
+		return fmt.Sprintf("%s edge %v outside universe [0,%d)", list, e.Key, e.N)
+	case DiffBoth:
+		return fmt.Sprintf("lists edge %v as both added and removed", e.Key)
+	case DiffPresentAdd:
+		return fmt.Sprintf("adds edge %v, which is present", e.Key)
+	}
+	return fmt.Sprintf("removes edge %v, which is absent", e.Key)
+}
+
+// CheckDiff is the one check of the edge-diff contract, run by every
+// entry point that takes a caller's round diff. It checks each list,
+// adds first, for strictly ascending canonical keys {u,v} with
+// u < v < n; then the lists for disjointness (CommonKey); then every
+// added edge absent and every removed edge present in the edge set
+// before the round, which has describes (called only on keys that passed
+// the list checks; nil is the empty set, so a whole edge list checks as
+// a diff from the empty graph). It returns the first violation and
+// allocates nothing on an accepted diff.
+func CheckDiff(n int, adds, removes []EdgeKey, has func(EdgeKey) bool) error {
+	for i, keys := range [2][]EdgeKey{adds, removes} {
+		for j, k := range keys {
+			u, v := uint64(k)>>32, uint64(k)&0xffffffff
+			switch {
+			case j > 0 && k <= keys[j-1]:
+				return &DiffError{Kind: DiffUnsorted, Key: k, Removes: i == 1}
+			case u >= v:
+				return &DiffError{Kind: DiffNotCanonical, Key: k, Removes: i == 1}
+			case v >= uint64(n):
+				return &DiffError{Kind: DiffOutside, Key: k, Removes: i == 1, N: n}
+			}
+		}
+	}
+	if k, ok := CommonKey(adds, removes); ok {
+		return &DiffError{Kind: DiffBoth, Key: k}
+	}
+	for _, k := range adds {
+		if has != nil && has(k) {
+			return &DiffError{Kind: DiffPresentAdd, Key: k}
+		}
+	}
+	for _, k := range removes {
+		if has == nil || !has(k) {
+			return &DiffError{Kind: DiffAbsentRemove, Key: k}
+		}
+	}
+	return nil
 }
 
 // CommonKey returns the smallest key in both of two strictly ascending

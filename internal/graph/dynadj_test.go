@@ -64,7 +64,7 @@ func TestDynAdjTracksPatcher(t *testing.T) {
 		adj := NewDynAdj(n)
 		for round := 1; round <= 60; round++ {
 			adds, removes, all := plan.round(1 + round%7)
-			adj.Apply(adds, removes)
+			mustApply(t, adj, adds, removes)
 			want := FromSortedEdges(n, all)
 			if adj.M() != want.M() {
 				t.Fatalf("n=%d round %d: m=%d want %d", n, round, adj.M(), want.M())
@@ -96,7 +96,7 @@ func TestPatcherMatchesRebuild(t *testing.T) {
 		}
 		for round := 1; round <= 60; round++ {
 			adds, removes, all := plan.round(1 + round%7)
-			adj.Apply(adds, removes)
+			mustApply(t, adj, adds, removes)
 			got := adj.Graph()
 			want := FromSortedEdges(n, all)
 			if !got.Equal(want) || got.M() != want.M() {
@@ -128,7 +128,7 @@ func TestDynAdjGraphArenaLifetime(t *testing.T) {
 	var prevGraph, prevCopy *Graph
 	for round := 1; round <= 20; round++ {
 		adds, removes, _ := plan.round(5)
-		adj.Apply(adds, removes)
+		mustApply(t, adj, adds, removes)
 		g := adj.Graph()
 		if prevGraph != nil && !prevGraph.Equal(prevCopy) {
 			t.Fatalf("round %d: previous build's graph corrupted while still in lifetime", round)
@@ -141,12 +141,12 @@ func TestDynAdjGraphArenaLifetime(t *testing.T) {
 // edge change since the last build, Graph returns the same pointer.
 func TestDynAdjGraphNoChangeReturnsCurrent(t *testing.T) {
 	adj := NewDynAdj(8)
-	adj.Apply([]EdgeKey{MakeEdgeKey(0, 1)}, nil)
+	mustApply(t, adj, []EdgeKey{MakeEdgeKey(0, 1)}, nil)
 	g1 := adj.Graph()
 	if adj.Graph() != g1 {
 		t.Fatal("a second Graph call should return the same graph")
 	}
-	adj.Apply(nil, nil)
+	mustApply(t, adj, nil, nil)
 	if adj.Graph() != g1 {
 		t.Fatal("an empty diff should keep the built graph")
 	}
@@ -161,7 +161,7 @@ func TestDynAdjGraphNoChangeReturnsCurrent(t *testing.T) {
 func TestDynAdjSeededFromGraph(t *testing.T) {
 	base := GNP(40, 0.2, prf.NewStream(5, 0, 0, prf.PurposeWorkload))
 	adj := NewDynAdj(40)
-	adj.Apply(base.EdgeKeys(), nil)
+	mustApply(t, adj, base.EdgeKeys(), nil)
 	if !adj.Graph().Equal(base) {
 		t.Fatal("seeded adjacency does not build the source graph")
 	}
@@ -176,7 +176,7 @@ func TestDynAdjSeededFromGraph(t *testing.T) {
 			}
 		}
 	}
-	adj.Apply([]EdgeKey{add}, []EdgeKey{first})
+	mustApply(t, adj, []EdgeKey{add}, []EdgeKey{first})
 	g := adj.Graph()
 	if g.M() != base.M() || g.HasEdge(first.Nodes()) || !g.HasEdge(add.Nodes()) {
 		t.Fatalf("graph diffed from the seed is wrong: %s", g)
@@ -191,12 +191,14 @@ func TestDynAdjSeededFromGraph(t *testing.T) {
 // allocates nothing.
 func TestDynAdjGraphAllocs(t *testing.T) {
 	const n = 512
-	adj, deltas := pingPong(n, 11)
+	adj, deltas := pingPong(t, n, 11)
 	i := 0
 	step := func() {
 		d := deltas[i%len(deltas)]
 		i++
-		adj.Apply(d.adds, d.removes)
+		if err := adj.Apply(d.adds, d.removes); err != nil {
+			t.Fatal(err)
+		}
 		adj.Graph()
 	}
 	for range deltas {
@@ -222,33 +224,68 @@ func mustPanicEach(t *testing.T, cases []struct {
 				}
 			}()
 			a := NewDynAdj(8)
-			a.Apply([]EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(2, 3)}, nil)
+			mustApply(t, a, []EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(2, 3)}, nil)
 			tc.run(a)
 		})
 	}
 }
 
+// badDiff is a diff Apply must refuse on an adjacency holding {0,1} and
+// {2,3} over 8 nodes, with CheckDiff's wording for it.
+type badDiff struct {
+	name          string
+	adds, removes []EdgeKey
+	want          string
+}
+
+// refuseEach runs every case as a subtest on a fresh adjacency holding
+// {0,1} and {2,3}: Apply must return the case's error and leave the
+// adjacency as it was.
+func refuseEach(t *testing.T, cases []badDiff) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewDynAdj(8)
+			mustApply(t, a, []EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(2, 3)}, nil)
+			err := a.Apply(tc.adds, tc.removes)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Apply(%v, %v) = %v, want %q", tc.adds, tc.removes, err, tc.want)
+			}
+			if got := a.Graph().EdgeKeys(); !slices.Equal(got, []EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(2, 3)}) {
+				t.Fatalf("refused diff changed the adjacency to %v", got)
+			}
+		})
+	}
+}
+
+// mustApply folds a diff the test expects the adjacency to accept.
+func mustApply(tb testing.TB, a *DynAdj, adds, removes []EdgeKey) {
+	tb.Helper()
+	if err := a.Apply(adds, removes); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // TestPatcherPanicsOnBadDeltas feeds Apply, the sorted-diff patch of the
-// rows, every malformed diff it must reject.
+// rows, every malformed diff it must refuse, and pins the wording.
 func TestPatcherPanicsOnBadDeltas(t *testing.T) {
-	mustPanicEach(t, []struct {
-		name string
-		run  func(a *DynAdj)
-	}{
-		{"add-present", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(0, 1)}, nil) }},
-		{"remove-absent", func(a *DynAdj) { a.Apply(nil, []EdgeKey{MakeEdgeKey(4, 5)}) }},
-		{"adds-unsorted", func(a *DynAdj) {
-			a.Apply([]EdgeKey{MakeEdgeKey(4, 5), MakeEdgeKey(1, 2)}, nil)
-		}},
-		{"removes-unsorted", func(a *DynAdj) {
-			a.Apply(nil, []EdgeKey{MakeEdgeKey(2, 3), MakeEdgeKey(0, 1)})
-		}},
-		{"out-of-range", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(1, 60)}, nil) }},
+	refuseEach(t, []badDiff{
+		{"add-present", []EdgeKey{MakeEdgeKey(0, 1)}, nil, "adds edge {0,1}, which is present"},
+		{"remove-absent", nil, []EdgeKey{MakeEdgeKey(4, 5)}, "removes edge {4,5}, which is absent"},
+		{"adds-unsorted", []EdgeKey{MakeEdgeKey(4, 5), MakeEdgeKey(1, 2)}, nil,
+			"adds not strictly ascending at {1,2}"},
+		{"removes-unsorted", nil, []EdgeKey{MakeEdgeKey(2, 3), MakeEdgeKey(0, 1)},
+			"removes not strictly ascending at {0,1}"},
+		{"out-of-range", []EdgeKey{MakeEdgeKey(1, 60)}, nil, "adds edge {1,60} outside universe [0,8)"},
+		{"non-canonical", []EdgeKey{EdgeKey(5<<32 | 4)}, nil, "adds key {5,4}, which is not a canonical edge"},
+		// The valid add must not land before the remove is refused.
+		{"remove-absent-after-valid-add", []EdgeKey{MakeEdgeKey(4, 5)}, []EdgeKey{MakeEdgeKey(6, 7)},
+			"removes edge {6,7}, which is absent"},
 	})
 }
 
-// TestDynAdjPanicsOnBadDeltas feeds the single-edge mutators and Apply
-// the changes they must reject.
+// TestDynAdjPanicsOnBadDeltas feeds the single-edge mutators the changes
+// they must panic on, and Apply the diffs it must refuse.
 func TestDynAdjPanicsOnBadDeltas(t *testing.T) {
 	mustPanicEach(t, []struct {
 		name string
@@ -257,12 +294,16 @@ func TestDynAdjPanicsOnBadDeltas(t *testing.T) {
 		{"add-edge-present", func(a *DynAdj) { a.AddEdge(1, 0) }},
 		{"remove-edge-absent", func(a *DynAdj) { a.RemoveEdge(0, 2) }},
 		{"add-edge-out-of-range", func(a *DynAdj) { a.AddEdge(7, 8) }},
-		{"apply-remove-absent-in-row", func(a *DynAdj) { a.Apply(nil, []EdgeKey{MakeEdgeKey(0, 2)}) }},
-		{"apply-out-of-universe", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(7, 8)}, nil) }},
+	})
+	refuseEach(t, []badDiff{
+		{"apply-remove-absent-in-row", nil, []EdgeKey{MakeEdgeKey(0, 2)}, "removes edge {0,2}, which is absent"},
+		{"apply-out-of-universe", []EdgeKey{MakeEdgeKey(7, 8)}, nil, "adds edge {7,8} outside universe [0,8)"},
 		// An absent edge in both lists would pass an add-then-remove fold
 		// and leave M at 2, though no round held the edge.
-		{"apply-phantom", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(0, 2)}, []EdgeKey{MakeEdgeKey(0, 2)}) }},
-		{"apply-mirror", func(a *DynAdj) { a.Apply([]EdgeKey{MakeEdgeKey(0, 1)}, []EdgeKey{MakeEdgeKey(0, 1)}) }},
+		{"apply-phantom", []EdgeKey{MakeEdgeKey(0, 2)}, []EdgeKey{MakeEdgeKey(0, 2)},
+			"lists edge {0,2} as both added and removed"},
+		{"apply-mirror", []EdgeKey{MakeEdgeKey(0, 1)}, []EdgeKey{MakeEdgeKey(0, 1)},
+			"lists edge {0,1} as both added and removed"},
 	})
 }
 
@@ -295,11 +336,11 @@ type keyDelta struct{ adds, removes []EdgeKey }
 // pingPong returns an adjacency holding about 4n random edges and a cycle
 // of 64-toggle diffs that plays forward and then back, so the edge set
 // and every row size stay bounded however often the cycle repeats.
-func pingPong(n int, seed uint64) (*DynAdj, []keyDelta) {
+func pingPong(tb testing.TB, n int, seed uint64) (*DynAdj, []keyDelta) {
 	plan := newTogglePlan(n, seed)
 	adj := NewDynAdj(n)
 	adds, _, _ := plan.round(4 * n)
-	adj.Apply(adds, nil)
+	mustApply(tb, adj, adds, nil)
 	const cycle = 8
 	deltas := make([]keyDelta, 0, 2*cycle)
 	for i := 0; i < cycle; i++ {
@@ -318,21 +359,25 @@ func pingPong(n int, seed uint64) (*DynAdj, []keyDelta) {
 func BenchmarkDynAdjGraph(b *testing.B) {
 	for _, n := range []int{4096, 16384, 65536} {
 		b.Run(fmt.Sprintf("rows/N=%d", n), func(b *testing.B) {
-			adj, deltas := pingPong(n, 3)
+			adj, deltas := pingPong(b, n, 3)
 			for _, d := range deltas { // grow the rows and both arenas
-				adj.Apply(d.adds, d.removes)
+				if err := adj.Apply(d.adds, d.removes); err != nil {
+					b.Fatal(err)
+				}
 				adj.Graph()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := deltas[i%len(deltas)]
-				adj.Apply(d.adds, d.removes)
+				if err := adj.Apply(d.adds, d.removes); err != nil {
+					b.Fatal(err)
+				}
 				adj.Graph()
 			}
 		})
 		b.Run(fmt.Sprintf("rebuild/N=%d", n), func(b *testing.B) {
-			adj, _ := pingPong(n, 3)
+			adj, _ := pingPong(b, n, 3)
 			keys := adj.Graph().Edges()
 			b.ReportAllocs()
 			b.ResetTimer()

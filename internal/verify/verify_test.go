@@ -250,7 +250,9 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 					view.round = r
 					st := adv.Step(view)
 					adds, removes := st.EdgeAdds, st.EdgeRemoves
-					topo.Apply(adds, removes)
+					if err := topo.Apply(adds, removes); err != nil {
+						t.Fatalf("round %d: %v", r, err)
+					}
 					g := topo.Graph()
 					for _, v := range st.Wake {
 						view.awake[v] = true
