@@ -21,8 +21,6 @@ import (
 type (
 	// Graph is an immutable simple undirected graph.
 	Graph = graph.Graph
-	// GraphBuilder accumulates edges into a Graph.
-	GraphBuilder = graph.Builder
 	// NodeID identifies a node in the potential-node universe.
 	NodeID = graph.NodeID
 	// EdgeKey is the canonical key of an undirected edge.
@@ -242,9 +240,6 @@ func Grid(rows, cols int) *Graph { return graph.Grid(rows, cols) }
 
 // Complete returns K_n.
 func Complete(n int) *Graph { return graph.Complete(n) }
-
-// NewGraphBuilder returns a builder over n node slots.
-func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
 // NewChurn returns a churn adversary starting from base, inserting add
 // and deleting del random edges per round.

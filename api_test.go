@@ -80,11 +80,6 @@ func TestFacadeWorkloads(t *testing.T) {
 	if g := Geometric(pts, 2.0); g.M() != 45 {
 		t.Fatal("full geometric wrong")
 	}
-	b := NewGraphBuilder(4)
-	b.AddEdge(0, 1)
-	if b.Graph().M() != 1 {
-		t.Fatal("builder wrong")
-	}
 	if len(AllNodes(7)) != 7 {
 		t.Fatal("AllNodes wrong")
 	}

@@ -221,8 +221,8 @@ func BenchmarkE15EngineScaling(b *testing.B) {
 // --- Ablations -----------------------------------------------------------
 
 // BenchmarkAblationWindowIncremental measures the incremental sliding
-// window against recomputing IntersectAll/UnionAll from the raw history
-// each round (see ARCHITECTURE.md, "Sliding windows").
+// window against recomputing the intersection and union from the raw
+// history each round (see ARCHITECTURE.md, "Sliding windows").
 func BenchmarkAblationWindowIncremental(b *testing.B) {
 	const n = 2048
 	const T = 12
@@ -256,9 +256,10 @@ func BenchmarkAblationWindowIncremental(b *testing.B) {
 			if lo < 0 {
 				lo = 0
 			}
-			win := hist[lo:]
-			_ = graph.IntersectAll(win)
-			_ = graph.UnionAll(win)
+			inter, union := hist[lo], hist[lo]
+			for _, g := range hist[lo+1:] {
+				inter, union = graph.Intersection(inter, g), graph.Union(union, g)
+			}
 		}
 	})
 }
@@ -307,7 +308,7 @@ type pumpAdversary struct {
 
 func (p *pumpAdversary) next(v adversary.View) (*graph.Graph, []graph.NodeID) {
 	n := 1 + 5*p.groups
-	b := graph.NewBuilder(n)
+	var keys []graph.EdgeKey
 	r := v.Round()
 	// Internal K5 edges of every group woken so far.
 	limit := r
@@ -318,7 +319,7 @@ func (p *pumpAdversary) next(v adversary.View) (*graph.Graph, []graph.NodeID) {
 		base := graph.NodeID(1 + 5*(g-1))
 		for i := graph.NodeID(0); i < 5; i++ {
 			for j := i + 1; j < 5; j++ {
-				b.AddEdge(base+i, base+j)
+				keys = append(keys, graph.MakeEdgeKey(base+i, base+j))
 			}
 		}
 	}
@@ -330,10 +331,10 @@ func (p *pumpAdversary) next(v adversary.View) (*graph.Graph, []graph.NodeID) {
 		base := graph.NodeID(1 + 5*(r-1))
 		for i := graph.NodeID(0); i < 5; i++ {
 			wake = append(wake, base+i)
-			b.AddEdge(0, base+i)
+			keys = append(keys, graph.MakeEdgeKey(0, base+i))
 		}
 	}
-	return b.Graph(), wake
+	return graph.FromEdges(n, keys), wake
 }
 
 // BenchmarkAblationSMisSelfHealing compares SMis (which un-decides on
@@ -565,8 +566,10 @@ func BenchmarkTDynamicChecker(b *testing.B) {
 	s := prf.NewStream(17, 0, 0, prf.PurposeWorkload)
 	graphs := make([]*graph.Graph, cycle)
 	outs := make([][]problems.Value, cycle)
-	bld := graph.NewBuilder(n)
-	base.EachEdge(func(u, v graph.NodeID) { bld.AddEdge(u, v) })
+	adj := graph.NewDynAdj(n)
+	if err := adj.Apply(base.Edges(), nil); err != nil {
+		b.Fatal(err)
+	}
 	for i := range graphs {
 		for j := 0; j < 32; j++ {
 			u := graph.NodeID(s.Intn(n))
@@ -574,13 +577,13 @@ func BenchmarkTDynamicChecker(b *testing.B) {
 			if u == v {
 				continue
 			}
-			if bld.HasEdge(u, v) {
-				bld.RemoveEdge(u, v)
+			if adj.Has(graph.MakeEdgeKey(u, v)) {
+				adj.RemoveEdge(u, v)
 			} else {
-				bld.AddEdge(u, v)
+				adj.AddEdge(u, v)
 			}
 		}
-		graphs[i] = bld.Graph()
+		graphs[i] = adj.Graph().Clone()
 	}
 	// Output schedule: a greedy coloring of the footprint (union of all
 	// cycle graphs), churned by properly recoloring 32 random nodes per

@@ -203,14 +203,14 @@ func TestLocalStaticFreezesBall(t *testing.T) {
 	}
 	v := newFakeView(40)
 	first := v.play(adv).G
-	if !graph.BallStatic(base, first, protectedNode, alpha) {
+	if !graphtest.BallStatic(base, first, protectedNode, alpha) {
 		t.Fatal("round 1 ball differs from base")
 	}
 	changedElsewhere := false
 	prev := first
 	for r := 2; r <= 30; r++ {
 		g := v.play(adv).G
-		if !graph.BallStatic(prev, g, protectedNode, alpha) {
+		if !graphtest.BallStatic(prev, g, protectedNode, alpha) {
 			t.Fatalf("round %d: protected %d-ball changed", r, alpha)
 		}
 		if !g.Equal(prev) {
@@ -438,11 +438,11 @@ func scriptedGraphs(n int, gs []*graph.Graph) *Graphs {
 }
 
 func edgeList(n int, pairs ...[2]graph.NodeID) *graph.Graph {
-	b := graph.NewBuilder(n)
-	for _, p := range pairs {
-		b.AddEdge(p[0], p[1])
+	keys := make([]graph.EdgeKey, len(pairs))
+	for i, p := range pairs {
+		keys[i] = graph.MakeEdgeKey(p[0], p[1])
 	}
-	return b.Graph()
+	return graph.FromEdges(n, keys)
 }
 
 // TestDeltaStepsAreExactDiffs drives every production adversary, the
@@ -494,13 +494,13 @@ func TestDeltaStepsAreExactDiffs(t *testing.T) {
 		"p2p": func() contractCase {
 			p := &P2PChurn{N: n, Init: 12, JoinPerRound: 2, Degree: 3, Seed: 3}
 			return contractCase{adv: p, ref: func(int) []graph.EdgeKey {
-				b := graph.NewBuilder(n)
+				var keys []graph.EdgeKey
 				for x, row := range p.nbrs {
 					for _, y := range row {
-						b.AddEdge(x, y)
+						keys = append(keys, graph.MakeEdgeKey(x, y))
 					}
 				}
-				return b.EdgeKeys()
+				return graph.FromEdges(n, keys).EdgeKeys()
 			}}
 		},
 		"static": func() contractCase {
@@ -726,7 +726,8 @@ func TestWakeupEdgeTiming(t *testing.T) {
 func TestConflictInjectorOverChangingInner(t *testing.T) {
 	const n = 5
 	full := graph.Complete(n)
-	without01 := graph.Difference(full, edgeList(n, [2]graph.NodeID{0, 1}))
+	_, rest := graph.DiffSortedKeys(full.Edges(), []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}, nil, nil)
+	without01 := graph.FromSortedEdges(n, rest)
 	gs := []*graph.Graph{full, without01, full, without01, without01}
 	inner := scriptedGraphs(n, gs)
 	ci := &ConflictInjector{Inner: inner, Rate: 30, MinRound: 2, Seed: 3}

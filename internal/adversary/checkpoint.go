@@ -78,10 +78,6 @@ const (
 	tagLocalStaticMirror uint64 = 0x75
 )
 
-// stateCap bounds per-collection element counts a checkpoint may
-// declare for adversary state.
-const stateCap = 1 << 26
-
 // maxDeltaSpan bounds the round distance a single delta record may
 // fast-forward, so a corrupt or hostile header cannot turn LoadDelta
 // into an unbounded replay loop.
@@ -121,12 +117,13 @@ func (c *Churn) LoadState(r *ckpt.Reader) {
 	if !r.Bool() {
 		return
 	}
-	n := r.Count(stateCap)
+	c.n = c.Base.N()
+	n := r.Count(c.n * (c.n - 1) / 2)
 	if r.Err() != nil {
 		return
 	}
 	// The record replaces the base edge set, so it is not loaded first.
-	c.n, c.started = c.Base.N(), true
+	c.started = true
 	c.keys = slices.Grow(c.keys[:0], n)
 	c.keyIdx.Clear()
 	c.keyIdx.Reserve(n)
@@ -187,10 +184,8 @@ func (c *Churn) LoadDelta(r *ckpt.Reader, from, to int) {
 	}
 	for rd := from + 1; rd <= to; rd++ {
 		if !c.started {
+			// The first step emits the base edge set without drawing.
 			c.init()
-		}
-		if rd == 1 {
-			// Round 1 emits the base edge set without drawing.
 			continue
 		}
 		s := advStream(c.Seed, rd)
@@ -227,7 +222,7 @@ func (m *EdgeMarkov) LoadState(r *ckpt.Reader) {
 	if !m.started {
 		m.init()
 	}
-	n := r.Count(stateCap)
+	n := r.Count(len(m.on))
 	if r.Err() != nil {
 		return
 	}
@@ -277,8 +272,6 @@ func (m *EdgeMarkov) LoadDelta(r *ckpt.Reader, from, to int) {
 	for rd := from + 1; rd <= to; rd++ {
 		if !m.started {
 			m.init()
-		}
-		if rd == 1 {
 			continue
 		}
 		s := advStream(m.Seed, rd)
@@ -398,8 +391,8 @@ func (p *P2PChurn) LoadState(r *ckpt.Reader) {
 			return
 		}
 	}
-	p.sessEnd = loadRoundBuckets(r)
-	p.rejoins = loadRoundCounts(r)
+	p.sessEnd = loadRoundBuckets(r, int(next))
+	p.rejoins = loadRoundCounts(r, int(next))
 }
 
 // CheckEdges implements EdgeMirror: the edges of the adjacency rows
@@ -444,15 +437,18 @@ func saveRoundBuckets(w *ckpt.Writer, m map[int][]graph.NodeID) {
 	}
 }
 
-func loadRoundBuckets(r *ckpt.Reader) map[int][]graph.NodeID {
-	n := r.Count(stateCap)
+// loadRoundBuckets reads a map saved by saveRoundBuckets. Each of the
+// ids ever allocated, fewer than next, sits in at most one bucket, so
+// next bounds both the bucket count and each bucket's size.
+func loadRoundBuckets(r *ckpt.Reader, next int) map[int][]graph.NodeID {
+	n := r.Count(next)
 	if r.Err() != nil {
 		return nil
 	}
 	m := make(map[int][]graph.NodeID, n)
 	for i := 0; i < n; i++ {
 		rd := r.Int()
-		cnt := r.Count(stateCap)
+		cnt := r.Count(next)
 		if r.Err() != nil {
 			return nil
 		}
@@ -480,8 +476,11 @@ func saveRoundCounts(w *ckpt.Writer, m map[int]int) {
 	}
 }
 
-func loadRoundCounts(r *ckpt.Reader) map[int]int {
-	n := r.Count(stateCap)
+// loadRoundCounts reads a map saved by saveRoundCounts. Each departure
+// of an id below next owes at most one rejoin, so next bounds the number
+// of rounds owed one.
+func loadRoundCounts(r *ckpt.Reader, next int) map[int]int {
+	n := r.Count(next)
 	if r.Err() != nil {
 		return nil
 	}
@@ -518,11 +517,13 @@ func (s *ScriptedStream) SaveState(w *ckpt.Writer) {
 // compounding.
 func (s *ScriptedStream) LoadState(r *ckpt.Reader) {
 	r.Section(tagScriptedStream)
-	consumed := r.Count(stateCap)
+	consumed := r.Int()
 	done := r.Bool()
 	if r.Err() != nil {
 		return
 	}
+	// s.consumed is never negative, so this also refuses a negative
+	// count.
 	if consumed < s.consumed {
 		r.Fail(fmt.Errorf("adversary: checkpoint has %d consumed trace rounds, replay already at %d — cannot rewind a stream", consumed, s.consumed))
 		return
@@ -621,7 +622,7 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 	if started {
 		n := len(w.Schedule)
 		lastRound := r.Int()
-		nKeys := r.Count(stateCap)
+		nKeys := r.Count(n * (n - 1) / 2)
 		if r.Err() != nil {
 			return
 		}
@@ -646,6 +647,18 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 		}
 	}
 	loadInner(r, w.Inner)
+	// Step applies the inner adversary's next diff to the wakeup's copy
+	// of its topology (empty before the first step), so an inner
+	// adversary that keeps its own edges must name the same ones.
+	if mirror, ok := w.Inner.(EdgeMirror); ok && r.Err() == nil {
+		m, has := 0, func(graph.EdgeKey) bool { return false }
+		if started {
+			m, has = w.inner.M(), w.inner.Has
+		}
+		if err := mirror.CheckEdges(m, has); err != nil {
+			r.Fail(fmt.Errorf("adversary: checkpoint wakeup inner topology disagrees with the inner adversary: %w", err))
+		}
+	}
 }
 
 // ErrNotCheckpointable is the checkpoint error of the adversaries whose

@@ -2,17 +2,22 @@ package adversary
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"dynlocal/internal/ckpt"
+	"dynlocal/internal/dyngraph"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 )
 
 // stateBytes serializes a Checkpointer's full state, the canonical
 // fingerprint for comparing two adversaries bit for bit.
-func stateBytes(t *testing.T, c Checkpointer) []byte {
+func stateBytes(t testing.TB, c Checkpointer) []byte {
 	t.Helper()
 	w := ckpt.NewWriter(nil)
 	c.SaveState(w)
@@ -315,4 +320,150 @@ func TestLocalStaticRefusesMirrorSection(t *testing.T) {
 	if !bytes.Equal(stateBytes(t, live), stateBytes(t, resumed)) {
 		t.Fatal("current-format LocalStatic section does not round-trip")
 	}
+}
+
+// TestForgedCountsAllocateLittle feeds sections of a few bytes whose
+// element counts claim 2^26 entries, under configurations that allow
+// that many: a churn edge list, a wakeup inner topology, a P2P
+// session-end bucket and a P2P rejoin-count map. Each count exceeds the
+// bytes left in the record, so the read must fail on it before the
+// decoder allocates for it.
+func TestForgedCountsAllocateLittle(t *testing.T) {
+	const huge = 1 << 26
+	const n = 1 << 14 // n(n-1)/2 edges allow huge
+	p2pHead := func(w *ckpt.Writer) {
+		w.Section(tagP2PChurn)
+		w.Bool(true)
+		w.Varint(huge) // next id
+		w.Int(0)       // live ids
+	}
+	cases := []struct {
+		name  string
+		adv   Checkpointer
+		write func(w *ckpt.Writer)
+	}{
+		{"churn", &Churn{Base: graph.Empty(n)}, func(w *ckpt.Writer) {
+			w.Section(tagChurn)
+			w.Bool(true)
+			w.Int(huge)
+		}},
+		{"wakeup", &Wakeup{Inner: Static{G: graph.Empty(n)}, Schedule: make([]int, n)}, func(w *ckpt.Writer) {
+			w.Section(tagWakeup)
+			w.Bool(true)
+			w.Int(1) // last round
+			w.Int(huge)
+		}},
+		{"p2p-round-bucket", &P2PChurn{N: huge}, func(w *ckpt.Writer) {
+			p2pHead(w)
+			w.Int(1) // one session-end bucket
+			w.Int(5) // its round
+			w.Int(huge)
+		}},
+		{"p2p-counts-map", &P2PChurn{N: huge}, func(w *ckpt.Writer) {
+			p2pHead(w)
+			w.Int(0) // no session-end buckets
+			w.Int(huge)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := ckpt.NewWriter(nil)
+			tc.write(w)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r := ckpt.NewReader(w.Bytes())
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tc.adv.LoadState(r)
+			runtime.ReadMemStats(&after)
+			if err := r.Err(); err == nil || !strings.Contains(err.Error(), "bytes left") {
+				t.Fatalf("err = %v, want the count refused for the bytes left", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("a %d-byte section allocated %d bytes", len(w.Bytes()), got)
+			}
+		})
+	}
+}
+
+// TestScriptedStreamLoadStateRefusesRewind pins the range check on the
+// consumed-round count, an Int and not a Count because the section
+// carries no byte per round: a negative count, and one below the rounds
+// the replay has already consumed, fail the read.
+func TestScriptedStreamLoadStateRefusesRewind(t *testing.T) {
+	tr := dyngraph.NewTrace(4)
+	tr.Append(nil, graph.Path(4), nil)
+	for range 2 {
+		tr.Append(graph.Path(4), graph.Path(4), nil)
+	}
+	section := func(consumed int) []byte {
+		w := ckpt.NewWriter(nil)
+		w.Section(tagScriptedStream)
+		w.Int(consumed)
+		w.Bool(false)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return w.Bytes()
+	}
+	for _, tc := range []struct{ at, consumed int }{{0, -1}, {2, 1}} {
+		s := NewScriptedStream(tr.Cursor())
+		loadState(t, s, section(tc.at))
+		r := ckpt.NewReader(section(tc.consumed))
+		s.LoadState(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "cannot rewind") {
+			t.Fatalf("%d consumed rounds over a replay at %d: err %v, want a refused rewind", tc.consumed, tc.at, err)
+		}
+	}
+}
+
+// FuzzAdversaryLoadState feeds arbitrary payloads to the LoadState of
+// each checkpointable adversary, picked by kind and seeded with its own
+// state after a few rounds. Each payload is sealed with its checksum, so
+// the fuzzer reaches the field checks instead of stopping at the
+// trailer. A rejected record must fail with an error, never a panic; an
+// accepted one must then step three rounds without a panic, resuming
+// after the rounds its seed played.
+func FuzzAdversaryLoadState(f *testing.F) {
+	const n, played = 24, 4
+	base := graph.GNP(n, 0.2, prf.NewStream(7, 0, 0, prf.PurposeWorkload))
+	type checkpointed interface {
+		Adversary
+		Checkpointer
+	}
+	kinds := []func() checkpointed{
+		func() checkpointed { return &Churn{Base: base, Add: 3, Del: 3, Seed: 5} },
+		func() checkpointed { return &EdgeMarkov{Footprint: base, POn: 0.4, POff: 0.3, Seed: 6} },
+		func() checkpointed { return &P2PChurn{N: n, Init: 8, JoinPerRound: 2, Degree: 3, Seed: 7} },
+		func() checkpointed {
+			return &Wakeup{Inner: &Churn{Base: base, Add: 2, Del: 2, Seed: 8}, Schedule: StaggeredSchedule(n, 4)}
+		},
+		func() checkpointed {
+			return &LocalStatic{Inner: &Churn{Base: base, Add: 2, Del: 2, Seed: 9}, Base: base, Protected: []graph.NodeID{0}, Alpha: 1}
+		},
+	}
+	for kind, mk := range kinds {
+		a := mk()
+		v := newFakeView(n)
+		for range played {
+			v.play(a)
+		}
+		rec := stateBytes(f, a)
+		f.Add(uint8(kind), rec[:len(rec)-4])
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		a := kinds[int(kind)%len(kinds)]()
+		rec := binary.LittleEndian.AppendUint32(slices.Clip(payload), crc32.ChecksumIEEE(payload))
+		r := ckpt.NewReader(rec)
+		a.LoadState(r)
+		if r.Err() != nil || r.Close() != nil {
+			return
+		}
+		v := &fakeView{round: played, n: n}
+		for range 3 {
+			v.round++
+			a.Step(v)
+		}
+	})
 }

@@ -77,11 +77,10 @@ func (c *Churn) addRandom(s *prf.Stream) (graph.EdgeKey, bool) {
 // whose add/remove buffers are reused on the next call.
 func (c *Churn) Step(v View) Step {
 	if !c.started {
+		// The base edge set is the first step's diff from the empty G_0
+		// (round 1 unless a record of a fresh Churn was restored later);
+		// the immutable base graph's key view needs no copy.
 		c.init()
-	}
-	if v.Round() == 1 {
-		// The base edge set is round 1's diff from the empty G_0; the
-		// immutable base graph's key view needs no copy.
 		return Step{Wake: AllNodes(c.n), EdgeAdds: c.Base.EdgeKeys()}
 	}
 	s := advStream(c.Seed, v.Round())
@@ -168,9 +167,8 @@ func (m *EdgeMarkov) init() {
 // whose add/remove buffers are reused on the next call.
 func (m *EdgeMarkov) Step(v View) Step {
 	if !m.started {
+		// Like Churn, the first step plays the whole footprint.
 		m.init()
-	}
-	if v.Round() == 1 {
 		return Step{Wake: AllNodes(m.Footprint.N()), EdgeAdds: m.keys}
 	}
 	s := advStream(m.Seed, v.Round())

@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"fmt"
+	"math"
 
 	"dynlocal/internal/ckpt"
 	"dynlocal/internal/core"
@@ -19,13 +20,6 @@ const (
 	tagSColor uint64 = 0x64
 )
 
-// streakCap bounds the streak-table size a checkpoint may declare.
-const streakCap = 1 << 24
-
-// paletteWordCap bounds the palette bitset length (words of 64 colors);
-// palettes never exceed degree+1 colors.
-const paletteWordCap = 1 << 20
-
 func savePalette(w *ckpt.Writer, p *palette) {
 	w.Int(p.size)
 	w.Int(len(p.words))
@@ -38,7 +32,9 @@ func savePalette(w *ckpt.Writer, p *palette) {
 // word.
 func loadPalette(r *ckpt.Reader, p *palette) {
 	p.size = r.Int()
-	n := r.Count(paletteWordCap)
+	// A node does not know the universe size, so only the record's
+	// length bounds its palette and, in DColor, its streak table.
+	n := r.Count(math.MaxInt)
 	if r.Err() != nil {
 		p.words, p.size = nil, 0
 		return
@@ -82,7 +78,7 @@ func (d *dcolorNode) LoadState(r *ckpt.Reader) {
 	loadPalette(r, &d.pal)
 	d.streak = d.streak[:0]
 	if r.Bool() {
-		n := r.Count(streakCap)
+		n := r.Count(math.MaxInt)
 		d.streak = ckpt.AllocSlice[streakEntry](r, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			d.streak[i] = streakEntry{graph.NodeID(r.Varint()), int32(r.Varint())}

@@ -2,6 +2,7 @@ package mis
 
 import (
 	"fmt"
+	"math"
 
 	"dynlocal/internal/ckpt"
 	"dynlocal/internal/core"
@@ -18,10 +19,6 @@ const (
 	tagDMis uint64 = 0x61
 	tagSMis uint64 = 0x62
 )
-
-// streakCap bounds the streak-table size a checkpoint may declare: a
-// node can know at most every other node.
-const streakCap = 1 << 24
 
 // SaveState implements ckpt.Stater. The streak table is written
 // verbatim (key/value pairs in insertion order): order does
@@ -52,7 +49,9 @@ func (d *dmisNode) LoadState(r *ckpt.Reader) {
 	d.alpha = r.Uvarint()
 	d.streak = d.streak[:0]
 	if r.Bool() {
-		n := r.Count(streakCap)
+		// A node does not know the universe size, so only the record's
+		// length bounds its streak table.
+		n := r.Count(math.MaxInt)
 		d.streak = ckpt.AllocSlice[streakEntry](r, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			d.streak[i] = streakEntry{graph.NodeID(r.Varint()), int32(r.Varint())}

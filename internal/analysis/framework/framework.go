@@ -6,8 +6,7 @@
 // x/tools module cannot be assumed present — so the dynlint analyzers
 // (loancheck, detcheck, sortedcheck) are written against this shim
 // instead. The shapes mirror go/analysis on purpose: if x/tools becomes
-// available (see the dynlint_xtools build tag in tools.go), porting an
-// analyzer is a mechanical rename.
+// available, porting an analyzer is a mechanical rename.
 //
 // Beyond the x/tools shapes, the framework adds the one thing the dynlint
 // suite needs that go/analysis provides via Facts: a whole-program

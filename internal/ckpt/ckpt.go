@@ -266,8 +266,10 @@ func (r *Reader) String() string {
 }
 
 // Count reads an element count written with Int and validates it is
-// non-negative and within limit, bounding allocations driven by corrupt
-// streams.
+// non-negative, within limit and no larger than the bytes left in the
+// record. Every caller reads at least one byte per counted element, so a
+// valid record always passes, and a corrupt one cannot make the caller
+// allocate more elements than the record has bytes.
 func (r *Reader) Count(limit int) int {
 	n := r.Varint()
 	if r.err != nil {
@@ -275,6 +277,10 @@ func (r *Reader) Count(limit int) int {
 	}
 	if n < 0 || limit < 0 || n > int64(limit) {
 		r.err = fmt.Errorf("ckpt: count %d exceeds limit %d", n, limit)
+		return 0
+	}
+	if left := len(r.data) - r.off; n > int64(left) {
+		r.err = fmt.Errorf("ckpt: count %d exceeds the %d bytes left", n, left)
 		return 0
 	}
 	return int(n)

@@ -163,12 +163,17 @@ func TestSectionMismatch(t *testing.T) {
 	}
 }
 
-// TestCountLimit checks hostile counts are rejected before allocation.
+// TestCountLimit checks hostile counts are rejected before allocation:
+// a count over the limit, a negative one, and one larger than the bytes
+// left in the record.
 func TestCountLimit(t *testing.T) {
 	w := NewWriter(nil)
 	w.Int(1 << 30)
 	w.Int(-5)
 	w.Int(77)
+	for range 77 {
+		w.Bool(false)
+	}
 	rec := record(t, w)
 	r := NewReader(rec)
 	if r.Count(1024); r.Err() == nil {
@@ -183,6 +188,13 @@ func TestCountLimit(t *testing.T) {
 	_, _ = r.Int(), r.Int()
 	if got := r.Count(1024); got != 77 || r.Err() != nil {
 		t.Fatalf("valid count: got %d err %v", got, r.Err())
+	}
+	w = NewWriter(nil)
+	w.Int(100)
+	r = NewReader(record(t, w))
+	const want = "ckpt: count 100 exceeds the 4 bytes left"
+	if r.Count(1024); r.Err() == nil || r.Err().Error() != want {
+		t.Fatalf("count beyond the record: err %v, want %q", r.Err(), want)
 	}
 }
 
@@ -287,10 +299,10 @@ type onlyReader struct{ r io.Reader }
 func (o onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 
 // refReader is the byte-at-a-time decoder the slice Reader replaced: it
-// pulls every byte through an io.ByteReader and folds it into a running
+// pulls every byte through a bytes.Reader and folds it into a running
 // CRC-32. FuzzReader holds the Reader to its results.
 type refReader struct {
-	br  io.ByteReader
+	br  *bytes.Reader
 	crc uint32
 	sum uint32
 	err error
@@ -382,6 +394,10 @@ func (r *refReader) Count(limit int) int {
 	}
 	if n < 0 || limit < 0 || n > int64(limit) {
 		r.err = fmt.Errorf("ckpt: count %d exceeds limit %d", n, limit)
+		return 0
+	}
+	if left := r.br.Len(); n > int64(left) {
+		r.err = fmt.Errorf("ckpt: count %d exceeds the %d bytes left", n, left)
 		return 0
 	}
 	return int(n)

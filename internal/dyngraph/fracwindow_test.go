@@ -29,13 +29,13 @@ func directFracGraph(history []*graph.Graph, T int, delta float64) *graph.Graph 
 			counts[graph.MakeEdgeKey(u, v)]++
 		})
 	}
-	b := graph.NewBuilder(history[0].N())
+	var keys []graph.EdgeKey
 	for k, c := range counts {
 		if c >= th {
-			b.AddEdgeKey(k)
+			keys = append(keys, k)
 		}
 	}
-	return b.Graph()
+	return graph.FromEdges(history[0].N(), keys)
 }
 
 // fracGraphFed drives a FracWindow from whole round graphs through the

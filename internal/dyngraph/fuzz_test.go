@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dynlocal/internal/graph"
+	"dynlocal/internal/graph/graphtest"
 )
 
 // FuzzDecodeTrace feeds arbitrary bytes to the trace decoder. The decoder
@@ -57,15 +59,20 @@ func FuzzDecodeTrace(f *testing.F) {
 		if tr2.N() != tr.N() || !reflect.DeepEqual(tr.rounds, tr2.rounds) {
 			t.Fatalf("round trip changed trace: n %d→%d", tr.N(), tr2.N())
 		}
-		// A cursor replay and GraphAt must not panic on validated input.
+		// A cursor replay must not panic on validated input, and its final
+		// graph must equal an independent model's fold of the same cursor.
 		// Materializing graphs is O(rounds·n) by nature, so bound it: a
 		// hostile input can claim ~3 bytes per empty round and a large n,
 		// and unbounded replay would turn one fuzz exec quadratic and
 		// trip the hang detector.
 		if tr.Rounds() > 0 && tr.Rounds()*(tr.N()+1) <= 1<<22 {
 			graphs, _ := replayGraphs(t, tr)
-			if !tr.GraphAt(tr.Rounds()).Equal(graphs[len(graphs)-1]) {
-				t.Fatal("GraphAt(last) differs from the final replayed graph")
+			model := graphtest.NewDiffModel(tr.N())
+			replayDeltas(t, tr, func(_ int, adds, removes []graph.EdgeKey, _ []graph.NodeID) {
+				model.Step(t, adds, removes)
+			})
+			if !slices.Equal(graphs[len(graphs)-1].Edges(), model.Keys()) {
+				t.Fatal("the final replayed graph differs from the model's fold of the cursor")
 			}
 		}
 	})

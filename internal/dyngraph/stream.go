@@ -30,8 +30,8 @@ import (
 const decodePrealloc = 1 << 16
 
 // MaxDecodeNodes bounds the node universe a decoded trace may declare.
-// Replaying a trace sizes O(n) state — the engine's per-node arrays, a
-// GraphAt graph — so without this bound a 14-byte hostile header
+// Replaying a trace sizes O(n) state — the engine's per-node arrays and
+// topology — so without this bound a 14-byte hostile header
 // claiming n = 2³¹−1 would defer a multi-gigabyte allocation to the
 // first consumer. The bound is a decoder sanity limit for untrusted
 // input only — traces built in memory via NewTrace are not restricted —

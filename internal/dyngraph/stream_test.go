@@ -332,7 +332,7 @@ func TestGoldenTraceFixture(t *testing.T) {
 }
 
 // TestTraceZeroRounds covers the degenerate trace: encodes, decodes (both
-// paths), replays as nothing, and GraphAt has no valid round to ask for.
+// paths) and replays as nothing.
 func TestTraceZeroRounds(t *testing.T) {
 	tr := NewTrace(5)
 	var buf bytes.Buffer
@@ -359,18 +359,11 @@ func TestTraceZeroRounds(t *testing.T) {
 	if _, err := d.Next(); err != io.EOF {
 		t.Fatalf("Next on empty trace = %v, want io.EOF", err)
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GraphAt(1) on empty trace did not panic")
-		}
-	}()
-	got.GraphAt(1)
 }
 
 // TestTraceTrailingEmptyDiffsPersistTopology pins that rounds recording
 // no change keep the prior topology: the wire carries empty diffs, and
-// GraphAt and the cursor replay both see the round-1 graph unchanged.
+// the cursor replay sees the round-1 graph unchanged.
 func TestTraceTrailingEmptyDiffsPersistTopology(t *testing.T) {
 	const n = 12
 	s := wstream(7)
@@ -396,11 +389,6 @@ func TestTraceTrailingEmptyDiffsPersistTopology(t *testing.T) {
 			t.Fatalf("round %d: expected empty diff, got %d adds %d removes", r, len(adds), len(removes))
 		}
 	})
-	for r := 1; r <= 3; r++ {
-		if !got.GraphAt(r).Equal(g) {
-			t.Fatalf("GraphAt(%d) lost the persisted topology", r)
-		}
-	}
 	graphs, _ := replayGraphs(t, got)
 	for i, rg := range graphs {
 		if !rg.Equal(g) {

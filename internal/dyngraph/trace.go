@@ -1,7 +1,6 @@
 package dyngraph
 
 import (
-	"fmt"
 	"io"
 
 	"dynlocal/internal/graph"
@@ -86,26 +85,6 @@ func (c *TraceCursor) NextDeltas() (wake []graph.NodeID, adds, removes []graph.E
 	st := &c.t.rounds[c.next]
 	c.next++
 	return st.wake, st.added, st.removed, nil
-}
-
-// GraphAt materializes the graph of a single (1-based) round. Only the
-// deltas up to that round are applied — rounds beyond it are neither
-// replayed nor materialized.
-func (t *Trace) GraphAt(round int) *graph.Graph {
-	if round < 1 || round > len(t.rounds) {
-		panic(fmt.Sprintf("dyngraph: round %d outside trace [1,%d]", round, len(t.rounds)))
-	}
-	b := graph.NewBuilder(t.n)
-	for _, st := range t.rounds[:round] {
-		for _, k := range st.added {
-			b.AddEdgeKey(k)
-		}
-		for _, k := range st.removed {
-			u, v := k.Nodes()
-			b.RemoveEdge(u, v)
-		}
-	}
-	return b.Graph()
 }
 
 const traceMagic = "DYNT"

@@ -55,20 +55,17 @@ func replayDeltas(t testing.TB, tr *Trace, fn func(r int, adds, removes []graph.
 	}
 }
 
-// replayGraphs folds tr's diffs into one materialized graph per round,
-// with each round's wake set: the test-side reference a cursor replay is
-// compared with.
+// replayGraphs folds tr's diffs through a DynAdj into one materialized
+// graph per round, with each round's wake set: the test-side reference a
+// cursor replay is compared with.
 func replayGraphs(t testing.TB, tr *Trace) (graphs []*graph.Graph, wakes [][]graph.NodeID) {
 	t.Helper()
-	b := graph.NewBuilder(tr.N())
-	replayDeltas(t, tr, func(_ int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
-		for _, k := range adds {
-			b.AddEdgeKey(k)
+	adj := graph.NewDynAdj(tr.N())
+	replayDeltas(t, tr, func(r int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+		if err := adj.Apply(adds, removes); err != nil {
+			t.Fatalf("round %d: %v", r, err)
 		}
-		for _, k := range removes {
-			b.RemoveEdge(k.Nodes())
-		}
-		graphs = append(graphs, b.Graph())
+		graphs = append(graphs, adj.Graph().Clone())
 		wakes = append(wakes, slices.Clone(wake))
 	})
 	return graphs, wakes
@@ -94,25 +91,6 @@ func TestTraceReplayReconstructsGraphs(t *testing.T) {
 	if len(wakeRounds) != 1 || wakeRounds[0] != 1 {
 		t.Fatalf("wake rounds = %v", wakeRounds)
 	}
-}
-
-func TestTraceGraphAt(t *testing.T) {
-	tr, history := buildSampleTrace(t, 4, 10, 8)
-	for r := 1; r <= 8; r++ {
-		if !tr.GraphAt(r).Equal(history[r-1]) {
-			t.Fatalf("GraphAt(%d) mismatch", r)
-		}
-	}
-}
-
-func TestTraceGraphAtOutOfRangePanics(t *testing.T) {
-	tr, _ := buildSampleTrace(t, 4, 10, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	tr.GraphAt(4)
 }
 
 func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
@@ -146,50 +124,6 @@ func TestTraceDecodeRejectsGarbage(t *testing.T) {
 	// Valid magic, truncated body.
 	if _, err := DecodeTrace(bytes.NewReader([]byte("DYNT"))); err == nil {
 		t.Fatal("expected error for truncated trace")
-	}
-}
-
-// TestTraceGraphAtMatchesReplay pins that GraphAt equals the cursor
-// replay folded round by round on a recorded churn-style schedule (random
-// edge toggles on a base graph).
-func TestTraceGraphAtMatchesReplay(t *testing.T) {
-	const n = 32
-	const rounds = 20
-	s := wstream(55)
-	base := graph.GNP(n, 0.15, s)
-	tr := NewTrace(n)
-	prev := (*graph.Graph)(nil)
-	cur := base
-	for r := 1; r <= rounds; r++ {
-		var wake []graph.NodeID
-		if r == 1 {
-			wake = allNodes(n)
-		}
-		tr.Append(prev, cur, wake)
-		prev = cur
-		// Churn: toggle a handful of random edges for the next round.
-		b := graph.NewBuilder(n)
-		cur.EachEdge(func(u, v graph.NodeID) { b.AddEdge(u, v) })
-		for i := 0; i < 6; i++ {
-			u := graph.NodeID(s.Intn(n))
-			v := graph.NodeID(s.Intn(n))
-			if u == v {
-				continue
-			}
-			if b.HasEdge(u, v) {
-				b.RemoveEdge(u, v)
-			} else {
-				b.AddEdge(u, v)
-			}
-		}
-		cur = b.Graph()
-	}
-	graphs, _ := replayGraphs(t, tr)
-	for i, g := range graphs {
-		if got := tr.GraphAt(i + 1); !got.Equal(g) {
-			t.Fatalf("GraphAt(%d) differs from the replay:\ngot  %s\nwant %s",
-				i+1, got.DebugString(), g.DebugString())
-		}
 	}
 }
 
@@ -338,7 +272,8 @@ func TestTraceEncodingIsCompact(t *testing.T) {
 	changes := 0
 	prev := graph.Empty(64)
 	for _, g := range history {
-		changes += graph.Difference(g, prev).M() + graph.Difference(prev, g).M()
+		adds, removes := graph.DiffSortedKeys(prev.Edges(), g.Edges(), nil, nil)
+		changes += len(adds) + len(removes)
 		prev = g
 	}
 	var buf bytes.Buffer

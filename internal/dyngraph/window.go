@@ -34,7 +34,8 @@
 // exactly that, pushing both into the violation trackers of
 // internal/problems. The equivalence of both the materialized graphs and
 // the emitted deltas with the direct Definition 2.1 computation is
-// property-tested against graph.IntersectAll/UnionAll.
+// property-tested against folds of graph.Intersection/Union over the
+// window's round graphs.
 package dyngraph
 
 import (

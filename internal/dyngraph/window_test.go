@@ -45,14 +45,20 @@ func (f *graphFed) Observe(g *graph.Graph, wake []graph.NodeID) *Delta {
 func directWindows(history []*graph.Graph, t int) (inter, union *graph.Graph) {
 	r := len(history)
 	n := history[0].N()
+	fold := func(op func(g, h *graph.Graph) *graph.Graph, gs []*graph.Graph) *graph.Graph {
+		acc := gs[0]
+		for _, g := range gs[1:] {
+			acc = op(acc, g)
+		}
+		return acc
+	}
 	r0 := r - t + 1
 	if r0 < 1 {
 		// Window reaches back to the empty round 0.
-		union = graph.UnionAll(history)
-		return graph.Empty(n), union
+		return graph.Empty(n), fold(graph.Union, history)
 	}
 	windowGraphs := history[r0-1 : r]
-	return graph.IntersectAll(windowGraphs), graph.UnionAll(windowGraphs)
+	return fold(graph.Intersection, windowGraphs), fold(graph.Union, windowGraphs)
 }
 
 func TestWindowMatchesDefinitionDirectly(t *testing.T) {

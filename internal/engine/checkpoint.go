@@ -506,7 +506,9 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 
 	r.Section(tagSnaps)
 	cols := e.readNodeList(r, "changed-output")
-	nSlots := r.Count(e.lag + 1)
+	// A slot reads no bytes when no output changed, so its count is an
+	// Int held to the one valid value, not a Count.
+	nSlots := r.Int()
 	if r.Err() != nil {
 		return false
 	}

@@ -53,31 +53,6 @@ func GNP(n int, p float64, s *prf.Stream) *Graph {
 	return FromSortedEdges(n, keys)
 }
 
-// GNM returns a uniform graph with exactly m distinct edges (m capped at
-// the maximum possible).
-func GNM(n, m int, s *prf.Stream) *Graph {
-	maxM := n * (n - 1) / 2
-	if m > maxM {
-		m = maxM
-	}
-	have := make(map[EdgeKey]struct{}, m)
-	keys := make([]EdgeKey, 0, m)
-	for len(keys) < m {
-		u := NodeID(s.Intn(n))
-		v := NodeID(s.Intn(n))
-		if u == v {
-			continue
-		}
-		k := MakeEdgeKey(u, v)
-		if _, ok := have[k]; ok {
-			continue
-		}
-		have[k] = struct{}{}
-		keys = append(keys, k)
-	}
-	return FromEdges(n, keys)
-}
-
 // Complete returns K_n.
 func Complete(n int) *Graph {
 	keys := make([]EdgeKey, 0, n*(n-1)/2)
@@ -128,17 +103,6 @@ func Grid(rows, cols int) *Graph {
 	return FromSortedEdges(rows*cols, keys)
 }
 
-// CompleteBipartite returns K_{a,b} on a+b nodes (left ids first).
-func CompleteBipartite(a, b int) *Graph {
-	keys := make([]EdgeKey, 0, a*b)
-	for u := 0; u < a; u++ {
-		for v := 0; v < b; v++ {
-			keys = append(keys, MakeEdgeKey(NodeID(u), NodeID(a+v)))
-		}
-	}
-	return FromSortedEdges(a+b, keys)
-}
-
 // Star returns K_{1,n-1} with node 0 as the center.
 func Star(n int) *Graph {
 	keys := make([]EdgeKey, 0, n-1)
@@ -146,16 +110,6 @@ func Star(n int) *Graph {
 		keys = append(keys, MakeEdgeKey(0, NodeID(v)))
 	}
 	return FromSortedEdges(n, keys)
-}
-
-// RandomTree returns a uniform random recursive tree on n nodes: node i
-// attaches to a uniformly random earlier node.
-func RandomTree(n int, s *prf.Stream) *Graph {
-	keys := make([]EdgeKey, 0, n)
-	for v := 1; v < n; v++ {
-		keys = append(keys, MakeEdgeKey(NodeID(s.Intn(v)), NodeID(v)))
-	}
-	return FromEdges(n, keys)
 }
 
 // Caterpillar returns a path of spineLen nodes with legsPerSpine leaf

@@ -1,7 +1,6 @@
 // Package graph provides the static-graph substrate for the dynamic-network
 // simulator: an immutable graph in compressed-sparse-row (CSR) layout over a
-// fixed node-id space, a mutable builder, set operations (union,
-// intersection, difference), induced subgraphs, α-neighborhood balls with
+// fixed node-id space, union and intersection, α-neighborhood balls with
 // fingerprints for locally-static detection, and the synthetic workload
 // generators used by the experiments.
 //
@@ -272,75 +271,4 @@ func (g *Graph) DebugString() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// Builder accumulates edges and produces an immutable Graph.
-type Builder struct {
-	n     int
-	edges map[EdgeKey]struct{}
-}
-
-// NewBuilder returns a builder for a graph on n node slots.
-func NewBuilder(n int) *Builder {
-	return &Builder{n: n, edges: make(map[EdgeKey]struct{})}
-}
-
-// N returns the node-space size of the builder.
-func (b *Builder) N() int { return b.n }
-
-// AddEdge inserts the undirected edge {u, v}; duplicates are ignored.
-// It panics on out-of-range endpoints or self-loops.
-func (b *Builder) AddEdge(u, v NodeID) {
-	if u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
-		panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n))
-	}
-	b.edges[MakeEdgeKey(u, v)] = struct{}{}
-}
-
-// AddEdgeKey inserts an edge by key.
-func (b *Builder) AddEdgeKey(k EdgeKey) {
-	u, v := k.Nodes()
-	b.AddEdge(u, v)
-}
-
-// RemoveEdge deletes the edge {u, v} if present.
-func (b *Builder) RemoveEdge(u, v NodeID) {
-	delete(b.edges, MakeEdgeKey(u, v))
-}
-
-// HasEdge reports whether the builder currently contains {u, v}.
-func (b *Builder) HasEdge(u, v NodeID) bool {
-	if u == v {
-		return false
-	}
-	_, ok := b.edges[MakeEdgeKey(u, v)]
-	return ok
-}
-
-// M returns the current number of edges.
-func (b *Builder) M() int { return len(b.edges) }
-
-// EdgeKeys returns the current edge set in ascending order. (It was
-// documented as unspecified order before dynlint's detcheck flagged the
-// map-order leak; every consumer is deterministic with the sorted form.)
-//
-//dynlint:sorted
-func (b *Builder) EdgeKeys() []EdgeKey {
-	out := make([]EdgeKey, 0, len(b.edges))
-	for k := range b.edges {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Graph freezes the builder into an immutable Graph. The builder remains
-// usable afterwards (subsequent mutations do not affect the built graph).
-func (b *Builder) Graph() *Graph {
-	keys := make([]EdgeKey, 0, len(b.edges))
-	for k := range b.edges {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return fromSortedKeys(b.n, keys)
 }

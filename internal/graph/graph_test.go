@@ -49,47 +49,8 @@ func TestEdgeKeyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuilderBasics(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 0) // duplicate under swap
-	b.AddEdge(2, 3)
-	if b.M() != 2 {
-		t.Fatalf("M() = %d, want 2", b.M())
-	}
-	b.RemoveEdge(3, 2)
-	if b.M() != 1 || b.HasEdge(2, 3) {
-		t.Fatal("RemoveEdge failed")
-	}
-	g := b.Graph()
-	if g.M() != 1 || !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
-		t.Fatal("built graph wrong")
-	}
-	if g.HasEdge(0, 0) {
-		t.Fatal("self loop reported present")
-	}
-	// Mutating the builder afterwards must not affect the built graph.
-	b.AddEdge(3, 4)
-	if g.M() != 1 {
-		t.Fatal("built graph changed after builder mutation")
-	}
-}
-
-func TestBuilderOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range edge")
-		}
-	}()
-	NewBuilder(3).AddEdge(0, 3)
-}
-
 func TestGraphDegreesAndNeighborsSorted(t *testing.T) {
-	b := NewBuilder(6)
-	b.AddEdge(2, 5)
-	b.AddEdge(2, 0)
-	b.AddEdge(2, 4)
-	g := b.Graph()
+	g := FromEdges(6, []EdgeKey{MakeEdgeKey(2, 5), MakeEdgeKey(2, 0), MakeEdgeKey(2, 4)})
 	if g.Degree(2) != 3 {
 		t.Fatalf("Degree(2) = %d", g.Degree(2))
 	}
@@ -154,9 +115,8 @@ func TestUnionIntersectionDifference(t *testing.T) {
 	if i.M() != 1 || !i.HasEdge(1, 2) {
 		t.Fatalf("intersection wrong: %s", i.DebugString())
 	}
-	d := Difference(a, b)
-	if d.M() != 1 || !d.HasEdge(0, 1) {
-		t.Fatalf("difference wrong: %s", d.DebugString())
+	if _, d := DiffSortedKeys(a.Edges(), b.Edges(), nil, nil); !slices.Equal(d, []EdgeKey{MakeEdgeKey(0, 1)}) {
+		t.Fatalf("difference wrong: %v", d)
 	}
 }
 
@@ -186,42 +146,16 @@ func TestSetOpsAlgebraProperties(t *testing.T) {
 			ok = false
 		}
 		// A \ B disjoint from B.
-		Difference(a, b).EachEdge(func(x, y NodeID) {
-			if b.HasEdge(x, y) {
+		_, d := DiffSortedKeys(a.Edges(), b.Edges(), nil, nil)
+		for _, k := range d {
+			if b.HasEdge(k.Nodes()) {
 				ok = false
 			}
-		})
+		}
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIntersectAllUnionAll(t *testing.T) {
-	gs := []*Graph{
-		FromEdges(4, []EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(1, 2)}),
-		FromEdges(4, []EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(2, 3)}),
-		FromEdges(4, []EdgeKey{MakeEdgeKey(0, 1)}),
-	}
-	i := IntersectAll(gs)
-	if i.M() != 1 || !i.HasEdge(0, 1) {
-		t.Fatalf("IntersectAll wrong: %v", i.Edges())
-	}
-	u := UnionAll(gs)
-	if u.M() != 3 {
-		t.Fatalf("UnionAll wrong: %v", u.Edges())
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := Complete(5)
-	sub := InducedSubgraph(g, []NodeID{0, 1, 2})
-	if sub.M() != 3 {
-		t.Fatalf("induced K3 has %d edges", sub.M())
-	}
-	if sub.HasEdge(3, 4) {
-		t.Fatal("induced subgraph kept excluded edge")
 	}
 }
 
@@ -249,70 +183,40 @@ func TestBallRadii(t *testing.T) {
 	}
 }
 
-func TestBallFingerprintSensitivity(t *testing.T) {
-	g := Path(7)
-	fp := BallFingerprint(g, 3, 2)
-	// Change inside the 2-ball: must differ.
-	b := NewBuilder(7)
-	g.EachEdge(b.AddEdge)
-	b.AddEdge(2, 4)
-	if BallFingerprint(b.Graph(), 3, 2) == fp {
-		t.Fatal("fingerprint insensitive to in-ball change")
+// connectedComponents returns a component label per node (labels are
+// the minimal node id in each component) and the number of components,
+// counting isolated nodes as singleton components.
+func connectedComponents(g *Graph) (label []NodeID, count int) {
+	label = make([]NodeID, g.n)
+	for i := range label {
+		label[i] = -1
 	}
-	// Change outside the 2-ball (edge {5,6} is at distance >2 from 3's
-	// 2-ball interior edges? node 5 IS in the 2-ball, so use {0,6}).
-	b2 := NewBuilder(7)
-	g.EachEdge(b2.AddEdge)
-	b2.AddEdge(0, 6)
-	if BallFingerprint(b2.Graph(), 3, 2) != fp {
-		t.Fatal("fingerprint sensitive to out-of-ball change")
-	}
-}
-
-func TestBallStatic(t *testing.T) {
-	g := Path(7)
-	b := NewBuilder(7)
-	g.EachEdge(b.AddEdge)
-	b.AddEdge(0, 6) // outside 2-ball of node 3 (members 1..5, edge 0-6 not induced)
-	h := b.Graph()
-	if !BallStatic(g, h, 3, 2) {
-		t.Fatal("out-of-ball change flagged as non-static")
-	}
-	b.AddEdge(2, 4) // inside
-	if BallStatic(g, b.Graph(), 3, 2) {
-		t.Fatal("in-ball change not detected")
-	}
-	// Membership change: connect 6 to 4 puts 6 within distance 2 of 3.
-	b3 := NewBuilder(7)
-	g.EachEdge(b3.AddEdge)
-	b3.AddEdge(4, 6)
-	if BallStatic(g, b3.Graph(), 3, 2) {
-		t.Fatal("membership change not detected")
-	}
-}
-
-func TestBallFingerprintMatchesBallStatic(t *testing.T) {
-	s := stream(11)
-	for trial := 0; trial < 25; trial++ {
-		a := GNP(30, 0.1, s)
-		b := GNP(30, 0.1, s)
-		for v := NodeID(0); v < 30; v++ {
-			stat := BallStatic(a, b, v, 2)
-			fpEq := BallFingerprint(a, v, 2) == BallFingerprint(b, v, 2)
-			if stat != fpEq {
-				t.Fatalf("trial %d node %d: BallStatic=%v fingerprintEq=%v", trial, v, stat, fpEq)
+	var stack []NodeID
+	for v := 0; v < g.n; v++ {
+		if label[v] != -1 {
+			continue
+		}
+		count++
+		root := NodeID(v)
+		label[v] = root
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range g.Neighbors(u) {
+				if label[w] == -1 {
+					label[w] = root
+					stack = append(stack, w)
+				}
 			}
 		}
 	}
+	return label, count
 }
 
 func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(6)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(4, 5)
-	g := b.Graph()
-	label, count := ConnectedComponents(g)
+	g := FromEdges(6, []EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(1, 2), MakeEdgeKey(4, 5)})
+	label, count := connectedComponents(g)
 	if count != 3 { // {0,1,2}, {3}, {4,5}
 		t.Fatalf("count = %d, want 3", count)
 	}
@@ -321,23 +225,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if label[3] == label[0] || label[4] != label[5] || label[4] == label[3] {
 		t.Fatal("component labels wrong")
-	}
-}
-
-func TestIsIndependentAndDominating(t *testing.T) {
-	g := Cycle(6)
-	if !IsIndependentSet(g, []NodeID{0, 2, 4}) {
-		t.Fatal("alternating set not independent")
-	}
-	if IsIndependentSet(g, []NodeID{0, 1}) {
-		t.Fatal("adjacent pair reported independent")
-	}
-	all := []NodeID{0, 1, 2, 3, 4, 5}
-	if !IsDominatingSet(g, []NodeID{0, 3}, all) {
-		t.Fatal("{0,3} should dominate C6")
-	}
-	if IsDominatingSet(g, []NodeID{0}, all) {
-		t.Fatal("{0} cannot dominate C6")
 	}
 }
 

@@ -1,8 +1,10 @@
-// Package graphtest is test support for the edge-diff contract: DiffModel
-// is a map model of a round loop's edge set that checks each round's
-// diff against the set before the round. It shares no code with
-// graph.CheckDiff, so tests can hold the production checker and every
-// diff producer to an independent reading of the contract.
+// Package graphtest holds the graph package's reference oracles for
+// tests. DiffModel is a map model of a round loop's edge set that checks
+// each round's diff against the set before the round. It shares no code
+// with graph.CheckDiff, so tests can hold the production checker and
+// every diff producer to an independent reading of the contract.
+// BallStatic is the exact comparison that graph.BallFingerprint
+// approximates.
 package graphtest
 
 import (
@@ -115,4 +117,31 @@ func (m *DiffModel) Step(tb testing.TB, adds, removes []graph.EdgeKey) {
 	for _, k := range removes {
 		delete(m.present, k)
 	}
+}
+
+// BallStatic reports whether the induced radius-ball around v is
+// identical in graphs a and b: the same members and the same edges among
+// them.
+func BallStatic(a, b *graph.Graph, v graph.NodeID, radius int) bool {
+	ma := graph.Ball(a, v, radius)
+	if !slices.Equal(ma, graph.Ball(b, v, radius)) {
+		return false
+	}
+	in := make(map[graph.NodeID]bool, len(ma))
+	for _, u := range ma {
+		in[u] = true
+	}
+	for _, u := range ma {
+		for _, w := range a.Neighbors(u) {
+			if u < w && in[w] && !b.HasEdge(u, w) {
+				return false
+			}
+		}
+		for _, w := range b.Neighbors(u) {
+			if u < w && in[w] && !a.HasEdge(u, w) {
+				return false
+			}
+		}
+	}
+	return true
 }

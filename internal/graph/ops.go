@@ -55,65 +55,6 @@ func Intersection(g, h *Graph) *Graph {
 	return fromSortedKeys(g.n, out)
 }
 
-// Difference returns the graph containing the edges of g that are not in h.
-func Difference(g, h *Graph) *Graph {
-	mustSameN(g, h)
-	a, b := g.Edges(), h.Edges()
-	out := make([]EdgeKey, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) {
-		for j < len(b) && b[j] < a[i] {
-			j++
-		}
-		if j >= len(b) || b[j] != a[i] {
-			out = append(out, a[i])
-		}
-		i++
-	}
-	return fromSortedKeys(g.n, out)
-}
-
-// IntersectAll folds Intersection over a non-empty slice of graphs.
-func IntersectAll(gs []*Graph) *Graph {
-	if len(gs) == 0 {
-		panic("graph: IntersectAll of empty slice")
-	}
-	acc := gs[0]
-	for _, g := range gs[1:] {
-		acc = Intersection(acc, g)
-	}
-	return acc
-}
-
-// UnionAll folds Union over a non-empty slice of graphs.
-func UnionAll(gs []*Graph) *Graph {
-	if len(gs) == 0 {
-		panic("graph: UnionAll of empty slice")
-	}
-	acc := gs[0]
-	for _, g := range gs[1:] {
-		mustSameN(gs[0], g)
-		acc = Union(acc, g)
-	}
-	return acc
-}
-
-// InducedSubgraph returns the graph on the same node space keeping only
-// edges with both endpoints in keep.
-func InducedSubgraph(g *Graph, keep []NodeID) *Graph {
-	in := make([]bool, g.n)
-	for _, v := range keep {
-		in[v] = true
-	}
-	var out []EdgeKey
-	g.EachEdge(func(u, v NodeID) {
-		if in[u] && in[v] {
-			out = append(out, MakeEdgeKey(u, v))
-		}
-	})
-	return fromSortedKeys(g.n, out)
-}
-
 // Ball returns the set of nodes within distance radius of v (including v),
 // sorted ascending. radius 0 yields {v}.
 func Ball(g *Graph, v NodeID, radius int) []NodeID {
@@ -172,110 +113,6 @@ func BallFingerprint(g *Graph, v NodeID, radius int) uint64 {
 		}
 	}
 	return h
-}
-
-// BallStatic reports whether the induced radius-ball around v is identical
-// in graphs a and b (exact comparison, not fingerprint).
-func BallStatic(a, b *Graph, v NodeID, radius int) bool {
-	ma := Ball(a, v, radius)
-	mb := Ball(b, v, radius)
-	if len(ma) != len(mb) {
-		return false
-	}
-	for i := range ma {
-		if ma[i] != mb[i] {
-			return false
-		}
-	}
-	in := make(map[NodeID]bool, len(ma))
-	for _, u := range ma {
-		in[u] = true
-	}
-	for _, u := range ma {
-		for _, w := range a.Neighbors(u) {
-			if u < w && in[w] && !b.HasEdge(u, w) {
-				return false
-			}
-		}
-		for _, w := range b.Neighbors(u) {
-			if u < w && in[w] && !a.HasEdge(u, w) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ConnectedComponents returns a component label per node (labels are
-// the minimal node id in each component) and the number of components,
-// counting isolated nodes as singleton components.
-func ConnectedComponents(g *Graph) (label []NodeID, count int) {
-	label = make([]NodeID, g.n)
-	for i := range label {
-		label[i] = -1
-	}
-	var stack []NodeID
-	for v := 0; v < g.n; v++ {
-		if label[v] != -1 {
-			continue
-		}
-		count++
-		root := NodeID(v)
-		label[v] = root
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(u) {
-				if label[w] == -1 {
-					label[w] = root
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return label, count
-}
-
-// IsIndependentSet reports whether no two nodes of set are adjacent in g.
-func IsIndependentSet(g *Graph, set []NodeID) bool {
-	in := make(map[NodeID]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	for _, v := range set {
-		for _, u := range g.Neighbors(v) {
-			if in[u] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsDominatingSet reports whether every node in universe is in set or has
-// a neighbor in set.
-func IsDominatingSet(g *Graph, set []NodeID, universe []NodeID) bool {
-	in := make(map[NodeID]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	for _, v := range universe {
-		if in[v] {
-			continue
-		}
-		dominated := false
-		for _, u := range g.Neighbors(v) {
-			if in[u] {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			return false
-		}
-	}
-	return true
 }
 
 func mustSameN(g, h *Graph) {

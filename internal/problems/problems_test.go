@@ -183,15 +183,13 @@ func TestPackingClosedUnderEdgeRemoval(t *testing.T) {
 			return false
 		}
 		// Remove ~half the edges.
-		b := graph.NewBuilder(n)
-		i := 0
-		g.EachEdge(func(u, v graph.NodeID) {
+		var half []graph.EdgeKey
+		for i, k := range g.Edges() {
 			if i%2 == 0 {
-				b.AddEdge(u, v)
+				half = append(half, k)
 			}
-			i++
-		})
-		sub := b.Graph()
+		}
+		sub := graph.FromSortedEdges(n, half)
 		// Packing: still valid on the subgraph.
 		return len((ProperColoring{}).CheckFull(sub, out, allIDs(n))) == 0 &&
 			len((IndependentSet{}).CheckFull(sub, greedyMIS(g), allIDs(n))) == 0
@@ -215,11 +213,7 @@ func TestCoveringClosedUnderEdgeAddition(t *testing.T) {
 			return false
 		}
 		// Add edges.
-		b := graph.NewBuilder(n)
-		g.EachEdge(b.AddEdge)
-		extra := graph.GNP(n, 0.2, s)
-		extra.EachEdge(b.AddEdge)
-		super := b.Graph()
+		super := graph.Union(g, graph.GNP(n, 0.2, s))
 		return len((DegreeRange{}).CheckFull(super, colorOut, allIDs(n))) == 0 &&
 			len((DominatingSet{}).CheckFull(super, misOut, allIDs(n))) == 0
 	}

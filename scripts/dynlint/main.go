@@ -6,11 +6,7 @@
 //
 // Findings print as path:line:col: analyzer: message, each tagged with
 // the prose contract it defends. Exit status: 0 clean, 1 findings,
-// 2 operational error. With the dynlint_xtools build tag (requires
-// golang.org/x/tools in the module cache), `dynlint -xtools` also runs
-// the bundled x/tools passes (nilness, unusedwrite, copylocks) via the
-// standard multichecker; without the tag, -xtools explains how to enable
-// it. docs/linting.md has the annotation grammar.
+// 2 operational error. docs/linting.md has the annotation grammar.
 package main
 
 import (
@@ -24,10 +20,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "-xtools" {
-		os.Args = append(os.Args[:1], os.Args[2:]...)
-		runXtools() // does not return
-	}
 	version := flag.Bool("version", false, "print the dynlint build version and exit")
 	flag.Usage = usage
 	flag.Parse()
@@ -60,7 +52,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, "usage: dynlint [-version] [-xtools args...] [package patterns]\n\nAnalyzers:\n")
+	fmt.Fprint(os.Stderr, "usage: dynlint [-version] [package patterns]\n\nAnalyzers:\n")
 	for _, a := range analysis.Suite() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
