@@ -612,21 +612,33 @@ func (w *Wakeup) SaveState(cw *ckpt.Writer) {
 
 // LoadState implements Checkpointer. Safe for the repeated loads of a
 // chain restore: awake set and inner topology are rebuilt from scratch
-// each time.
+// each time. The next Step applies the inner adversary's diff to the
+// restored copy of its topology, so the copy is checked against the
+// inner wherever the inner's topology is known: against its own edges
+// for an EdgeMirror, and against the topology of the last round stepped
+// for a round-pure Static or Alternator. A ScriptedStream inner is not
+// checked: its topology is the fold of the trace up to its position,
+// which only a replay could rebuild.
 func (w *Wakeup) LoadState(r *ckpt.Reader) {
 	r.Section(tagWakeup)
 	started := r.Bool()
 	if r.Err() != nil {
 		return
 	}
+	var lastRound int
+	var keys []graph.EdgeKey
 	if started {
 		n := len(w.Schedule)
-		lastRound := r.Int()
+		lastRound = r.Int()
 		nKeys := r.Count(n * (n - 1) / 2)
 		if r.Err() != nil {
 			return
 		}
-		keys := make([]graph.EdgeKey, nKeys)
+		if lastRound < 1 {
+			r.Fail(fmt.Errorf("adversary: checkpoint wakeup has stepped, but its last round is %d", lastRound))
+			return
+		}
+		keys = make([]graph.EdgeKey, nKeys)
 		for i := range keys {
 			keys[i] = graph.EdgeKey(r.Uvarint())
 		}
@@ -647,10 +659,18 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 		}
 	}
 	loadInner(r, w.Inner)
-	// Step applies the inner adversary's next diff to the wakeup's copy
-	// of its topology (empty before the first step), so an inner
-	// adversary that keeps its own edges must name the same ones.
-	if mirror, ok := w.Inner.(EdgeMirror); ok && r.Err() == nil {
+	if r.Err() != nil {
+		return
+	}
+	// The copy is empty before the first step; the keys the copy was
+	// built from are sorted, since Apply accepted them.
+	if want, ok := roundPureTopology(w.Inner, lastRound); ok {
+		if !slices.Equal(keys, want) {
+			r.Fail(fmt.Errorf("adversary: checkpoint wakeup inner topology (%d edges) differs from the one the inner adversary holds after round %d (%d edges)", len(keys), lastRound, len(want)))
+		}
+		return
+	}
+	if mirror, ok := w.Inner.(EdgeMirror); ok {
 		m, has := 0, func(graph.EdgeKey) bool { return false }
 		if started {
 			m, has = w.inner.M(), w.inner.Has
@@ -659,6 +679,32 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 			r.Fail(fmt.Errorf("adversary: checkpoint wakeup inner topology disagrees with the inner adversary: %w", err))
 		}
 	}
+}
+
+// roundPureTopology returns, sorted, the edges that an inner adversary
+// whose topology is a function of the round holds after the given
+// round: none before round 1, then Static's G, or Alternator's A or B by
+// the parity of (round-1)/Period. It returns false for any other
+// adversary.
+func roundPureTopology(a Adversary, round int) ([]graph.EdgeKey, bool) {
+	var g *graph.Graph
+	switch a := a.(type) {
+	case Static:
+		g = a.G
+	case *Static:
+		g = a.G
+	case *Alternator:
+		g = a.A
+		if (round-1)/max(a.Period, 1)%2 == 1 {
+			g = a.B
+		}
+	default:
+		return nil, false
+	}
+	if round < 1 {
+		return nil, true
+	}
+	return g.EdgeKeys(), true
 }
 
 // ErrNotCheckpointable is the checkpoint error of the adversaries whose

@@ -418,13 +418,81 @@ func TestScriptedStreamLoadStateRefusesRewind(t *testing.T) {
 	}
 }
 
+// TestWakeupLoadStateChecksRoundPureInner restores Wakeups over the
+// round-pure inners, Static and Alternator, from CRC-valid sections
+// written after round 5. An empty copy of the inner topology, and the
+// copy of round 5 claimed for round 6 when the Alternator switches
+// graphs every round, disagree with the inner's topology for the
+// section's last round and must fail the read: before the check, the
+// empty copy over the Alternator restored, and its next Step panicked
+// removing an absent edge. The section the run itself wrote must load
+// and step on.
+func TestWakeupLoadStateChecksRoundPureInner(t *testing.T) {
+	const n, at = 6, 5
+	section := func(lastRound int, keys []graph.EdgeKey) []byte {
+		w := ckpt.NewWriter(nil)
+		w.Section(tagWakeup)
+		w.Bool(true)
+		w.Int(lastRound)
+		w.Int(len(keys))
+		for _, k := range keys {
+			w.Uvarint(uint64(k))
+		}
+		w.Bool(false) // the inner keeps no checkpointed state
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return w.Bytes()
+	}
+	for _, tc := range []struct {
+		name      string
+		inner     func() Adversary
+		switching bool // the topology of round at+1 differs from round at's
+	}{
+		{"alternator", func() Adversary { return &Alternator{A: graph.Cycle(n), B: graph.Path(n), Period: 1} }, true},
+		{"alternator/period=3", func() Adversary { return &Alternator{A: graph.Cycle(n), B: graph.Path(n), Period: 3} }, false},
+		{"static", func() Adversary { return Static{G: graph.Cycle(n)} }, false},
+		{"static/pointer", func() Adversary { return &Static{G: graph.Cycle(n)} }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *Wakeup { return &Wakeup{Inner: tc.inner(), Schedule: make([]int, n)} }
+			src := mk()
+			v := newFakeView(n)
+			for range at {
+				v.play(src)
+			}
+			bad := [][]byte{section(at, nil)}
+			if tc.switching {
+				bad = append(bad, section(at+1, src.inner.Graph().EdgeKeys()))
+			}
+			for i, b := range bad {
+				r := ckpt.NewReader(b)
+				mk().LoadState(r)
+				if err := r.Err(); err == nil || !strings.Contains(err.Error(), "inner adversary holds") {
+					t.Fatalf("bad section %d: err = %v, want the inner topology refused", i, err)
+				}
+			}
+			dst := mk()
+			loadState(t, dst, stateBytes(t, src))
+			w := &fakeView{round: at, n: n}
+			for range 3 {
+				w.round++
+				dst.Step(w)
+			}
+		})
+	}
+}
+
 // FuzzAdversaryLoadState feeds arbitrary payloads to the LoadState of
 // each checkpointable adversary, picked by kind and seeded with its own
 // state after a few rounds. Each payload is sealed with its checksum, so
 // the fuzzer reaches the field checks instead of stopping at the
 // trailer. A rejected record must fail with an error, never a panic; an
 // accepted one must then step three rounds without a panic, resuming
-// after the rounds its seed played.
+// after the rounds its seed played, or for a Wakeup after the last round
+// its record names. The kind byte picks the adversary modulo the number
+// of kinds; the committed corpus entries use kind 123, which picks
+// Wakeup-over-Churn for five kinds and for six.
 func FuzzAdversaryLoadState(f *testing.F) {
 	const n, played = 24, 4
 	base := graph.GNP(n, 0.2, prf.NewStream(7, 0, 0, prf.PurposeWorkload))
@@ -441,6 +509,9 @@ func FuzzAdversaryLoadState(f *testing.F) {
 		},
 		func() checkpointed {
 			return &LocalStatic{Inner: &Churn{Base: base, Add: 2, Del: 2, Seed: 9}, Base: base, Protected: []graph.NodeID{0}, Alpha: 1}
+		},
+		func() checkpointed {
+			return &Wakeup{Inner: &Alternator{A: graph.Cycle(n), B: base, Period: 1}, Schedule: StaggeredSchedule(n, 4)}
 		},
 	}
 	for kind, mk := range kinds {
@@ -460,7 +531,13 @@ func FuzzAdversaryLoadState(f *testing.F) {
 		if r.Err() != nil || r.Close() != nil {
 			return
 		}
+		// A Wakeup steps on from the last round its record names (0
+		// before its first step), as the engine's round does in a
+		// consistent checkpoint.
 		v := &fakeView{round: played, n: n}
+		if w, ok := a.(*Wakeup); ok {
+			v.round = w.lastRound
+		}
 		for range 3 {
 			v.round++
 			a.Step(v)

@@ -50,34 +50,48 @@ func loadPalette(r *ckpt.Reader, p *palette) {
 }
 
 // SaveState implements ckpt.Stater. The streak table is written as
-// key-sorted pairs once the start round has run.
+// key-sorted pairs once the start round has run, the entries still
+// continuing at their current age: the bytes are those of a run that
+// walked the table every round.
 func (d *dcolorNode) SaveState(w *ckpt.Writer) {
 	w.Section(tagDColor)
 	w.Varint(int64(d.out))
-	w.Bool(d.started)
+	started := d.age > 0
+	w.Bool(started)
 	w.Varint(int64(d.age))
 	w.Varint(d.tentative)
 	savePalette(w, &d.pal)
-	w.Bool(d.started)
-	if d.started {
+	w.Bool(started)
+	if started {
 		w.Int(len(d.streak))
 		for _, e := range d.streak {
+			last := e.last
+			if last == d.walked {
+				last = d.age
+			}
 			w.Varint(int64(e.u))
-			w.Varint(int64(e.last))
+			w.Varint(int64(last))
 		}
 	}
 }
 
-// LoadState implements ckpt.Stater.
+// LoadState implements ckpt.Stater. A record whose started flags
+// disagree with its age is refused. The restored instance walks its
+// streak table in its next round.
 func (d *dcolorNode) LoadState(r *ckpt.Reader) {
 	r.Section(tagDColor)
 	d.out = problemsValue(r)
-	d.started = r.Bool()
+	started := r.Bool()
 	d.age = int32(r.Varint())
 	d.tentative = r.Varint()
 	loadPalette(r, &d.pal)
 	d.streak = d.streak[:0]
-	if r.Bool() {
+	d.walked, d.nc = d.age, -1
+	if hasStreak := r.Bool(); r.Err() == nil && (started != (d.age > 0) || hasStreak != started) {
+		r.Fail(fmt.Errorf("coloring: checkpointed DColor instance of age %d has started flags %v, %v", d.age, started, hasStreak))
+		return
+	}
+	if started {
 		n := r.Count(math.MaxInt)
 		d.streak = ckpt.AllocSlice[streakEntry](r, n)
 		for i := 0; i < n && r.Err() == nil; i++ {

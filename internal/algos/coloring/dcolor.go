@@ -113,19 +113,36 @@ func (f *DColorFactory) NewNodes(v graph.NodeID, k int, dst []core.NodeInstance)
 type dcolorNode struct {
 	f *DColorFactory
 	v graph.NodeID
+	// walked is the age of the last round that walked the streak table
+	// (see streak); it sits in v's padding.
+	walked int32
 
 	out problems.Value
 	pal palette
 	// streak holds, for each of the start round's senders u, the last
 	// age at which u had broadcast in every round of this instance so
-	// far; u is an intersection-graph neighbor in the current round iff
-	// that age is age-1. The entries are sorted by sender and fixed for
-	// the instance's lifetime, so a merge walk over a sender-sorted inbox
-	// finds every entry without hashing. The slice outlives re-Starts —
-	// the per-round intersection allocates nothing.
-	streak    []streakEntry
-	age       int32
-	started   bool
+	// far. The entries are sorted by sender and fixed for the instance's
+	// lifetime, so a merge walk over a sender-sorted inbox finds every
+	// entry without hashing. The slice outlives re-Starts — the
+	// per-round intersection allocates nothing.
+	//
+	// The table is walked only when a round may have changed it: on a
+	// steady round (Ctx.Steady) whose inbox holds exactly as many senders
+	// as the last walk found continuing, those senders are the inbox
+	// (Process). Such a round leaves the table alone, so the entries
+	// still continuing keep the age of the last walk, walked: u is an
+	// intersection-graph neighbor in the current round iff its entry
+	// holds walked, and every other entry holds less. The next walk
+	// first brings those entries up to the previous round, and SaveState
+	// writes them at age, so the table and its bytes are those of a run
+	// that walked every round.
+	streak []streakEntry
+	// age counts the rounds the instance has processed; 0 until its
+	// start round has run.
+	age int32
+	// nc is the number of entries the last walk found continuing, -1
+	// after LoadState, which forces a walk.
+	nc        int32
 	tentative int64
 }
 
@@ -138,14 +155,13 @@ func (d *dcolorNode) Start(ctx *engine.Ctx, input problems.Value) {
 	d.out = input
 	d.pal.clear()
 	d.streak = d.streak[:0]
-	d.age = 0
-	d.started = false
+	d.age, d.walked, d.nc = 0, 0, 0
 	d.tentative = 0
 }
 
 // Broadcast implements the send half of Algorithm 2.
 func (d *dcolorNode) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
-	if !d.started {
+	if d.age == 0 {
 		return append(buf, engine.SubMsg{Kind: KindStart, A: int64(d.out)})
 	}
 	if d.out != problems.Bot {
@@ -158,12 +174,11 @@ func (d *dcolorNode) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 
 // Process implements the receive half of Algorithm 2.
 func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
-	if !d.started {
+	if d.age == 0 {
 		// Start round: initialize the palette with [d_j(v)+1] minus the
 		// neighbors' input colors, and the intersection-neighbor streaks
 		// with the current neighbors.
-		d.started = true
-		d.age = 1
+		d.age, d.walked = 1, 1
 		d.pal.reset(deg + 1)
 		st := d.streak[:0]
 		for _, m := range in {
@@ -179,6 +194,7 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 			st = slices.CompactFunc(st, func(a, b streakEntry) bool { return a.u == b.u })
 		}
 		d.streak = st
+		d.nc = int32(len(st))
 		return
 	}
 
@@ -187,27 +203,46 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	wasUncolored := d.out == problems.Bot
 
 	// Restrict communication to the intersection graph: a sender counts
-	// only if it has been a neighbor in every round since the start,
-	// i.e. its streak reaches the previous round (stale entries never
-	// match again, so no per-round set rebuild is needed). The engine
-	// delivers senders in ascending order, so one cursor walks the keys
-	// alongside the inbox; a sender out of order restarts the walk.
+	// only if it has been a neighbor in every round since the start.
+	// On a steady round every continuing sender is still a neighbor and
+	// broadcasts exactly one sub-message on this instance's channel — a
+	// node with an edge is neither dropped nor parked — so an inbox of
+	// nc sub-messages holds exactly the continuing senders, and every
+	// one counts.
 	prev := d.age
 	d.age++
-	tentativeClash := false
+	fast := ctx.Steady && len(in) == int(d.nc)
 	st := d.streak
+	if !fast && d.walked != prev {
+		// Rounds since the last walk took the fast path: bring the
+		// continuing entries up to the previous round first.
+		for i := range st {
+			if st[i].last == d.walked {
+				st[i].last = prev
+			}
+		}
+	}
+	tentativeClash := false
 	k := 0
+	nc := int32(0)
 	for _, m := range in {
-		if k > 0 && st[k-1].u >= m.From {
-			k = 0
+		if !fast {
+			// The engine delivers senders in ascending order, so one
+			// cursor walks the keys alongside the inbox; a sender out of
+			// order restarts the walk. Stale entries never match again,
+			// so no per-round set rebuild is needed.
+			if k > 0 && st[k-1].u >= m.From {
+				k = 0
+			}
+			for k < len(st) && st[k].u < m.From {
+				k++
+			}
+			if k == len(st) || st[k].u != m.From || st[k].last != prev {
+				continue
+			}
+			st[k].last = d.age
+			nc++
 		}
-		for k < len(st) && st[k].u < m.From {
-			k++
-		}
-		if k == len(st) || st[k].u != m.From || st[k].last != prev {
-			continue
-		}
-		st[k].last = prev + 1
 		switch m.M.Kind {
 		case KindFixed:
 			if d.pal.contains(m.M.A) {
@@ -219,6 +254,9 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 				tentativeClash = true
 			}
 		}
+	}
+	if !fast {
+		d.walked, d.nc = d.age, nc
 	}
 
 	if wasUncolored {

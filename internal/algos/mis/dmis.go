@@ -33,8 +33,8 @@ const (
 	KindMark uint8 = iota + 1
 	// KindAlpha carries DMis's per-round random number (A = float64 bits).
 	KindAlpha
-	// KindDesire carries SMis's desire level and candidate flag
-	// (A = float64 bits of p(v), B = 1 if candidate).
+	// KindDesire carries the desire level of an SMis node that is not a
+	// candidate this round (A = float64 bits of p(v)).
 	KindDesire
 	// KindPresence is a one-time beacon sent by Dominated-input DMis
 	// nodes in their instance's first round. It keeps them in their
@@ -43,6 +43,9 @@ const (
 	// nodes still see each other's random numbers (otherwise two revived
 	// neighbors could both become local minima and both join M).
 	KindPresence
+	// KindDesireCand is KindDesire from a node that is a candidate this
+	// round.
+	KindDesireCand
 )
 
 // DefaultMISWindow is the practical window size T(n) for the MIS

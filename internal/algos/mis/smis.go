@@ -117,11 +117,11 @@ func (s *smisNode) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubM
 	case problems.Bot:
 		st := ctx.Stream(prf.PurposeCandidate)
 		s.candidate = st.Bernoulli(s.p)
-		flag := int64(0)
+		kind := KindDesire
 		if s.candidate {
-			flag = 1
+			kind = KindDesireCand
 		}
-		return append(buf, engine.SubMsg{Kind: KindDesire, A: int64(math.Float64bits(s.p)), B: flag})
+		return append(buf, engine.SubMsg{Kind: kind, A: int64(math.Float64bits(s.p))})
 	default:
 		return buf
 	}
@@ -136,11 +136,9 @@ func (s *smisNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 		switch m.M.Kind {
 		case KindMark:
 			mark = true
-		case KindDesire:
+		case KindDesire, KindDesireCand:
 			delta += math.Float64frombits(uint64(m.M.A))
-			if m.M.B == 1 {
-				otherCandidate = true
-			}
+			otherCandidate = otherCandidate || m.M.Kind == KindDesireCand
 		}
 	}
 

@@ -37,6 +37,14 @@
 // counts and checkpoint bytes are those of a run that never parked. The
 // replay defers the skipped work rather than saving it, but departed
 // peers never get an edge again. Chain does not park.
+//
+// The combiners pass the engine's context hints on to every instance:
+// Ctx.Isolated (the node has no edge) and Ctx.Steady (none of its edges
+// is in the round's diff). A hint that is false says nothing, and a
+// context built outside the engine's round, such as the one of Concat's
+// unpark replay, leaves Steady false. So an instance may read a hint
+// only to skip work whose result it would compute anyway. DColor reads
+// Steady to skip its streak walk.
 package core
 
 import (
@@ -56,7 +64,10 @@ import (
 // The ctx an instance receives is read-only and valid only during the
 // call: a combiner copies the engine's context once per callback and
 // shares that copy among the node's instances, changing only its
-// PurposeBase from one instance to the next.
+// PurposeBase from one instance to the next. Its Isolated and Steady
+// fields are hints: an instance may read them only to skip work whose
+// result it would compute anyway, and must behave the same, checkpoint
+// bytes included, when they are false.
 type NodeInstance interface {
 	// Start (re)initializes the instance with its input. It may be called
 	// again on an instance that has already run — the combiners recycle

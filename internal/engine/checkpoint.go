@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"dynlocal/internal/adversary"
@@ -285,7 +286,7 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer, base bool) {
 	w.Int(len(nodes))
 	for _, v := range nodes {
 		w.Varint(int64(v))
-		w.Int(e.wakeRnd[v])
+		w.Int(int(e.wakeRnd[v]))
 		w.Varint(int64(e.quiet[v]))
 		st, ok := e.states[v].(ckpt.Stater)
 		if !ok {
@@ -420,6 +421,8 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 		r.Fail(fmt.Errorf("engine: delta parent round %d, engine at %d (chain tail %d)", pround, e.round, e.ckptRound))
 	case round < pround:
 		r.Fail(fmt.Errorf("engine: record round %d precedes parent round %d", round, pround))
+	case round > math.MaxInt32:
+		r.Fail(fmt.Errorf("engine: record round %d exceeds the engine's int32 per-node rounds", round))
 	}
 	if r.Err() != nil {
 		return false
@@ -458,7 +461,7 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 		}
 		last = int(v)
 		switch {
-		case e.awake[v] && wr != e.wakeRnd[v]:
+		case e.awake[v] && wr != int(e.wakeRnd[v]):
 			r.Fail(fmt.Errorf("engine: checkpoint wake round %d for node %d, engine has %d", wr, v, e.wakeRnd[v]))
 			return false
 		case !e.awake[v] && (wr <= pround || wr > round):
@@ -466,7 +469,7 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) (base bool) {
 			return false
 		}
 		e.awake[v] = true
-		e.wakeRnd[v] = wr
+		e.wakeRnd[v] = int32(wr)
 		e.quiet[v] = int32(r.Varint())
 		if r.Err() != nil {
 			return false

@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -282,4 +284,25 @@ func TestRestoreRejects(t *testing.T) {
 			t.Fatal("restore of garbage succeeded")
 		}
 	})
+}
+
+// TestRestoreRefusesRoundBeyondInt32 pins the header check that keeps a
+// record's round within the int32 rounds the engine keeps per node (wake
+// rounds, and the rounds behind Ctx.Steady).
+func TestRestoreRefusesRoundBeyondInt32(t *testing.T) {
+	w := ckpt.NewWriter(nil)
+	w.String(ckptMagic)
+	w.Section(tagHeader)
+	w.Uvarint(1) // a base record
+	w.Uvarint(0)
+	w.Int(0)
+	w.Int(math.MaxInt32 + 1)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := ckpt.NewReader(w.Bytes())
+	New(Config{N: 4, Seed: 1, Workers: 1}, adversary.Static{G: graph.Empty(4)}, ckAlgo{}).RestoreFrom(r)
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "exceeds the engine's int32") {
+		t.Fatalf("err = %v, want the round refused", err)
+	}
 }

@@ -43,7 +43,7 @@ func (c *chanNode) Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg {
 	}
 	for _, ch := range chans {
 		for k := s.Intn(4); k > 0; k-- {
-			buf = append(buf, SubMsg{Chan: ch, Kind: 1, A: int64(c.v), B: int64(len(buf))})
+			buf = append(buf, SubMsg{Chan: ch, Kind: 1, A: int64(c.v)<<32 | int64(len(buf))})
 		}
 	}
 	return buf
@@ -52,23 +52,27 @@ func (c *chanNode) Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg {
 func (c *chanNode) Process(ctx *Ctx, in []Incoming, deg int) {
 	h := fnv.New64a()
 	for i, m := range in {
-		if m.M.A != int64(m.From) {
+		if m.M.A>>32 != int64(m.From) {
 			c.out = -1
 			return
 		}
 		if i > 0 {
 			p := in[i-1]
 			ordered := p.M.Chan < m.M.Chan ||
-				p.M.Chan == m.M.Chan && (p.From < m.From || p.From == m.From && p.M.B < m.M.B)
+				p.M.Chan == m.M.Chan && (p.From < m.From || p.From == m.From && outboxIndex(p.M) < outboxIndex(m.M))
 			if !ordered {
 				c.out = -1
 				return
 			}
 		}
-		fmt.Fprintf(h, "%d:%d:%d;", m.From, m.M.Chan, m.M.B)
+		fmt.Fprintf(h, "%d:%d:%d;", m.From, m.M.Chan, outboxIndex(m.M))
 	}
 	c.out = problems.Value(h.Sum64() >> 2)
 }
+
+// outboxIndex is the sender's outbox index that a chanNode message
+// carries in the low half of A, below the sender's id.
+func outboxIndex(m SubMsg) int64 { return m.A & (1<<32 - 1) }
 
 func (c *chanNode) Output() problems.Value { return c.out }
 
@@ -208,7 +212,7 @@ func TestChannelSpanGuard(t *testing.T) {
 type bitsAlgo struct{ chanAlgo }
 
 func (bitsAlgo) NewNode(v graph.NodeID) NodeProc { return &bitsNode{chanNode{v: v}} }
-func (bitsAlgo) MessageBits(m SubMsg) int        { return 1 + int(m.Chan&7) + int(m.B%5) }
+func (bitsAlgo) MessageBits(m SubMsg) int        { return 1 + int(m.Chan&7) + int(outboxIndex(m)%5) }
 
 type bitsNode struct{ chanNode }
 
@@ -286,7 +290,7 @@ func (b *beaconNode) Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg {
 		ch = int32(b.v % 3)
 	}
 	s := ctx.Stream(prf.PurposeWorkload)
-	return append(buf, SubMsg{Chan: ch, Kind: 1, A: int64(b.v), B: int64(s.Intn(1 << 20))})
+	return append(buf, SubMsg{Chan: ch, Kind: 1, A: int64(b.v)<<20 | int64(s.Intn(1<<20))})
 }
 
 func (b *beaconNode) Process(ctx *Ctx, in []Incoming, deg int) {
@@ -297,7 +301,7 @@ func (b *beaconNode) Process(ctx *Ctx, in []Incoming, deg int) {
 	}
 	h := fnv.New64a()
 	for _, m := range in {
-		fmt.Fprintf(h, "%d:%d:%d;", m.From, m.M.Chan, m.M.B)
+		fmt.Fprintf(h, "%d:%d:%d;", m.From, m.M.Chan, m.M.A)
 	}
 	sum := h.Sum64() | 1
 	b.a.inbox[ctx.Round][b.v] = sum

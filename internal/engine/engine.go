@@ -55,7 +55,11 @@
 // is the regime of the paper's highly dynamic P2P workloads (awake ≪ n).
 // Their callbacks need not cost much, though: Ctx.Isolated tells a node
 // it has no edge, and the Concat combiner parks a settled isolated node
-// (core.Settler), so a departed P2P peer costs O(1) per round.
+// (core.Settler), so a departed P2P peer costs O(1) per round. Likewise
+// Ctx.Steady tells Process that none of the node's edges is in the
+// round's diff — the engine keeps the last round each node was touched,
+// so nothing is cleared per round — and DColor then skips re-checking its
+// intersection neighbors.
 // The current topology lives in one structure, an incrementally patched
 // adjacency (graph.DynAdj, O(changes·Δ) per round); a CSR graph is built
 // from its rows only when an observer asks RoundInfo.Graph() or a base
@@ -121,11 +125,12 @@ import (
 // SubMsg is one sub-message of a node's per-round broadcast. Chan is a
 // logical channel id used by the combiner to multiplex concurrently
 // running algorithm instances (0 for standalone algorithms); Kind and the
-// two payload words are algorithm-defined.
+// payload word are algorithm-defined. A SubMsg is 16 bytes and an
+// Incoming 24, which sizes every outbox and every inbox delivery writes.
 type SubMsg struct {
 	Chan int32
 	Kind uint8
-	A, B int64
+	A    int64
 }
 
 // Incoming is a received sub-message together with its sender.
@@ -146,9 +151,17 @@ type Ctx struct {
 	// as delivered, its state and its later behavior must be the same
 	// whatever the field holds. (Process learns the same fact from its
 	// degree.) The Concat combiner reads it to keep a settled isolated
-	// node parked (see core.Settler). It sits in Node's padding, so a
-	// Ctx stays four words.
-	Isolated    bool
+	// node parked (see core.Settler).
+	Isolated bool
+	// Steady reports that no edge of the node is in this round's topology
+	// diff: its neighbors are those of the previous round. The engine sets
+	// it for Process only; a Ctx built anywhere else leaves it false.
+	// Like Isolated it is a hint: false says nothing, and Process may read
+	// it only to skip work whose result it would compute anyway — its
+	// state and later behavior must be the same whatever the field
+	// holds. Isolated and Steady sit in Node's padding, so a Ctx stays
+	// four words.
+	Steady      bool
 	Round       int
 	Seed        uint64
 	PurposeBase prf.Purpose
@@ -364,7 +377,7 @@ type Engine struct {
 	round   int
 	states  []NodeProc
 	awake   []bool
-	wakeRnd []int
+	wakeRnd []int32
 	outbox  [][]SubMsg
 	scratch []workerScratch    // per-worker delivery buffers
 	multiCh bool               // this round some outbox carries a nonzero channel
@@ -382,6 +395,7 @@ type Engine struct {
 	activeList []graph.NodeID   // sorted active set, both phases walk this
 	listBuf    []graph.NodeID   // ping-pong scratch for merge/compaction
 	newAct     []graph.NodeID   // this round's activations (wake + edge touch)
+	touched    []int32          // the last round whose diff touched the node (Ctx.Steady)
 	quiet      []int32          // consecutive quiescent rounds, for the drop grace
 	quiescer   []Quiescer       // cached Quiescer view of states[v], nil if none
 	drops      [][]graph.NodeID // per-worker drop shards
@@ -451,7 +465,7 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		round:    0,
 		states:   make([]NodeProc, cfg.N),
 		awake:    make([]bool, cfg.N),
-		wakeRnd:  make([]int, cfg.N),
+		wakeRnd:  make([]int32, cfg.N),
 		outbox:   make([][]SubMsg, cfg.N),
 		scratch:  make([]workerScratch, workers),
 		snaps:    make([][]problems.Value, lag+1),
@@ -463,6 +477,7 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		adj:      graph.NewDynAdj(cfg.N),
 		active:   make([]bool, cfg.N),
 		quiet:    make([]int32, cfg.N),
+		touched:  make([]int32, cfg.N),
 		quiescer: make([]Quiescer, cfg.N),
 		drops:    make([][]graph.NodeID, workers),
 		cuts:     make([]int, 0, workers+1),
@@ -541,7 +556,7 @@ func (e *Engine) Step() *RoundInfo {
 			continue
 		}
 		e.awake[v] = true
-		e.wakeRnd[v] = r
+		e.wakeRnd[v] = int32(r)
 		e.states[v] = e.algo.NewNode(v)
 		e.quiescer[v], _ = e.states[v].(Quiescer)
 		e.active[v] = true
@@ -618,12 +633,13 @@ func (e *Engine) markEdgeDirty(k graph.EdgeKey, added bool) {
 	e.topDirty.Put(k, added)
 }
 
-// touch marks a node hit by the round's topology diff: it re-enters the
-// active set if dropped and restarts its quiescence grace either way.
-// Diff endpoints are awake (the model invariant was just asserted), so no
-// wakefulness check is needed.
-func (e *Engine) touch(v graph.NodeID) {
+// touch marks a node hit by round r's topology diff: it re-enters the
+// active set if dropped and restarts its quiescence grace either way, and
+// its Process in round r is not Steady. Diff endpoints are awake (the
+// model invariant was just asserted), so no wakefulness check is needed.
+func (e *Engine) touch(v graph.NodeID, r int32) {
 	e.quiet[v] = 0
+	e.touched[v] = r
 	if !e.active[v] {
 		e.active[v] = true
 		e.newAct = append(e.newAct, v)
@@ -691,13 +707,13 @@ func (e *Engine) applyDrops() {
 func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.EdgeKey) *RoundInfo {
 	for _, k := range adds {
 		u, v := k.Nodes()
-		e.touch(u)
-		e.touch(v)
+		e.touch(u, int32(r))
+		e.touch(v, int32(r))
 	}
 	for _, k := range removes {
 		u, v := k.Nodes()
-		e.touch(u)
-		e.touch(v)
+		e.touch(u, int32(r))
+		e.touch(v, int32(r))
 	}
 	if len(e.newAct) > 0 {
 		e.mergeActive()
@@ -946,7 +962,8 @@ func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 	}
 	nbrs := e.adj.Neighbors(v)
 	in := e.deliver(w, nbrs)
-	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed, Isolated: len(nbrs) == 0}
+	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed, Isolated: len(nbrs) == 0,
+		Steady: e.touched[v] != int32(e.stepRound)}
 	e.states[v].Process(ctx, in, len(nbrs))
 	val := e.states[v].Output()
 	e.snapCur[v] = val

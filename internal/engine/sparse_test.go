@@ -241,3 +241,73 @@ func TestSparseQuiescentDropsAreFree(t *testing.T) {
 		t.Fatalf("steady-state round delivers %d messages, want 0", last.Messages)
 	}
 }
+
+// steadyAlgo records, per round and node, what Ctx.Steady held in each
+// callback: 1 in Process, 2 in Broadcast and 4 in Start.
+type steadyAlgo struct{ seen [][]uint8 }
+
+func (a *steadyAlgo) Name() string { return "steady-probe" }
+func (a *steadyAlgo) NewNode(v graph.NodeID) engine.NodeProc {
+	return &steadyNode{a: a, v: v}
+}
+
+type steadyNode struct {
+	a *steadyAlgo
+	v graph.NodeID
+}
+
+func (n *steadyNode) note(ctx *engine.Ctx, bit uint8) {
+	if ctx.Steady {
+		n.a.seen[ctx.Round][n.v] |= bit
+	}
+}
+
+func (n *steadyNode) Start(ctx *engine.Ctx, _ problems.Value) { n.note(ctx, 4) }
+func (n *steadyNode) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
+	n.note(ctx, 2)
+	return append(buf, engine.SubMsg{Kind: 1})
+}
+func (n *steadyNode) Process(ctx *engine.Ctx, _ []engine.Incoming, _ int) { n.note(ctx, 1) }
+func (n *steadyNode) Output() problems.Value                              { return problems.Bot }
+
+// TestSteadyMarksUntouchedNodes pins Ctx.Steady: in every round, each
+// awake node's Process sees it true exactly when no edge of the node is
+// in the round's diff, and Start and Broadcast never see it set.
+func TestSteadyMarksUntouchedNodes(t *testing.T) {
+	const n, rounds = 96, 40
+	base := graph.GNP(n, 4.0/n, prf.NewStream(5, 0, 0, prf.PurposeWorkload))
+	advs := map[string]func() adversary.Adversary{
+		"churn": func() adversary.Adversary { return &adversary.Churn{Base: base, Add: 3, Del: 3, Seed: 6} },
+		"wakeup": func() adversary.Adversary {
+			return &adversary.Wakeup{Inner: &adversary.Churn{Base: base, Add: 2, Del: 2, Seed: 7}, Schedule: adversary.StaggeredSchedule(n, 8)}
+		},
+	}
+	for name, adv := range advs {
+		for _, workers := range []int{1, 3} {
+			a := &steadyAlgo{seen: make([][]uint8, rounds+1)}
+			for r := range a.seen {
+				a.seen[r] = make([]uint8, n)
+			}
+			e := engine.New(engine.Config{N: n, Seed: 1, Workers: workers}, adv(), a)
+			awake := make([]bool, n)
+			e.OnRound(func(info *engine.RoundInfo) {
+				touched := make([]bool, n)
+				for _, keys := range [][]graph.EdgeKey{info.EdgeAdds, info.EdgeRemoves} {
+					for _, k := range keys {
+						u, v := k.Nodes()
+						touched[u], touched[v] = true, true
+					}
+				}
+				for _, v := range info.Wake {
+					awake[v] = true
+				}
+				for v, seen := range a.seen[info.Round] {
+					if want := awake[v] && !touched[v]; seen&^1 != 0 || (seen == 1) != want {
+						t.Fatalf("%s, %d workers: round %d node %d saw Steady in callbacks %03b, want it in Process only and %v there", name, workers, info.Round, v, seen, want)
+					}
+				}
+			})
+			e.Run(rounds)
+		}
+	}
+}

@@ -183,51 +183,6 @@ func TestBallRadii(t *testing.T) {
 	}
 }
 
-// connectedComponents returns a component label per node (labels are
-// the minimal node id in each component) and the number of components,
-// counting isolated nodes as singleton components.
-func connectedComponents(g *Graph) (label []NodeID, count int) {
-	label = make([]NodeID, g.n)
-	for i := range label {
-		label[i] = -1
-	}
-	var stack []NodeID
-	for v := 0; v < g.n; v++ {
-		if label[v] != -1 {
-			continue
-		}
-		count++
-		root := NodeID(v)
-		label[v] = root
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(u) {
-				if label[w] == -1 {
-					label[w] = root
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return label, count
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := FromEdges(6, []EdgeKey{MakeEdgeKey(0, 1), MakeEdgeKey(1, 2), MakeEdgeKey(4, 5)})
-	label, count := connectedComponents(g)
-	if count != 3 { // {0,1,2}, {3}, {4,5}
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if label[0] != label[1] || label[1] != label[2] {
-		t.Fatal("component {0,1,2} split")
-	}
-	if label[3] == label[0] || label[4] != label[5] || label[4] == label[3] {
-		t.Fatal("component labels wrong")
-	}
-}
-
 // TestSortEdgeKeysMatchesSort checks the radix sort against
 // slices.Sort on universes of 2 to 2^30 nodes, whose keys vary in two
 // to eight bytes, with 0 to 2000 keys.

@@ -32,7 +32,7 @@ import (
 type isolationBlind struct{ engine.Algorithm }
 
 func (a isolationBlind) NewNode(v graph.NodeID) engine.NodeProc {
-	return &blindNode{a.Algorithm.NewNode(v)}
+	return &blindNode{NodeProc: a.Algorithm.NewNode(v)}
 }
 
 func (a isolationBlind) MessageBits(m engine.SubMsg) int {
@@ -42,11 +42,26 @@ func (a isolationBlind) MessageBits(m engine.SubMsg) int {
 	return 0
 }
 
-type blindNode struct{ engine.NodeProc }
+// blindNode clears a context hint before its node's callbacks: by
+// default Ctx.Isolated before Broadcast, and with steady set Ctx.Steady
+// before Process instead (steadyBlind).
+type blindNode struct {
+	engine.NodeProc
+	steady bool
+}
 
 func (n *blindNode) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
-	ctx.Isolated = false
+	if !n.steady {
+		ctx.Isolated = false
+	}
 	return n.NodeProc.Broadcast(ctx, buf)
+}
+
+func (n *blindNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
+	if n.steady {
+		ctx.Steady = false
+	}
+	n.NodeProc.Process(ctx, in, deg)
 }
 
 // Quiescent forwards the node's engine.Quiescer; a node without one never
